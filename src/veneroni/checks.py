@@ -13,7 +13,6 @@ from . import exactla as la
 from . import maps
 from .mpoly import Poly
 from .projgeo import (
-    Flat,
     LineParam,
     ProjPoint,
     evaluate_form,
@@ -25,7 +24,7 @@ from .projgeo import (
     restrict_to_span,
     transversal_through,
 )
-from .scalar import FieldCtx, Fp, seeded_rng
+from .scalar import Fp, seeded_rng
 
 CHECK_ORDER = (
     "genericity",
@@ -129,30 +128,6 @@ def _sample_off_locus(vmap, rng, tries=200):
         if all(bool(q.evaluate(p.coords)) for q in vmap.Q):
             return p
     raise RuntimeError("could not sample a point off the Q_i locus")
-
-
-def _lift_scalar(c):
-    """Balanced integer representative of a prime-field element."""
-    r = c.r
-    return r if r <= c.p // 2 else r - c.p
-
-
-def _lift_flats(flats):
-    """Lift prime-field flats to the rationals coefficient-wise."""
-    qq = FieldCtx.rationals()
-    return [
-        Flat(f.j, tuple(qq.from_int(_lift_scalar(c)) for c in f.a)) for f in flats
-    ], qq
-
-
-def _reduce_poly(p, fctx):
-    """Reduce a rational polynomial modulo the prime of fctx."""
-    out = Poly(p.nvars)
-    for e, c in p.terms.items():
-        r = fctx.convert(c)
-        if r:
-            out.terms[e] = r
-    return out
 
 
 def _compose(q, images, nvars_out, ctx):
@@ -384,7 +359,7 @@ def check_genericity(inst):
     return _failed("genericity", {"failures": rep.failures})
 
 
-def check_determinantal(inst, vmap, strategy="minor_dp"):
+def check_determinantal(inst, vmap):
     """Recompute every Q_i two independent ways and replay its invariants."""
     ctx = inst.ctx
     flats = inst.flats
@@ -543,110 +518,42 @@ def check_b_matrix(vmap, inv, seed=0):
     return _passed("b-matrix", {"pattern": "zero diagonal", "residual": "0"})
 
 
-def _composition_target(vmap, i):
-    prod = Poly.var(i, vmap.n + 1, vmap.ctx.one)
-    for q in vmap.Q:
-        prod = prod * q
-    return prod
-
-
-def verify_composition(vmap, inv, symbolic=True, samples=50, seed=0):
+def verify_composition(vmap, inv, seed=0):
     """The inverse composed with the map is coordinatewise multiplication
-    by the product of all Q_i.
+    by the product of all Q_i, proved from the determinantal structure.
 
-    Symbolic mode proves the polynomial identity; sampled mode checks it
-    at `samples` random points (exactly, no tolerance).  Prime-field
-    instances in symbolic mode are re-verified over the rationals on the
-    balanced-lift instance, whose reduction is checked against the given
-    data, so the rational identity carries back down.
+    The stored inverse components must equal det(C_i).  Substituting the
+    components into the entries of C (linear forms in y) must give
+    B·diag(Q_0..Q_n) entry for entry: a_{m,k} x_k Q_k off the diagonal and
+    -sum_t b_{m,t} x_t Q_t = -f_m Q_m on it.  Finally det(B_i) = x_i Q_i.
+    Substitution is a ring homomorphism and determinants are
+    multiplicative, so det(C_i)(v) = det(B_i) prod_{k != i} Q_k = x_i prod Q.
+    The argument holds over any commutative ring, so prime fields need no
+    detour.  `seed` is unused: nothing is sampled.
     """
-    ctx = vmap.ctx
     n1 = vmap.n + 1
-    rebuilt = [
-        la.det_poly_matrix(maps.minor_matrix(maps.build_matrix_C(vmap, inv), i), "minor_dp")
-        for i in range(n1)
-    ]
-    if inv.inverse_components is not None:
-        for i in range(n1):
-            if rebuilt[i] != inv.inverse_components[i]:
-                return _failed(
-                    "composition",
-                    {"i": i, "reason": "stored inverse component differs from det(C_i)"},
-                )
-    if symbolic and ctx.kind == "fp":
-        lifted_flats, qq = _lift_flats(vmap.flats)
-        lvmap = maps.build_forward_map(lifted_flats, qq)
-        linv = maps.build_inverse_map(lvmap, maps.solve_b_matrix(lvmap))
-        # the lift must reduce back to the given data, entry for entry
-        for i in range(n1):
-            if _reduce_poly(lvmap.components[i], ctx) != vmap.components[i]:
-                return _failed(
-                    "composition", {"i": i, "reason": "lift does not reduce to component"}
-                )
-            if _reduce_poly(linv.inverse_components[i], ctx) != rebuilt[i]:
-                return _failed(
-                    "composition",
-                    {"i": i, "reason": "lift does not reduce to inverse component"},
-                )
-            for j in range(n1):
-                if ctx.convert(linv.b[i][j]) != inv.b[i][j]:
-                    return _failed(
-                        "composition", {"i": i, "j": j, "reason": "lift b mismatch"}
-                    )
-        inner = verify_composition(lvmap, linv, symbolic=True, seed=seed)
-        if inner.status != "pass":
-            return inner
-        wit = dict(inner.witness)
-        wit["field"] = "rational lift"
-        return _passed("composition", wit)
-    if symbolic:
-        # Substituting the components into the entries of C (which are
-        # linear in y) and then taking the minor determinant computes the
-        # same polynomial as substituting into the expanded det(C_i) —
-        # evaluation is a ring homomorphism — at a fraction of the cost.
-        substituted = []
-        for m in range(n1):
-            row = []
-            for k in range(n1):
-                if k == m:
-                    diag = Poly.zero(n1)
-                    for t, c in enumerate(inv.b[m]):
-                        if c:
-                            diag = diag + vmap.components[t].scale(c)
-                    row.append(-diag)
-                else:
-                    row.append(vmap.components[k].scale(vmap.flats[m].a[k]))
-            substituted.append(row)
-        sizes = []
-        for i in range(n1):
-            composed = la.det_poly_matrix(maps.minor_matrix(substituted, i), "minor_dp")
-            expected = _composition_target(vmap, i)
-            if composed != expected:
-                return _failed(
-                    "composition", {"i": i, "mode": "symbolic", "reason": "identity fails"}
-                )
-            if vmap.n <= 3:
-                # cross-route: substitution into the expanded determinant
-                if rebuilt[i].substitute(vmap.components) != composed:
-                    return _failed(
-                        "composition",
-                        {"i": i, "mode": "symbolic", "reason": "routes disagree"},
-                    )
-            sizes.append(len(composed.terms))
-        return _passed("composition", {"mode": "symbolic", "terms": sizes})
-    rng = seeded_rng(seed, "composition-samples")
-    for s in range(samples):
-        p = _random_point(ctx, rng, n1)
-        img = [c.evaluate(p.coords) for c in vmap.components]
-        prodq = ctx.one
-        for q in vmap.Q:
-            prodq = prodq * q.evaluate(p.coords)
-        for i in range(n1):
-            if rebuilt[i].evaluate(img) != p[i] * prodq:
-                return _failed(
-                    "composition", {"mode": "sampled", "sample": s, "i": i}
-                )
-    return _passed("composition", {"mode": "sampled", "samples": samples})
+
+    def fail(index, reason, residual):
+        wit = dict(index, reason=reason, residual_terms=len(residual.terms))
+        return _failed("composition", wit)
+
+    c = maps.build_matrix_C(vmap, inv)
+    for i, stored in enumerate(inv.inverse_components or []):
+        residual = la.det_poly_matrix(maps.minor_matrix(c, i)) - stored
+        if not residual.is_zero():
+            return fail({"i": i}, "stored inverse component differs from det(C_i)", residual)
+    b = maps.build_matrix_B(vmap.flats, vmap.ctx)
+    for m in range(n1):
+        for k in range(n1):
+            residual = c[m][k].substitute(vmap.components) - b[m][k] * vmap.Q[k]
+            if not residual.is_zero():
+                return fail({"entry": [m, k]}, "C(v) != B·diag(Q)", residual)
+    for i in range(n1):
+        x_i = Poly.var(i, n1, vmap.ctx.one)
+        residual = la.det_poly_matrix(maps.minor_matrix(b, i)) - x_i * vmap.Q[i]
+        if not residual.is_zero():
+            return fail({"i": i}, "det(B_i) != x_i·Q_i", residual)
+    return _passed("composition", {"mode": "factorization", "entries": n1 * n1, "minors": n1})
 
 
 def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
@@ -1030,10 +937,10 @@ def check_demos(vmap, level="full", seed=0):
 # ---- assembly -----------------------------------------------------------
 
 
-def build_all(inst, strategy="minor_dp"):
+def build_all(inst):
     """Forward map, b-matrix, and completed inverse for an instance."""
-    vmap = maps.build_forward_map(inst.flats, inst.ctx, strategy)
-    inv = maps.build_inverse_map(vmap, maps.solve_b_matrix(vmap), strategy)
+    vmap = maps.build_forward_map(inst.flats, inst.ctx)
+    inv = maps.build_inverse_map(vmap, maps.solve_b_matrix(vmap))
     return vmap, inv
 
 
@@ -1045,9 +952,7 @@ def run_suite(
     level="full",
     k=20,
     seed=None,
-    force_symbolic=False,
     timings=False,
-    strategy="minor_dp",
     version="0",
 ):
     """Run the 13 named checks in their fixed order and build the report."""
@@ -1065,11 +970,9 @@ def run_suite(
     construction_error = None
     if vmap is None:
         try:
-            vmap, inv = build_all(inst, strategy)
+            vmap, inv = build_all(inst)
         except (maps.ConstructionError, maps.BaseLocusError) as exc:
             construction_error = str(exc)
-
-    symbolic = force_symbolic or n <= 3 or (n == 4 and level == "full")
 
     def runner(name, fn):
         t0 = time.perf_counter() if timings else None
@@ -1092,14 +995,11 @@ def run_suite(
         for name in CHECK_ORDER[2:]:
             report.checks.append(_skipped(name, "construction failed"))
         return report.finalize()
-    runner("determinantal", lambda: check_determinantal(inst, vmap, strategy))
+    runner("determinantal", lambda: check_determinantal(inst, vmap))
     runner("linear-system-dimension", lambda: check_dimension(inst, vmap))
     runner("basis-property", lambda: check_basis(inst, vmap))
     runner("b-matrix", lambda: check_b_matrix(vmap, inv, seed))
-    runner(
-        "composition",
-        lambda: verify_composition(vmap, inv, symbolic=symbolic, samples=max(50, k), seed=seed),
-    )
+    runner("composition", lambda: verify_composition(vmap, inv, seed))
     runner("round-trip", lambda: verify_roundtrip_sample(vmap, inv, k, seed))
     runner("base-locus", lambda: verify_base_locus(vmap, seed))
     runner("transversal-sample", lambda: check_transversal_sample(vmap, seed))

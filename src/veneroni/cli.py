@@ -149,7 +149,6 @@ def cmd_verify(args):
         level=args.level,
         k=args.samples,
         seed=args.seed if args.input is None or args.seed_given else None,
-        force_symbolic=args.force_symbolic,
         timings=args.timings,
         version=__version__,
     )
@@ -345,16 +344,10 @@ def build_parser():
     v = sub.add_parser("verify", help="run the full verification suite")
     common(v)
     v.add_argument("--level", choices=("fast", "full"), default="full")
-    v.add_argument("-k", "--samples", type=int, default=20, help="sample count")
-    v.add_argument("--json", action="store_true", help="print the JSON report")
     v.add_argument(
-        "--force-symbolic",
-        action="store_true",
-        help=(
-            "prove the composition identity symbolically even for n=5"
-            " (exact but slow: expect tens of minutes)"
-        ),
+        "-k", "--samples", type=int, default=20, help="round-trip sample count"
     )
+    v.add_argument("--json", action="store_true", help="print the JSON report")
     v.add_argument(
         "--timings",
         action="store_true",

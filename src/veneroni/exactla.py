@@ -205,24 +205,6 @@ def nullspace(rows, ncols, ctx):
     return basis
 
 
-def rank_nullspace(rows, ncols, ctx):
-    """(rank, nullspace basis); basis vectors lead with 1. rank+nullity=ncols."""
-    basis = nullspace(rows, ncols, ctx)
-    return ncols - len(basis), basis
-
-
-def solve_exact(a, b, ctx):
-    """Solution of a @ x = b with free variables at 0, plus the nullspace.
-
-    Raises on an inconsistent system (the caller treats that as a
-    non-generic instance).
-    """
-    x = solve(a, b, ctx)
-    if x is None:
-        raise ValueError("inconsistent linear system")
-    return x, nullspace(a, len(a[0]), ctx)
-
-
 def solve(a, b, ctx):
     """One solution of a @ x = b, or None when the system is inconsistent."""
     aug = [list(row) + [bi] for row, bi in zip(a, b)]

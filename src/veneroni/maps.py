@@ -4,9 +4,11 @@ The map is determinantal: B is the (n+1)x(n+1) matrix with -f_i on the
 diagonal and a_{i,k} x_k elsewhere, built straight from the canonical flats.
 Deleting row and column i leaves B_i with det(B_i) = x_i Q_i, and the n+1
 products x_i Q_i are the components of the degree-n map v_n.  The inverse
-comes from rewriting each f_i Q_i in the component basis (the b-matrix),
-which yields linear forms g_i, the analogous matrix C in the target
-coordinates, and inverse components det(C_i).
+comes from rewriting each f_i Q_i in the component basis; the coefficients
+form the b-matrix, which is the transpose of the flat matrix A = (a_{i,k})
+because the rows of B sum to zero.  Row i of b gives the linear form g_i,
+the analogous matrix C in the target coordinates, and inverse components
+det(C_i).
 """
 
 from dataclasses import dataclass
@@ -68,10 +70,10 @@ def minor_matrix(m, i):
     ]
 
 
-def compute_Q(flats, i, ctx, strategy="minor_dp"):
+def compute_Q(flats, i, ctx):
     """Q_i = det(B_i) / x_i, the degree-(n-1) hypersurface avoiding flat i."""
     b = build_matrix_B(flats, ctx)
-    det = la.det_poly_matrix(minor_matrix(b, i), strategy)
+    det = la.det_poly_matrix(minor_matrix(b, i))
     try:
         q = det.div_var(i)
     except ValueError as e:
@@ -250,7 +252,7 @@ def vanishes_on_flat(p, flat, ctx):
     return restrict_to_span(p, parametrize_flat(flat, ctx)).is_zero()
 
 
-def build_forward_map(flats, ctx, strategy="minor_dp"):
+def build_forward_map(flats, ctx):
     """Build v_n and establish every construction invariant by checking it.
 
     Verifies, for each i: deg Q_i = n-1; Q_i vanishes identically on each
@@ -260,7 +262,7 @@ def build_forward_map(flats, ctx, strategy="minor_dp"):
     """
     n1 = len(flats)
     n = n1 - 1
-    qs = [compute_Q(flats, i, ctx, strategy) for i in range(n1)]
+    qs = [compute_Q(flats, i, ctx) for i in range(n1)]
     verts = [
         ProjPoint([ctx.one if k == i else ctx.zero for k in range(n1)], ctx)
         for i in range(n1)
@@ -293,40 +295,26 @@ class InverseData:
 
 
 def solve_b_matrix(vmap):
-    """Exact coefficients b with f_i Q_i = sum_j b_{i,j} x_j Q_j.
+    """The b-matrix in closed form: b[i][j] = a_{j,i}, the transpose of A.
 
-    The components are stacked as columns over all degree-n monomials and
-    each f_i Q_i is solved against them; the residual is re-expanded and
-    must vanish identically.
+    The rows of B sum to zero, so adj(B) = 1·(x_0 Q_0, ..., x_n Q_n), and
+    adj(B)·B = 0 reads column by column f_i Q_i = sum_j a_{j,i} x_j Q_j.
+    The expansion residual and the zero pattern are checked here as the
+    certificate of that identity.
     """
-    ctx = vmap.ctx
     n1 = vmap.n + 1
-    mons = monomials_of_degree(n1, vmap.n)
-    col = {m: r for r, m in enumerate(mons)}
-    a = [[ctx.zero] * n1 for _ in mons]
-    for j, comp in enumerate(vmap.components):
-        for e, c in comp.terms.items():
-            a[col[e]][j] = c
-    b = []
-    for i in range(n1):
-        target = vmap.flats[i].form2_poly() * vmap.Q[i]
-        rhs = [ctx.zero] * len(mons)
-        for e, c in target.terms.items():
-            rhs[col[e]] = c
-        sol = la.solve(a, rhs, ctx)
-        if sol is None:
-            raise ConstructionError(f"f_{i} Q_{i} is not in the component span")
-        residual = target
+    b = [[vmap.flats[j].a[i] for j in range(n1)] for i in range(n1)]
+    for i, row in enumerate(b):
+        residual = vmap.flats[i].form2_poly() * vmap.Q[i]
         for j in range(n1):
-            residual = residual - vmap.components[j].scale(sol[j])
+            residual = residual - vmap.components[j].scale(row[j])
         if not residual.is_zero():
             raise ConstructionError(f"b-matrix residual for row {i} is nonzero")
         for j in range(n1):
-            if (i == j) != (not sol[j]):
+            if (i == j) != (not row[j]):
                 raise ConstructionError(
-                    f"b[{i}][{j}] violates the zero pattern (got {sol[j]})"
+                    f"b[{i}][{j}] violates the zero pattern (got {row[j]})"
                 )
-        b.append(sol)
     g = [Poly.from_linear(row) for row in b]
     return InverseData(b=b, g=g)
 
@@ -351,7 +339,7 @@ def build_matrix_C(vmap, inv):
     return rows
 
 
-def build_inverse_map(vmap, inv, strategy="minor_dp"):
+def build_inverse_map(vmap, inv):
     """Complete the inverse: components det(C_i) and the dual flats.
 
     Each det(C_i) must have degree n and vanish identically on every dual
@@ -362,7 +350,7 @@ def build_inverse_map(vmap, inv, strategy="minor_dp"):
     c = build_matrix_C(vmap, inv)
     comps = []
     for i in range(n1):
-        d = la.det_poly_matrix(minor_matrix(c, i), strategy)
+        d = la.det_poly_matrix(minor_matrix(c, i))
         if d.degree() != vmap.n:
             raise ConstructionError(f"det(C_{i}) has degree {d.degree()}")
         comps.append(d)

@@ -57,7 +57,7 @@ def test_suite_n3(suite3):
     assert report.ok
     res = by_name(report)
     assert res["multiplicity"].status == "skip"
-    assert res["composition"].witness["mode"] == "symbolic"
+    assert res["composition"].witness["mode"] == "factorization"
     tw = res["transversal-sample"].witness
     assert tw["mode"] == "family"
     assert tw["transversal_count"] == 2
@@ -70,7 +70,7 @@ def test_suite_n4(suite4):
     assert report.ok
     assert report.summary == "13 passed, 0 failed, 0 skipped"
     res = by_name(report)
-    assert res["composition"].witness["mode"] == "symbolic"
+    assert res["composition"].witness["mode"] == "factorization"
     # C(5,2) pairs, three admissible k each
     assert res["multiplicity"].witness["points_checked"] == 30
     assert res["transversal-sample"].witness["mode"] == "pair-point"
@@ -81,27 +81,32 @@ def test_suite_n5_samples_composition(suite5):
     _, report = suite5
     assert report.ok
     res = by_name(report)
-    assert res["composition"].witness["mode"] == "sampled"
-    assert res["composition"].witness["samples"] >= 50
+    # n=5 is proved, not sampled: all 36 entries of C(v) and 6 minors of B
+    assert res["composition"].witness == {"mode": "factorization", "entries": 36, "minors": 6}
     assert res["demos"].status == "skip"
 
 
-def test_fast_level_skips_demos_and_sampling():
-    inst = random_general_flats(4, 3, QQ)
+def test_fast_level_skips_demos_and_sampling(suite4):
+    inst, full = suite4
     report = checks.run_suite(inst, level="fast")
     assert report.ok
     res = by_name(report)
     assert res["demos"].status == "skip"
-    assert res["composition"].witness["mode"] == "sampled"
+    # fast skips the demos only; composition is the same proof at both levels
+    assert res["composition"].to_dict() == by_name(full)["composition"].to_dict()
+    assert res["composition"].witness["mode"] == "factorization"
 
 
 def test_fp_instance_lifts_composition():
+    # the factorization proof is a ring identity: F_p needs no rational lift
     ctx = FieldCtx.prime(M61)
     inst = random_general_flats(3, 2, ctx)
     report = checks.run_suite(inst)
     assert report.ok
     res = by_name(report)
-    assert res["composition"].witness["field"] == "rational lift"
+    assert res["composition"].status == "pass"
+    assert res["composition"].witness["mode"] == "factorization"
+    assert "field" not in res["composition"].witness
 
 
 def test_timings_flag():
@@ -168,6 +173,48 @@ def test_mutated_q_fails_determinantal(suite3):
     report = checks.run_suite(inst, vmap, inv)
     res = by_name(report)
     assert res["determinantal"].status == "fail"
+
+
+def _scaled(polys, k, c):
+    return [p.scale(c) if t == k else p for t, p in enumerate(polys)]
+
+
+def _tamper(vmap, inv, target, two):
+    """Corrupt one piece of a correct map; the others are left shared."""
+    if target == "b":
+        inv.b = [row[:] for row in inv.b]
+        inv.b[0][1] = inv.b[0][1] + two
+    elif target == "Q":
+        vmap.Q = _scaled(vmap.Q, 1, two)
+    elif target == "component":
+        vmap.components = _scaled(vmap.components, 2, two)
+    elif target == "inverse-component":
+        inv.inverse_components = _scaled(inv.inverse_components, 3, two)
+    else:  # every Q_i and component scaled alike: C(v) = B·diag(Q) still holds
+        vmap.Q = [q.scale(two) for q in vmap.Q]
+        vmap.components = [c.scale(two) for c in vmap.components]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+@pytest.mark.parametrize(
+    "target, index, reason",
+    [
+        ("b", {"i": 1}, "stored inverse component differs from det(C_i)"),
+        ("Q", {"entry": [0, 1]}, "C(v) != B·diag(Q)"),
+        ("component", {"entry": [0, 0]}, "C(v) != B·diag(Q)"),
+        ("inverse-component", {"i": 3}, "stored inverse component differs from det(C_i)"),
+        ("all-Q", {"i": 0}, "det(B_i) != x_i·Q_i"),
+    ],
+)
+def test_tampering_fails_composition_by_name(field, target, index, reason):
+    vmap, inv = checks.build_all(random_general_flats(3, 4, field))
+    assert checks.verify_composition(vmap, inv).status == "pass"
+    _tamper(vmap, inv, target, field.from_int(2))
+    res = checks.verify_composition(vmap, inv)
+    assert res.status == "fail"
+    assert res.witness["reason"] == reason
+    assert {k: res.witness[k] for k in index} == index
+    assert res.witness["residual_terms"] > 0
 
 
 def test_transversal_count_across_seeds():

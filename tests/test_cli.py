@@ -170,6 +170,14 @@ def test_verify_fast_level(capsys):
     assert "demos: skip (level fast" in out
 
 
+def test_verify_force_symbolic_is_gone(capsys):
+    # composition is proved at every n, so there is nothing left to force
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "-n", "2", "--force-symbolic"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force-symbolic" in capsys.readouterr().err
+
+
 def test_verify_fp_field(capsys):
     rc, out, _ = run(
         capsys, ["verify", "-n", "3", "--seed", "2", "--field", f"fp:{M61}"]

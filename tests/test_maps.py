@@ -18,9 +18,12 @@ from veneroni.scalar import FieldCtx, seeded_rng
 QQ = FieldCtx.rationals()
 
 
-def pipeline(n, seed=42):
-    flats = random_general_flats(n, seed, QQ).flats
-    vmap = maps.build_forward_map(flats, QQ)
+FP = FieldCtx.prime(2147483647)
+
+
+def pipeline(n, seed=42, ctx=QQ):
+    flats = random_general_flats(n, seed, ctx).flats
+    vmap = maps.build_forward_map(flats, ctx)
     inv = maps.build_inverse_map(vmap, maps.solve_b_matrix(vmap))
     return vmap, inv
 
@@ -130,13 +133,27 @@ def test_apply_map_and_base_locus(m2):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_b_matrix_is_transposed_a(n):
-    # the components span the left kernel of B (its rows sum to zero), and
-    # expanding adj(B)·B = 0 column by column forces b[i][j] = a[j][i];
-    # the solver must rediscover this without being told
-    vmap, inv = pipeline(n, seed=23)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            assert inv.b[i][j] == vmap.flats[j].a[i]
+    # solve_b_matrix writes b = A^T in closed form; a general solver, fed
+    # each f_i Q_i against the stacked components, must find the same b
+    for ctx in (QQ, FP):
+        vmap, inv = pipeline(n, seed=23, ctx=ctx)
+        mons = maps.monomials_of_degree(n + 1, n)
+        col = {m: r for r, m in enumerate(mons)}
+
+        def column(p):
+            out = [ctx.zero] * len(mons)
+            for e, c in p.terms.items():
+                out[col[e]] = c
+            return out
+
+        comps = [column(c) for c in vmap.components]
+        stacked = [[comps[j][r] for j in range(n + 1)] for r in range(len(mons))]
+        for i in range(n + 1):
+            target = column(vmap.flats[i].form2_poly() * vmap.Q[i])
+            assert la.solve(stacked, target, ctx) == inv.b[i]
+            assert inv.b[i] == [vmap.flats[j].a[i] for j in range(n + 1)]
+        # the components are independent, so that solution is the only one
+        assert la.rank(stacked, ctx) == n + 1
 
 
 def test_b_matrix_laws_and_point_oracle(m3):
@@ -179,14 +196,16 @@ def test_inverse_components_and_duals(m2, m3):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_composition_is_multiplication_by_product(n):
-    vmap, inv = pipeline(n, seed=42)
-    prod = vmap.Q[0]
-    for q in vmap.Q[1:]:
-        prod = prod * q
-    for i in range(n + 1):
-        composed = inv.inverse_components[i].substitute(vmap.components)
-        expected = Poly.var(i, n + 1, QQ.one) * prod
-        assert composed == expected
+    # the full expansion, an oracle for the factorization proof in checks
+    for ctx in (QQ, FP):
+        vmap, inv = pipeline(n, seed=42, ctx=ctx)
+        prod = vmap.Q[0]
+        for q in vmap.Q[1:]:
+            prod = prod * q
+        for i in range(n + 1):
+            composed = inv.inverse_components[i].substitute(vmap.components)
+            expected = Poly.var(i, n + 1, ctx.one) * prod
+            assert composed == expected
 
 
 def test_roundtrip_on_samples(m3):
