@@ -21,10 +21,9 @@ from .projgeo import (
     line_restrict,
     meeting_param,
     parametrize_flat,
-    restrict_to_span,
     transversal_through,
 )
-from .scalar import Fp, seeded_rng
+from .scalar import seeded_rng
 
 CHECK_ORDER = (
     "genericity",
@@ -465,14 +464,7 @@ def check_basis(inst, vmap):
     ctx = inst.ctx
     n1 = vmap.n + 1
     mons = maps.monomials_of_degree(n1, vmap.n)
-    col = {m: r for r, m in enumerate(mons)}
-    rows = []
-    for comp in vmap.components:
-        row = [ctx.zero] * len(mons)
-        for e, c in comp.terms.items():
-            row[col[e]] = c
-        rows.append(row)
-    rank = la.rank(rows, ctx)
+    rank = la.rank(maps.coefficient_rows(vmap.components, mons, ctx), ctx)
     if rank != n1:
         return _failed("basis-property", {"rank": rank})
     membership = all(

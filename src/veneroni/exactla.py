@@ -1,8 +1,9 @@
 """Exact linear algebra over a field, plus determinants of polynomial matrices.
 
-Matrices are plain lists of lists.  Row reduction, rank, nullspace and solve
-work over any of the scalar fields (entries must support +, -, *, / and
-truthiness).  Determinants accept matrices whose entries are polynomials as
+Matrices are plain lists of lists.  rref, rank, nullspace, solve and
+rank_mod_p share one elimination loop, on rationals over Q and on plain-int
+residues mod p over F_p; `residues` is the one reduction mod p.
+Determinants accept matrices whose entries are polynomials as
 well as scalars, and come in two independent implementations so results can
 be cross-checked:
 
@@ -18,7 +19,10 @@ that.
 
 import os
 
+from .scalar import FieldCtx, Fp
+
 DEFAULT_MAX_DET_SIZE = 8
+_QQ = FieldCtx.rationals()
 
 
 def max_det_size():
@@ -125,64 +129,78 @@ def det_poly_matrix(m, strategy="minor_dp"):
     raise ValueError(f"unknown determinant strategy {strategy!r}")
 
 
-def rref(rows, ctx):
-    """Reduced row echelon form.  Returns (reduced rows, pivot column list)."""
-    a = [list(r) for r in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
+def residues(rows, p):
+    """The matrix as plain-int residues mod p: F_p entries give their
+    residue, rationals num * den^-1.  A denominator divisible by p has no
+    image and raises ValueError instead of wrapping silently."""
+    return [[_residue(v, p) for v in row] for row in rows]
+
+
+def _residue(v, p):
+    if isinstance(v, Fp):
+        if v.p != p:
+            raise ValueError(f"element of F_{v.p} has no residue mod {p}")
+        return v.r
+    num, den = int(v.numerator), int(v.denominator)
+    if den % p == 0:
+        raise ValueError(f"denominator {den} vanishes mod {p}")
+    return num % p if den == 1 else num * pow(den, -1, p) % p
+
+
+def _eliminate(a, p, full):
+    """Row-reduce `a` in place and return its pivot columns.
+
+    Entries are ints in [0, p), or rationals when p is None.  `full` gives
+    the reduced row echelon form; otherwise only the rows below each pivot
+    are cleared, which is all a rank needs.
+    """
     pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if a[i][c]), None)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = ctx.inv(a[r][c])
-        a[r] = [v * inv for v in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        # left of column c the pivot row is zero, so every update starts at c
+        if p is None:
+            inv = _QQ.inv(a[r][c])
+            piv = a[r][c:] = [v * inv for v in a[r][c:]]
+        else:
+            inv = pow(a[r][c], -1, p)
+            piv = a[r][c:] = [v * inv % p for v in a[r][c:]]
+        for i in range(0 if full else r + 1, len(a)):
+            f = a[i][c]
+            if not f or i == r:
+                continue
+            if p is None:
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], piv)]
+            else:
+                a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], piv)]
         pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return a, pivots
+    return pivots
+
+
+def rref(rows, ctx):
+    """Reduced row echelon form.  Returns (reduced rows, pivot column list).
+    Over F_p the elimination runs on residues."""
+    if ctx.kind == "qq":
+        a = [list(r) for r in rows]
+        return a, _eliminate(a, None, full=True)
+    a = residues(rows, ctx.p)
+    pivots = _eliminate(a, ctx.p, full=True)
+    return [[Fp(v, ctx.p) for v in row] for row in a], pivots
 
 
 def rank(rows, ctx):
-    if not rows:
-        return 0
-    return len(rref(rows, ctx)[1])
+    if ctx.kind == "qq":
+        return len(_eliminate([list(r) for r in rows], None, full=False))
+    return rank_mod_p(residues(rows, ctx.p), ctx.p)
 
 
 def rank_mod_p(int_rows, p):
-    """Rank of an integer matrix over F_p, on plain ints for speed.
-
-    Used as a certified lower bound for the rational rank of the same
-    matrix (a nonzero minor mod p lifts to a nonzero rational minor).
-    """
-    rows = [[v % p for v in r] for r in int_rows]
-    if not rows:
-        return 0
-    nc = len(rows[0])
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        piv = [v * inv % p for v in rows[r]]
-        rows[r] = piv
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], piv)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank over F_p of an integer matrix; for the residues of a rational
+    matrix, a certified lower bound on its rank (a nonzero minor lifts)."""
+    return len(_eliminate([[v % p for v in r] for r in int_rows], p, full=False))
 
 
 def nullspace(rows, ncols, ctx):

@@ -14,7 +14,7 @@ det(C_i).
 from dataclasses import dataclass
 
 from . import exactla as la
-from .mpoly import Poly, PolyRing
+from .mpoly import Poly
 from .projgeo import Flat, ProjPoint, parametrize_flat, restrict_to_span
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "apply_map",
     "class_matrix",
     "monomials_of_degree",
+    "coefficient_rows",
 ]
 
 
@@ -121,6 +122,18 @@ def monomials_of_degree(nvars, d):
     return out
 
 
+def coefficient_rows(polys, mons, ctx):
+    """One row per polynomial: its coefficients on the monomials `mons`."""
+    col = {m: i for i, m in enumerate(mons)}
+    rows = []
+    for poly in polys:
+        row = [ctx.zero] * len(mons)
+        for e, c in poly.terms.items():
+            row[col[e]] = c
+        rows.append(row)
+    return rows
+
+
 def _restriction_rows(flat, d, ctx, mons):
     """Linear conditions on degree-d coefficients for vanishing on the flat.
 
@@ -189,43 +202,22 @@ _PINCH_PRIME = (1 << 31) - 1
 def _pinch_nullity(rows, mons, witnesses, ctx):
     """Sandwich the rational nullity using a mod-p rank and known members.
 
-    Scaling each row to integers and reducing mod p can only lower the
-    rank, so nullity_p >= nullity_QQ.  Independent witnesses give
-    nullity_QQ >= #witnesses.  When the two meet, the value is exact.
+    Reducing mod p can only lower the rank, so nullity_p >= nullity_QQ.
+    Independent witnesses give nullity_QQ >= #witnesses.  When the two
+    meet, the value is exact.  A denominator divisible by p has no residue;
+    the pinch then fails closed into the exact path.
     """
     p = _PINCH_PRIME
-    int_rows = [_int_row(r, p) for r in rows]
+    wrows = coefficient_rows(witnesses, mons, ctx)
+    try:
+        int_rows, int_wrows = la.residues(rows, p), la.residues(wrows, p)
+    except ValueError:
+        return None
     nullity_p = len(mons) - la.rank_mod_p(int_rows, p)
     # witness independence, also certified mod p (a nonzero minor lifts)
-    col = {m: i for i, m in enumerate(mons)}
-    wrows = []
-    for w in witnesses:
-        row = [ctx.zero] * len(mons)
-        for e, c in w.terms.items():
-            row[col[e]] = c
-        wrows.append(_int_row(row, p))
-    if la.rank_mod_p(wrows, p) == len(witnesses) and nullity_p == len(witnesses):
+    if nullity_p == len(witnesses) and la.rank_mod_p(int_wrows, p) == nullity_p:
         return nullity_p
     return None
-
-
-def _int_row(row, p):
-    """Clear denominators and reduce mod p.
-
-    Row scaling preserves rational rank, and reduction mod p can only
-    drop rank, so the resulting bound stays valid even if p divided the
-    scale; the pinch would then just fail closed into the exact path.
-    """
-    den = 1
-    for c in row:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    return [int(c * den) % p for c in row]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -237,14 +229,6 @@ class VeneroniMap:
     flats: list
     Q: list
     components: list
-
-    @property
-    def xring(self):
-        return PolyRing.coordinate(self.n, self.ctx)
-
-    @property
-    def yring(self):
-        return PolyRing.coordinate(self.n, self.ctx, letter="y")
 
 
 def vanishes_on_flat(p, flat, ctx):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from veneroni import checks, maps
+from veneroni import checks
 from veneroni.checks import CHECK_ORDER
 from veneroni.projgeo import Flat, FlatsInstance, random_general_flats
 from veneroni.scalar import FieldCtx

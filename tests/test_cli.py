@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import veneroni
-from veneroni import checks, cli
+from veneroni import cli
 from veneroni.checks import CHECK_ORDER
 
 M61 = 2305843009213693951

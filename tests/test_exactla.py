@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veneroni import exactla as la
 from veneroni.mpoly import Poly
-from veneroni.scalar import FieldCtx
+from veneroni.scalar import FieldCtx, Fp, Rational
 
+P = (1 << 31) - 1
 QQ = FieldCtx.rationals()
-FP = FieldCtx.prime((1 << 31) - 1)
+FP = FieldCtx.prime(P)
 
 
 def rand_mat(ctx, rng, k, bound=5):
@@ -119,3 +122,78 @@ def test_rank_drops_on_dependent_rows():
     rows = [[QQ.from_int(v) for v in r] for r in [[1, 2, 3], [2, 4, 6], [1, 0, 1]]]
     assert la.rank(rows, QQ) == 2
     assert la.rank([], QQ) == 0
+
+
+def test_rref_keeps_integer_rows_exact():
+    red, piv = la.rref([[2, 1], [4, 3]], QQ)
+    assert red == [[1, 0], [0, 1]] and piv == [0, 1]
+    red, piv = la.rref([[2, 1, 1], [4, 3, 0]], QQ)
+    assert red == [[1, 0, Rational(3, 2)], [0, 1, -2]] and piv == [0, 1]
+    assert not any(isinstance(v, float) for row in red for v in row)
+    assert la.rank([[2, 1], [4, 2]], QQ) == 1
+
+
+def test_residues():
+    assert la.residues([[Rational(1, 2), -1, Fp(5, P)]], P) == [[(P + 1) // 2, P - 1, 5]]
+    with pytest.raises(ValueError):
+        la.residues([[Rational(1, P)]], P)
+    with pytest.raises(ValueError):
+        la.residues([[Rational(3, 2 * P)]], P)
+    with pytest.raises(ValueError):
+        la.residues([[Fp(1, 1_000_000_007)]], P)
+
+
+@st.composite
+def matrices(draw):
+    """Rectangular matrices up to 7x8 of small rationals and large residues,
+    with zero rows and repeated rows mixed in."""
+    ncols = draw(st.integers(0, 8))
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(-9, 9, max_denominator=5),
+        st.integers(0, P - 1),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=7))
+    for _ in range(draw(st.integers(0, 7 - len(rows)))):
+        at = draw(st.integers(0, len(rows)))
+        if rows and draw(st.booleans()):
+            copy = rows[draw(st.integers(0, len(rows) - 1))]
+        else:
+            copy = [0] * ncols
+        rows.insert(at, list(copy))
+    return ncols, rows
+
+
+def sympy_rref(rows, ncols, ctx):
+    """Reduced rows (as Python ints/rationals) and pivots, computed by sympy."""
+    sympy = pytest.importorskip("sympy")
+    if ctx.kind == "qq":
+        m = sympy.Matrix(len(rows), ncols, [sympy.Rational(str(v)) for r in rows for v in r])
+        red, piv = m.rref()
+        return [[Rational(str(v)) for v in red.row(i)] for i in range(red.rows)], piv
+    domain = pytest.importorskip("sympy.polys.matrices")
+    gf = sympy.GF(P)
+    m = domain.DomainMatrix([[gf(v.r) for v in r] for r in rows], (len(rows), ncols), gf)
+    red, piv = m.rref()
+    return [[int(gf.to_int(v)) % P for v in r] for r in red.to_list()], piv
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP], ids=["qq", "fp"])
+@settings(max_examples=150, deadline=None)
+@given(m=matrices())
+def test_elimination_agrees_with_sympy(ctx, m):
+    ncols, raw = m
+    rows = [[ctx.convert(v) for v in r] for r in raw]
+    want_red, want_piv = sympy_rref(rows, ncols, ctx)
+    red, piv = la.rref(rows, ctx)
+    assert piv == list(want_piv)
+    got = red if ctx.kind == "qq" else [[v.r for v in r] for r in red]
+    assert got == want_red
+    assert la.rank(rows, ctx) == len(piv)
+    ns = la.nullspace(rows, ncols, ctx)
+    assert len(ns) == ncols - len(piv)
+    for v in ns:
+        for r in rows:
+            assert sum((a * b for a, b in zip(r, v)), ctx.zero) == 0
+    fp_rows = [[FP.convert(v) for v in r] for r in raw]
+    assert la.rank(fp_rows, FP) == la.rank_mod_p(la.residues(rows, P), P)

@@ -257,6 +257,19 @@ def test_witness_pinch_agrees_with_exact_path(m3):
     assert exact == pinched == 4
 
 
+def test_pinch_fails_closed_when_p_divides_a_denominator():
+    p = maps._PINCH_PRIME
+    # flat 0 is the point (0 : 1 : -1/p), so its conditions have denominators p^k
+    a = [(0, 1, p), (1, 0, 1), (1, 2, 0)]
+    flats = [Flat(j, tuple(QQ.from_int(v) for v in row)) for j, row in enumerate(a)]
+    vmap = maps.build_forward_map(flats, QQ)
+    mons = maps.monomials_of_degree(3, 2)
+    rows = [r for f in flats for r in maps._restriction_rows(f, 2, QQ, mons)]
+    assert any(c.denominator % p == 0 for r in rows for c in r)
+    assert maps._pinch_nullity(rows, mons, vmap.components, QQ) is None
+    assert maps.linear_system_dimension(flats, 2, QQ, witnesses=vmap.components) == 3
+
+
 def test_degree_n_system_is_spanned_by_components(m3):
     # rank of the component coefficient matrix is n+1: together with the
     # dimension count this is the basis property
