@@ -472,8 +472,11 @@ def check_basis(inst, vmap):
     )
     if not membership:
         return _failed("basis-property", {"reason": "component outside the system"})
-    wit = _verified_witnesses(inst.flats, ctx, vmap.components)
-    dim = maps.linear_system_dimension(inst.flats, vmap.n, ctx, witnesses=wit)
+    # membership has just proved every component a member, so they are
+    # the witnesses as they stand
+    dim = maps.linear_system_dimension(
+        inst.flats, vmap.n, ctx, witnesses=vmap.components
+    )
     if dim != n1:
         return _failed("basis-property", {"rank": rank, "dim": dim})
     return _passed("basis-property", {"rank": rank, "dim": dim})

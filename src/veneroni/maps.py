@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import exactla as la
 from .mpoly import Poly
-from .projgeo import Flat, ProjPoint, parametrize_flat, restrict_to_span
+from .projgeo import Flat, ProjPoint, parametrize_flat
 
 __all__ = [
     "ConstructionError",
@@ -232,8 +232,36 @@ class VeneroniMap:
 
 
 def vanishes_on_flat(p, flat, ctx):
-    """Exact test: p restricted to the flat is the zero polynomial."""
-    return restrict_to_span(p, parametrize_flat(flat, ctx)).is_zero()
+    """Exact test: p vanishes on the flat, i.e. p lies in its ideal (x_j, f_j).
+
+    Let k be the first index other than j with a_{j,k} != 0.  On the flat
+    x_j = 0 and x_k = L = -sum_{i != j,k} (a_{j,i}/a_{j,k}) x_i, and the map
+    x_j -> 0, x_k -> L is the isomorphism k[x]/(x_j, f_j) = k[x_i : i != j,k],
+    so p vanishes on the flat exactly when its image is zero.  Terms with
+    x_j drop out, the rest are grouped by their power of x_k, and the image
+    is summed by Horner in L.  The coefficient a_{j,j} plays no part (f_j
+    matters only modulo x_j).  Raises ValueError when every a_{j,i} with
+    i != j is zero, since (x_j, f_j) is then no codimension-2 flat.
+    """
+    j, a = flat.j, flat.a
+    k = next((i for i, c in enumerate(a) if i != j and c), None)
+    if k is None:
+        raise ValueError(f"flat {j} is degenerate: f_{j} has no term off x_{j}")
+    scale = -ctx.inv(a[k])
+    line = Poly.from_linear(
+        [ctx.zero if i in (j, k) else c * scale for i, c in enumerate(a)]
+    )
+    groups = {}  # power of x_k -> the terms carrying it, with x_k removed
+    for e, c in p.terms.items():
+        if not e[j]:
+            groups.setdefault(e[k], {})[e[:k] + (0,) + e[k + 1:]] = c
+    if not groups:
+        return True
+    top = max(groups)
+    image = Poly(p.nvars, groups[top])
+    for m in range(top - 1, -1, -1):
+        image = image * line + Poly(p.nvars, groups.get(m))
+    return image.is_zero()
 
 
 def build_forward_map(flats, ctx):

@@ -4,6 +4,7 @@ import pytest
 
 from veneroni import checks
 from veneroni.checks import CHECK_ORDER
+from veneroni.mpoly import Poly
 from veneroni.projgeo import Flat, FlatsInstance, random_general_flats
 from veneroni.scalar import FieldCtx
 
@@ -215,6 +216,23 @@ def test_tampering_fails_composition_by_name(field, target, index, reason):
     assert res.witness["reason"] == reason
     assert {k: res.witness[k] for k in index} == index
     assert res.witness["residual_terms"] > 0
+
+
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+def test_component_off_the_system_fails_by_name(field):
+    inst = random_general_flats(3, 4, field)
+    vmap, _ = checks.build_all(inst)
+    assert checks.verify_base_locus(vmap).status == "pass"
+    assert checks.check_basis(inst, vmap).status == "pass"
+    # x_0^3 vanishes on flat 0, where x_0 = 0, but not on flat 1
+    vmap.components = list(vmap.components)
+    vmap.components[2] = vmap.components[2] + Poly.var(0, 4, field.one) ** 3
+    res = checks.verify_base_locus(vmap)
+    assert res.status == "fail"
+    assert res.witness == {"component": 2, "flat": 1, "reason": "no vanishing"}
+    res = checks.check_basis(inst, vmap)
+    assert res.status == "fail"
+    assert res.witness == {"reason": "component outside the system"}
 
 
 def test_transversal_count_across_seeds():

@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veneroni import exactla as la
 from veneroni import maps
@@ -11,6 +13,7 @@ from veneroni.projgeo import (
     line_restrict,
     parametrize_flat,
     random_general_flats,
+    restrict_to_span,
     transversal_through,
 )
 from veneroni.scalar import FieldCtx, seeded_rng
@@ -363,3 +366,55 @@ def test_mutated_instance_breaks_construction():
     # then the original's Q must no longer match
     orig = random_general_flats(3, 3, QQ).flats
     assert maps.compute_Q(orig, 0, QQ) != vmap.Q[0]
+
+
+SMALL = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5))
+
+
+@st.composite
+def flat_and_member(draw):
+    """A flat (x_j, f_j), possibly with a_{j,j} != 0 and zeros elsewhere, and
+    p = x_j·r + f_j·s + t of degree d, with t sometimes zero."""
+    n = draw(st.integers(2, 5))
+    j = draw(st.integers(0, n))
+    a = draw(st.lists(SMALL, min_size=n + 1, max_size=n + 1))
+    k = draw(st.integers(0, n - 1))
+    k += k >= j  # some index other than j keeps a nonzero coefficient
+    a[k] = draw(SMALL.filter(bool))
+    d = draw(st.integers(1, 3))
+
+    def form(deg):  # up to 4 terms, possibly none
+        mons = st.sampled_from(maps.monomials_of_degree(n + 1, deg))
+        return dict(draw(st.lists(st.tuples(mons, SMALL), max_size=4)))
+
+    return n, j, a, form(d - 1), form(d - 1), form(d)
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP], ids=["qq", "fp"])
+@settings(max_examples=60, deadline=None)
+@given(case=flat_and_member())
+def test_vanishes_on_flat_agrees_with_span_restriction(ctx, case):
+    # the span restriction of projgeo is the oracle for the elimination
+    n, j, a, r, s, t = case
+    n1 = n + 1
+
+    def poly(terms):
+        return Poly(n1, {e: ctx.convert(c) for e, c in terms.items()})
+
+    flat = Flat(j, tuple(ctx.convert(c) for c in a))
+    member = Poly.var(j, n1, ctx.one) * poly(r) + flat.form2_poly() * poly(s)
+    p = member + poly(t)
+    expected = restrict_to_span(p, parametrize_flat(flat, ctx)).is_zero()
+    assert maps.vanishes_on_flat(p, flat, ctx) == expected
+    assert maps.vanishes_on_flat(member, flat, ctx)
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP], ids=["qq", "fp"])
+@pytest.mark.parametrize("diagonal", [0, 3])
+def test_vanishes_on_flat_rejects_a_degenerate_flat(ctx, diagonal):
+    # f_2 = diagonal·x_2 is no second form: (x_2, f_2) is a hyperplane at most
+    a = [ctx.zero] * 4
+    a[2] = ctx.from_int(diagonal)
+    p = Poly.var(0, 4, ctx.one)
+    with pytest.raises(ValueError, match="flat 2 is degenerate"):
+        maps.vanishes_on_flat(p, Flat(2, tuple(a)), ctx)
