@@ -110,14 +110,20 @@ def _random_point(ctx, rng, n1):
     return ProjPoint([ctx.random_nonzero(rng) for _ in range(n1)], ctx)
 
 
-def _point_on_flat(flat, ctx, rng):
-    span = parametrize_flat(flat, ctx)
-    n1 = len(span[0].coords)
-    combo = [ctx.random_nonzero(rng) for _ in span]
+def _span_point(combo, pts, ctx):
+    """The point sum_m combo[m] * pts[m] of the span of the given points."""
     return ProjPoint(
-        [sum((c * s[i] for c, s in zip(combo, span)), ctx.zero) for i in range(n1)],
+        [
+            sum((c * s[i] for c, s in zip(combo, pts)), ctx.zero)
+            for i in range(len(pts[0]))
+        ],
         ctx,
     )
+
+
+def _point_on_flat(flat, ctx, rng):
+    span = parametrize_flat(flat, ctx)
+    return _span_point([ctx.random_nonzero(rng) for _ in span], span, ctx)
 
 
 def _sample_off_locus(vmap, rng, tries=200):
@@ -621,12 +627,7 @@ def _pair_point_transversal(vmap, i, j, seed):
         q = pts[0]
     else:
         rng = seeded_rng(seed, "pair-point", i, j)
-        n1 = vmap.n + 1
-        combo = [ctx.random_nonzero(rng) for _ in pts]
-        q = ProjPoint(
-            [sum((c * s[m] for c, s in zip(combo, pts)), ctx.zero) for m in range(n1)],
-            ctx,
-        )
+        q = _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
     rest = [f for m, f in enumerate(vmap.flats) if m not in (i, j)]
     res = transversal_through(q, rest, ctx)
     if res.kind != "unique":
@@ -700,8 +701,9 @@ def _family_inside_all_q(vmap, m, p, w):
     return True, {}
 
 
-def check_transversal_sample(vmap, seed=0, min_lines=5):
-    """Certified transversal lines substitute to zero in every Q_i."""
+def check_transversal_sample(vmap, seed=0):
+    """Certified transversal lines substitute to zero in every Q_i; at
+    n >= 4, through points of the first ten flat pairs."""
     ctx = vmap.ctx
     n = vmap.n
     if n == 2:
@@ -739,9 +741,9 @@ def check_transversal_sample(vmap, seed=0, min_lines=5):
                 return res
             lines += 1
             pairs.append([i, j])
-            if lines >= max(min_lines, 10):
+            if lines >= 10:
                 break
-        if lines >= max(min_lines, 10):
+        if lines >= 10:
             break
     return _passed(
         "transversal-sample", {"mode": "pair-point", "lines": lines, "pairs": pairs}
@@ -763,12 +765,7 @@ def verify_multiplicity(vmap, i, j, k, seed=0):
         q = pts[0]
     else:
         rng = seeded_rng(seed, "mult-point", i, j)
-        n1 = vmap.n + 1
-        combo = [ctx.random_nonzero(rng) for _ in pts]
-        q = ProjPoint(
-            [sum((c * s[m] for c, s in zip(combo, pts)), ctx.zero) for m in range(n1)],
-            ctx,
-        )
+        q = _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
     qk = vmap.Q[k]
     if qk.evaluate(q.coords):
         return _failed("multiplicity", {"pair": [i, j], "k": k, "reason": "Q_k nonzero"})
@@ -863,11 +860,7 @@ def residual_component_example(flats, ctx, seed=0):
     if la.rank([list(p) for p in pts], ctx) != 3:
         return _failed(name, {"reason": "intersection points do not span a plane"})
     rng = seeded_rng(seed, "residual-plane")
-    combo = [ctx.random_nonzero(rng) for _ in pts]
-    q = ProjPoint(
-        [sum((c * s[m] for c, s in zip(combo, pts)), ctx.zero) for m in range(5)],
-        ctx,
-    )
+    q = _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
     anchors = []
     for idx in (0, 1):
         rows = []
@@ -876,16 +869,7 @@ def residual_component_example(flats, ctx, seed=0):
         ns = la.nullspace(rows, 3, ctx)
         if len(ns) != 1:
             return _failed(name, {"reason": f"plane meets flat {idx} badly"})
-        coeffs = ns[0]
-        anchors.append(
-            ProjPoint(
-                [
-                    sum((c * s[m] for c, s in zip(coeffs, pts)), ctx.zero)
-                    for m in range(5)
-                ],
-                ctx,
-            )
-        )
+        anchors.append(_span_point(ns[0], pts, ctx))
     p0, p1 = anchors
     if la.rank([list(q), list(p0), list(p1)], ctx) != 3:
         return _failed(name, {"reason": "q, p0, p1 collinear"})

@@ -1,5 +1,5 @@
-"""Command-line front end: generation, construction, verification, queries,
-and determinant benchmarking, with JSON artifacts and stable exit codes.
+"""Command-line front end: generation, construction, verification and
+transversal queries, with JSON artifacts and stable exit codes.
 
 Exit codes: 0 all checks pass, 1 a verification failed (the report is
 still written), 2 input or usage error.
@@ -7,18 +7,14 @@ still written), 2 input or usage error.
 
 import argparse
 import json
-import statistics
 import sys
-import time
 
 from . import __version__, checks, maps
-from . import exactla as la
-from .mpoly import ParseError, Poly
+from .mpoly import Poly
 from .projgeo import FlatsInstance, ProjPoint, random_general_flats, transversal_through
 from .scalar import FieldCtx
 
 GENERATE_RANGE = (2, 6)
-BENCH_CAPS = {"minor_dp": 6, "bareiss": 5}
 
 
 def parse_field(text):
@@ -88,7 +84,7 @@ def map_from_dict(d):
     return inst, vmap, inv
 
 
-def load_instance(args, need_field=True):
+def load_instance(args):
     """Instance from -i (flats or map file) or from -n/--seed flags.
 
     Returns (inst, vmap, inv) where the map parts are None unless the
@@ -101,7 +97,7 @@ def load_instance(args, need_field=True):
         return FlatsInstance.from_dict(d), None, None
     if args.n is None:
         raise ValueError("need -i FILE or -n N")
-    ctx = parse_field(args.field) if need_field else FieldCtx.rationals()
+    ctx = parse_field(args.field)
     inst = random_general_flats(args.n, args.seed, ctx, bound=args.bound)
     return inst, None, None
 
@@ -172,7 +168,7 @@ def cmd_transversal(args):
     ctx = inst.ctx
     try:
         p = ProjPoint.parse(args.point, ctx)
-    except (ValueError, ZeroDivisionError, ParseError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad point: {exc}", file=sys.stderr)
         return 2
     if len(p) != inst.n + 1:
@@ -256,58 +252,6 @@ def cmd_demo(args):
     return 1 if failed else 0
 
 
-def cmd_bench(args):
-    strategies = args.strategies.split(",")
-    for s in strategies:
-        if s not in BENCH_CAPS:
-            print(f"error: unknown strategy {s!r}", file=sys.stderr)
-            return 2
-    lo, hi = args.n_min, args.n_max
-    if lo < 2 or hi < lo:
-        print("error: bad n range", file=sys.stderr)
-        return 2
-    for s in strategies:
-        if hi > BENCH_CAPS[s] and not args.force:
-            print(
-                f"error: {s} is capped at n={BENCH_CAPS[s]} (use --force to override)",
-                file=sys.stderr,
-            )
-            return 2
-    reps = max(1, args.reps)
-    print(f"{'n':>2} {'strategy':>9} {'median_ms':>10} {'det_terms':>24} {'composition_terms':>18}")
-    for n in range(lo, hi + 1):
-        inst = random_general_flats(n, args.seed, FieldCtx.rationals(), bound=args.bound)
-        b = maps.build_matrix_B(inst.flats, inst.ctx)
-        minors = [maps.minor_matrix(b, i) for i in range(n + 1)]
-        results = {}
-        for s in strategies:
-            times = []
-            dets = None
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                dets = [la.det_poly_matrix(m, s) for m in minors]
-                times.append((time.perf_counter() - t0) * 1000.0)
-            results[s] = dets
-            terms = [len(d.terms) for d in dets]
-            if n <= 5:
-                prod = Poly.var(0, n + 1, inst.ctx.one)
-                for i in range(n + 1):
-                    prod = prod * dets[i].div_var(i)
-                comp_terms = str(len(prod.terms))
-            else:
-                comp_terms = "-"
-            print(
-                f"{n:>2} {s:>9} {statistics.median(times):>10.2f}"
-                f" {str(terms):>24} {comp_terms:>18}"
-            )
-        first = results[strategies[0]]
-        for s in strategies[1:]:
-            if results[s] != first:
-                print(f"error: strategies disagree at n={n}", file=sys.stderr)
-                return 1
-    return 0
-
-
 # ---- entry point ---------------------------------------------------------
 
 
@@ -372,16 +316,6 @@ def build_parser():
     common(d, io=False)
     d.set_defaults(func=cmd_demo)
 
-    hb = sub.add_parser("bench", help="time the determinant strategies")
-    common(hb, io=False)
-    hb.add_argument("--n-min", type=int, default=2)
-    hb.add_argument("--n-max", type=int, default=4)
-    hb.add_argument(
-        "--strategies", default="minor_dp,bareiss", help="comma-separated list"
-    )
-    hb.add_argument("--reps", type=int, default=3, help="median of this many runs")
-    hb.add_argument("--force", action="store_true", help="ignore the size caps")
-    hb.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -403,7 +337,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, ParseError, KeyError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

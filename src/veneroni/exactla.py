@@ -12,32 +12,22 @@ be cross-checked:
 * `det_bareiss` - fraction-free elimination whose interior divisions are
   exact by Sylvester's identity.
 
-Both refuse matrices larger than `max_det_size()` (default 8, override with
-the VENERONI_MAX_DET_SIZE environment variable) since cost explodes beyond
-that.
+Both refuse matrices larger than MAX_DET_SIZE with a ValueError, since
+cost explodes beyond that.
 """
-
-import os
 
 from .scalar import FieldCtx, Fp
 
-DEFAULT_MAX_DET_SIZE = 8
+MAX_DET_SIZE = 8
 _QQ = FieldCtx.rationals()
-
-
-def max_det_size():
-    """Size cap for determinant routines; env VENERONI_MAX_DET_SIZE overrides."""
-    v = os.environ.get("VENERONI_MAX_DET_SIZE")
-    return int(v) if v else DEFAULT_MAX_DET_SIZE
 
 
 def _check_square(m):
     k = len(m)
     if any(len(row) != k for row in m):
         raise ValueError("matrix is not square")
-    cap = max_det_size()
-    if k > cap:
-        raise ValueError(f"matrix size {k} exceeds determinant cap {cap}")
+    if k > MAX_DET_SIZE:
+        raise ValueError(f"matrix size {k} exceeds determinant cap {MAX_DET_SIZE}")
     return k
 
 
@@ -113,11 +103,6 @@ def det_bareiss(m):
         prev = a[i][i]
     d = a[k - 1][k - 1]
     return -d if sign < 0 else d
-
-
-def det(m):
-    """Default determinant (the division-free route)."""
-    return det_laplace(m)
 
 
 def det_poly_matrix(m, strategy="minor_dp"):
@@ -224,7 +209,11 @@ def nullspace(rows, ncols, ctx):
 
 
 def solve(a, b, ctx):
-    """One solution of a @ x = b, or None when the system is inconsistent."""
+    """One solution of a @ x = b, or None when the system is inconsistent.
+
+    Nothing in the package calls it; the tests use it as an oracle and
+    perfbench/tracer.py wraps it.
+    """
     aug = [list(row) + [bi] for row, bi in zip(a, b)]
     red, pivots = rref(aug, ctx)
     ncols = len(a[0]) if a else 0
@@ -243,10 +232,6 @@ def mat_mul(a, b):
             [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
         )
     return out
-
-
-def mat_vec(a, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
 def identity(k):

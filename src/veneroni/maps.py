@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import exactla as la
 from .mpoly import Poly
-from .projgeo import Flat, ProjPoint, parametrize_flat
+from .projgeo import Flat, ProjPoint
 
 __all__ = [
     "ConstructionError",
@@ -108,7 +108,7 @@ def q_column_sum_oracle(flats, i, ctx):
             else:
                 row.append(Poly.var(k, n1, f.a[k]))
         rows.append(row)
-    return la.det(rows)
+    return la.det_laplace(rows)
 
 
 def monomials_of_degree(nvars, d):
@@ -134,41 +134,50 @@ def coefficient_rows(polys, mons, ctx):
     return rows
 
 
+def _flat_reduction(flat, ctx):
+    """(j, k, L): on the flat x_j = 0 and x_k = L, a linear form in the
+    variables other than x_j and x_k.
+
+    k is the first index other than j with a_{j,k} != 0, and
+    L = -sum_{i != j,k} (a_{j,i}/a_{j,k}) x_i.  The map x_j -> 0, x_k -> L
+    is the isomorphism k[x]/(x_j, f_j) = k[x_i : i != j,k]; the coefficient
+    a_{j,j} plays no part (f_j matters only modulo x_j).  Raises ValueError
+    when every a_{j,i} with i != j is zero, since (x_j, f_j) is then no
+    codimension-2 flat.
+    """
+    j, a = flat.j, flat.a
+    k = next((i for i, c in enumerate(a) if i != j and c), None)
+    if k is None:
+        raise ValueError(f"flat {j} is degenerate: f_{j} has no term off x_{j}")
+    scale = -ctx.inv(a[k])
+    line = Poly.from_linear(
+        [ctx.zero if i in (j, k) else c * scale for i, c in enumerate(a)]
+    )
+    return j, k, line
+
+
 def _restriction_rows(flat, d, ctx, mons):
     """Linear conditions on degree-d coefficients for vanishing on the flat.
 
-    Substituting the flat's parametrization into a general degree-d form
-    and collecting parameter monomials gives one condition per collected
-    monomial; the row entries are the contributions of each coefficient.
+    Each monomial x^e goes to its image under the reduction of the flat:
+    zero when e_j > 0, else x^e with x_k replaced by L.  A degree-d form
+    vanishes on the flat exactly when its image is zero, so each monomial
+    of the images gives one condition; the row entries are the
+    contributions of each coefficient.
     """
-    basis = parametrize_flat(flat, ctx)
-    npar = len(basis)
-    # x_i restricted to the flat, as a linear form in the parameters
-    images = [
-        Poly.from_linear([pt[i] for pt in basis]) for i in range(flat.nvars)
-    ]
-    cache = {}
-
-    def restricted(e):
-        # product of images[i]^e[i], built by peeling one variable at a time
-        # so shared prefixes are computed once
-        if e in cache:
-            return cache[e]
-        if sum(e) == 0:
-            r = Poly.const(ctx.one, npar)
-        else:
-            i = next(k for k, v in enumerate(e) if v)
-            prev = e[:i] + (e[i] - 1,) + e[i + 1:]
-            r = restricted(prev) * images[i]
-        cache[e] = r
-        return r
-
-    par_mons = {m: r for r, m in enumerate(monomials_of_degree(npar, d))}
-    rows = [[ctx.zero] * len(mons) for _ in par_mons]
+    j, k, line = _flat_reduction(flat, ctx)
+    powers = [Poly.const(ctx.one, flat.nvars)]  # powers[m] = L^m
+    for _ in range(d):
+        powers.append(powers[-1] * line)
+    rows = {}
     for col, e in enumerate(mons):
-        for pe, c in restricted(e).terms.items():
-            rows[par_mons[pe]][col] = c
-    return [r for r in rows if any(bool(c) for c in r)]
+        if e[j]:
+            continue
+        rest = e[:k] + (0,) + e[k + 1:]
+        for f, c in powers[e[k]].terms.items():
+            mono = tuple(x + y for x, y in zip(f, rest))
+            rows.setdefault(mono, [ctx.zero] * len(mons))[col] = c
+    return [rows[m] for m in sorted(rows)]
 
 
 def linear_system_dimension(flats, d, ctx, subset=None, witnesses=None):
@@ -234,23 +243,12 @@ class VeneroniMap:
 def vanishes_on_flat(p, flat, ctx):
     """Exact test: p vanishes on the flat, i.e. p lies in its ideal (x_j, f_j).
 
-    Let k be the first index other than j with a_{j,k} != 0.  On the flat
-    x_j = 0 and x_k = L = -sum_{i != j,k} (a_{j,i}/a_{j,k}) x_i, and the map
-    x_j -> 0, x_k -> L is the isomorphism k[x]/(x_j, f_j) = k[x_i : i != j,k],
-    so p vanishes on the flat exactly when its image is zero.  Terms with
-    x_j drop out, the rest are grouped by their power of x_k, and the image
-    is summed by Horner in L.  The coefficient a_{j,j} plays no part (f_j
-    matters only modulo x_j).  Raises ValueError when every a_{j,i} with
-    i != j is zero, since (x_j, f_j) is then no codimension-2 flat.
+    p vanishes on the flat exactly when its image under the reduction of
+    `_flat_reduction` (x_j -> 0, x_k -> L) is zero.  Terms with x_j drop
+    out, the rest are grouped by their power of x_k, and the image is
+    summed by Horner in L.  Raises ValueError on a degenerate flat.
     """
-    j, a = flat.j, flat.a
-    k = next((i for i, c in enumerate(a) if i != j and c), None)
-    if k is None:
-        raise ValueError(f"flat {j} is degenerate: f_{j} has no term off x_{j}")
-    scale = -ctx.inv(a[k])
-    line = Poly.from_linear(
-        [ctx.zero if i in (j, k) else c * scale for i, c in enumerate(a)]
-    )
+    j, k, line = _flat_reduction(flat, ctx)
     groups = {}  # power of x_k -> the terms carrying it, with x_k removed
     for e, c in p.terms.items():
         if not e[j]:

@@ -6,7 +6,9 @@ prime-field elements) and all arithmetic goes through their operators, so
 one implementation serves both fields.  Terms are kept unordered in the
 dict and sorted into graded reverse-lexicographic order only at the edges
 (printing, serialization, lead-term extraction), which keeps the hot
-paths (multiplication, substitution) cheap.
+paths (multiplication, substitution) cheap.  Text is printed for people
+only; map files carry polynomials as JSON term lists (`to_dict` and
+`from_dict`), so there is no text parser.
 """
 
 
@@ -82,9 +84,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_grevlex)
         return e, self.terms[e]
-
-    def coeff(self, e):
-        return self.terms.get(tuple(e), 0)
 
     def sorted_terms(self):
         """Terms in descending grevlex order."""
@@ -273,41 +272,6 @@ class Poly:
             total = total + v
         return total
 
-    # ---- normal forms ---------------------------------------------------
-
-    def primitive(self):
-        """Canonical scalar multiple of self.
-
-        Over the rationals: integer coefficients with collective gcd 1 and a
-        positive leading coefficient.  Over a prime field: monic leading
-        coefficient.  The zero polynomial is returned unchanged.
-        """
-        if not self.terms:
-            return self
-        _, lc = self.lead()
-        if hasattr(lc, "r"):  # prime-field element
-            return self.scale(lc.inv())
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        num = gcd(*(int(c.numerator) for c in self.terms.values()))
-        s = type(lc)(den, num)
-        if lc < 0:
-            s = -s
-        return self.scale(s)
-
-    def proportional_to(self, other):
-        """True when self = c * other for some nonzero scalar c."""
-        if not isinstance(other, Poly) or self.nvars != other.nvars:
-            return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if set(self.terms) != set(other.terms):
-            return False
-        _, ca = self.lead()
-        _, cb = other.lead()
-        return self.scale(cb) == other.scale(ca)
-
     # ---- text and JSON --------------------------------------------------
 
     def text(self, names=None):
@@ -360,129 +324,3 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.text()})"
-
-
-class ParseError(ValueError):
-    """Syntax or name error in polynomial text, carrying the offset."""
-
-    def __init__(self, message, pos):
-        super().__init__(f"{message} (at offset {pos})")
-        self.pos = pos
-
-
-def parse_poly(text, names, ctx):
-    """Parse a signed sum of terms like "3*x0^2*x1 - 2/5*x2 + 7".
-
-    A term is an optional coefficient (integer or integer/integer) joined
-    by '*' to a product of variables, each optionally raised with '^'.
-    Inverse of Poly.text for the same name list.
-    """
-    index = {name: i for i, name in enumerate(names)}
-    nvars = len(names)
-    i = 0
-    size = len(text)
-
-    def skip_ws(k):
-        while k < size and text[k].isspace():
-            k += 1
-        return k
-
-    def read_int(k):
-        start = k
-        while k < size and text[k].isdigit():
-            k += 1
-        if k == start:
-            raise ParseError("expected a number", start)
-        return int(text[start:k]), k
-
-    def read_name(k):
-        start = k
-        while k < size and (text[k].isalnum() or text[k] == "_"):
-            k += 1
-        name = text[start:k]
-        if name not in index:
-            raise ParseError(f"unknown variable {name!r}", start)
-        return index[name], k
-
-    result = Poly.zero(nvars)
-    i = skip_ws(i)
-    if i == size:
-        raise ParseError("empty polynomial", 0)
-    first = True
-    while i < size:
-        sign = 1
-        if text[i] in "+-":
-            if text[i] == "-":
-                sign = -1
-            i = skip_ws(i + 1)
-        elif not first:
-            raise ParseError(f"expected '+' or '-', got {text[i]!r}", i)
-        first = False
-        coeff = None
-        expo = [0] * nvars
-        saw_factor = False
-        while True:
-            if i < size and text[i].isdigit():
-                if coeff is not None or saw_factor:
-                    raise ParseError("coefficient must come first in a term", i)
-                num, i = read_int(i)
-                den = 1
-                if i < size and text[i] == "/":
-                    den, i = read_int(i + 1)
-                    if den == 0:
-                        raise ParseError("zero denominator", i - 1)
-                coeff = ctx.from_int(num) if den == 1 else ctx.from_int(num) / ctx.from_int(den)
-            elif i < size and (text[i].isalpha() or text[i] == "_"):
-                v, i = read_name(i)
-                k = 1
-                if i < size and text[i] == "^":
-                    k, i = read_int(i + 1)
-                expo[v] += k
-                saw_factor = True
-            else:
-                raise ParseError("expected a coefficient or variable", i)
-            i = skip_ws(i)
-            if i < size and text[i] == "*":
-                i = skip_ws(i + 1)
-                continue
-            break
-        c = ctx.one if coeff is None else coeff
-        if sign < 0:
-            c = -c
-        result = result + Poly(nvars, {tuple(expo): c})
-        i = skip_ws(i)
-    return result
-
-
-class PolyRing:
-    """Variable names and field bundled for parsing and printing."""
-
-    __slots__ = ("nvars", "names", "ctx")
-
-    def __init__(self, names, ctx):
-        self.nvars = len(names)
-        self.names = list(names)
-        self.ctx = ctx
-
-    @classmethod
-    def coordinate(cls, n, ctx, letter="x"):
-        """The coordinate ring of P^n with variables letter0..lettern."""
-        return cls([f"{letter}{i}" for i in range(n + 1)], ctx)
-
-    def zero(self):
-        return Poly.zero(self.nvars)
-
-    def const(self, c):
-        return Poly.const(self.ctx.convert(c), self.nvars)
-
-    def var(self, i):
-        return Poly.var(i, self.nvars, self.ctx.one)
-
-    def from_linear(self, coeffs):
-        return Poly.from_linear([self.ctx.convert(c) for c in coeffs])
-
-    def parse(self, text):
-        return parse_poly(text, self.names, self.ctx)
-
-    def text(self, p):
-        return p.text(self.names)

@@ -30,7 +30,6 @@ __all__ = [
     "line_restrict",
     "meeting_param",
     "random_general_flats",
-    "normalize_flats",
     "genericity_check",
 ]
 
@@ -125,9 +124,6 @@ class LineParam:
     base: ProjPoint
     dir: ProjPoint
 
-    def point_at(self, s, t, ctx):
-        return ProjPoint([s * b + t * d for b, d in zip(self.base, self.dir)], ctx)
-
 
 @dataclass
 class TransversalResult:
@@ -138,18 +134,6 @@ class TransversalResult:
     dim: int | None = None  # projective dimension d_p of the family span
     basis: list = field(default_factory=list)
     meeting_params: list = field(default_factory=list)  # per queried flat
-
-    def distinct_meetings(self):
-        """True when all recorded meeting parameters are pairwise distinct."""
-        seen = []
-        for m in self.meeting_params:
-            if m == "contained":
-                return False
-            for s, t in seen:
-                if s * m[1] == t * m[0]:
-                    return False
-            seen.append(m)
-        return True
 
 
 def cone_hyperplane(p, flat, ctx):
@@ -330,51 +314,10 @@ def random_general_flats(n, seed, ctx=None, bound=9, max_retries=32):
     )
 
 
-def normalize_flats(raw, ctx):
-    """Bring n+1 flats given by arbitrary form pairs into canonical shape.
-
-    `raw` lists (f_j1, f_j2) coefficient vectors.  The coordinate change
-    sends f_j1 to x_j (so its matrix is the stack of the first forms); each
-    second form is rewritten in the new coordinates and reduced mod x_j.
-    Returns (flats, change matrix).  Fails if the first forms are dependent
-    or if a reduced coefficient a_{j,i} (i != j) vanishes (non-general
-    input).
-    """
-    n1 = len(raw)
-    first = [list(r[0]) for r in raw]
-    if len(first[0]) != n1:
-        raise ValueError("expected n+1 flats in P^n")
-    if la.rank(first, ctx) != n1:
-        raise ValueError("first forms are linearly dependent")
-    # A form c (a row covector) becomes c . inv(F1) in the new coordinates.
-    inv_cols = []
-    for k in range(n1):
-        e = [ctx.one if i == k else ctx.zero for i in range(n1)]
-        inv_cols.append(la.solve(first, e, ctx))
-    flats = []
-    for j, (_, f2) in enumerate(raw):
-        c = [
-            sum((f2[r] * inv_cols[k][r] for r in range(n1)), ctx.zero)
-            for k in range(n1)
-        ]
-        c[j] = ctx.zero  # subtract the a_{j,j} multiple of x_j
-        for i in range(n1):
-            if i != j and not c[i]:
-                raise ValueError(
-                    f"flat {j}: coefficient a_{j},{i} vanishes after normalization"
-                )
-        flats.append(Flat(j, tuple(c)))
-    return flats, first
-
-
 @dataclass
 class GenericityReport:
     ok: bool
     failures: list
-    retries_sampled: int = 0
-
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
 
 
 def genericity_check(flats, ctx, seed=0, attempt=0, sample_points=3):
@@ -423,7 +366,7 @@ def genericity_check(flats, ctx, seed=0, attempt=0, sample_points=3):
 
         b = build_matrix_B(flats, ctx)
         for i in range(n1):
-            det = la.det(minor_matrix(b, i))
+            det = la.det_laplace(minor_matrix(b, i))
             try:
                 det.div_var(i)
             except ValueError:

@@ -285,36 +285,32 @@ def test_demo_rejects_other_n(capsys):
     assert "n=3 and n=4 only" in err
 
 
-def test_bench_table_and_agreement(capsys):
-    rc, out, _ = run(capsys, ["bench", "--n-max", "3", "--reps", "1", "--seed", "1"])
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0].split() == ["n", "strategy", "median_ms", "det_terms", "composition_terms"]
-    assert len(lines) == 5  # header + 2 strategies x n=2,3
-    assert "minor_dp" in out and "bareiss" in out
-
-
-def test_bench_caps(capsys, monkeypatch):
-    rc, _, err = run(capsys, ["bench", "--n-max", "6", "--strategies", "bareiss"])
-    assert rc == 2
-    assert "capped at n=5" in err
-    rc, _, err = run(capsys, ["bench", "--n-max", "3", "--strategies", "nope"])
-    assert rc == 2 and "unknown strategy" in err
-    # --force bypasses the cap (shrunk here to keep the test quick)
-    monkeypatch.setitem(cli.BENCH_CAPS, "minor_dp", 2)
-    rc, _, err = run(
-        capsys,
-        ["bench", "--n-max", "3", "--strategies", "minor_dp", "--reps", "1"],
-    )
-    assert rc == 2
-    rc, out, _ = run(
-        capsys,
-        ["bench", "--n-max", "3", "--strategies", "minor_dp", "--reps", "1", "--force"],
-    )
-    assert rc == 0
-
-
 # ---- entry point ----------------------------------------------------------
+
+
+def test_subcommands_are_the_five_paths(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "{generate,build,verify,transversal,demo}" in capsys.readouterr().out
+    # determinant timings live in perfbench/, not in the program
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_build_refuses_a_determinant_above_the_cap(capsys, tmp_path):
+    # n = 9 needs 9x9 minors of B, one above exactla.MAX_DET_SIZE
+    n1 = 10
+    flats = [
+        {"j": j, "f2": ["0" if i == j else "1" for i in range(n1)]} for j in range(n1)
+    ]
+    path = tmp_path / "flats9.json"
+    path.write_text(json.dumps({"n": 9, "seed": 0, "field": {"kind": "qq"}, "flats": flats}))
+    rc, out, err = run(capsys, ["build", "-i", str(path)])
+    assert rc == 2 and out == ""
+    assert "matrix size 9 exceeds determinant cap 8" in err
 
 
 def test_version_flag(capsys):

@@ -45,23 +45,24 @@ def test_det_routes_agree_on_polynomials():
 
 def test_det_known_values():
     m = [[QQ.from_int(v) for v in row] for row in [[2, 1, 0], [1, 3, 4], [0, 5, 6]]]
-    assert la.det(m) == -10
+    assert la.det_laplace(m) == -10
     # Vandermonde on 1, 2, 4: prod of differences = 1*3*2 = 6
     v = [[QQ.from_int(a) ** i for i in range(3)] for a in (1, 2, 4)]
-    assert la.det(v) == 6
+    assert la.det_laplace(v) == 6
     assert la.det_laplace([]) == 1 == la.det_bareiss([])
 
 
 def test_det_is_multiplicative_and_alternating():
     rng = random.Random(99)
+    det = la.det_laplace
     for _ in range(10):
         a = rand_mat(QQ, rng, 4)
         b = rand_mat(QQ, rng, 4)
-        assert la.det(la.mat_mul(a, b)) == la.det(a) * la.det(b)
+        assert det(la.mat_mul(a, b)) == det(a) * det(b)
         swapped = [a[1], a[0]] + a[2:]
-        assert la.det(swapped) == -la.det(a)
+        assert det(swapped) == -det(a)
         t = [list(col) for col in zip(*a)]
-        assert la.det(t) == la.det(a)
+        assert det(t) == det(a)
 
 
 def test_det_bareiss_handles_zero_pivots():
@@ -73,17 +74,15 @@ def test_det_bareiss_handles_zero_pivots():
     assert la.det_laplace(sing) == 0
 
 
-def test_det_size_cap(monkeypatch):
-    monkeypatch.setenv("VENERONI_MAX_DET_SIZE", "3")
-    assert la.max_det_size() == 3
-    m = rand_mat(QQ, random.Random(0), 4)
-    with pytest.raises(ValueError):
-        la.det_laplace(m)
-    with pytest.raises(ValueError):
-        la.det_bareiss(m)
-    monkeypatch.delenv("VENERONI_MAX_DET_SIZE")
-    assert la.max_det_size() == la.DEFAULT_MAX_DET_SIZE
-    assert la.det(m) == la.det_bareiss(m)
+def test_det_size_cap():
+    rng = random.Random(0)
+    assert la.MAX_DET_SIZE == 8
+    m8 = rand_mat(QQ, rng, 8)
+    assert la.det_poly_matrix(m8, "minor_dp") == la.det_poly_matrix(m8, "bareiss")
+    m9 = rand_mat(QQ, rng, 9)
+    for strategy in ("minor_dp", "bareiss"):
+        with pytest.raises(ValueError, match="exceeds determinant cap 8"):
+            la.det_poly_matrix(m9, strategy)
 
 
 def test_rref_shape_and_idempotence():
@@ -114,7 +113,7 @@ def test_nullspace_annihilates_and_counts(ctx):
 def test_solve():
     a = [[QQ.from_int(v) for v in row] for row in [[1, 2, 3], [2, 4, 6], [1, 0, 1]]]
     x = la.solve(a, [QQ.from_int(6), QQ.from_int(12), QQ.from_int(2)], QQ)
-    assert la.mat_vec(a, x) == [6, 12, 2]
+    assert [sum(r * v for r, v in zip(row, x)) for row in a] == [6, 12, 2]
     assert la.solve([[QQ.one], [QQ.one]], [QQ.one, QQ.from_int(2)], QQ) is None
 
 

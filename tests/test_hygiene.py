@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module or test imports is used or re-exported."""
+"""Source hygiene: every name a module, test or demo imports is used or
+re-exported."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ SRC = Path(veneroni.__file__).parent
 TESTS = Path(__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted(TESTS.glob("test_*.py"))
+MODULES += sorted((TESTS.parent / "demos").glob("*.py"))
 
 
 def unused_imports(tree):

@@ -41,6 +41,19 @@ def m3():
     return pipeline(3)
 
 
+def proportional(p, q):
+    """True when p = c·q for some nonzero scalar c."""
+    if p.is_zero() or q.is_zero():
+        return p.is_zero() and q.is_zero()
+    (_, cp), (_, cq) = p.lead(), q.lead()
+    return set(p.terms) == set(q.terms) and p.scale(cq) == q.scale(cp)
+
+
+def point_at(line, s, t, ctx):
+    """The point s·base + t·dir of a line."""
+    return ProjPoint([s * b + t * d for b, d in zip(line.base, line.dir)], ctx)
+
+
 def sample_off_locus(vmap, rng, tries=50):
     for _ in range(tries):
         p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)
@@ -105,7 +118,7 @@ def test_q_frozen_n2_formulas():
         p1[2] * p2[0] - p1[0] * p2[2],
         p1[0] * p2[1] - p1[1] * p2[0],
     ]
-    assert q0.proportional_to(Poly.from_linear(cross))
+    assert proportional(q0, Poly.from_linear(cross))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -262,8 +275,9 @@ def test_witness_pinch_agrees_with_exact_path(m3):
 
 def test_pinch_fails_closed_when_p_divides_a_denominator():
     p = maps._PINCH_PRIME
-    # flat 0 is the point (0 : 1 : -1/p), so its conditions have denominators p^k
-    a = [(0, 1, p), (1, 0, 1), (1, 2, 0)]
+    # flat 0 is the point (0 : 1 : -p); on it x_1 = -x_2/p, so its conditions
+    # have denominators p^k
+    a = [(0, p, 1), (1, 0, 1), (1, 2, 0)]
     flats = [Flat(j, tuple(QQ.from_int(v) for v in row)) for j, row in enumerate(a)]
     vmap = maps.build_forward_map(flats, QQ)
     mons = maps.monomials_of_degree(3, 2)
@@ -324,7 +338,7 @@ def test_contracted_transversal_has_constant_image(m3):
     assert line_restrict(vmap.Q[0], res.line).is_zero()
     images = []
     for t in (1, 2, 3, 5):
-        pt = res.line.point_at(QQ.one, QQ.from_int(t), QQ)
+        pt = point_at(res.line, QQ.one, QQ.from_int(t), QQ)
         try:
             images.append(maps.apply_map(vmap.components, pt, QQ))
         except maps.BaseLocusError:
@@ -344,7 +358,7 @@ def test_image_of_q_locus_hits_dual_flat(m3):
         QQ,
     )
     res = transversal_through(p, [vmap.flats[2], vmap.flats[3]], QQ)
-    pt = res.line.point_at(QQ.one, QQ.from_int(2), QQ)
+    pt = point_at(res.line, QQ.one, QQ.from_int(2), QQ)
     img = maps.apply_map(vmap.components, pt, QQ)
     assert not img[1]
     assert inv.dual_flats[1].contains(img)
@@ -372,15 +386,22 @@ SMALL = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5))
 
 
 @st.composite
+def flat_coefficients(draw, n, j):
+    """Coefficients of f_j, possibly with a_{j,j} != 0 and zeros elsewhere."""
+    a = draw(st.lists(SMALL, min_size=n + 1, max_size=n + 1))
+    k = draw(st.integers(0, n - 1))
+    k += k >= j  # some index other than j keeps a nonzero coefficient
+    a[k] = draw(SMALL.filter(bool))
+    return a
+
+
+@st.composite
 def flat_and_member(draw):
     """A flat (x_j, f_j), possibly with a_{j,j} != 0 and zeros elsewhere, and
     p = x_j·r + f_j·s + t of degree d, with t sometimes zero."""
     n = draw(st.integers(2, 5))
     j = draw(st.integers(0, n))
-    a = draw(st.lists(SMALL, min_size=n + 1, max_size=n + 1))
-    k = draw(st.integers(0, n - 1))
-    k += k >= j  # some index other than j keeps a nonzero coefficient
-    a[k] = draw(SMALL.filter(bool))
+    a = draw(flat_coefficients(n, j))
     d = draw(st.integers(1, 3))
 
     def form(deg):  # up to 4 terms, possibly none
@@ -418,3 +439,46 @@ def test_vanishes_on_flat_rejects_a_degenerate_flat(ctx, diagonal):
     p = Poly.var(0, 4, ctx.one)
     with pytest.raises(ValueError, match="flat 2 is degenerate"):
         maps.vanishes_on_flat(p, Flat(2, tuple(a)), ctx)
+
+
+@st.composite
+def flats_and_degree(draw):
+    """One to n+1 flats of P^n shaped as in flat_and_member, and a degree."""
+    n = draw(st.integers(2, 5))
+    js = draw(st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True))
+    return n, [(j, draw(flat_coefficients(n, j))) for j in js], draw(st.integers(1, 3))
+
+
+def parametrized_rows(flat, d, ctx, mons):
+    """Oracle: the conditions read off the substitution of a parametrization
+    of the flat into each monomial, one row per parameter monomial."""
+    basis = parametrize_flat(flat, ctx)
+    images = [Poly.from_linear([pt[i] for pt in basis]) for i in range(flat.nvars)]
+    par = {m: r for r, m in enumerate(maps.monomials_of_degree(len(basis), d))}
+    rows = [[ctx.zero] * len(mons) for _ in par]
+    for col, e in enumerate(mons):
+        for pe, c in Poly(flat.nvars, {e: ctx.one}).substitute(images).terms.items():
+            rows[par[pe]][col] = c
+    return [r for r in rows if any(r)]
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP], ids=["qq", "fp"])
+@settings(max_examples=40, deadline=None)
+@given(case=flats_and_degree())
+def test_restriction_rows_agree_with_parametrized_rows(ctx, case):
+    n, coeffs, d = case
+    flats = [Flat(j, tuple(ctx.convert(c) for c in a)) for j, a in coeffs]
+    mons = maps.monomials_of_degree(n + 1, d)
+    rows, oracle = [], []
+    for f in flats:
+        new = maps._restriction_rows(f, d, ctx, mons)
+        old = parametrized_rows(f, d, ctx, mons)
+        # one independent condition per degree-d monomial on the flat, a
+        # P^(n-2), and the same conditions: the stacked rows gain no rank
+        size = comb(d + n - 2, n - 2)
+        assert len(new) == la.rank(new, ctx) == la.rank(new + old, ctx) == size
+        rows += new
+        oracle += old
+    nullity = len(mons) - la.rank(oracle, ctx)
+    assert len(mons) - la.rank(rows, ctx) == nullity
+    assert maps.linear_system_dimension(flats, d, ctx) == nullity

@@ -121,53 +121,6 @@ def test_substitute_rejects_mixed_degrees():
     assert (x0 + x1).substitute([x1, Poly.zero(2)]) == x1
 
 
-def test_parse_poly():
-    from veneroni.mpoly import ParseError, parse_poly
-
-    names = ["x0", "x1", "x2"]
-    p = parse_poly("3*x0 - 2/5*x2", names, QQ)
-    assert p == Poly.from_linear([QQ.from_int(3), QQ.zero, Rational(-2, 5)])
-    q = parse_poly("x0^2*x1 + x1^3", names, QQ)
-    assert q.degree() == 3 and q.is_homogeneous() and len(q) == 2
-    assert parse_poly("-x0 + x0", names, QQ).is_zero()
-    assert parse_poly("7", names, QQ) == Poly.const(QQ.from_int(7), 3)
-    with pytest.raises(ParseError) as e:
-        parse_poly("x0 + q7", names, QQ)
-    assert e.value.pos == 5
-    with pytest.raises(ParseError):
-        parse_poly("x0 + 1/0", names, QQ)
-    with pytest.raises(ParseError):
-        parse_poly("x0 x1", names, QQ)
-    with pytest.raises(ParseError):
-        parse_poly("", names, QQ)
-
-
-def test_parse_roundtrip():
-    from veneroni.mpoly import parse_poly
-
-    rng = random.Random(55)
-    names = ["x0", "x1", "x2"]
-    for ctx in (QQ, FP):
-        for _ in range(20):
-            p = rand_poly(ctx, rng)
-            assert parse_poly(p.text(names), names, ctx) == p
-
-
-def test_poly_ring():
-    from veneroni.mpoly import PolyRing
-
-    ring = PolyRing.coordinate(2, QQ)
-    assert ring.names == ["x0", "x1", "x2"]
-    p = ring.parse("x0^2 - x1*x2")
-    assert ring.text(p) == "x0^2 - x1*x2"
-    assert ring.var(0) * ring.var(0) - ring.var(1) * ring.var(2) == p
-    yring = PolyRing.coordinate(2, QQ, letter="y")
-    assert yring.names == ["y0", "y1", "y2"]
-    assert ring.from_linear([1, 2, 3]).evaluate(
-        [QQ.one, QQ.one, QQ.one]
-    ) == QQ.from_int(6)
-
-
 def test_grevlex_order():
     p = (Poly.var(0, 3, QQ.one) + Poly.var(1, 3, QQ.one) + Poly.var(2, 3, QQ.one)) ** 2
     assert [e for e, _ in p.sorted_terms()] == [
@@ -196,23 +149,3 @@ def test_json_roundtrip_and_canonical_order():
         assert Poly.from_dict(d, 3, ctx) == p
     with pytest.raises(ValueError):
         Poly.from_dict({"degree": 5, "terms": [{"c": "1", "e": [1, 0, 0]}]}, 3, QQ)
-
-
-def test_primitive_normalization():
-    x0, x1 = Poly.var(0, 2, QQ.one), Poly.var(1, 2, QQ.one)
-    p = x0.scale(Rational(-2, 3)) + x1.scale(Rational(4, 9))
-    q = p.primitive()
-    assert q.text() == "3*x0 - 2*x1"
-    assert q.primitive() == q
-    assert p.proportional_to(q)
-    f = Poly.var(0, 2, FP.one).scale(FP.from_int(7)) + Poly.var(1, 2, FP.one)
-    assert f.primitive().lead()[1] == FP.one
-
-
-def test_proportional_to():
-    rng = random.Random(8)
-    p = rand_poly(QQ, rng)
-    assert p.proportional_to(p.scale(Rational(-9, 7)))
-    assert not p.proportional_to(p + Poly.const(QQ.one, 3))
-    assert Poly.zero(3).proportional_to(Poly.zero(3))
-    assert not p.proportional_to(Poly.zero(3))

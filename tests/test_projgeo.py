@@ -15,7 +15,6 @@ from veneroni.projgeo import (
     genericity_check,
     line_restrict,
     meeting_param,
-    normalize_flats,
     parametrize_flat,
     random_general_flats,
     restrict_to_span,
@@ -24,6 +23,21 @@ from veneroni.projgeo import (
 from veneroni.scalar import FieldCtx, seeded_rng
 
 QQ = FieldCtx.rationals()
+
+
+def mat_vec(a, v):
+    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+
+
+def distinct_meetings(params):
+    """True when the meeting parameters (s, t) are pairwise distinct points
+    of P^1 and no line lies inside a flat."""
+    seen = []
+    for m in params:
+        if m == "contained" or any(s * m[1] == t * m[0] for s, t in seen):
+            return False
+        seen.append(m)
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +141,7 @@ def test_unique_transversal_and_meetings(flats4):
         p = rand_point(4, rng)
         res = transversal_through(p, flats4[:3], QQ)  # n-1 = 3 flats
         assert res.kind == "unique"
-        assert res.distinct_meetings()
+        assert distinct_meetings(res.meeting_params)
         line = res.line
         # the algebraic meeting condition, checked independently
         for f in flats4[:3]:
@@ -193,21 +207,21 @@ def test_transversal_projective_invariance(flats3):
     n1 = 4
     while True:
         m = [[QQ.random(rng) for _ in range(n1)] for _ in range(n1)]
-        if la.det(m):
+        if la.det_laplace(m):
             break
     p = rand_point(3, rng)
     res = transversal_through(p, flats3[:2], QQ)
     assert res.kind == "unique"
     # carry the line over: points transform by m
     mapped = LineParam(
-        ProjPoint(la.mat_vec(m, list(res.line.base)), QQ),
-        ProjPoint(la.mat_vec(m, list(res.line.dir)), QQ),
+        ProjPoint(mat_vec(m, list(res.line.base)), QQ),
+        ProjPoint(mat_vec(m, list(res.line.dir)), QQ),
     )
     # flats transform by composing their forms with m^{-1}; build the
     # image flats from two transformed spanning point sets instead
     for f in flats3[:2]:
         span = parametrize_flat(f, QQ)
-        image_span = [ProjPoint(la.mat_vec(m, list(s)), QQ) for s in span]
+        image_span = [ProjPoint(mat_vec(m, list(s)), QQ) for s in span]
         # mapped line must meet the image flat: the stacked system of the
         # line's two points and the image span loses rank
         rows = [list(mapped.base), list(mapped.dir)] + [list(s) for s in image_span]
@@ -235,80 +249,19 @@ def test_line_restrict_binary_form(flats4):
     assert b.nvars == 2 and b.degree() <= 2
 
 
-def test_normalize_flats_identity_and_permutation():
-    inst = random_general_flats(3, 13, QQ)
-    raw = [(r[0], r[1]) for r in (f.form_rows(QQ) for f in inst.flats)]
-    flats, change = normalize_flats(raw, QQ)
-    assert [f.a for f in flats] == [f.a for f in inst.flats]
-    assert change == la.identity(4) or all(
-        change[i][j] == (QQ.one if i == j else QQ.zero) for i in range(4) for j in range(4)
-    )
-    # permuted first forms give the permutation as change matrix
-    perm = [1, 0, 3, 2]
-    raw_p = []
-    for j in range(4):
-        e = [QQ.zero] * 4
-        e[perm[j]] = QQ.one
-        # second form must stay general for the permuted index
-        a = list(inst.flats[j].a)
-        a[perm[j]], a[j] = a[j], a[perm[j]]
-        raw_p.append((e, a))
-    flats_p, change_p = normalize_flats(raw_p, QQ)
-    for j in range(4):
-        assert change_p[j][perm[j]] == QQ.one
-        assert flats_p[j].is_canonical()
-
-
-def test_normalize_flats_roundtrip_random_twist():
-    inst = random_general_flats(3, 29, QQ)
-    rng = seeded_rng(29, "twist")
-    n1 = 4
-    while True:
-        m = [[QQ.random(rng, 4) for _ in range(n1)] for _ in range(n1)]
-        if la.det(m):
-            break
-    raw = []
-    for f in inst.flats:
-        r1, r2 = f.form_rows(QQ)
-        # compose each form with the twist: coefficients transform by m
-        t1 = [sum((r1[k] * m[k][i] for k in range(n1)), QQ.zero) for i in range(n1)]
-        t2 = [sum((r2[k] * m[k][i] for k in range(n1)), QQ.zero) for i in range(n1)]
-        raw.append((t1, t2))
-    flats, _ = normalize_flats(raw, QQ)
-    for got, want in zip(flats, inst.flats):
-        # same flat up to scaling the second form
-        gp, wp = got.form2_poly(), want.form2_poly()
-        assert gp.proportional_to(wp)
-
-
-def test_normalize_flats_errors():
-    inst = random_general_flats(2, 1, QQ)
-    raw = [(r[0], r[1]) for r in (f.form_rows(QQ) for f in inst.flats)]
-    dep = list(raw)
-    dep[1] = (raw[0][0], raw[1][1])  # duplicate first form
-    with pytest.raises(ValueError):
-        normalize_flats(dep, QQ)
-    zeroed = list(raw)
-    a = list(inst.flats[1].a)
-    a[2] = QQ.zero
-    zeroed[1] = (raw[1][0], a)
-    with pytest.raises(ValueError):
-        normalize_flats(zeroed, QQ)
-
-
 def test_genericity_check_pass_and_failures(flats4):
     rep = genericity_check(flats4, QQ)
     assert rep.ok and rep.failures == []
     # duplicate flats fail the pairwise-intersection check
     rep2 = genericity_check([flats4[0], flats4[0]] + list(flats4[2:]), QQ)
-    assert not rep2.ok and rep2.first_failure().startswith("b:")
+    assert not rep2.ok and rep2.failures[0].startswith("b:")
     # a zeroed coefficient fails the canonical-pattern check
     bad = list(flats4)
     a = list(flats4[1].a)
     a[2] = QQ.zero
     bad[1] = Flat(1, tuple(a))
     rep3 = genericity_check(bad, QQ)
-    assert not rep3.ok and rep3.first_failure().startswith("a:")
+    assert not rep3.ok and rep3.failures[0].startswith("a:")
 
 
 def test_upper_semicontinuity_of_intersection(flats4, flats3):
