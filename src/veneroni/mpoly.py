@@ -1,21 +1,138 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-A polynomial is a dict mapping exponent tuples to nonzero coefficients;
-coefficients are whatever the active field context produces (rationals or
-prime-field elements) and all arithmetic goes through their operators, so
-one implementation serves both fields.  Terms are kept unordered in the
-dict and sorted into graded reverse-lexicographic order only at the edges
-(printing, serialization, lead-term extraction), which keeps the hot
-paths (multiplication, substitution) cheap.  Text is printed for people
-only; map files carry polynomials as JSON term lists (`to_dict` and
-`from_dict`), so there is no text parser.
+A polynomial is a dict mapping exponent tuples to nonzero coefficients,
+all from one field: rationals or prime-field elements (see `scalar`), with
+plain ints accepted as either.  Addition, negation, scaling and
+differentiation use the coefficients' own operators.  Products,
+evaluation, substitution and exact division cross one boundary instead:
+`_lower` turns the coefficients into Python ints (residues mod p, or
+numerators over one common denominator), one loop on ints does the work,
+and `_lift` turns each result term back into a field element exactly once.
+The field is read from every operand, so ints met with F_p elements land
+in F_p, and elements of two different primes raise ValueError.  Terms are
+kept unordered in the dict and sorted into graded reverse-lexicographic
+order only at the edges (printing, serialization, lead-term extraction)
+and in the division heap.  Text is printed for people only; map files
+carry polynomials as JSON term lists (`to_dict` and `from_dict`), so there
+is no text parser.
 """
+
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm, prod
+from operator import add, getitem, sub
+
+from .scalar import Fp, Rational
 
 
 def _grevlex(e):
     # Graded reverse-lex key: higher total degree wins, ties broken so the
     # term with the *smaller* trailing exponents is larger.
     return (sum(e), tuple(-k for k in reversed(e)))
+
+
+def _heap_key(e):
+    # Min-heap form of _grevlex: the grevlex-largest exponent pops first.
+    return (-sum(e), e[::-1])
+
+
+# ---- the integer boundary -------------------------------------------------
+
+
+def _prime(*groups):
+    """The prime of the F_p elements among the coefficient groups, or None
+    (the rationals) when there are none.
+
+    A group is read up to its first non-int value, which names its field.
+    """
+    p = None
+    for values in groups:
+        for c in values:
+            if isinstance(c, Fp):
+                if p is None:
+                    p = c.p
+                elif c.p != p:
+                    raise ValueError("elements of different prime fields")
+                break
+            if not isinstance(c, int):
+                break
+    return p
+
+
+def _residue(c, p):
+    """The residue mod p of an F_p element or an int."""
+    if isinstance(c, Fp):
+        if c.p != p:
+            raise ValueError("elements of different prime fields")
+        return c.r
+    if isinstance(c, int):
+        return c % p
+    raise TypeError(f"coefficient {c!r} is not in F_{p}")
+
+
+def _denominator(values):
+    """The least common denominator of rationals and ints."""
+    try:
+        return lcm(*[c.denominator for c in values])
+    except AttributeError:
+        raise TypeError("coefficients must be rationals or ints") from None
+
+
+def _lower(terms, p):
+    """The terms as ([(e, v)], d) with every v a nonzero int.
+
+    Over F_p (p a prime) v is the residue of the coefficient and d is 1;
+    over Q (p None) v is its numerator over the common denominator d.
+    """
+    if p is not None:
+        out = [(e, c.r) for e, c in terms.items() if c.__class__ is Fp and c.p == p]
+        if len(out) < len(terms):  # ints among the coefficients, or errors
+            out = [(e, r) for e, c in terms.items() if (r := _residue(c, p))]
+        return out, 1
+    d = _denominator(terms.values())
+    if d == 1:
+        return [(e, c.numerator) for e, c in terms.items()], 1
+    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
+
+
+def _lift(nvars, acc, p, d):
+    """The Poly with coefficients acc[e] mod p, or acc[e]/d over Q; zeros drop."""
+    out = Poly(nvars)
+    if p is not None:
+        new = Fp._from_residue
+        out.terms = {e: new(r, p) for e, r in _nonzero(acc, p)}
+    elif d == 1:
+        out.terms = {e: Rational(v) for e, v in _nonzero(acc, p)}
+    else:
+        out.terms = {e: Rational(v, d) for e, v in _nonzero(acc, p)}
+    return out
+
+
+def _product(a, b):
+    """{e: sum of ca*cb over ea + eb = e} for two lists of (e, int) terms."""
+    if len(a) > len(b):
+        a, b = b, a
+    acc = {}
+    get = acc.get
+    for ea, ca in a:
+        for eb, cb in b:
+            e = tuple(map(add, ea, eb))
+            acc[e] = get(e, 0) + ca * cb
+    return acc
+
+
+def _powers(x, top, p=None):
+    """[x**0, ..., x**top], reduced mod p when p is given."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x if p is None else out[-1] * x % p)
+    return out
+
+
+def _nonzero(acc, p):
+    """The (e, int) terms of an accumulator, reduced mod p when p is given."""
+    if p is None:
+        return [(e, v) for e, v in acc.items() if v]
+    return [(e, r) for e, v in acc.items() if (r := v % p)]
 
 
 class Poly:
@@ -138,21 +255,12 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        if not self.terms or not other.terms:
+            return Poly(self.nvars)
+        p = _prime(self.terms.values(), other.terms.values())
+        a, da = _lower(self.terms, p)
+        b, db = _lower(other.terms, p)
+        return _lift(self.nvars, _product(a, b), p, da * db)
 
     def scale(self, c):
         """Multiply by a scalar."""
@@ -173,9 +281,10 @@ class Poly:
             if k:
                 base = base * base
         if result is None:
-            one = next(iter(self.terms.values()), None)
-            unit = 1 if one is None else one - one + 1  # 1 in the coefficient field
-            return Poly.const(unit, self.nvars)
+            if not self.terms:
+                return Poly.const(1, self.nvars)  # no coefficient names a field
+            p = _prime(self.terms.values())
+            return _lift(self.nvars, {(0,) * self.nvars: 1}, p, 1)
         return result
 
     # ---- division -----------------------------------------------------
@@ -192,25 +301,73 @@ class Poly:
         return p
 
     def exact_div(self, g):
-        """Exact quotient self/g; raises ValueError when g does not divide."""
+        """Exact quotient self/g; raises ValueError when g does not divide.
+
+        Heap division after Monagan and Pearce ("Sparse polynomial
+        division using a heap", 2011), on the integer form of the operands.
+        Their heap merges the products q_j*g_i; here the remainder is a dict
+        of ints updated in place and the heap holds its exponents, so each
+        step finds the grevlex-leading term without a scan.  An entry whose
+        term cancelled after it was pushed is skipped when popped.  Over
+        F_p a quotient term costs one product with the inverse of the lead
+        coefficient; over Q the remainder holds numerators over a common
+        denominator, which grows only when the lead coefficient of g does
+        not divide the next leading numerator.
+        """
         if not isinstance(g, Poly):
             raise TypeError("divisor must be a polynomial")
         self._check(g)
-        if g.is_zero():
+        p = _prime(self.terms.values(), g.terms.values())
+        div, dg = _lower(g.terms, p)
+        if not div:
             raise ZeroDivisionError("division by the zero polynomial")
-        eg, cg = g.lead()
-        q = Poly(self.nvars)
-        r = self
-        while r.terms:
-            er, cr = r.lead()
-            de = tuple(a - b for a, b in zip(er, eg))
-            if any(d < 0 for d in de):
+        rem, den = _lower(self.terms, p)
+        rem = dict(rem)
+        eg, lg = max(div, key=lambda t: _grevlex(t[0]))
+        tail = [(e, c) for e, c in div if e != eg]
+        if p is not None:
+            inv = pow(lg, -1, p)
+            new = Fp._from_residue
+        heap = [_heap_key(e) for e in rem]
+        heapify(heap)
+        quo = {}
+        while heap:
+            e = heappop(heap)[1][::-1]
+            v = rem.pop(e, None)
+            if v is None:
+                continue  # cancelled after it was pushed
+            if p is not None:
+                t = v * inv % p
+                if not t:
+                    continue  # a sum of residues that vanishes mod p
+                q = new(t, p)
+            else:
+                s = abs(lg) // gcd(v, lg)
+                if s != 1:  # make the numerators divisible by lg
+                    v *= s
+                    den *= s
+                    for f in rem:
+                        rem[f] *= s
+                t = v // lg
+                q = Rational(t * dg, den)
+            de = tuple(map(sub, e, eg))
+            if min(de, default=0) < 0:
                 raise ValueError("not an exact multiple")
-            t = Poly(self.nvars)
-            t.terms = {de: cr / cg}
-            q = q + t
-            r = r - t * g
-        return q
+            quo[de] = q
+            for f, c in tail:
+                f = tuple(map(add, de, f))
+                tc = t * c
+                w = rem.get(f)
+                if w is None:
+                    rem[f] = -tc
+                    heappush(heap, _heap_key(f))
+                elif w == tc:
+                    del rem[f]
+                else:
+                    rem[f] = w - tc
+        out = Poly(self.nvars)
+        out.terms = quo
+        return out
 
     def partial(self, i):
         """Partial derivative with respect to x_i."""
@@ -225,25 +382,26 @@ class Poly:
     # ---- evaluation and substitution -----------------------------------
 
     def evaluate(self, point):
-        """Value at a tuple of field elements (one per variable)."""
+        """Value at a tuple of field elements (one per variable).
+
+        Over Q the point becomes numerators X over one denominator dx, so a
+        term of degree k is a numerator over dx**k; every term is brought
+        to dx**top, which keeps non-homogeneous polynomials exact.
+        """
         if len(point) != self.nvars:
             raise ValueError("point length does not match variable count")
-        pows = [[None] for _ in range(self.nvars)]  # pows[i][k] = point[i]**k
-        total = None
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                pi = pows[i]
-                while len(pi) <= k:
-                    pi.append(point[i] if len(pi) == 1 else pi[-1] * point[i])
-                v = v * pi[k]
-            total = v if total is None else total + v
-        if total is None:
-            z = point[0] - point[0] if point else 0
-            return z
-        return total
+        p = _prime(self.terms.values(), point)
+        terms, dc = _lower(self.terms, p)
+        top = max((sum(e) for e, _ in terms), default=0)
+        if p is not None:
+            pows = [_powers(_residue(x, p), top, p) for x in point]
+            total = sum(c * prod(map(getitem, pows, e)) for e, c in terms)
+            return Fp._from_residue(total % p, p)
+        dx = _denominator(point)
+        pows = [_powers(x.numerator * (dx // x.denominator), top) for x in point]
+        dpow = _powers(dx, top)
+        total = sum(c * prod(map(getitem, pows, e)) * dpow[top - sum(e)] for e, c in terms)
+        return Rational(total, dc * dpow[top])
 
     def substitute(self, images):
         """Ring map x_i -> images[i]; images are polynomials in a common ring.
@@ -258,19 +416,29 @@ class Poly:
         if len(degs) > 1 or any(not im.is_homogeneous() for im in images):
             raise ValueError("images must share one homogeneous degree")
         m = images[0].nvars
-        pows = [[None] for _ in range(self.nvars)]
-        total = Poly.zero(m)
-        for e, c in self.sorted_terms():
-            v = Poly.const(c, m)
+        p = _prime(self.terms.values(), *(im.terms.values() for im in images))
+        terms, dc = _lower(self.terms, p)
+        lowered = [_lower(im.terms, p) for im in images]
+        di = lcm(*(d for _, d in lowered))  # images are numerators over di
+        imgs = [t if d == di else [(e, v * (di // d)) for e, v in t] for t, d in lowered]
+        one = [((0,) * m, 1)]
+        pows = [[one, img] for img in imgs]  # pows[i][k] = imgs[i]**k
+        top = max((sum(e) for e, _ in terms), default=0)
+        dpow = _powers(di, top)  # a degree-k term is over di**k: bring all to di**top
+        acc = {}
+        get = acc.get
+        for e, c in terms:
+            v = one
             for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                pi = pows[i]
-                while len(pi) <= k:
-                    pi.append(images[i] if len(pi) == 1 else pi[-1] * images[i])
-                v = v * pi[k]
-            total = total + v
-        return total
+                if k:
+                    pi = pows[i]
+                    while len(pi) <= k:
+                        pi.append(_nonzero(_product(pi[-1], imgs[i]), p))
+                    v = pi[k] if v is one else _nonzero(_product(v, pi[k]), p)
+            c *= dpow[top - sum(e)]
+            for f, x in v:
+                acc[f] = get(f, 0) + c * x
+        return _lift(m, acc, p, dc * dpow[top])
 
     # ---- text and JSON --------------------------------------------------
 
@@ -310,13 +478,17 @@ class Poly:
     @classmethod
     def from_dict(cls, d, nvars, ctx):
         p = cls(nvars)
+        seen = set()
         for t in d["terms"]:
             e = tuple(t["e"])
             if len(e) != nvars:
                 raise ValueError("exponent length does not match variable count")
+            if e in seen:
+                raise ValueError(f"exponent {list(e)} appears in two terms")
+            seen.add(e)
             c = ctx.parse(t["c"])
             if c:
-                p.terms[e] = p.terms.get(e, ctx.zero) + c
+                p.terms[e] = c
         deg = p.degree()
         if d.get("degree", deg) != deg:
             raise ValueError(f"declared degree {d['degree']} but terms have degree {deg}")

@@ -60,6 +60,14 @@ class Fp:
         self.r = r % p
         self.p = p
 
+    @classmethod
+    def _from_residue(cls, r, p):
+        """The element with residue r, which must already lie in [0, p)."""
+        x = object.__new__(cls)
+        x.r = r
+        x.p = p
+        return x
+
     def _lift(self, other):
         if isinstance(other, Fp):
             if other.p != self.p:

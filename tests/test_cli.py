@@ -150,6 +150,19 @@ def test_verify_mutated_component(tmp_path, map3, capsys):
     assert "determinantal: fail" in out
 
 
+def test_verify_rejects_a_duplicated_term(map3, tmp_path, capsys):
+    # to_dict never writes an exponent twice; a copy of a Q term would add
+    # up on load (here to 2c) instead of failing by name
+    d = json.loads(map3.read_text())
+    terms = d["Q"][0]["terms"]
+    terms.append(dict(terms[0]))
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(d))
+    rc, out, err = run(capsys, ["verify", "-i", str(bad)])
+    assert rc == 2 and out == ""
+    assert f"exponent {terms[0]['e']} appears in two terms" in err
+
+
 def test_verify_corrupt_json(tmp_path, capsys):
     bad = tmp_path / "corrupt.json"
     bad.write_text('{"n": 3, oops')

@@ -1,12 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veneroni.mpoly import Poly
-from veneroni.scalar import FieldCtx, Rational
+from veneroni.scalar import FieldCtx, Fp, Rational
 
 QQ = FieldCtx.rationals()
 FP = FieldCtx.prime((1 << 31) - 1)
+P = FP.p
+P2 = (1 << 61) - 1
 
 
 def rand_poly(ctx, rng, nvars=3, maxdeg=3, nterms=6):
@@ -149,3 +154,236 @@ def test_json_roundtrip_and_canonical_order():
         assert Poly.from_dict(d, 3, ctx) == p
     with pytest.raises(ValueError):
         Poly.from_dict({"degree": 5, "terms": [{"c": "1", "e": [1, 0, 0]}]}, 3, QQ)
+
+
+def test_from_dict_rejects_a_duplicate_exponent():
+    # a repeated exponent would otherwise add up, here to a stored zero
+    d = {"terms": [{"c": "1", "e": [1, 0]}, {"c": "-1", "e": [1, 0]}]}
+    with pytest.raises(ValueError, match=r"exponent \[1, 0\] appears in two terms"):
+        Poly.from_dict(d, 2, QQ)
+
+
+def test_exact_div_of_int_coefficients_stays_exact():
+    q = Poly(1, {(1,): 1}).exact_div(Poly(1, {(1,): 2}))
+    assert q.terms == {(0,): Rational(1, 2)}
+    assert type(q.terms[(0,)]) is Rational
+
+
+def test_fp_products_drop_terms_that_cancel_mod_p():
+    x, y = Poly.var(0, 2, FP.one), Poly.var(1, 2, FP.one)
+    assert ((x + y) * (x - y)).terms == {(2, 0): FP.one, (0, 2): FP.from_int(-1)}
+
+
+def test_mismatched_primes_raise():
+    a = Poly(2, {(1, 0): Fp(3, P), (0, 1): Fp(1, P)})
+    b = Poly(2, {(1, 0): Fp(3, P2), (0, 1): Fp(1, P2)})
+    with pytest.raises(ValueError, match="different prime fields"):
+        a * b
+    with pytest.raises(ValueError, match="different prime fields"):
+        a.exact_div(b)
+    for point in ((Fp(1, P2), Fp(2, P2)), (Fp(1, P), Fp(2, P2))):
+        with pytest.raises(ValueError, match="different prime fields"):
+            a.evaluate(point)
+    with pytest.raises(ValueError, match="different prime fields"):
+        a.substitute([b, b])
+    mixed = Poly(2, {(1, 0): Fp(3, P), (0, 1): Fp(1, P2)})
+    with pytest.raises(ValueError, match="different prime fields"):
+        mixed * a
+
+
+def test_zero_divisor_and_ring_mismatch_raise():
+    a = Poly.var(0, 2, QQ.one)
+    with pytest.raises(ZeroDivisionError):
+        a.exact_div(Poly.zero(2))
+    with pytest.raises(ZeroDivisionError):
+        Poly.zero(2).exact_div(Poly.zero(2))
+    with pytest.raises(ValueError, match="different rings"):
+        a * Poly.var(0, 3, QQ.one)
+    with pytest.raises(ValueError, match="different rings"):
+        a.exact_div(Poly.var(0, 3, QQ.one))
+
+
+# ---- the field-object loops the integer kernel replaced, kept as oracles ----
+
+
+def oracle_mul(a, b):
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    p = Poly(a.nvars)
+    p.terms = out
+    return p
+
+
+def oracle_pow(a, k, one):
+    out = Poly.const(one, a.nvars)
+    for _ in range(k):
+        out = oracle_mul(out, a)
+    return out
+
+
+def oracle_exact_div(f, g):
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    eg, cg = g.lead()
+    q = Poly(f.nvars)
+    r = f
+    while r.terms:
+        er, cr = r.lead()
+        de = tuple(a - b for a, b in zip(er, eg))
+        if any(d < 0 for d in de):
+            raise ValueError("not an exact multiple")
+        t = Poly(f.nvars, {de: cr / cg})
+        q = q + t
+        r = r - oracle_mul(t, g)
+    return q
+
+
+def oracle_evaluate(p, point):
+    pows = [[None] for _ in range(p.nvars)]
+    total = None
+    for e, c in p.terms.items():
+        v = c
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            pi = pows[i]
+            while len(pi) <= k:
+                pi.append(point[i] if len(pi) == 1 else pi[-1] * point[i])
+            v = v * pi[k]
+        total = v if total is None else total + v
+    return point[0] - point[0] if total is None else total
+
+
+def oracle_substitute(p, images):
+    m = images[0].nvars
+    total = Poly.zero(m)
+    for e, c in p.terms.items():
+        v = Poly.const(c, m)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                v = oracle_mul(v, images[i])
+        total = total + v
+    return total
+
+
+def rationals(make):
+    """Rationals with mixed small denominators, built by `make(num, den)`."""
+    return st.builds(make, st.integers(-30, 30), st.integers(1, 12))
+
+
+# Residues that cancel mod p in sums of products: 1 + (p - 1) = p, etc.
+RESIDUES = st.sampled_from([1, 2, 3, P - 1, P - 2, (P + 1) // 2]) | st.integers(0, P - 1)
+FIELDS = {"qq": rationals(Rational), "fp": RESIDUES.map(lambda r: Fp(r, P))}
+
+
+@st.composite
+def polys(draw, scalars, nvars, degree=None, maxdeg=2, max_terms=5):
+    """A polynomial; non-homogeneous unless `degree` is given."""
+    if degree is None:
+        exps = st.tuples(*[st.integers(0, maxdeg)] * nvars)
+    else:
+        exps = st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree).map(
+            lambda idx: tuple(idx.count(i) for i in range(nvars))
+        )
+    return Poly(nvars, draw(st.dictionaries(exps, scalars, max_size=max_terms)))
+
+
+def in_field(x, kind):
+    """Every coefficient of a Poly, or a scalar, is of the field's own type."""
+    values = x.terms.values() if isinstance(x, Poly) else [x]
+    rational = kind == "qq" or kind is Rational
+    return all(
+        type(c) is Rational if rational else (type(c) is Fp and 0 <= c.r < P)
+        for c in values
+    )
+
+
+def check_against_oracles(data, scalars, kind, one):
+    """Every integer-kernel operation equals its field-object loop."""
+    n = data.draw(st.integers(1, 3), label="nvars")
+    a = data.draw(polys(scalars, n), label="a")
+    b = data.draw(polys(scalars, n), label="b")
+    prod = a * b
+    assert prod == oracle_mul(a, b) and in_field(prod, kind)
+    k = data.draw(st.integers(0, 3), label="k")
+    if a:
+        power = a**k
+        assert power == oracle_pow(a, k, one) and in_field(power, kind)
+    point = data.draw(st.tuples(*[scalars] * n), label="point")
+    value = a.evaluate(point)
+    assert value == oracle_evaluate(a, point) and in_field(value, kind)
+    if b:
+        q = prod.exact_div(b)
+        assert q == a and in_field(q, kind)
+        assert q == oracle_exact_div(prod, b)
+        f = data.draw(polys(scalars, n), label="f")
+        try:
+            expected = oracle_exact_div(f, b)
+        except ValueError:
+            with pytest.raises(ValueError, match="not an exact multiple"):
+                f.exact_div(b)
+        else:
+            q = f.exact_div(b)
+            assert q == expected and in_field(q, kind)
+    m = data.draw(st.integers(1, 3), label="m")
+    deg = data.draw(st.integers(0, 2), label="image degree")
+    images = [data.draw(polys(scalars, m, degree=deg), label="image") for _ in range(n)]
+    image = a.substitute(images)
+    assert image == oracle_substitute(a, images) and in_field(image, kind)
+
+
+@pytest.mark.parametrize("kind", ["qq", "fp"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_kernel_matches_field_loops(kind, data):
+    one = QQ.one if kind == "qq" else FP.one
+    check_against_oracles(data, FIELDS[kind], kind, one)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ints_mixed_into_fp_polynomials_land_in_fp(data):
+    ints = st.integers(-3 * P, 3 * P)
+    mixed = st.one_of(ints, FIELDS["fp"])
+    n = data.draw(st.integers(1, 3), label="nvars")
+    a = data.draw(polys(mixed, n), label="a")
+    b = data.draw(polys(FIELDS["fp"], n), label="b")
+    point = data.draw(st.tuples(*[mixed] * n), label="point")
+    fa = Poly(n, {e: FP.convert(c) for e, c in a.terms.items()})
+    fpoint = tuple(FP.convert(c) for c in point)
+    for prod in (a * b, b * a):
+        assert prod == oracle_mul(fa, b) and in_field(prod, "fp")
+    for poly, fpoly in ((a, fa), (b, b)):
+        value = poly.evaluate(point)
+        if any(type(c) is Fp for c in [*poly.terms.values(), *point]):
+            assert type(value) is Fp and value == oracle_evaluate(fpoly, fpoint)
+        else:  # only ints: the value is the rational one, which maps onto F_p's
+            assert type(value) is Rational
+            assert FP.convert(value) == (oracle_evaluate(fpoly, fpoint) if fpoly else 0)
+    if b:
+        q = oracle_mul(fa, b).exact_div(b)
+        assert q == fa and in_field(q, "fp")
+    if a and any(type(c) is Fp for c in a.terms.values()):
+        assert in_field(a**2, "fp")
+
+
+def test_int_coefficients_give_rationals():
+    a = Poly(2, {(1, 0): 2, (0, 1): -3})
+    for out in (a * a, a**0, a**3, (a * a).exact_div(a), a.substitute([a, a])):
+        assert in_field(out, "qq")
+    assert in_field(a.evaluate((1, 2)), "qq")
+    assert in_field(a.evaluate((Fraction(1, 2), 2)), "qq")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_kernel_on_gmpy2_rationals(data):
+    gmpy2 = pytest.importorskip("gmpy2")
+    check_against_oracles(data, rationals(gmpy2.mpq), gmpy2.mpq, gmpy2.mpq(1))
