@@ -1,8 +1,11 @@
 """Exact linear algebra over a field, plus determinants of polynomial matrices.
 
-Matrices are plain lists of lists.  rref, rank, nullspace, solve and
-rank_mod_p share one elimination loop, on rationals over Q and on plain-int
-residues mod p over F_p; `residues` is the one reduction mod p.
+rref, rank, nullspace, solve and rank_mod_p share one sparse elimination
+kernel, `_eliminate`, on rows held as {column: entry} dicts of the nonzero
+entries: rationals over Q and plain-int residues mod p over F_p; `residues`
+is the one reduction mod p.  rank and rank_mod_p take list rows or dict rows;
+rref, nullspace and solve take and return lists of lists and convert at
+their boundary.
 Determinants accept matrices whose entries are polynomials as
 well as scalars, and come in two independent implementations so results can
 be cross-checked:
@@ -15,6 +18,8 @@ be cross-checked:
 Both refuse matrices larger than MAX_DET_SIZE with a ValueError, since
 cost explodes beyond that.
 """
+
+from collections import Counter
 
 from .scalar import FieldCtx, Fp
 
@@ -115,10 +120,16 @@ def det_poly_matrix(m, strategy="minor_dp"):
 
 
 def residues(rows, p):
-    """The matrix as plain-int residues mod p: F_p entries give their
-    residue, rationals num * den^-1.  A denominator divisible by p has no
-    image and raises ValueError instead of wrapping silently."""
-    return [[_residue(v, p) for v in row] for row in rows]
+    """The matrix as plain-int residues mod p, each row in the shape it came
+    in (a list, or a {column: entry} dict): F_p entries give their residue,
+    rationals num * den^-1.  A denominator divisible by p has no image and
+    raises ValueError instead of wrapping silently."""
+    return [
+        {c: _residue(v, p) for c, v in row.items()}
+        if isinstance(row, dict)
+        else [_residue(v, p) for v in row]
+        for row in rows
+    ]
 
 
 def _residue(v, p):
@@ -132,60 +143,105 @@ def _residue(v, p):
     return num % p if den == 1 else num * pow(den, -1, p) % p
 
 
-def _eliminate(a, p, full):
-    """Row-reduce `a` in place and return its pivot columns.
-
-    Entries are ints in [0, p), or rationals when p is None.  `full` gives
-    the reduced row echelon form; otherwise only the rows below each pivot
-    are cleared, which is all a rank needs.
-    """
-    pivots = []
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        # left of column c the pivot row is zero, so every update starts at c
+def _sparse(rows, p=None):
+    """Fresh {column: entry} dicts of the nonzero entries of list or dict
+    rows, with every entry reduced mod p when p is given."""
+    out = []
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
         if p is None:
-            inv = _QQ.inv(a[r][c])
-            piv = a[r][c:] = [v * inv for v in a[r][c:]]
+            out.append({c: v for c, v in items if v})
         else:
-            inv = pow(a[r][c], -1, p)
-            piv = a[r][c:] = [v * inv % p for v in a[r][c:]]
-        for i in range(0 if full else r + 1, len(a)):
-            f = a[i][c]
-            if not f or i == r:
-                continue
-            if p is None:
-                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], piv)]
-            else:
-                a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], piv)]
-        pivots.append(c)
+            out.append({c: v % p for c, v in items if v % p})
+    return out
+
+
+def _subtract(row, f, prow, p):
+    """row -= f * prow in place, dropping the entries that cancel."""
+    get = row.get
+    for k, v in prow.items():
+        x = get(k, 0) - f * v
+        if p is not None:
+            x %= p
+        if x:
+            row[k] = x
+        else:
+            row.pop(k, None)
+
+
+def _eliminate(rows, p, full):
+    """Row-reduce sparse rows; return {pivot column: pivot row}.
+
+    `rows` are {column: entry} dicts of nonzero entries, ints in [0, p) or
+    rationals when p is None; they are consumed, shortest first.  Each row
+    is reduced against the stored pivot rows in the order they were found
+    (a later pivot row is zero in every earlier pivot column, so one pass
+    clears them all), and what is left becomes a new pivot row, scaled to 1
+    at its pivot.  A stored row omits that 1.  `full` pivots on the
+    leftmost column and clears it from the stored rows too, which gives the
+    reduced row echelon form; otherwise the pivot is a column with the
+    fewest nonzeros in the matrix (Markowitz), which keeps fill-in low and
+    is all a rank needs.
+    """
+    key = None if full else Counter(c for row in rows for c in row).__getitem__
+    pivots = {}
+    for row in sorted(rows, key=len):
+        for c, prow in pivots.items():
+            f = row.pop(c, None)
+            if f is not None:
+                _subtract(row, f, prow, p)
+        if not row:
+            continue
+        c = min(row, key=key)
+        lead = row.pop(c)
+        if p is None:
+            inv = _QQ.inv(lead)
+            row = {k: v * inv for k, v in row.items()}
+        else:
+            inv = pow(lead, -1, p)
+            row = {k: v * inv % p for k, v in row.items()}
+        if full:
+            for prow in pivots.values():
+                f = prow.pop(c, None)
+                if f is not None:
+                    _subtract(prow, f, row, p)
+        pivots[c] = row
     return pivots
 
 
 def rref(rows, ctx):
-    """Reduced row echelon form.  Returns (reduced rows, pivot column list).
-    Over F_p the elimination runs on residues."""
-    if ctx.kind == "qq":
-        a = [list(r) for r in rows]
-        return a, _eliminate(a, None, full=True)
-    a = residues(rows, ctx.p)
-    pivots = _eliminate(a, ctx.p, full=True)
-    return [[Fp(v, ctx.p) for v in row] for row in a], pivots
+    """Reduced row echelon form of a list of rows.  Returns (reduced rows,
+    pivot column list); the zero rows come last.  Over F_p the elimination
+    runs on residues."""
+    ncols = len(rows[0]) if rows else 0
+    p = None if ctx.kind == "qq" else ctx.p
+    pivots = _eliminate(_sparse(rows if p is None else residues(rows, p)), p, True)
+    cols = sorted(pivots)
+    red = []
+    for c in cols:
+        row = [0] * ncols
+        row[c] = 1
+        for k, v in pivots[c].items():
+            row[k] = v
+        red.append(row)
+    red += [[0] * ncols for _ in range(len(rows) - len(cols))]
+    if p is None:
+        return [[_QQ.convert(v) for v in row] for row in red], cols
+    return [[Fp(v, p) for v in row] for row in red], cols
 
 
 def rank(rows, ctx):
+    """Rank of list or {column: entry} dict rows."""
     if ctx.kind == "qq":
-        return len(_eliminate([list(r) for r in rows], None, full=False))
+        return len(_eliminate(_sparse(rows), None, full=False))
     return rank_mod_p(residues(rows, ctx.p), ctx.p)
 
 
 def rank_mod_p(int_rows, p):
-    """Rank over F_p of an integer matrix; for the residues of a rational
-    matrix, a certified lower bound on its rank (a nonzero minor lifts)."""
-    return len(_eliminate([[v % p for v in r] for r in int_rows], p, full=False))
+    """Rank over F_p of an integer matrix of list or dict rows; for the
+    residues of a rational matrix, a certified lower bound on its rank (a
+    nonzero minor lifts)."""
+    return len(_eliminate(_sparse(int_rows, p), p, full=False))
 
 
 def nullspace(rows, ncols, ctx):

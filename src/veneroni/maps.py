@@ -162,8 +162,9 @@ def _restriction_rows(flat, d, ctx, mons):
     Each monomial x^e goes to its image under the reduction of the flat:
     zero when e_j > 0, else x^e with x_k replaced by L.  A degree-d form
     vanishes on the flat exactly when its image is zero, so each monomial
-    of the images gives one condition; the row entries are the
-    contributions of each coefficient.
+    of the images gives one condition, a {column: entry} dict holding the
+    nonzero contributions of the coefficients.  Monomials with x_j give no
+    entry at all.
     """
     j, k, line = _flat_reduction(flat, ctx)
     powers = [Poly.const(ctx.one, flat.nvars)]  # powers[m] = L^m
@@ -176,7 +177,7 @@ def _restriction_rows(flat, d, ctx, mons):
         rest = e[:k] + (0,) + e[k + 1:]
         for f, c in powers[e[k]].terms.items():
             mono = tuple(x + y for x, y in zip(f, rest))
-            rows.setdefault(mono, [ctx.zero] * len(mons))[col] = c
+            rows.setdefault(mono, {})[col] = c
     return [rows[m] for m in sorted(rows)]
 
 

@@ -296,3 +296,71 @@ def test_skip_counts_as_ok():
     res = checks.CheckResult("x", "skip", {"reason": "r"})
     assert res.ok
     assert not checks.CheckResult("x", "fail").ok
+
+
+# ---- the degree-n dimension, proved once per report -----------------------
+
+# n = 4 flats that pass genericity_check but are not general: their degree-4
+# system has dimension 6, not 5
+NON_GENERAL_N4 = [
+    (0, [0, 4, 7, 4, 9]),
+    (1, [4, 0, -1, -2, 2]),
+    (2, [-3, -3, 0, -3, -8]),
+    (3, [-8, 6, 7, 0, -5]),
+    (4, [-4, 8, -6, 8, 0]),
+]
+
+
+def _non_general_n4():
+    flats = [Flat(j, tuple(QQ.from_int(v) for v in a)) for j, a in NON_GENERAL_N4]
+    return FlatsInstance(n=4, seed=50, bound=9, ctx=QQ, flats=flats, retries=0)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+def test_component_off_the_system_fails_basis_through_run_suite(field):
+    inst = random_general_flats(3, 4, field)
+    vmap, inv = checks.build_all(inst)
+    vmap.components = list(vmap.components)
+    vmap.components[2] = vmap.components[2] + Poly.var(0, 4, field.one) ** 3
+    res = by_name(checks.run_suite(inst, vmap, inv, level="fast"))
+    # the system itself is unchanged, so its dimension still passes and is
+    # handed on; the basis check must still test membership
+    assert res["linear-system-dimension"].status == "pass"
+    assert res["basis-property"].status == "fail"
+    assert res["basis-property"].witness == {"reason": "component outside the system"}
+
+
+def test_check_basis_alone_proves_the_dimension():
+    inst = random_general_flats(3, 4, QQ)
+    vmap, _ = checks.build_all(inst)
+    res = checks.check_basis(inst, vmap)
+    assert res.status == "pass"
+    assert res.witness == {"rank": 4, "dim": 4}
+
+
+def test_check_basis_ignores_a_dimension_that_did_not_pass(monkeypatch):
+    inst = random_general_flats(3, 4, QQ)
+
+    def failed_dimension(inst, vmap):
+        return checks._failed("linear-system-dimension", {"degree": 3, "dim": 99})
+
+    monkeypatch.setattr(checks, "check_dimension", failed_dimension)
+    res = by_name(checks.run_suite(inst, level="fast"))
+    assert res["linear-system-dimension"].witness["dim"] == 99
+    assert res["basis-property"].status == "pass"
+    assert res["basis-property"].witness == {"rank": 4, "dim": 4}
+
+
+def test_reports_share_no_proof_across_runs():
+    good = random_general_flats(4, 3, QQ)
+    bad = _non_general_n4()
+    reports = [
+        checks.run_suite(inst, level="fast").to_dict() for inst in (good, bad, good, bad)
+    ]
+    assert reports[0] == reports[2] and reports[1] == reports[3]
+    res = {c["name"]: c for c in reports[1]["checks"]}
+    assert res["linear-system-dimension"]["witness"] == {"degree": 4, "dim": 6}
+    assert res["basis-property"]["status"] == "fail"
+    assert res["basis-property"]["witness"] == {"rank": 5, "dim": 6}
+    res = {c["name"]: c for c in reports[0]["checks"]}
+    assert res["basis-property"]["witness"] == {"rank": 5, "dim": 5}

@@ -380,3 +380,19 @@ def test_console_script_on_path():
     )
     assert script.returncode == 0
     assert script.stdout.strip() == veneroni.__version__
+
+
+def test_verify_component_off_the_system_fails_basis(tmp_path, map3, capsys):
+    # x_0^3 is no term of x_2·Q_2; it vanishes on flat 0 but not on the others
+    d = json.loads(map3.read_text())
+    d["components"][2]["terms"].append({"c": "1", "e": [3, 0, 0, 0]})
+    bad = tmp_path / "off.json"
+    bad.write_text(json.dumps(d))
+    rc, out, _ = run(capsys, ["verify", "-i", str(bad), "--level", "fast"])
+    assert rc == 1
+    assert "linear-system-dimension: pass" in out
+    assert "basis-property: fail" in out
+    # the same process then verifies the untouched map on its own merits
+    rc, out, _ = run(capsys, ["verify", "-i", str(map3), "--level", "fast"])
+    assert rc == 0
+    assert "basis-property: pass" in out

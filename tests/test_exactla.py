@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veneroni import exactla as la
+from veneroni import maps
 from veneroni.mpoly import Poly
+from veneroni.projgeo import Flat
 from veneroni.scalar import FieldCtx, Fp, Rational
 
 P = (1 << 31) - 1
@@ -196,3 +198,155 @@ def test_elimination_agrees_with_sympy(ctx, m):
             assert sum((a * b for a, b in zip(r, v)), ctx.zero) == 0
     fp_rows = [[FP.convert(v) for v in r] for r in raw]
     assert la.rank(fp_rows, FP) == la.rank_mod_p(la.residues(rows, P), P)
+
+
+# ---- the sparse kernel against the dense loop it replaced ------------------
+
+
+def dense_eliminate(a, p, full):
+    """Oracle: the dense elimination loop that preceded the sparse kernel.
+    Row-reduces `a` in place (ints in [0, p), or rationals when p is None)
+    and returns its pivot columns, always the leftmost free column."""
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        if p is None:
+            inv = 1 / Rational(a[r][c])
+            piv = a[r][c:] = [v * inv for v in a[r][c:]]
+        else:
+            inv = pow(a[r][c], -1, p)
+            piv = a[r][c:] = [v * inv % p for v in a[r][c:]]
+        for i in range(0 if full else r + 1, len(a)):
+            f = a[i][c]
+            if not f or i == r:
+                continue
+            if p is None:
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], piv)]
+            else:
+                a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], piv)]
+        pivots.append(c)
+    return pivots
+
+
+def dense_rref(rows, ctx):
+    """Oracle rref on plain values: rationals over Q, residues over F_p."""
+    if ctx.kind == "qq":
+        a = [[Rational(v) for v in r] for r in rows]
+        return a, dense_eliminate(a, None, True)
+    a = [[v % P for v in r] for r in la.residues(rows, P)]
+    return a, dense_eliminate(a, P, True)
+
+
+def dense_nullspace(red, pivots, ncols, p):
+    """Oracle kernel basis read off a reduced row echelon form: one vector
+    per free column, scaled so that its first nonzero entry is 1."""
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        lead = next(c for c in v if c)
+        if p is None:
+            basis.append([c / Rational(lead) for c in v])
+        else:
+            basis.append([c * pow(lead, -1, p) % p for c in v])
+    return basis
+
+
+def as_dicts(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Rectangular matrices up to 9x10, mostly zeros, with zero rows and
+    repeated rows mixed in; nonzero entries include multiples of P, which
+    vanish mod P but not over Q."""
+    ncols = draw(st.integers(0, 10))
+    entry = st.one_of(
+        st.just(0),
+        st.just(0),
+        st.integers(-3, 3),
+        st.fractions(-9, 9, max_denominator=5),
+        st.integers(1, 3).map(lambda k: k * P),
+        st.fractions(-9, 9, max_denominator=5).map(lambda q: q * P),
+        st.integers(0, P - 1),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=9))
+    for _ in range(draw(st.integers(0, 9 - len(rows)))):
+        at = draw(st.integers(0, len(rows)))
+        if rows and draw(st.booleans()):
+            copy = rows[draw(st.integers(0, len(rows) - 1))]
+        else:
+            copy = [0] * ncols
+        rows.insert(at, list(copy))
+    return ncols, rows
+
+
+def agrees_with_oracles(rows, ncols, ctx):
+    red, piv = la.rref(rows, ctx)
+    want_red, want_piv = dense_rref(rows, ctx)
+    got = red if ctx.kind == "qq" else [[v.r for v in r] for r in red]
+    assert (got, piv) == (want_red, want_piv)
+    assert len(red) == len(rows) and all(len(r) == ncols for r in red)
+    if rows:
+        sympy_red, sympy_piv = sympy_rref(rows, ncols, ctx)
+        assert (got, piv) == (sympy_red, list(sympy_piv))
+    assert la.rank(rows, ctx) == la.rank(as_dicts(rows), ctx) == len(piv)
+    ns = la.nullspace(rows, ncols, ctx)
+    p = None if ctx.kind == "qq" else P
+    got = [[v if p is None else v.r for v in b] for b in ns]
+    assert got == dense_nullspace(want_red, want_piv, ncols, p)
+    for v in ns:
+        for r in rows:
+            assert sum((a * b for a, b in zip(r, v)), ctx.zero) == 0
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP], ids=["qq", "fp"])
+@settings(max_examples=150, deadline=None)
+@given(m=sparse_matrices())
+def test_sparse_kernel_agrees_with_dense_loop_and_sympy(ctx, m):
+    ncols, raw = m
+    agrees_with_oracles([[ctx.convert(v) for v in r] for r in raw], ncols, ctx)
+    # rank_mod_p reduces raw integer rows itself, as lists or as dicts
+    ints = la.residues([[Rational(v) for v in r] for r in raw], P)
+    lifted = [[v + P * ((i + c) % 3) for c, v in enumerate(r)] for i, r in enumerate(ints)]
+    want = len(dense_eliminate([list(r) for r in ints], P, False))
+    assert la.rank_mod_p(lifted, P) == la.rank_mod_p(as_dicts(lifted), P) == want
+
+
+@st.composite
+def restriction_stacks(draw):
+    """The stacked `_restriction_rows` of one to n+1 random flats of P^n
+    at a degree d <= n, with zeros allowed among the flat coefficients."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, n))
+    js = draw(st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True))
+    coeffs = []
+    for j in js:
+        a = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
+        k = draw(st.integers(0, n - 1))
+        a[k if k < j else k + 1] = draw(st.integers(1, 3))  # some a_{j,k} != 0
+        coeffs.append((j, a))
+    return n, d, coeffs
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP], ids=["qq", "fp"])
+@settings(max_examples=40, deadline=None)
+@given(case=restriction_stacks())
+def test_sparse_kernel_on_restriction_rows(ctx, case):
+    n, d, coeffs = case
+    flats = [Flat(j, tuple(ctx.convert(c) for c in a)) for j, a in coeffs]
+    mons = maps.monomials_of_degree(n + 1, d)
+    sparse = [r for f in flats for r in maps._restriction_rows(f, d, ctx, mons)]
+    rows = [[row.get(c, ctx.zero) for c in range(len(mons))] for row in sparse]
+    assert as_dicts(rows) == sparse
+    assert la.rank(sparse, ctx) == la.rank(rows, ctx)
+    agrees_with_oracles(rows, len(mons), ctx)
+    want = len(mons) - len(dense_rref(rows, ctx)[1])
+    assert maps.linear_system_dimension(flats, d, ctx) == want

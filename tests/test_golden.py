@@ -1,0 +1,38 @@
+"""Byte-identity of `build` maps and `verify` reports.
+
+tests/data/golden_sha256.json holds the sha256 of the map that
+`build -n N --seed S --field F` writes and of the report that
+`verify -i <map> --level L` writes from it.  Any change to the construction,
+the checks or the serialisation that alters a byte fails here; a change that
+alters them on purpose must say so and refresh the file.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from veneroni import cli
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "golden_sha256.json").read_text()
+)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=lambda c: f"n{c['n']}-s{c['seed']}-{c['field']}-{c['level']}"
+)
+def test_build_and_verify_bytes_match_the_recorded_digests(tmp_path, case, capsys):
+    map_path, report_path = tmp_path / "map.json", tmp_path / "report.json"
+    argv = ["-n", str(case["n"]), "--seed", str(case["seed"]), "--field", case["field"]]
+    assert cli.main(["build", *argv, "-o", str(map_path)]) == 0
+    assert _sha256(map_path) == case["map_sha256"]
+    verify = ["verify", "-i", str(map_path), "--level", case["level"]]
+    assert cli.main([*verify, "-o", str(report_path)]) == 0
+    capsys.readouterr()
+    assert _sha256(report_path) == case["report_sha256"]

@@ -273,6 +273,17 @@ def test_witness_pinch_agrees_with_exact_path(m3):
     assert exact == pinched == 4
 
 
+def dense(rows, ncols, ctx):
+    """The {column: entry} rows of `_restriction_rows` as full lists."""
+    out = []
+    for row in rows:
+        full = [ctx.zero] * ncols
+        for c, v in row.items():
+            full[c] = v
+        out.append(full)
+    return out
+
+
 def test_pinch_fails_closed_when_p_divides_a_denominator():
     p = maps._PINCH_PRIME
     # flat 0 is the point (0 : 1 : -p); on it x_1 = -x_2/p, so its conditions
@@ -282,7 +293,7 @@ def test_pinch_fails_closed_when_p_divides_a_denominator():
     vmap = maps.build_forward_map(flats, QQ)
     mons = maps.monomials_of_degree(3, 2)
     rows = [r for f in flats for r in maps._restriction_rows(f, 2, QQ, mons)]
-    assert any(c.denominator % p == 0 for r in rows for c in r)
+    assert any(c.denominator % p == 0 for r in dense(rows, len(mons), QQ) for c in r)
     assert maps._pinch_nullity(rows, mons, vmap.components, QQ) is None
     assert maps.linear_system_dimension(flats, 2, QQ, witnesses=vmap.components) == 3
 
@@ -471,12 +482,15 @@ def test_restriction_rows_agree_with_parametrized_rows(ctx, case):
     mons = maps.monomials_of_degree(n + 1, d)
     rows, oracle = [], []
     for f in flats:
-        new = maps._restriction_rows(f, d, ctx, mons)
+        sparse = maps._restriction_rows(f, d, ctx, mons)
+        # only nonzero entries are stored, and monomials with x_j give none
+        assert all(v and not mons[c][f.j] for r in sparse for c, v in r.items())
+        new = dense(sparse, len(mons), ctx)
         old = parametrized_rows(f, d, ctx, mons)
         # one independent condition per degree-d monomial on the flat, a
         # P^(n-2), and the same conditions: the stacked rows gain no rank
         size = comb(d + n - 2, n - 2)
-        assert len(new) == la.rank(new, ctx) == la.rank(new + old, ctx) == size
+        assert len(new) == la.rank(sparse, ctx) == la.rank(new + old, ctx) == size
         rows += new
         oracle += old
     nullity = len(mons) - la.rank(oracle, ctx)
