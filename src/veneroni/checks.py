@@ -135,26 +135,6 @@ def _sample_off_locus(vmap, rng, tries=200):
     raise RuntimeError("could not sample a point off the Q_i locus")
 
 
-def _compose(q, images, nvars_out, ctx):
-    """Substitute arbitrary polynomials for the variables of q.
-
-    Unlike Poly.substitute this places no homogeneity constraint on the
-    images; it is used where the target grading is deliberately mixed.
-    """
-    total = Poly.zero(nvars_out)
-    cache = {}
-    for e, c in q.terms.items():
-        term = Poly.const(c, nvars_out)
-        for k, ek in enumerate(e):
-            if not ek:
-                continue
-            if (k, ek) not in cache:
-                cache[(k, ek)] = images[k] ** ek
-            term = term * cache[(k, ek)]
-        total = total + term
-    return total
-
-
 def _field_sqrt(ctx, a):
     """A square root of a in the field, or None if a is not a square."""
     if not a:
@@ -174,50 +154,28 @@ def _field_sqrt(ctx, a):
 # ---- binary forms in two parameters ------------------------------------
 
 
-def _binary_coeff_list(phi):
-    """Coefficients of a binary form, by descending power of the first var."""
-    if phi.is_zero():
-        return []
-    d = phi.degree()
-    out = [None] * (d + 1)
-    for e, c in phi.terms.items():
-        out[e[1]] = c
-    return [out[i] for i in range(d + 1)]
+def _divides(m, phi):
+    """Whether the polynomial m divides phi exactly.
 
-
-def _binary_divides(m, phi, ctx):
-    """Exact divisibility test for binary forms over a field."""
-    if phi.is_zero():
-        return True
-    dm, dp = m.degree(), phi.degree()
-    if dp < dm:
+    For a single divisor, exact division fails exactly when m does not
+    divide: every leading term of a multiple of m is divisible by m's.
+    """
+    try:
+        phi.exact_div(m)
+    except ValueError:
         return False
-    mc = _binary_coeff_list(m)
-    mc = [c if c is not None else ctx.zero for c in mc]
-    pc = _binary_coeff_list(phi)
-    pc = [c if c is not None else ctx.zero for c in pc]
-    # peel t-power factors off m (leading s-coefficients equal to zero):
-    # m = t^k * m', and t^k | phi must hold coefficient-wise up front
-    while mc and not mc[0]:
-        mc = mc[1:]
-        if not pc[0]:
-            pc = pc[1:]
-        else:
-            return False
-    # now ordinary univariate division in s (t = 1), exact iff remainder 0
-    lead = mc[0]
-    rem = list(pc)
-    dm2 = len(mc) - 1
-    while len(rem) - 1 >= dm2:
-        q = rem[0] / lead
-        for i in range(dm2 + 1):
-            rem[i] = rem[i] - q * mc[i]
-        if rem[0]:
-            return False
-        rem = rem[1:]
-        if not any(bool(c) for c in rem):
-            return True
-    return not any(bool(c) for c in rem)
+    return True
+
+
+def _binary_abc(m, ctx):
+    """The coefficients (a, b, c) of a s^2 + b s t + c t^2."""
+    return tuple(m.terms.get(e, ctx.zero) for e in ((2, 0), (1, 1), (0, 2)))
+
+
+def _binary_disc(m, ctx):
+    """Discriminant b^2 - 4ac of a degree-2 binary form."""
+    a, b, c = _binary_abc(m, ctx)
+    return b * b - ctx.from_int(4) * a * c
 
 
 # ---- the one-parameter transversal family in P^3 -----------------------
@@ -289,14 +247,6 @@ def _n3_family(flats, ctx, seed=0):
     return m, p, w
 
 
-def _binary_disc(m, ctx):
-    """Discriminant b^2 - 4ac of a degree-2 binary form."""
-    a = m.terms.get((2, 0), ctx.zero)
-    b = m.terms.get((1, 1), ctx.zero)
-    c = m.terms.get((0, 2), ctx.zero)
-    return b * b - ctx.from_int(4) * a * c
-
-
 def count_transversals_n3(flats, ctx, seed=0):
     """Count the lines meeting four general flats in P^3.
 
@@ -313,11 +263,8 @@ def count_transversals_n3(flats, ctx, seed=0):
 
 def _binary_roots(m, ctx):
     """Rational/field roots (s:t) of a degree-2 binary form, if they split."""
-    a = m.terms.get((2, 0), ctx.zero)
-    b = m.terms.get((1, 1), ctx.zero)
-    c = m.terms.get((0, 2), ctx.zero)
-    disc = b * b - ctx.from_int(4) * a * c
-    r = _field_sqrt(ctx, disc)
+    a, b, c = _binary_abc(m, ctx)
+    r = _field_sqrt(ctx, _binary_disc(m, ctx))
     if r is None:
         return None
     two = ctx.from_int(2)
@@ -332,9 +279,14 @@ def transversal_lines_n3(flats, ctx, seed=0):
     form splits over the field; each returned line is re-verified to meet
     all four flats."""
     m, p, w = _n3_family(flats, ctx, seed)
+    return m, _family_lines(flats, ctx, m, p, w)
+
+
+def _family_lines(flats, ctx, m, p, w):
+    """The lines of the family (m, p, w) at the roots of m, if it splits."""
     roots = _binary_roots(m, ctx)
     if roots is None:
-        return m, []
+        return []
     lines = []
     for s0, t0 in roots:
         base = [pk.evaluate((s0, t0)) for pk in p]
@@ -348,7 +300,7 @@ def transversal_lines_n3(flats, ctx, seed=0):
             if meeting_param(line, f, ctx) is None:
                 raise RuntimeError(f"root line misses flat {f.j}")
         lines.append(line)
-    return m, lines
+    return lines
 
 
 # ---- the 13 suite checks ------------------------------------------------
@@ -480,6 +432,11 @@ def check_basis(inst, vmap, proved_dim=None):
     """
     ctx = inst.ctx
     n1 = vmap.n + 1
+    for i, c in enumerate(vmap.components):
+        if any(sum(e) != vmap.n for e in c.terms):
+            return _failed(
+                "basis-property", {"component": i, "reason": "not homogeneous of degree n"}
+            )
     mons = maps.monomials_of_degree(n1, vmap.n)
     rank = la.rank(maps.coefficient_rows(vmap.components, mons, ctx), ctx)
     if rank != n1:
@@ -685,7 +642,7 @@ def _family_inside_all_q(vmap, m, p, w):
             minors.append(p[a] * w[b] - p[b] * w[a])
     roots = _binary_roots(m, ctx)
     if roots is None:
-        if all(_binary_divides(m, mu, ctx) for mu in minors):
+        if all(_divides(m, mu) for mu in minors):
             return False, {"reason": "family degenerates along the meeting form"}
     else:
         for s0, t0 in roots:
@@ -697,15 +654,13 @@ def _family_inside_all_q(vmap, m, p, w):
         ip = Poly(4, {(e[0], e[1], 1, 0): c for e, c in p[k].terms.items()})
         iw = Poly(4, {(e[0], e[1], 0, 1): c for e, c in w[k].terms.items()})
         images.append(ip + iw)
-    mm = Poly(4, {(e[0], e[1], 0, 0): c for e, c in m.terms.items()})
     for i, qpoly in enumerate(vmap.Q):
-        restricted = _compose(qpoly, images, 4, ctx)
+        restricted = qpoly.substitute(images)
         groups = {}
         for e, c in restricted.terms.items():
             groups.setdefault((e[2], e[3]), {})[(e[0], e[1])] = c
         for uv, terms in groups.items():
-            phi = Poly(2, terms)
-            if not _binary_divides(m, phi, ctx):
+            if not _divides(m, Poly(2, terms)):
                 return False, {
                     "Q": i,
                     "uv_coefficient": list(uv),
@@ -728,7 +683,7 @@ def check_transversal_sample(vmap, seed=0):
         ok, detail = _family_inside_all_q(vmap, m, p, w)
         if not ok:
             return _failed("transversal-sample", detail)
-        _, lines = transversal_lines_n3(vmap.flats, ctx, seed)
+        lines = _family_lines(vmap.flats, ctx, m, p, w)
         for line in lines:
             for k, qpoly in enumerate(vmap.Q):
                 if not line_restrict(qpoly, line).is_zero():
@@ -847,7 +802,14 @@ def dual_system_dimension(inv, ctx, n=None):
 
 
 def check_dual_dimension(vmap, inv):
+    """The dual flats are (y_i, g_i) with g_i row i of b, and their degree-n
+    system has dimension at least n+1."""
     n = vmap.n
+    for i, (row, f) in enumerate(zip(inv.b, inv.dual_flats)):
+        if (f.j, tuple(f.a)) != (i, tuple(row)):
+            return _failed(
+                "dual-dimension", {"j": i, "reason": "dual flat differs from row i of b"}
+            )
     dim = dual_system_dimension(inv, vmap.ctx, n)
     if dim < n + 1:
         return _failed(

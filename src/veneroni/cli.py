@@ -66,12 +66,17 @@ def map_from_dict(d):
     inst = FlatsInstance.from_dict(d)
     ctx = inst.ctx
     n1 = inst.n + 1
+    for key in ("Q", "components", "b", "g", "inverse_components", "dual_flats"):
+        if len(d[key]) != n1:
+            raise ValueError(f"{key}: expected {n1} entries, got {len(d[key])}")
     qs = [Poly.from_dict(q, n1, ctx) for q in d["Q"]]
     components = [Poly.from_dict(c, n1, ctx) for c in d["components"]]
     vmap = maps.VeneroniMap(
         n=inst.n, ctx=ctx, flats=list(inst.flats), Q=qs, components=components
     )
     b = [[ctx.parse(s) for s in row] for row in d["b"]]
+    if any(len(row) != n1 for row in b):
+        raise ValueError(f"b: expected rows of {n1} entries")
     g = [Poly.from_dict(p, n1, ctx) for p in d["g"]]
     icomps = [Poly.from_dict(c, n1, ctx) for c in d["inverse_components"]]
     from .projgeo import Flat

@@ -123,12 +123,17 @@ def monomials_of_degree(nvars, d):
 
 
 def coefficient_rows(polys, mons, ctx):
-    """One row per polynomial: its coefficients on the monomials `mons`."""
+    """One row per polynomial: its coefficients on the monomials `mons`.
+
+    Raises ValueError on a term whose monomial is not listed.
+    """
     col = {m: i for i, m in enumerate(mons)}
     rows = []
     for poly in polys:
         row = [ctx.zero] * len(mons)
         for e, c in poly.terms.items():
+            if e not in col:
+                raise ValueError(f"term {list(e)} is not of degree {sum(mons[0])}")
             row[col[e]] = c
         rows.append(row)
     return rows
@@ -214,12 +219,13 @@ def _pinch_nullity(rows, mons, witnesses, ctx):
 
     Reducing mod p can only lower the rank, so nullity_p >= nullity_QQ.
     Independent witnesses give nullity_QQ >= #witnesses.  When the two
-    meet, the value is exact.  A denominator divisible by p has no residue;
-    the pinch then fails closed into the exact path.
+    meet, the value is exact.  A denominator divisible by p has no residue,
+    and a witness with a term of another degree is no member of the system;
+    either way the pinch fails closed into the exact path.
     """
     p = _PINCH_PRIME
-    wrows = coefficient_rows(witnesses, mons, ctx)
     try:
+        wrows = coefficient_rows(witnesses, mons, ctx)
         int_rows, int_wrows = la.residues(rows, p), la.residues(wrows, p)
     except ValueError:
         return None
@@ -267,9 +273,11 @@ def build_forward_map(flats, ctx):
     """Build v_n and establish every construction invariant by checking it.
 
     Verifies, for each i: deg Q_i = n-1; Q_i vanishes identically on each
-    flat j != i; Q_i is nonzero at every coordinate vertex; and the full
-    component x_i Q_i vanishes on all n+1 flats.  Any failure raises a
-    ConstructionError naming the first bad invariant.
+    flat j != i; Q_i is nonzero at every coordinate vertex; and the
+    component x_i Q_i is homogeneous of degree n.  That the component
+    vanishes on all n+1 flats then needs no test: Q_i covers every flat
+    j != i and x_i lies in the ideal (x_i, f_i) of flat i.  Any failure
+    raises a ConstructionError naming the first bad invariant.
     """
     n1 = len(flats)
     n = n1 - 1
@@ -289,9 +297,6 @@ def build_forward_map(flats, ctx):
     for i, comp in enumerate(components):
         if comp.degree() != n or not comp.is_homogeneous():
             raise ConstructionError(f"component {i} is not homogeneous of degree {n}")
-        for j in range(n1):
-            if not vanishes_on_flat(comp, flats[j], ctx):
-                raise ConstructionError(f"component {i} does not vanish on flat {j}")
     return VeneroniMap(n=n, ctx=ctx, flats=list(flats), Q=qs, components=components)
 
 

@@ -404,17 +404,10 @@ class Poly:
         return Rational(total, dc * dpow[top])
 
     def substitute(self, images):
-        """Ring map x_i -> images[i]; images are polynomials in a common ring.
-
-        Nonzero images must be homogeneous of one shared degree, so that
-        homogeneous inputs stay homogeneous (zero images are fine and just
-        kill their variable).
-        """
+        """Ring map x_i -> images[i]; images are any polynomials in a common
+        ring, of any degrees (a zero image kills its variable)."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
-        degs = {im.degree() for im in images if not im.is_zero()}
-        if len(degs) > 1 or any(not im.is_homogeneous() for im in images):
-            raise ValueError("images must share one homogeneous degree")
         m = images[0].nvars
         p = _prime(self.terms.values(), *(im.terms.values() for im in images))
         terms, dc = _lower(self.terms, p)

@@ -235,6 +235,27 @@ def test_component_off_the_system_fails_by_name(field):
     assert res.witness == {"reason": "component outside the system"}
 
 
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+@pytest.mark.parametrize("extra", [(1, 0, 0, 0), (1, 1, 1, 1)], ids=["degree-1", "degree-4"])
+def test_component_of_the_wrong_degree_fails_by_name(field, extra):
+    inst = random_general_flats(3, 4, field)
+    vmap, inv = checks.build_all(inst)
+    vmap.components = list(vmap.components)
+    vmap.components[1] = vmap.components[1] + Poly(4, {extra: field.one})
+    res = by_name(checks.run_suite(inst, vmap, inv))
+    assert res["basis-property"].witness == {
+        "component": 1,
+        "reason": "not homogeneous of degree n",
+    }
+    # the composition proof substitutes images of mixed degrees and fails
+    # on the first entry of C(v) that the bad component reaches
+    assert res["composition"].witness == {
+        "entry": [0, 0],
+        "reason": "C(v) != B·diag(Q)",
+        "residual_terms": 1,
+    }
+
+
 def test_transversal_count_across_seeds():
     for seed in range(5):
         inst = random_general_flats(3, seed, QQ)

@@ -150,6 +150,23 @@ def test_verify_mutated_component(tmp_path, map3, capsys):
     assert "determinantal: fail" in out
 
 
+def test_verify_dual_flat_off_the_b_matrix(tmp_path, map3, capsys):
+    # neither row 1 of b nor canonical; the dual system's dimension alone
+    # would not notice, since it is n+1 for general flats
+    d = json.loads(map3.read_text())
+    d["dual_flats"][1]["f2"] = ["5", "3", "1", "-2"]
+    bad = tmp_path / "badd.json"
+    bad.write_text(json.dumps(d))
+    rc, out, _ = run(capsys, ["verify", "-i", str(bad), "--json"])
+    assert rc == 1
+    res = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert res["dual-dimension"]["status"] == "fail"
+    assert res["dual-dimension"]["witness"] == {
+        "j": 1,
+        "reason": "dual flat differs from row i of b",
+    }
+
+
 def test_verify_rejects_a_duplicated_term(map3, tmp_path, capsys):
     # to_dict never writes an exponent twice; a copy of a Q term would add
     # up on load (here to 2c) instead of failing by name

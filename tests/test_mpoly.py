@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veneroni import checks
 from veneroni.mpoly import Poly
 from veneroni.scalar import FieldCtx, Fp, Rational
 
@@ -115,13 +116,12 @@ def test_substitute_is_a_ring_map():
     assert (a + b).substitute(imgs) == a.substitute(imgs) + b.substitute(imgs)
 
 
-def test_substitute_rejects_mixed_degrees():
+def test_substitute_takes_images_of_mixed_degrees():
     x0, x1 = Poly.var(0, 2, QQ.one), Poly.var(1, 2, QQ.one)
-    with pytest.raises(ValueError):
-        (x0 + x1).substitute([x0, x0 * x0])
-    with pytest.raises(ValueError):
-        (x0 + x1).substitute([x0 + Poly.const(QQ.one, 2), x1])
-    # zero images are allowed and kill the variable
+    one = Poly.const(QQ.one, 2)
+    assert (x0 + x1).substitute([x0, x0 * x0]) == x0 + x0 * x0
+    assert (x0 * x1).substitute([x0 + one, x1]) == x0 * x1 + x1
+    # zero images kill their variable
     assert (x0 * x1).substitute([x0, Poly.zero(2)]).is_zero()
     assert (x0 + x1).substitute([x1, Poly.zero(2)]) == x1
 
@@ -387,3 +387,93 @@ def test_int_coefficients_give_rationals():
 def test_integer_kernel_on_gmpy2_rationals(data):
     gmpy2 = pytest.importorskip("gmpy2")
     check_against_oracles(data, rationals(gmpy2.mpq), gmpy2.mpq, gmpy2.mpq(1))
+
+
+# ---- the n=3 family proof's own loops, kept as oracles ----------------------
+
+
+def oracle_compose(q, images, nvars_out):
+    """Substitution by repeated products, images of any degrees."""
+    total = Poly.zero(nvars_out)
+    cache = {}
+    for e, c in q.terms.items():
+        term = Poly.const(c, nvars_out)
+        for k, ek in enumerate(e):
+            if not ek:
+                continue
+            if (k, ek) not in cache:
+                cache[(k, ek)] = images[k] ** ek
+            term = term * cache[(k, ek)]
+        total = total + term
+    return total
+
+
+def oracle_binary_coeff_list(phi):
+    """Coefficients of a binary form, by descending power of the first var."""
+    if phi.is_zero():
+        return []
+    d = phi.degree()
+    out = [None] * (d + 1)
+    for e, c in phi.terms.items():
+        out[e[1]] = c
+    return [out[i] for i in range(d + 1)]
+
+
+def oracle_binary_divides(m, phi, ctx):
+    """Exact divisibility of binary forms by univariate long division."""
+    if phi.is_zero():
+        return True
+    dm, dp = m.degree(), phi.degree()
+    if dp < dm:
+        return False
+    mc = [c if c is not None else ctx.zero for c in oracle_binary_coeff_list(m)]
+    pc = [c if c is not None else ctx.zero for c in oracle_binary_coeff_list(phi)]
+    # peel t-power factors off m: m = t^k * m', and t^k must divide phi
+    while mc and not mc[0]:
+        mc = mc[1:]
+        if not pc[0]:
+            pc = pc[1:]
+        else:
+            return False
+    # univariate division in s (t = 1), exact iff the remainder is 0
+    lead = mc[0]
+    rem = list(pc)
+    dm2 = len(mc) - 1
+    while len(rem) - 1 >= dm2:
+        q = rem[0] / lead
+        for i in range(dm2 + 1):
+            rem[i] = rem[i] - q * mc[i]
+        if rem[0]:
+            return False
+        rem = rem[1:]
+        if not any(bool(c) for c in rem):
+            return True
+    return not any(bool(c) for c in rem)
+
+
+@pytest.mark.parametrize("kind", ["qq", "fp"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_family_loops_match_substitute_and_exact_div(kind, data):
+    ctx = QQ if kind == "qq" else FP
+    scalars = FIELDS[kind]
+    # substitution into images of mixed degrees, zero images included
+    n = data.draw(st.integers(1, 4), label="nvars")
+    m = data.draw(st.integers(1, 4), label="image nvars")
+    q = data.draw(polys(scalars, n), label="q")
+    images = [data.draw(polys(scalars, m, maxdeg=3), label="image") for _ in range(n)]
+    image = q.substitute(images)
+    assert image == oracle_compose(q, images, m) and in_field(image, kind)
+    # divisibility of binary forms by a divisor with s- and t-power factors
+    s, t = Poly.var(0, 2, ctx.one), Poly.var(1, 2, ctx.one)
+    core = data.draw(polys(scalars, 2, degree=data.draw(st.integers(0, 2))), label="core")
+    div = (core or Poly.const(ctx.one, 2)) * t ** data.draw(st.integers(0, 2), label="t")
+    div = div * s ** data.draw(st.integers(0, 1), label="s")
+    deg = div.degree() + data.draw(st.integers(0, 2), label="quotient degree")
+    quotient = data.draw(polys(scalars, 2, degree=deg - div.degree()), label="quotient")
+    noise_deg = deg if quotient else data.draw(st.integers(0, deg), label="noise degree")
+    noise = data.draw(polys(scalars, 2, degree=noise_deg, max_terms=2), label="noise")
+    phi = quotient * div + noise
+    assert checks._divides(div, phi) == oracle_binary_divides(div, phi, ctx)
+    if not noise:  # a multiple, the zero form included
+        assert checks._divides(div, phi)
