@@ -338,7 +338,7 @@ def check_determinantal(inst, vmap):
             return _failed(
                 "determinantal", {"i": i, "reason": "determinant not divisible"}
             )
-        if q != maps.q_column_sum_oracle(flats, i, ctx):
+        if q != maps.q_by_column_sums(flats, i, ctx):
             return _failed(
                 "determinantal", {"i": i, "reason": "column-sum oracle disagrees"}
             )
@@ -496,11 +496,13 @@ def verify_composition(vmap, inv, seed=0):
     The stored inverse components must equal det(C_i).  Substituting the
     components into the entries of C (linear forms in y) must give
     B·diag(Q_0..Q_n) entry for entry: a_{m,k} x_k Q_k off the diagonal and
-    -sum_t b_{m,t} x_t Q_t = -f_m Q_m on it.  Finally det(B_i) = x_i Q_i.
-    Substitution is a ring homomorphism and determinants are
-    multiplicative, so det(C_i)(v) = det(B_i) prod_{k != i} Q_k = x_i prod Q.
-    The argument holds over any commutative ring, so prime fields need no
-    detour.  `seed` is unused: nothing is sampled.
+    -sum_t b_{m,t} x_t Q_t = -f_m Q_m on it.  Finally det(B_i) = x_i Q_i,
+    proved as det(M_i) = Q_i by the row-sum identity of
+    `maps.q_by_column_sums`, so no minor of B is expanded here.
+    Substitution is a ring homomorphism and determinants are multiplicative,
+    so det(C_i)(v) = det(B_i) prod_{k != i} Q_k = x_i prod Q.  The argument
+    holds over any commutative ring, so prime fields need no detour.  `seed`
+    is unused: nothing is sampled.
     """
     n1 = vmap.n + 1
 
@@ -520,8 +522,7 @@ def verify_composition(vmap, inv, seed=0):
             if not residual.is_zero():
                 return fail({"entry": [m, k]}, "C(v) != B·diag(Q)", residual)
     for i in range(n1):
-        x_i = Poly.var(i, n1, vmap.ctx.one)
-        residual = la.det_poly_matrix(maps.minor_matrix(b, i)) - x_i * vmap.Q[i]
+        residual = maps.q_by_column_sums(vmap.flats, i, vmap.ctx) - vmap.Q[i]
         if not residual.is_zero():
             return fail({"i": i}, "det(B_i) != x_i·Q_i", residual)
     return _passed("composition", {"mode": "factorization", "entries": n1 * n1, "minors": n1})
@@ -584,20 +585,31 @@ def verify_base_locus(vmap, seed=0):
     )
 
 
+def _pair_point(vmap, i, j, seed, scope):
+    """A point of flat_i ∩ flat_j, or None when the intersection is empty.
+
+    A single point is returned as it is; a larger intersection gives a
+    point of its span drawn from the rng scope `scope`.
+    """
+    ctx = vmap.ctx
+    pts = flat_intersection(vmap.flats[i], vmap.flats[j], ctx)
+    if not pts:
+        return None
+    if len(pts) == 1:
+        return pts[0]
+    rng = seeded_rng(seed, scope, i, j)
+    return _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
+
+
 def _pair_point_transversal(vmap, i, j, seed):
     """A certified line meeting all flats, through a point of flat_i ∩ flat_j;
     returns (line, point) or a failed CheckResult."""
     ctx = vmap.ctx
-    pts = flat_intersection(vmap.flats[i], vmap.flats[j], ctx)
-    if not pts:
+    q = _pair_point(vmap, i, j, seed, "pair-point")
+    if q is None:
         return _failed(
             "transversal-sample", {"pair": [i, j], "reason": "empty intersection"}
         )
-    if len(pts) == 1:
-        q = pts[0]
-    else:
-        rng = seeded_rng(seed, "pair-point", i, j)
-        q = _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
     rest = [f for m, f in enumerate(vmap.flats) if m not in (i, j)]
     res = transversal_through(q, rest, ctx)
     if res.kind != "unique":
@@ -718,57 +730,61 @@ def check_transversal_sample(vmap, seed=0):
     )
 
 
+def _double_at_pair_point(vmap, i, j, ks, grads, seed):
+    """At a point of flat_i ∩ flat_j, each Q_k with k in `ks` vanishes
+    together with its gradient `grads[k]`; the first failure, or None."""
+    q = _pair_point(vmap, i, j, seed, "mult-point")
+    if q is None:
+        return _failed("multiplicity", {"pair": [i, j], "reason": "empty intersection"})
+    for k in ks:
+        if vmap.Q[k].evaluate(q.coords):
+            return _failed("multiplicity", {"pair": [i, j], "k": k, "reason": "Q_k nonzero"})
+        for v, dq in enumerate(grads[k]):
+            if dq.evaluate(q.coords):
+                return _failed(
+                    "multiplicity",
+                    {"pair": [i, j], "k": k, "partial": v, "reason": "gradient nonzero"},
+                )
+    return None
+
+
+def _gradient(q):
+    return [q.partial(v) for v in range(q.nvars)]
+
+
 def verify_multiplicity(vmap, i, j, k, seed=0):
     """At a point of flat_i ∩ flat_j, Q_k vanishes together with all its
     first partials (multiplicity at least two)."""
-    ctx = vmap.ctx
     if vmap.n < 4:
         return _skipped("multiplicity", "pairwise intersections are empty below P^4")
     if k in (i, j):
         raise ValueError("k must differ from i and j")
-    pts = flat_intersection(vmap.flats[i], vmap.flats[j], ctx)
-    if not pts:
-        return _failed("multiplicity", {"pair": [i, j], "reason": "empty intersection"})
-    if len(pts) == 1:
-        q = pts[0]
-    else:
-        rng = seeded_rng(seed, "mult-point", i, j)
-        q = _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
-    qk = vmap.Q[k]
-    if qk.evaluate(q.coords):
-        return _failed("multiplicity", {"pair": [i, j], "k": k, "reason": "Q_k nonzero"})
-    for v in range(vmap.n + 1):
-        if qk.partial(v).evaluate(q.coords):
-            return _failed(
-                "multiplicity",
-                {"pair": [i, j], "k": k, "partial": v, "reason": "gradient nonzero"},
-            )
-    return _passed("multiplicity", {"pair": [i, j], "k": k})
+    res = _double_at_pair_point(vmap, i, j, [k], {k: _gradient(vmap.Q[k])}, seed)
+    return res or _passed("multiplicity", {"pair": [i, j], "k": k})
 
 
 def check_multiplicity(vmap, seed=0):
     """All pairwise intersection points are at least double on every other
-    Q_k; single-flat control points have honestly nonzero gradients."""
+    Q_k; single-flat control points have honestly nonzero gradients.
+    Each pair's point and each Q_k's gradient are computed once."""
     if vmap.n < 4:
         return _skipped("multiplicity", "pairwise intersections are empty below P^4")
     ctx = vmap.ctx
     n1 = vmap.n + 1
+    grads = [_gradient(q) for q in vmap.Q]
     checked = 0
     for i in range(n1):
         for j in range(i + 1, n1):
-            for k in range(n1):
-                if k in (i, j):
-                    continue
-                res = verify_multiplicity(vmap, i, j, k, seed)
-                if res.status != "pass":
-                    return res
-                checked += 1
+            ks = [k for k in range(n1) if k not in (i, j)]
+            res = _double_at_pair_point(vmap, i, j, ks, grads, seed)
+            if res is not None:
+                return res
+            checked += len(ks)
     # control: at a general point of a single flat the gradient must not
     # vanish, otherwise the assertions above would be vacuous
     rng = seeded_rng(seed, "mult-control")
     p = _point_on_flat(vmap.flats[2], ctx, rng)
-    grad = [vmap.Q[0].partial(v).evaluate(p.coords) for v in range(n1)]
-    if not any(bool(g) for g in grad):
+    if not any(bool(dq.evaluate(p.coords)) for dq in grads[0]):
         return _failed("multiplicity", {"reason": "control gradient vanished"})
     return _passed("multiplicity", {"points_checked": checked, "control": "nonzero gradient"})
 

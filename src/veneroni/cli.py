@@ -11,7 +11,13 @@ import sys
 
 from . import __version__, checks, maps
 from .mpoly import Poly
-from .projgeo import FlatsInstance, ProjPoint, random_general_flats, transversal_through
+from .projgeo import (
+    Flat,
+    FlatsInstance,
+    ProjPoint,
+    random_general_flats,
+    transversal_through,
+)
 from .scalar import FieldCtx
 
 GENERATE_RANGE = (2, 6)
@@ -79,8 +85,6 @@ def map_from_dict(d):
         raise ValueError(f"b: expected rows of {n1} entries")
     g = [Poly.from_dict(p, n1, ctx) for p in d["g"]]
     icomps = [Poly.from_dict(c, n1, ctx) for c in d["inverse_components"]]
-    from .projgeo import Flat
-
     duals = [
         Flat(rec["j"], tuple(ctx.parse(s) for s in rec["f2"]))
         for rec in d["dual_flats"]

@@ -2,13 +2,14 @@
 
 The map is determinantal: B is the (n+1)x(n+1) matrix with -f_i on the
 diagonal and a_{i,k} x_k elsewhere, built straight from the canonical flats.
-Deleting row and column i leaves B_i with det(B_i) = x_i Q_i, and the n+1
-products x_i Q_i are the components of the degree-n map v_n.  The inverse
-comes from rewriting each f_i Q_i in the component basis; the coefficients
-form the b-matrix, which is the transpose of the flat matrix A = (a_{i,k})
-because the rows of B sum to zero.  Row i of b gives the linear form g_i,
-the analogous matrix C in the target coordinates, and inverse components
-det(C_i).
+Deleting row and column i leaves B_i with det(B_i) = x_i Q_i, an identity
+that the zero row sums of B prove in closed form (`q_by_column_sums`), and
+the n+1 products x_i Q_i are the components of the degree-n map v_n.  The
+inverse comes from rewriting each f_i Q_i in the component basis; the
+coefficients form the b-matrix, which is the transpose of the flat matrix
+A = (a_{i,k}) because the rows of B sum to zero.  Row i of b gives the
+linear form g_i, the analogous matrix C in the target coordinates, and
+inverse components det(C_i).
 """
 
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ __all__ = [
     "InverseData",
     "build_matrix_B",
     "minor_matrix",
+    "q_by_column_sums",
     "compute_Q",
-    "q_column_sum_oracle",
     "linear_system_dimension",
     "build_forward_map",
     "solve_b_matrix",
@@ -71,44 +72,30 @@ def minor_matrix(m, i):
     ]
 
 
+def q_by_column_sums(flats, i, ctx):
+    """Q_i = det(B_i) / x_i in closed form, as det(M_i).
+
+    For canonical flats (a_{j,j} = 0) each row of B sums to zero, so row j
+    of B_i sums to -a_{j,i} x_i.  Adding every other column of B_i to its
+    first column and factoring x_i out of it gives det(B_i) = x_i det(M_i),
+    where M_i is B_i with the constants -a_{j,i} in its first column.  The
+    identity holds over any commutative ring and for every canonical
+    instance, general or not, so no division is needed.
+    """
+    n1 = len(flats)
+    m = minor_matrix(build_matrix_B(flats, ctx), i)
+    for row, j in zip(m, (j for j in range(n1) if j != i)):
+        row[0] = Poly.const(-flats[j].a[i], n1)
+    return la.det_poly_matrix(m)
+
+
 def compute_Q(flats, i, ctx):
     """Q_i = det(B_i) / x_i, the degree-(n-1) hypersurface avoiding flat i."""
-    b = build_matrix_B(flats, ctx)
-    det = la.det_poly_matrix(minor_matrix(b, i))
-    try:
-        q = det.div_var(i)
-    except ValueError as e:
-        raise ConstructionError(f"det(B_{i}) not divisible by x{i}: {e}") from e
+    q = q_by_column_sums(flats, i, ctx)
     n = len(flats) - 1
     if q.degree() != n - 1:
         raise ConstructionError(f"Q_{i} has degree {q.degree()}, expected {n - 1}")
     return q
-
-
-def q_column_sum_oracle(flats, i, ctx):
-    """Q_i by the column-sum route, independent of division.
-
-    Start from B_i; adding every other column to a chosen column leaves
-    each of its entries equal to -a_{j,i} x_i (the full row sums of B are
-    -a_{j,i} x_i), so dividing that single column by x_i before taking the
-    determinant gives Q_i directly.
-    """
-    n1 = len(flats)
-    keep = [j for j in range(n1) if j != i]
-    target = keep[0]
-    rows = []
-    for j in keep:
-        f = flats[j]
-        row = []
-        for k in keep:
-            if k == target:
-                row.append(Poly.const(-f.a[i], n1))
-            elif k == j:
-                row.append(-f.form2_poly())
-            else:
-                row.append(Poly.var(k, n1, f.a[k]))
-        rows.append(row)
-    return la.det_laplace(rows)
 
 
 def monomials_of_degree(nvars, d):

@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from veneroni import checks
+from veneroni import exactla as la
+from veneroni import maps
 from veneroni.checks import CHECK_ORDER
 from veneroni.mpoly import Poly
 from veneroni.projgeo import Flat, FlatsInstance, random_general_flats
@@ -204,7 +208,8 @@ def _tamper(vmap, inv, target, two):
         ("Q", {"entry": [0, 1]}, "C(v) != B·diag(Q)"),
         ("component", {"entry": [0, 0]}, "C(v) != B·diag(Q)"),
         ("inverse-component", {"i": 3}, "stored inverse component differs from det(C_i)"),
-        ("all-Q", {"i": 0}, "det(B_i) != x_i·Q_i"),
+        # the residual Q_0 - 2·Q_0 has as many terms (10) as x_0·Q_0 - 2·x_0·Q_0
+        ("all-Q", {"i": 0, "residual_terms": 10}, "det(B_i) != x_i·Q_i"),
     ],
 )
 def test_tampering_fails_composition_by_name(field, target, index, reason):
@@ -298,6 +303,16 @@ def test_verify_multiplicity_direct(suite4, suite3):
     assert checks.verify_multiplicity(vmap3, 0, 1, 2).status == "skip"
 
 
+def test_pair_point_draws_from_its_scope():
+    # from n = 5 two flats meet in more than a point, so the point is drawn
+    # from the rng scope the caller names
+    fp = FieldCtx.prime(2147483647)
+    vmap = maps.build_forward_map(random_general_flats(5, 5, fp).flats, fp)
+    pts = [checks._pair_point(vmap, 0, 1, 5, s) for s in ("pair-point", "mult-point")]
+    assert pts[0] != pts[1]
+    assert all(vmap.flats[0].contains(p) and vmap.flats[1].contains(p) for p in pts)
+
+
 def test_dual_dimension_values(suite3):
     inst2 = random_general_flats(2, 1, QQ)
     vmap2, inv2 = checks.build_all(inst2)
@@ -385,3 +400,33 @@ def test_reports_share_no_proof_across_runs():
     assert res["basis-property"]["witness"] == {"rank": 5, "dim": 6}
     res = {c["name"]: c for c in reports[0]["checks"]}
     assert res["basis-property"]["witness"] == {"rank": 5, "dim": 5}
+
+
+# ---- det(B_i) = x_i·det(M_i) on every canonical instance ------------------
+
+NONZERO = st.one_of(
+    st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5)
+).filter(bool)
+
+
+@st.composite
+def canonical_coefficients(draw):
+    """Coefficients of n+1 canonical flats of P^n, 2 <= n <= 5, that have
+    not been through genericity."""
+    n = draw(st.integers(2, 5))
+    return [[0 if i == j else draw(NONZERO) for i in range(n + 1)] for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+@settings(max_examples=20, deadline=None)
+@given(coeffs=canonical_coefficients())
+@example(coeffs=[a for _, a in NON_GENERAL_N4])
+def test_det_b_is_x_times_the_column_sum_determinant(ctx, coeffs):
+    flats = [Flat(j, tuple(ctx.convert(c) for c in a)) for j, a in enumerate(coeffs)]
+    n1 = len(flats)
+    b = maps.build_matrix_B(flats, ctx)
+    for i in range(n1):
+        expected = Poly.var(i, n1, ctx.one) * maps.q_by_column_sums(flats, i, ctx)
+        minor = maps.minor_matrix(b, i)
+        assert la.det_poly_matrix(minor, "minor_dp") == expected
+        assert la.det_poly_matrix(minor, "bareiss") == expected

@@ -92,11 +92,23 @@ def test_det_strategies_agree(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_q_matches_column_sum_oracle(n):
-    # the second determinantal route (constant column of -a_{j,i}) gives
-    # Q_i with no division at all; both must agree on the nose
+    # Q_i comes from the constant column of -a_{j,i} with no division at
+    # all; det(B_i) divided by x_i must give it on the nose
     flats = random_general_flats(n, 11, QQ).flats
+    b = maps.build_matrix_B(flats, QQ)
     for i in range(n + 1):
-        assert maps.compute_Q(flats, i, QQ) == maps.q_column_sum_oracle(flats, i, QQ)
+        det = la.det_poly_matrix(maps.minor_matrix(b, i))
+        assert maps.compute_Q(flats, i, QQ) == det.div_var(i)
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP], ids=["qq", "fp"])
+def test_compute_q_refuses_a_flat_off_the_canonical_pattern(ctx):
+    flats = list(random_general_flats(3, 11, ctx).flats)
+    a = list(flats[2].a)
+    a[2] = ctx.one  # a_{2,2} != 0: the rows of B no longer sum to zero
+    flats[2] = Flat(2, tuple(a))
+    with pytest.raises(maps.ConstructionError, match="flat 2 is not canonical"):
+        maps.compute_Q(flats, 0, ctx)
 
 
 def test_q_frozen_n2_formulas():
