@@ -476,6 +476,8 @@ class Poly:
             e = tuple(t["e"])
             if len(e) != nvars:
                 raise ValueError("exponent length does not match variable count")
+            if any(type(k) is not int or k < 0 for k in e):
+                raise ValueError(f"exponent {list(e)} is not a list of naturals")
             if e in seen:
                 raise ValueError(f"exponent {list(e)} appears in two terms")
             seen.add(e)

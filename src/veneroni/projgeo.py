@@ -267,6 +267,8 @@ class FlatsInstance:
     def from_dict(cls, d):
         ctx = FieldCtx.from_description(d["field"])
         n = d["n"]
+        if n < 2:
+            raise ValueError("need n >= 2")
         flats = []
         for rec in d["flats"]:
             a = tuple(ctx.parse(s) for s in rec["f2"])
@@ -329,7 +331,7 @@ def genericity_check(flats, ctx, seed=0, attempt=0, sample_points=3):
     points for every (n-1)-subset.  Condition (d), every det(B_i) exactly
     divisible by x_i, follows from (a) and needs no test: with a_{j,j} = 0
     the rows of B sum to zero, so det(B_i) = x_i det(M_i) identically
-    (`maps.q_by_column_sums`).  Failures are named; the report carries all
+    (`maps.compute_Q`).  Failures are named; the report carries all
     of them.
     """
     failures = []

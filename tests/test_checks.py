@@ -291,18 +291,6 @@ def test_residual_example_across_seeds():
         assert res.witness["anchor_lines"] == 2
 
 
-def test_verify_multiplicity_direct(suite4, suite3):
-    inst4, _ = suite4
-    vmap4, _ = checks.build_all(inst4)
-    res = checks.verify_multiplicity(vmap4, 0, 1, 2)
-    assert res.status == "pass"
-    with pytest.raises(ValueError):
-        checks.verify_multiplicity(vmap4, 0, 1, 1)
-    inst3, _ = suite3
-    vmap3, _ = checks.build_all(inst3)
-    assert checks.verify_multiplicity(vmap3, 0, 1, 2).status == "skip"
-
-
 def test_pair_point_draws_from_its_scope():
     # from n = 5 two flats meet in more than a point, so the point is drawn
     # from the rng scope the caller names
@@ -402,7 +390,7 @@ def test_reports_share_no_proof_across_runs():
     assert res["basis-property"]["witness"] == {"rank": 5, "dim": 5}
 
 
-# ---- det(B_i) = x_i·det(M_i) on every canonical instance ------------------
+# ---- the construction's invariants hold on every canonical instance --------
 
 NONZERO = st.one_of(
     st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5)
@@ -417,16 +405,67 @@ def canonical_coefficients(draw):
     return [[0 if i == j else draw(NONZERO) for i in range(n + 1)] for j in range(n + 1)]
 
 
+def _prod(values, ctx):
+    out = ctx.one
+    for v in values:
+        out = out * v
+    return out
+
+
+def _vertex(k, n1, ctx):
+    return [ctx.one if m == k else ctx.zero for m in range(n1)]
+
+
+def _vertex_value_of_q(a, i, k, ctx):
+    """Q_i(e_k) in closed form, with j0 the first index other than i."""
+    n1 = len(a)
+    j0 = 1 if i == 0 else 0
+    if k == i:
+        return _prod((-a[j][i] for j in range(n1) if j != i), ctx)
+    rest = _prod((-a[m][k] for m in range(n1) if m not in (i, j0, k)), ctx)
+    if k == j0:
+        return -a[j0][i] * rest
+    return a[j0][k] * a[k][i] * rest
+
+
 @pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
 @settings(max_examples=20, deadline=None)
 @given(coeffs=canonical_coefficients())
 @example(coeffs=[a for _, a in NON_GENERAL_N4])
 def test_det_b_is_x_times_the_column_sum_determinant(ctx, coeffs):
+    # the construction tests none of these invariants, since maps proves
+    # them for canonical flats; each is asserted here with the predicate
+    # the construction once tested it by
     flats = [Flat(j, tuple(ctx.convert(c) for c in a)) for j, a in enumerate(coeffs)]
+    a = [f.a for f in flats]
     n1 = len(flats)
+    n = n1 - 1
     b = maps.build_matrix_B(flats, ctx)
-    for i in range(n1):
-        expected = Poly.var(i, n1, ctx.one) * maps.q_by_column_sums(flats, i, ctx)
+    vmap = maps.build_forward_map(flats, ctx)
+    for i, q in enumerate(vmap.Q):
+        expected = Poly.var(i, n1, ctx.one) * q
         minor = maps.minor_matrix(b, i)
         assert la.det_poly_matrix(minor, "minor_dp") == expected
         assert la.det_poly_matrix(minor, "bareiss") == expected
+        assert vmap.components[i] == expected
+        assert q.degree() == n - 1 and q.is_homogeneous()
+        assert expected.degree() == n and expected.is_homogeneous()
+        for j in range(n1):
+            assert j == i or maps.vanishes_on_flat(q, flats[j], ctx)
+        for k in range(n1):
+            value = q.evaluate(_vertex(k, n1, ctx))
+            assert value and value == _vertex_value_of_q(a, i, k, ctx)
+    inv = maps.build_inverse_map(vmap, maps.solve_b_matrix(vmap))
+    for k in range(n1):
+        assert [bool(c) for c in inv.b[k]] == [j != k for j in range(n1)]
+        residual = flats[k].form2_poly() * vmap.Q[k]
+        for j in range(n1):
+            residual = residual - vmap.components[j].scale(inv.b[k][j])
+        assert residual.is_zero()
+    for i, d in enumerate(inv.inverse_components):
+        assert inv.dual_flats[i].is_canonical()
+        assert d.degree() == n and d.is_homogeneous()
+        for j in range(n1):
+            assert j == i or maps.vanishes_on_flat(d, inv.dual_flats[j], ctx)
+        closed = _prod((-a[i][j] for j in range(n1) if j != i), ctx)
+        assert d.evaluate(_vertex(i, n1, ctx)) == closed

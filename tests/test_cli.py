@@ -188,6 +188,37 @@ def test_verify_corrupt_json(tmp_path, capsys):
     assert "invalid JSON at line 1 column" in err
 
 
+MALFORMED = {
+    "f2-number": lambda d: {**d, "flats": [{**d["flats"][0], "f2": 5}, *d["flats"][1:]]},
+    "n-string": lambda d: {**d, "n": "3"},
+    "field-string": lambda d: {**d, "field": "qq"},
+    "top-level-list": lambda d: [d],
+}
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_flats_file_is_refused(tmp_path, capsys, command, kind):
+    # a value of the wrong JSON type is bad input (exit 2), not a crash
+    good = tmp_path / "flats.json"
+    assert cli.main(["generate", "-n", "3", "--seed", "5", "-o", str(good)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED[kind](json.loads(good.read_text()))))
+    rc, out, err = run(capsys, [command, "-i", str(bad)])
+    assert rc == 2 and out == ""
+    assert f"error: malformed input file {bad}:" in err
+
+
+def test_flats_file_below_p2_is_refused(tmp_path, capsys):
+    # codimension-2 flats of P^1 are empty: the constructions need n >= 2
+    path = tmp_path / "flats1.json"
+    flats = [{"j": 0, "f2": ["0", "1"]}, {"j": 1, "f2": ["2", "0"]}]
+    path.write_text(json.dumps({"n": 1, "seed": 0, "field": {"kind": "qq"}, "flats": flats}))
+    rc, out, err = run(capsys, ["build", "-i", str(path)])
+    assert rc == 2 and out == ""
+    assert "need n >= 2" in err
+
+
 def test_verify_missing_file(capsys):
     rc, _, err = run(capsys, ["verify", "-i", "/nonexistent/x.json"])
     assert rc == 2

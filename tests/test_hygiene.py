@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import veneroni
+from veneroni import checks, cli, exactla, maps, projgeo
+from veneroni.mpoly import Poly
 
 SRC = Path(veneroni.__file__).parent
 TESTS = Path(__file__).parent
@@ -90,3 +92,113 @@ def test_layer_scan_sees_a_late_or_nested_import():
     )
     assert package_imports(tree) == {"__init__", "maps", "checks"}
     assert function_imports(tree) == [4]
+
+
+# ---- the names the benchmark's tracer patches ----------------------------
+
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
+
+
+def literal_constants(tree):
+    """Module-level NAME = <literal> assignments, evaluated."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            try:
+                out[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                continue
+    return out
+
+
+def _loop_names(loop, constants):
+    """The loop variable of a for statement over literal names, and the names:
+    a literal tuple, a constant tuple, or `<constant dict>.items()`."""
+    it, target = loop.iter, loop.target
+    if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute):
+        if it.func.attr == "items" and isinstance(target, ast.Tuple):
+            return target.elts[1].id, list(constants[it.func.value.id].values())
+        return None, []
+    if isinstance(it, ast.Name):
+        return target.id, list(constants.get(it.id, ()))
+    if isinstance(it, ast.Tuple):
+        return target.id, [ast.literal_eval(e) for e in it.elts]
+    return None, []
+
+
+def patched_attributes(tree, owners):
+    """(owner, attribute) pairs that `Tracer.install` reads to wrap them:
+    getattr(owner, name) in a loop over literal names, owner.attribute, and
+    the attribute string of `_patch_method(owner, "attribute", ...)`."""
+    constants = literal_constants(tree)
+    install = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "install"
+    )
+    found = set()
+    for node in ast.walk(install):
+        if isinstance(node, ast.For):
+            var, names = _loop_names(node, constants)
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Name)
+                    and inner.func.id == "getattr"
+                    and isinstance(inner.args[1], ast.Name)
+                    and inner.args[1].id == var
+                ):
+                    found.update((inner.args[0].id, name) for name in names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in owners:
+                found.add((node.value.id, node.attr))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_patch_method"
+        ):
+            found.add((node.args[0].id, ast.literal_eval(node.args[1])))
+    return found
+
+
+def test_tracer_patches_only_names_that_exist():
+    owners = {
+        "checks": checks,
+        "cli": cli,
+        "exactla": exactla,
+        "maps": maps,
+        "projgeo": projgeo,
+        "Poly": Poly,
+    }
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    found = patched_attributes(tree, owners)
+    assert {"maps", "checks", "exactla", "Poly"} <= {owner for owner, _ in found}
+    assert ("maps", "compute_Q") in found and ("exactla", "rank_mod_p") in found
+    missing = sorted(f"{o}.{a}" for o, a in found if not hasattr(owners[o], a))
+    assert missing == []
+    constants = literal_constants(tree)
+    assert list(constants["CHECK_FUNCTIONS"]) == list(checks.CHECK_ORDER)
+    m = [[Poly.var(0, 2, 1), Poly.const(1, 2)], [Poly.const(2, 2), Poly.var(1, 2, 1)]]
+    expected = Poly.var(0, 2, 1) * Poly.var(1, 2, 1) - Poly.const(2, 2)
+    for strategy in constants["DET_STRATEGIES"]:
+        assert exactla.det_poly_matrix(m, strategy) == expected
+
+
+def test_tracer_scan_sees_every_form_of_patch():
+    tree = ast.parse(
+        'NAMES = ("a", "b")\nBY = {"x": "c"}\n'
+        "def install(self):\n"
+        "    for n in NAMES:\n        getattr(maps, n)\n"
+        "    for k, n in BY.items():\n        getattr(checks, n)\n"
+        '    for n in ("d",):\n        getattr(exactla, n)\n'
+        "    exactla.e\n"
+        '    self._patch_method(Poly, "f", None)\n'
+    )
+    assert patched_attributes(tree, {"maps", "checks", "exactla", "Poly"}) == {
+        ("maps", "a"),
+        ("maps", "b"),
+        ("checks", "c"),
+        ("exactla", "d"),
+        ("exactla", "e"),
+        ("Poly", "f"),
+    }

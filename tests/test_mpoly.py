@@ -163,6 +163,14 @@ def test_from_dict_rejects_a_duplicate_exponent():
         Poly.from_dict(d, 2, QQ)
 
 
+@pytest.mark.parametrize("e", [[1.5, 0.5], [2, -1], [True, True]])
+def test_from_dict_rejects_an_exponent_off_the_naturals(e):
+    # such a term would load, then crash checks that index or sum exponents
+    d = {"terms": [{"c": "1", "e": e}]}
+    with pytest.raises(ValueError, match="is not a list of naturals"):
+        Poly.from_dict(d, 2, QQ)
+
+
 def test_exact_div_of_int_coefficients_stays_exact():
     q = Poly(1, {(1,): 1}).exact_div(Poly(1, {(1,): 2}))
     assert q.terms == {(0,): Rational(1, 2)}

@@ -6,7 +6,8 @@ witness may be a crash (an `error` key).  Two kinds of corruption are
 applied to each field: a changed coefficient, and a term of the wrong
 degree (for the scalar rows b, dual_flats and flats, one coefficient too
 many, i.e. a term in a variable the ring does not have).  A field with its
-last entry dropped must be refused on load.
+last entry dropped, or with a JSON number where a coefficient string
+belongs, must be refused on load.
 """
 
 import json
@@ -25,7 +26,8 @@ Q_FAILS = ["determinantal", "b-matrix", "composition", "base-locus", "transversa
 FLAT_FAILS = [*Q_FAILS[:1], "basis-property", *Q_FAILS[1:]]
 
 # (field, kind) -> exit code and the failing checks, in report order; a
-# missing entry is refused on load whatever the field
+# missing entry or a mistyped coefficient is refused on load whatever the
+# field
 EXPECTED = {
     ("Q", "coefficient"): (1, Q_FAILS),
     ("Q", "degree"): (1, Q_FAILS),
@@ -70,6 +72,8 @@ def corrupt(d, field, kind, n):
         poly = d[field][1]
         if kind == "coefficient":
             poly["terms"][0]["c"] = _bump(poly["terms"][0]["c"])
+        elif kind == "type":
+            poly["terms"][0]["c"] = float(Fraction(poly["terms"][0]["c"]))
         else:  # x_0 ... x_n, degree n+1, lies on every flat
             poly["terms"].append({"c": "1", "e": [1] * (n + 1)})
             poly["degree"] = n + 1
@@ -77,11 +81,13 @@ def corrupt(d, field, kind, n):
         row = d["b"][1] if field == "b" else d[field][1]["f2"]
         if kind == "coefficient":
             row[0] = _bump(row[0])
+        elif kind == "type":
+            row[0] = float(Fraction(row[0]))
         else:
             row.append("1")
 
 
-@pytest.mark.parametrize("kind", ["coefficient", "degree", "missing"])
+@pytest.mark.parametrize("kind", ["coefficient", "degree", "missing", "type"])
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("n", sorted(MAPS))
 def test_corrupted_map_fails_by_name(maps, tmp_path, capsys, n, field, kind):
