@@ -21,7 +21,8 @@ seed = int(sys.argv[1]) if len(sys.argv) > 1 else 3
 QQ = FieldCtx.rationals()
 
 inst = random_general_flats(4, seed, QQ)
-res = checks.residual_component_example(inst.flats, QQ, seed)
+q0, q1 = (maps.compute_Q(inst.flats, i, QQ) for i in (0, 1))
+res = checks.residual_component_example(inst.flats, [q0, q1], QQ, seed)
 assert res.status == "pass", res.witness
 w = res.witness
 
@@ -36,7 +37,6 @@ print("  but no line through q meets all five flats.")
 
 print("\nmultiplicity at a pairwise intersection point:")
 q23 = flat_intersection(inst.flats[2], inst.flats[3], QQ)[0]
-q0 = maps.compute_Q(inst.flats, 0, QQ)
 vals = [q0.partial(v).evaluate(q23.coords) for v in range(5)]
 print(f"  at the point {q23.format()} of flat_2 ∩ flat_3:")
 print(f"  Q_0 = {q0.evaluate(q23.coords)} and all five partials of Q_0 are"

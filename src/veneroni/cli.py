@@ -15,6 +15,7 @@ from .projgeo import (
     Flat,
     FlatsInstance,
     ProjPoint,
+    meeting_param,
     random_general_flats,
     transversal_through,
 )
@@ -192,6 +193,9 @@ def cmd_transversal(args):
         return 2
     queried = [f for f in inst.flats if f.j not in omit]
     res = transversal_through(p, queried, ctx)
+    meetings = []
+    if res.kind == "unique":
+        meetings = [meeting_param(res.line, f, ctx) for f in queried]
 
     def fmt_param(m):
         return None if m is None else f"{ctx.format(m[0])}:{ctx.format(m[1])}"
@@ -201,8 +205,7 @@ def cmd_transversal(args):
         if res.kind == "unique":
             out["line"] = [res.line.base.format(), res.line.dir.format()]
             out["meetings"] = [
-                {"j": f.j, "param": fmt_param(m)}
-                for f, m in zip(queried, res.meeting_params)
+                {"j": f.j, "param": fmt_param(m)} for f, m in zip(queried, meetings)
             ]
         elif res.kind == "family":
             out["dim"] = res.dim
@@ -213,7 +216,7 @@ def cmd_transversal(args):
         print("unique transversal")
         print(f"  through: {res.line.base.format()}")
         print(f"  and:     {res.line.dir.format()}")
-        for f, m in zip(queried, res.meeting_params):
+        for f, m in zip(queried, meetings):
             print(f"  meets flat {f.j} at parameter {fmt_param(m)}")
     elif res.kind == "family":
         print(f"family of transversals, dimension {res.dim}")
@@ -251,7 +254,8 @@ def cmd_demo(args):
                 print("  the two lines are conjugate over this field")
             failed |= count != 2 or not disc_ok
         else:
-            res = checks.residual_component_example(inst.flats, ctx, args.seed)
+            qs = [maps.compute_Q(inst.flats, i, ctx) for i in (0, 1)]
+            res = checks.residual_component_example(inst.flats, qs, ctx, args.seed)
             print(f"n=4 seed={args.seed}: residual plane point")
             if res.status == "pass":
                 w = res.witness

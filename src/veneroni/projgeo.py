@@ -4,10 +4,10 @@ A flat is stored in canonical coordinates: its ideal is (x_j, f_j) where
 f_j = sum_i a_{j,i} x_i with a_{j,j} = 0 and every other a_{j,i} nonzero.
 Transversals through a point p are computed by intersecting the cone
 hyperplanes <p, flat>: a line through p meets a flat exactly when it lies
-inside that hyperplane, so the lines through p meeting every flat of a
-query sweep out the common nullspace of the stacked cone forms.  Nullity 2
-means a unique transversal, nullity d+1 >= 3 a d-dimensional family, and
-nullity 1 no transversal at all.
+inside that hyperplane (`transversal_through` proves this), so the lines
+through p meeting every flat of a query sweep out the common nullspace of
+the stacked cone forms.  Nullity 2 means a unique transversal, nullity
+d+1 >= 3 a d-dimensional family, and nullity 1 no transversal at all.
 """
 
 from dataclasses import dataclass, field
@@ -134,7 +134,6 @@ class TransversalResult:
     line: LineParam | None = None
     dim: int | None = None  # projective dimension d_p of the family span
     basis: list = field(default_factory=list)
-    meeting_params: list = field(default_factory=list)  # per queried flat
 
 
 def cone_hyperplane(p, flat, ctx):
@@ -174,8 +173,13 @@ def transversal_through(p, flats, ctx):
     """All lines through p meeting every flat in the query.
 
     Stacks the non-vacuous cone forms and reads the answer off the nullity
-    of the system (which always contains p itself).  Unique lines are
-    checked on the spot: the returned line must meet every queried flat.
+    of the system (which always contains p itself).  Every line through p
+    inside the nullspace meets every queried flat, so no line is tested:
+    for a flat (f1, f2) = (x_j, f_j) not holding p, the cone form
+    f1(p)·f2 − f2(p)·f1 is nonzero, since x_j and f_j are independent and
+    (f1(p), f2(p)) ≠ 0.  It cuts out a hyperplane H that holds p and the
+    flat Π.  Π is a hyperplane of H, so any line through p inside H meets
+    Π.  A flat holding p is met by every line through p.
     """
     rows = []
     for f in flats:
@@ -190,19 +194,7 @@ def transversal_through(p, flats, ctx):
     pts = [ProjPoint(v, ctx) for v in basis]
     if nullity == 2:
         direction = next(pt for pt in pts if pt != p)
-        line = LineParam(p, direction)
-        meets = [meeting_param(line, f, ctx) for f in flats]
-        if any(m is None for m in meets):
-            raise RuntimeError("computed transversal fails a meeting condition")
-        return TransversalResult(kind="unique", line=line, meeting_params=meets)
-    # family: every line through p in the span meets all queried flats;
-    # spot-check that on the basis members.
-    for pt in pts:
-        if pt == p:
-            continue
-        probe = LineParam(p, pt)
-        if any(meeting_param(probe, f, ctx) is None for f in flats):
-            raise RuntimeError("family member fails a meeting condition")
+        return TransversalResult(kind="unique", line=LineParam(p, direction))
     return TransversalResult(kind="family", dim=nullity - 1, basis=pts)
 
 
@@ -280,14 +272,15 @@ class FlatsInstance:
         for f in flats:
             if not f.is_canonical():
                 raise ValueError(f"flat {f.j} is not in canonical form")
-        return cls(
-            n=n,
-            seed=d["seed"],
-            bound=d.get("bound", 9),
-            ctx=ctx,
-            flats=flats,
-            retries=d.get("retries", 0),
-        )
+        provenance = {
+            "seed": d["seed"],
+            "bound": d.get("bound", 9),
+            "retries": d.get("retries", 0),
+        }
+        for key, value in provenance.items():
+            if type(value) is not int:  # a bool is not an int here
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        return cls(n=n, ctx=ctx, flats=flats, **provenance)
 
 
 def random_general_flats(n, seed, ctx=None, bound=9, max_retries=32):

@@ -9,7 +9,16 @@ from veneroni import exactla as la
 from veneroni import maps
 from veneroni.checks import CHECK_ORDER
 from veneroni.mpoly import Poly
-from veneroni.projgeo import Flat, FlatsInstance, random_general_flats
+from veneroni.projgeo import (
+    Flat,
+    FlatsInstance,
+    LineParam,
+    ProjPoint,
+    flat_intersection,
+    meeting_param,
+    random_general_flats,
+    transversal_through,
+)
 from veneroni.scalar import FieldCtx
 
 QQ = FieldCtx.rationals()
@@ -285,7 +294,8 @@ def test_explicit_lines_when_form_splits():
 def test_residual_example_across_seeds():
     for seed in (3, 5, 7):
         inst = random_general_flats(4, seed, QQ)
-        res = checks.residual_component_example(inst.flats, QQ, seed)
+        qs = [maps.compute_Q(inst.flats, i, QQ) for i in (0, 1)]
+        res = checks.residual_component_example(inst.flats, qs, QQ, seed)
         assert res.status == "pass", res.witness
         assert res.witness["five_flat_transversal"] == "none"
         assert res.witness["anchor_lines"] == 2
@@ -469,3 +479,74 @@ def test_det_b_is_x_times_the_column_sum_determinant(ctx, coeffs):
             assert j == i or maps.vanishes_on_flat(d, inv.dual_flats[j], ctx)
         closed = _prod((-a[i][j] for j in range(n1) if j != i), ctx)
         assert d.evaluate(_vertex(i, n1, ctx)) == closed
+
+
+# ---- transversals meet their flats on every canonical instance -------------
+
+SMALL = st.integers(-3, 3)
+
+
+def _query_and_point(data, flats, ctx):
+    """A query of flats and a point: a random one, or (from n = 4 on) one
+    in the span of the pairwise intersections of three queried flats, where
+    a family of transversals lives."""
+    n1 = len(flats)
+    if n1 >= 5 and data.draw(st.booleans(), label="pencil"):
+        three = st.lists(st.sampled_from(flats), min_size=3, max_size=3, unique=True)
+        query = data.draw(three)
+        pts = [
+            pt
+            for a in range(3)
+            for b in range(a + 1, 3)
+            for pt in flat_intersection(query[a], query[b], ctx)
+        ]
+        coords = [
+            sum((ctx.convert(data.draw(SMALL)) * pt[k] for pt in pts), ctx.zero)
+            for k in range(n1)
+        ]
+        if any(coords):
+            return query, ProjPoint(coords, ctx)
+    else:
+        query = [f for f in flats if data.draw(st.booleans())]
+    coords = data.draw(st.lists(SMALL, min_size=n1, max_size=n1).filter(any), label="p")
+    return query, ProjPoint([ctx.from_int(c) for c in coords], ctx)
+
+
+def _row_times(flat, p, vec):
+    """The cone row of `flat` at the parametrized point p, times vec:
+    x_j(p)·f_j(vec) − f_j(p)·x_j(vec), over binary forms."""
+    def f2(v):
+        return sum((v[k].scale(c) for k, c in enumerate(flat.a) if c), Poly.zero(2))
+
+    return p[flat.j] * f2(vec) - f2(p) * vec[flat.j]
+
+
+@pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+@settings(max_examples=50, deadline=None)
+@given(coeffs=canonical_coefficients(), data=st.data())
+def test_transversals_meet_every_queried_flat(ctx, coeffs, data):
+    # transversal_through and _n3_family test none of this: the cone
+    # hyperplanes prove it for canonical flats, general or not
+    flats = [Flat(j, tuple(ctx.convert(c) for c in a)) for j, a in enumerate(coeffs)]
+    query, p = _query_and_point(data, flats, ctx)
+    res = transversal_through(p, query, ctx)
+    lines = []
+    if res.kind == "unique":
+        assert res.line.base == p
+        lines = [res.line]
+    elif res.kind == "family":
+        weights = [ctx.from_int(data.draw(SMALL)) for _ in res.basis]
+        combo = [
+            sum((w * b[k] for w, b in zip(weights, res.basis)), ctx.zero)
+            for k in range(len(p))
+        ]
+        ends = [*res.basis, *([ProjPoint(combo, ctx)] if any(combo) else [])]
+        lines = [LineParam(p, e) for e in ends if e != p]
+    for line in lines:
+        for f in query:
+            assert meeting_param(line, f, ctx) is not None
+    if len(flats) == 4:
+        _, pf, w = checks._n3_family(flats, ctx, data.draw(st.integers(0, 99), label="seed"))
+        for f in flats[1:3]:
+            assert _row_times(f, pf, pf).is_zero()
+            assert _row_times(f, pf, w).is_zero()

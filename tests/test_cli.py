@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import veneroni
-from veneroni import cli
+from veneroni import checks, cli, projgeo
 from veneroni.checks import CHECK_ORDER
 
 M61 = 2305843009213693951
@@ -193,6 +193,18 @@ MALFORMED = {
     "n-string": lambda d: {**d, "n": "3"},
     "field-string": lambda d: {**d, "field": "qq"},
     "top-level-list": lambda d: [d],
+    "bound-string": lambda d: {**d, "bound": "x"},
+    "seed-string": lambda d: {**d, "seed": "abc"},
+    "seed-bool": lambda d: {**d, "seed": True},
+    "retries-float": lambda d: {**d, "retries": 1.5},
+}
+# provenance the report would copy is refused by name; every other value of
+# the wrong type is named as a malformed input file
+PROVENANCE_ERRORS = {
+    "bound-string": "bound must be an integer, got 'x'",
+    "seed-string": "seed must be an integer, got 'abc'",
+    "seed-bool": "seed must be an integer, got True",
+    "retries-float": "retries must be an integer, got 1.5",
 }
 
 
@@ -206,7 +218,7 @@ def test_malformed_flats_file_is_refused(tmp_path, capsys, command, kind):
     bad.write_text(json.dumps(MALFORMED[kind](json.loads(good.read_text()))))
     rc, out, err = run(capsys, [command, "-i", str(bad)])
     assert rc == 2 and out == ""
-    assert f"error: malformed input file {bad}:" in err
+    assert f"error: {PROVENANCE_ERRORS.get(kind, f'malformed input file {bad}:')}" in err
 
 
 def test_flats_file_below_p2_is_refused(tmp_path, capsys):
@@ -217,6 +229,21 @@ def test_flats_file_below_p2_is_refused(tmp_path, capsys):
     rc, out, err = run(capsys, ["build", "-i", str(path)])
     assert rc == 2 and out == ""
     assert "need n >= 2" in err
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_generate_and_verify_test_no_meeting(tmp_path, capsys, monkeypatch, n):
+    # the cone hyperplanes prove that a computed transversal meets its
+    # flats, so neither generate nor a fast verify tests a meeting
+    def forbidden(*args):
+        raise AssertionError("meeting_param called")
+
+    for module in (projgeo, checks, cli):
+        monkeypatch.setattr(module, "meeting_param", forbidden)
+    flats = tmp_path / "flats.json"
+    assert run(capsys, ["generate", "-n", str(n), "--seed", "3", "-o", str(flats)])[0] == 0
+    rc, out, _ = run(capsys, ["verify", "-i", str(flats), "--level", "fast"])
+    assert rc == 0, out
 
 
 def test_verify_missing_file(capsys):

@@ -1,10 +1,13 @@
-"""Byte-identity of `build` maps and `verify` reports.
+"""Byte-identity of `build` maps, `verify` reports and other CLI output.
 
 tests/data/golden_sha256.json holds the sha256 of the map that
 `build -n N --seed S --field F` writes and of the report that
-`verify -i <map> --level L` writes from it.  Any change to the construction,
-the checks or the serialisation that alters a byte fails here; a change that
-alters them on purpose must say so and refresh the file.
+`verify -i <map> --level L` writes from it.  tests/data/output_sha256.json
+holds the exit code and the sha256 of the flats file that `generate` writes
+(empty when it fails) and of the stdout of `transversal` and `demo`.  Any
+change to the construction, the checks or the serialisation that alters a
+byte fails here; a change that alters them on purpose must say so and
+refresh the file.
 """
 
 import hashlib
@@ -15,9 +18,9 @@ import pytest
 
 from veneroni import cli
 
-GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "golden_sha256.json").read_text()
-)
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_sha256.json").read_text())
+OUTPUTS = json.loads((DATA / "output_sha256.json").read_text())
 
 
 def _sha256(path):
@@ -36,3 +39,17 @@ def test_build_and_verify_bytes_match_the_recorded_digests(tmp_path, case, capsy
     assert cli.main([*verify, "-o", str(report_path)]) == 0
     capsys.readouterr()
     assert _sha256(report_path) == case["report_sha256"]
+
+
+@pytest.mark.parametrize("case", OUTPUTS, ids=lambda c: " ".join(c["argv"]))
+def test_cli_output_bytes_match_the_recorded_digests(tmp_path, case, capsys):
+    argv = case["argv"]
+    path = tmp_path / "flats.json"
+    if argv[0] == "generate":
+        rc = cli.main([*argv, "-o", str(path)])
+        data = path.read_bytes() if path.exists() else b""
+    else:
+        rc = cli.main(argv)
+        data = capsys.readouterr().out.encode()
+    assert rc == case["rc"]
+    assert hashlib.sha256(data).hexdigest() == case["sha256"]

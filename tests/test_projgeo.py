@@ -31,10 +31,10 @@ def mat_vec(a, v):
 
 def distinct_meetings(params):
     """True when the meeting parameters (s, t) are pairwise distinct points
-    of P^1 and no line lies inside a flat."""
+    of P^1, the line meets every flat and lies inside none."""
     seen = []
     for m in params:
-        if m == "contained" or any(s * m[1] == t * m[0] for s, t in seen):
+        if m is None or m == "contained" or any(s * m[1] == t * m[0] for s, t in seen):
             return False
         seen.append(m)
     return True
@@ -141,8 +141,9 @@ def test_unique_transversal_and_meetings(flats4):
         p = rand_point(4, rng)
         res = transversal_through(p, flats4[:3], QQ)  # n-1 = 3 flats
         assert res.kind == "unique"
-        assert distinct_meetings(res.meeting_params)
         line = res.line
+        meetings = [meeting_param(line, f, QQ) for f in flats4[:3]]
+        assert len(meetings) == 3 and distinct_meetings(meetings)
         # the algebraic meeting condition, checked independently
         for f in flats4[:3]:
             m = [
