@@ -8,13 +8,15 @@ Where a check meets a statement that is a theorem about data it has just
 recomputed (det(B_i) = x_i·det(M_i) and the degree, vanishing and vertex
 values of det(M_i) in `determinantal`, the meeting of a computed
 transversal with its flats, the algebra of the n = 3 family), it cites
-the proof instead of testing it.  run_suite assembles the fixed 13-check
-report used by the CLI.
+the proof instead of testing it.  A fact that several checks read is
+proved once per report, in a `ProofRecord`.  run_suite assembles the fixed
+13-check report used by the CLI.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import combinations, islice
 
 from . import exactla as la
 from . import maps
@@ -26,7 +28,6 @@ from .projgeo import (
     flat_intersection,
     genericity_check,
     line_restrict,
-    meeting_param,
     parametrize_flat,
     transversal_through,
 )
@@ -63,12 +64,7 @@ class CheckResult:
         return self.status != "fail"
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "witness": self.witness,
-            "ms": self.ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -91,11 +87,7 @@ class Report:
         return self
 
     def to_dict(self):
-        return {
-            "instance": self.instance,
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary,
-        }
+        return asdict(self)
 
 
 def _passed(name, witness=None):
@@ -133,9 +125,12 @@ def _point_on_flat(flat, ctx, rng):
     return _span_point([ctx.random_nonzero(rng) for _ in span], span, ctx)
 
 
-def _sample_off_locus(vmap, rng, tries=200):
+_OFF_LOCUS_TRIES = 200  # attempts before _sample_off_locus gives up
+
+
+def _sample_off_locus(vmap, rng):
     """A random point where no Q_i vanishes."""
-    for _ in range(tries):
+    for _ in range(_OFF_LOCUS_TRIES):
         p = _random_point(vmap.ctx, rng, vmap.n + 1)
         if all(bool(q.evaluate(p.coords)) for q in vmap.Q):
             return p
@@ -254,13 +249,13 @@ def _n3_family(flats, ctx, seed=0):
     return m, p, w
 
 
-def count_transversals_n3(flats, ctx, seed=0):
-    """Count the lines meeting four general flats in P^3.
+def count_transversals_n3(m, ctx):
+    """Count the lines meeting four general flats in P^3, from their
+    meeting form m (see `transversal_lines_n3`).
 
     Returns (degree of the meeting form, discriminant nonzero).  A degree
-    other than 2 signals a non-general instance.
+    other than 2 signals a non-general instance and raises.
     """
-    m, _, _ = _n3_family(flats, ctx, seed)
     if m.is_zero() or m.degree() != 2:
         raise maps.ConstructionError(
             f"meeting form has degree {m.degree()}, not 2: non-general instance"
@@ -282,15 +277,27 @@ def _binary_roots(m, ctx):
 
 
 def transversal_lines_n3(flats, ctx, seed=0):
-    """Explicit transversal lines to four flats in P^3, when the meeting
-    form splits over the field; each returned line is re-verified to meet
-    all four flats."""
+    """The meeting form m of four flats in P^3 and the explicit transversal
+    lines, when m splits over the field.  A meeting form of degree other
+    than 2 raises, as in `count_transversals_n3`."""
     m, p, w = _n3_family(flats, ctx, seed)
-    return m, _family_lines(flats, ctx, m, p, w)
+    count_transversals_n3(m, ctx)
+    return m, _family_lines(ctx, m, p, w)
 
 
-def _family_lines(flats, ctx, m, p, w):
-    """The lines of the family (m, p, w) at the roots of m, if it splits."""
+def _family_lines(ctx, m, p, w):
+    """The lines of the family (m, p, w) at the roots of m, if it splits.
+
+    No line is tested against the flats.  At a root (s0:t0) let P and W be
+    p and w there.  Both lie in the cone hyperplanes of flats 1 and 2
+    through P (`_n3_family`).  W is nonzero only when the two cone rows
+    are independent (W is their cross product with a third row), so once
+    the rank test makes P and W independent, the line PW is the whole
+    common null space of the two rows.  It meets flat 0 at P, flats 1 and
+    2 by the cone proof of `transversal_through`, and flat 3 because
+    m(s0,t0) = 0 says that the two rows and the two forms of flat 3 share
+    a null vector, a point of flat 3 on the line.
+    """
     roots = _binary_roots(m, ctx)
     if roots is None:
         return []
@@ -302,11 +309,7 @@ def _family_lines(flats, ctx, m, p, w):
             raise RuntimeError("family point degenerates at a root")
         if la.rank([list(base), list(direc)], ctx) != 2:
             raise RuntimeError("family line collapses at a root")
-        line = LineParam(ProjPoint(base, ctx), ProjPoint(direc, ctx))
-        for f in flats:
-            if meeting_param(line, f, ctx) is None:
-                raise RuntimeError(f"root line misses flat {f.j}")
-        lines.append(line)
+        lines.append(LineParam(ProjPoint(base, ctx), ProjPoint(direc, ctx)))
     return lines
 
 
@@ -323,47 +326,32 @@ def check_genericity(inst):
     return _failed("genericity", {"failures": rep.failures})
 
 
-def check_determinantal(inst, vmap):
+def check_determinantal(inst, vmap, proofs):
     """Expand every det(B_i) two independent ways and tie it to Q_i.
 
     The two strategies must agree, the determinant must divide by x_i, and
     the quotient must equal the stored Q_i and, times x_i, the stored
-    component.  That the quotient is the closed form det(M_i) is the
-    identity det(B_i) = x_i·det(M_i) of `maps.compute_Q`, a theorem for
-    canonical flats, so det(M_i) is not expanded here.  Its degree n-1,
-    its vanishing on the flats j != i and its nonzero vertex values are
-    theorems about det(M_i) too (`maps.compute_Q`,
+    component.  The `minor_dp` expansion is the record's, which
+    `composition` reads too.  That the quotient is the closed form
+    det(M_i) is the identity det(B_i) = x_i·det(M_i) of `maps.compute_Q`,
+    a theorem for canonical flats, so det(M_i) is not expanded here.  Its
+    degree n-1, its vanishing on the flats j != i and its nonzero vertex
+    values are theorems about det(M_i) too (`maps.compute_Q`,
     `maps.build_forward_map`), so they are not replayed either.
     """
-    ctx = inst.ctx
-    flats = inst.flats
-    n1 = len(flats)
-    b = maps.build_matrix_B(flats, ctx)
+    b = maps.build_matrix_B(inst.flats, inst.ctx)
     term_counts = []
-    for i in range(n1):
-        mi = maps.minor_matrix(b, i)
-        det_a = la.det_poly_matrix(mi, "minor_dp")
-        det_b = la.det_poly_matrix(mi, "bareiss")
-        if det_a != det_b:
-            return _failed(
-                "determinantal", {"i": i, "reason": "strategies disagree"}
-            )
+    for i, det_a in enumerate(proofs.determinants()):
+        if det_a != la.det_poly_matrix(maps.minor_matrix(b, i), "bareiss"):
+            return _failed("determinantal", {"i": i, "reason": "strategies disagree"})
         try:
             q = det_a.div_var(i)
         except ValueError:
-            return _failed(
-                "determinantal", {"i": i, "reason": "determinant not divisible"}
-            )
-        if vmap is not None:
-            if q != vmap.Q[i]:
-                return _failed(
-                    "determinantal", {"i": i, "reason": "stored Q differs"}
-                )
-            comp = Poly.var(i, n1, ctx.one) * q
-            if comp != vmap.components[i]:
-                return _failed(
-                    "determinantal", {"i": i, "reason": "stored component differs"}
-                )
+            return _failed("determinantal", {"i": i, "reason": "determinant not divisible"})
+        if q != vmap.Q[i]:
+            return _failed("determinantal", {"i": i, "reason": "stored Q differs"})
+        if Poly.var(i, len(b), inst.ctx.one) * q != vmap.components[i]:
+            return _failed("determinantal", {"i": i, "reason": "stored component differs"})
         term_counts.append(len(q.terms))
     return _passed(
         "determinantal",
@@ -372,61 +360,43 @@ def check_determinantal(inst, vmap):
 
 
 def _verified_witnesses(flats, ctx, cands):
-    """Keep only candidate polynomials that vanish on every flat.
+    """The candidate polynomials if each vanishes on every flat, else None.
 
     Witnesses serve only the rational pinch of `linear_system_dimension`;
     over F_p the rank is exact and they go unused, so none are proved there.
     """
     if ctx.kind != "qq":
         return None
-    out = []
-    for c in cands:
-        if all(maps.vanishes_on_flat(c, f, ctx) for f in flats):
-            out.append(c)
-    return out if len(out) == len(cands) else None
+    members = all(maps.vanishes_on_flat(c, f, ctx) for c in cands for f in flats)
+    return cands if members else None
 
 
-def check_dimension(inst, vmap):
+def check_dimension(inst, vmap, proofs):
     """The degree-n system has dimension n+1; omitting any flat at degree
-    n-1 leaves exactly one hypersurface."""
-    ctx = inst.ctx
-    flats = inst.flats
+    n-1 leaves exactly one hypersurface, with Q_i as the witness of the
+    system without flat i."""
+    ctx, flats = inst.ctx, inst.flats
     n1 = len(flats)
     n = n1 - 1
-    wit = None
-    if vmap is not None:
-        wit = _verified_witnesses(flats, ctx, vmap.components)
-    dim = maps.linear_system_dimension(flats, n, ctx, witnesses=wit)
+    dim = proofs.dimension()
     if dim != n1:
         return _failed("linear-system-dimension", {"degree": n, "dim": dim})
     omitted = []
     for i in range(n1):
         subset = [j for j in range(n1) if j != i]
-        wure = None
-        if vmap is not None:
-            wure = _verified_witnesses(
-                [flats[j] for j in subset], ctx, [vmap.Q[i]]
-            )
-        d = maps.linear_system_dimension(
-            flats, n - 1, ctx, subset=subset, witnesses=wure
+        wure = _verified_witnesses([flats[j] for j in subset], ctx, [vmap.Q[i]])
+        omitted.append(
+            maps.linear_system_dimension(flats, n - 1, ctx, subset=subset, witnesses=wure)
         )
-        omitted.append(d)
     if any(d != 1 for d in omitted):
-        return _failed(
-            "linear-system-dimension", {"degree": n - 1, "omit_dims": omitted}
-        )
-    return _passed(
-        "linear-system-dimension", {"dim": dim, "omit_dims": omitted}
-    )
+        return _failed("linear-system-dimension", {"degree": n - 1, "omit_dims": omitted})
+    return _passed("linear-system-dimension", {"dim": dim, "omit_dims": omitted})
 
 
-def check_basis(inst, vmap, proved_dim=None):
-    """The n+1 components are independent and exhaust the degree-n system.
-
-    `proved_dim` is the degree-n dimension that a passing
-    `linear-system-dimension` of the same report has proved; without it
-    the dimension is proved here.
-    """
+def check_basis(inst, vmap, proofs):
+    """The n+1 components are independent and exhaust the degree-n system:
+    homogeneous of degree n, of rank n+1, members of the system by the
+    record's vanishing table, and as many as the record's dimension."""
     ctx = inst.ctx
     n1 = vmap.n + 1
     for i, c in enumerate(vmap.components):
@@ -438,18 +408,9 @@ def check_basis(inst, vmap, proved_dim=None):
     rank = la.rank(maps.coefficient_rows(vmap.components, mons, ctx), ctx)
     if rank != n1:
         return _failed("basis-property", {"rank": rank})
-    membership = all(
-        maps.vanishes_on_flat(c, f, ctx) for c in vmap.components for f in inst.flats
-    )
-    if not membership:
+    if not all(map(all, proofs.vanishing())):
         return _failed("basis-property", {"reason": "component outside the system"})
-    dim = proved_dim
-    if dim is None:
-        # membership has just proved every component a member, so they are
-        # the witnesses as they stand
-        dim = maps.linear_system_dimension(
-            inst.flats, vmap.n, ctx, witnesses=vmap.components
-        )
+    dim = proofs.dimension()
     if dim != n1:
         return _failed("basis-property", {"rank": rank, "dim": dim})
     return _passed("basis-property", {"rank": rank, "dim": dim})
@@ -480,7 +441,7 @@ def check_b_matrix(vmap, inv):
     return _passed("b-matrix", {"pattern": "zero diagonal", "residual": "0"})
 
 
-def verify_composition(vmap, inv):
+def verify_composition(vmap, inv, proofs):
     """The inverse composed with the map is coordinatewise multiplication
     by the product of all Q_i, proved from the determinantal structure.
 
@@ -488,8 +449,8 @@ def verify_composition(vmap, inv):
     components into the entries of C (linear forms in y) must give
     B·diag(Q_0..Q_n) entry for entry: a_{m,k} x_k Q_k off the diagonal and
     -sum_t b_{m,t} x_t Q_t = -f_m Q_m on it.  Finally det(B_i) = x_i Q_i,
-    proved as det(M_i) = Q_i by the row-sum identity of
-    `maps.compute_Q`, so no minor of B is expanded here.
+    with det(B_i) the record's `minor_dp` expansion, so no minor of B is
+    expanded here.
     Substitution is a ring homomorphism and determinants are multiplicative,
     so det(C_i)(v) = det(B_i) prod_{k != i} Q_k = x_i prod Q.  The argument
     holds over any commutative ring, so prime fields need no detour.
@@ -512,8 +473,8 @@ def verify_composition(vmap, inv):
             residual = c[m][k].substitute(vmap.components) - b[m][k] * vmap.Q[k]
             if not residual.is_zero():
                 return fail({"entry": [m, k]}, "C(v) != B·diag(Q)", residual)
-    for i in range(n1):
-        residual = maps.compute_Q(vmap.flats, i, vmap.ctx) - vmap.Q[i]
+    for i, det in enumerate(proofs.determinants()):
+        residual = det - Poly.var(i, n1, vmap.ctx.one) * vmap.Q[i]
         if not residual.is_zero():
             return fail({"i": i}, "det(B_i) != x_i·Q_i", residual)
     return _passed("composition", {"mode": "factorization", "entries": n1 * n1, "minors": n1})
@@ -543,31 +504,25 @@ def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
     return _passed("round-trip", {"samples": k, "distinct_images": True})
 
 
-def verify_base_locus(vmap, seed=0):
+def verify_base_locus(vmap, proofs):
     """Components vanish on every flat; certified transversals land inside
     every Q_i; a general point stays outside the base locus."""
     ctx = vmap.ctx
-    n1 = vmap.n + 1
-    for i, comp in enumerate(vmap.components):
-        for j, f in enumerate(vmap.flats):
-            if not maps.vanishes_on_flat(comp, f, ctx):
+    for i, row in enumerate(proofs.vanishing()):
+        for j, vanishes in enumerate(row):
+            if not vanishes:
                 return _failed(
                     "base-locus", {"component": i, "flat": j, "reason": "no vanishing"}
                 )
-    sampled = None
+    failure = sampled = None
     if vmap.n >= 4:
-        res = _pair_point_transversal(vmap, 0, 1, seed)
-        if isinstance(res, CheckResult):
-            return res
-        sampled = "pair-point line inside every Q_i"
+        failure, sampled = proofs.pair_failure(0, 1), "pair-point line inside every Q_i"
     elif vmap.n == 3:
-        m, p, w = _n3_family(vmap.flats, ctx, seed)
-        ok, detail = _family_inside_all_q(vmap, m, p, w)
-        if not ok:
-            return _failed("base-locus", detail)
-        sampled = "one-parameter family inside every Q_i"
-    rng = seeded_rng(seed, "base-locus-general")
-    p = _random_point(ctx, rng, n1)
+        failure, sampled = proofs.family_failure(), "one-parameter family inside every Q_i"
+    if failure is not None:
+        return _failed("base-locus", failure)
+    rng = seeded_rng(proofs.seed, "base-locus-general")
+    p = _random_point(ctx, rng, vmap.n + 1)
     if not any(bool(c.evaluate(p.coords)) for c in vmap.components):
         return _failed("base-locus", {"reason": "general point in base locus"})
     return _passed(
@@ -592,9 +547,9 @@ def _pair_point(vmap, i, j, seed, scope):
     return _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
 
 
-def _pair_point_transversal(vmap, i, j, seed):
-    """A line meeting all flats, through a point q of flat_i ∩ flat_j;
-    returns (line, point) or a failed CheckResult.
+def _pair_failure(vmap, i, j, seed):
+    """Why the line through a point q of flat_i ∩ flat_j that meets every
+    flat does not lie inside every Q_k: a witness, or None when it does.
 
     The line meets flats i and j at q, and every other flat by the cone
     hyperplane proof of `transversal_through`, so no meeting is tested.
@@ -602,27 +557,20 @@ def _pair_point_transversal(vmap, i, j, seed):
     ctx = vmap.ctx
     q = _pair_point(vmap, i, j, seed, "pair-point")
     if q is None:
-        return _failed(
-            "transversal-sample", {"pair": [i, j], "reason": "empty intersection"}
-        )
+        return {"pair": [i, j], "reason": "empty intersection"}
     rest = [f for m, f in enumerate(vmap.flats) if m not in (i, j)]
     res = transversal_through(q, rest, ctx)
     if res.kind != "unique":
-        return _failed(
-            "transversal-sample",
-            {"pair": [i, j], "reason": f"expected a unique line, got {res.kind}"},
-        )
+        return {"pair": [i, j], "reason": f"expected a unique line, got {res.kind}"}
     for k, qpoly in enumerate(vmap.Q):
         if not line_restrict(qpoly, res.line).is_zero():
-            return _failed(
-                "transversal-sample",
-                {"pair": [i, j], "reason": f"line not inside Q_{k}"},
-            )
-    return res.line, q
+            return {"pair": [i, j], "reason": f"line not inside Q_{k}"}
+    return None
 
 
-def _family_inside_all_q(vmap, m, p, w):
-    """Divisibility proof that both transversals lie inside every Q_i.
+def _family_failure(vmap, m, p, w):
+    """Divisibility proof that both transversals lie inside every Q_i: the
+    first witness against it, or None.
 
     Restricting Q_i to the moving line u·p(s,t) + v·w(s,t) gives
     (u,v)-coefficients that are binary forms in (s,t); each must be a
@@ -631,24 +579,21 @@ def _family_inside_all_q(vmap, m, p, w):
     """
     ctx = vmap.ctx
     if m.is_zero() or m.degree() != 2:
-        return False, {"reason": f"meeting form degree {m.degree()}"}
+        return {"reason": f"meeting form degree {m.degree()}"}
     if not _binary_disc(m, ctx):
-        return False, {"reason": "meeting form has a double root"}
+        return {"reason": "meeting form has a double root"}
     # the moving point w must not collapse onto p at either root: some
     # 2x2 minor of [p; w] must be nonzero there, i.e. not divisible by m
-    minors = []
     n1 = vmap.n + 1
-    for a in range(n1):
-        for b in range(a + 1, n1):
-            minors.append(p[a] * w[b] - p[b] * w[a])
+    minors = [p[a] * w[b] - p[b] * w[a] for a, b in combinations(range(n1), 2)]
     roots = _binary_roots(m, ctx)
     if roots is None:
         if all(_divides(m, mu) for mu in minors):
-            return False, {"reason": "family degenerates along the meeting form"}
+            return {"reason": "family degenerates along the meeting form"}
     else:
         for s0, t0 in roots:
             if not any(bool(mu.evaluate((s0, t0))) for mu in minors):
-                return False, {"reason": "family degenerates at a root"}
+                return {"reason": "family degenerates at a root"}
     # images live in the mixed ring (s, t, u, v)
     images = []
     for k in range(n1):
@@ -662,35 +607,32 @@ def _family_inside_all_q(vmap, m, p, w):
             groups.setdefault((e[2], e[3]), {})[(e[0], e[1])] = c
         for uv, terms in groups.items():
             if not _divides(m, Poly(2, terms)):
-                return False, {
+                return {
                     "Q": i,
                     "uv_coefficient": list(uv),
                     "reason": "not divisible by the meeting form",
                 }
-    return True, {}
+    return None
 
 
-def check_transversal_sample(vmap, seed=0):
+def check_transversal_sample(vmap, proofs):
     """Certified transversal lines substitute to zero in every Q_i; at
-    n >= 4, through points of the first ten flat pairs."""
-    ctx = vmap.ctx
+    n >= 4, through points of the first ten flat pairs.
+
+    At n = 3 the explicit lines are not substituted: every (u,v)-coefficient
+    of Q_k on the moving line is a multiple of m (`_family_failure`), so at
+    a root of m, Q_k restricted to the line is zero.
+    """
     n = vmap.n
     if n == 2:
         return _skipped(
             "transversal-sample", "three general points in the plane admit no transversal"
         )
     if n == 3:
-        m, p, w = _n3_family(vmap.flats, ctx, seed)
-        ok, detail = _family_inside_all_q(vmap, m, p, w)
-        if not ok:
-            return _failed("transversal-sample", detail)
-        lines = _family_lines(vmap.flats, ctx, m, p, w)
-        for line in lines:
-            for k, qpoly in enumerate(vmap.Q):
-                if not line_restrict(qpoly, line).is_zero():
-                    return _failed(
-                        "transversal-sample", {"reason": f"explicit line not inside Q_{k}"}
-                    )
+        failure = proofs.family_failure()
+        if failure is not None:
+            return _failed("transversal-sample", failure)
+        lines = _family_lines(vmap.ctx, *proofs.family())
         return _passed(
             "transversal-sample",
             {
@@ -701,21 +643,13 @@ def check_transversal_sample(vmap, seed=0):
                 "note": "both transversals verified at once via divisibility",
             },
         )
-    lines = 0
-    pairs = []
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            res = _pair_point_transversal(vmap, i, j, seed)
-            if isinstance(res, CheckResult):
-                return res
-            lines += 1
-            pairs.append([i, j])
-            if lines >= 10:
-                break
-        if lines >= 10:
-            break
+    pairs = [list(pair) for pair in islice(combinations(range(n + 1), 2), 10)]
+    for i, j in pairs:
+        failure = proofs.pair_failure(i, j)
+        if failure is not None:
+            return _failed("transversal-sample", failure)
     return _passed(
-        "transversal-sample", {"mode": "pair-point", "lines": lines, "pairs": pairs}
+        "transversal-sample", {"mode": "pair-point", "lines": len(pairs), "pairs": pairs}
     )
 
 
@@ -784,11 +718,10 @@ def check_class_matrix(n):
     return _passed("class-matrix", {"size": size, "square": "identity"})
 
 
-def dual_system_dimension(inv, ctx, n=None):
+def dual_system_dimension(inv, ctx):
     """Dimension of the degree-n system through all dual flats; reported,
     and only bounded below by n+1 (the inverse components)."""
-    if n is None:
-        n = len(inv.b) - 1
+    n = len(inv.b) - 1
     wit = None
     if inv.inverse_components is not None:
         wit = _verified_witnesses(inv.dual_flats, ctx, inv.inverse_components)
@@ -804,7 +737,7 @@ def check_dual_dimension(vmap, inv):
             return _failed(
                 "dual-dimension", {"j": i, "reason": "dual flat differs from row i of b"}
             )
-    dim = dual_system_dimension(inv, vmap.ctx, n)
+    dim = dual_system_dimension(inv, vmap.ctx)
     if dim < n + 1:
         return _failed(
             "dual-dimension",
@@ -820,7 +753,13 @@ def residual_component_example(flats, qs, ctx, seed=0):
     """The plane through the three pairwise intersection points of flats
     2, 3, 4 in P^4: its general point q lies on Q_0 and Q_1 (given as
     qs), carries two lines transversal to four flats each, yet admits no
-    transversal to all five."""
+    transversal to all five.
+
+    The anchor lines are not tested against their flats.  The line from q
+    to the point p_i of the plane on flat i (i = 0, 1) meets flat i at p_i.
+    It lies in the plane, and so does the line of flat k through the two
+    intersection points on flat k (k = 2, 3, 4); two lines of a plane meet.
+    """
     name = "demos"
     pts = [
         flat_intersection(flats[i], flats[j], ctx)[0]
@@ -832,9 +771,7 @@ def residual_component_example(flats, qs, ctx, seed=0):
     q = _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
     anchors = []
     for idx in (0, 1):
-        rows = []
-        for form in flats[idx].form_rows(ctx):
-            rows.append([evaluate_form(form, p) for p in pts])
+        rows = [[evaluate_form(form, p) for p in pts] for form in flats[idx].form_rows(ctx)]
         ns = la.nullspace(rows, 3, ctx)
         if len(ns) != 1:
             return _failed(name, {"reason": f"plane meets flat {idx} badly"})
@@ -844,13 +781,6 @@ def residual_component_example(flats, qs, ctx, seed=0):
         return _failed(name, {"reason": "q, p0, p1 collinear"})
     if qs[0].evaluate(q.coords) or qs[1].evaluate(q.coords):
         return _failed(name, {"reason": "q not on Q_0 and Q_1"})
-    for anchor, needed in ((p0, (0, 2, 3, 4)), (p1, (1, 2, 3, 4))):
-        line = LineParam(q, anchor)
-        for j in needed:
-            if meeting_param(line, flats[j], ctx) is None:
-                return _failed(
-                    name, {"reason": f"anchor line misses flat {j}"}
-                )
     res = transversal_through(q, list(flats), ctx)
     if res.kind != "none":
         return _failed(name, {"reason": f"unexpected transversal: {res.kind}"})
@@ -866,18 +796,18 @@ def residual_component_example(flats, qs, ctx, seed=0):
     )
 
 
-def check_demos(vmap, level="full", seed=0):
+def check_demos(vmap, level, proofs):
     if level == "fast":
         return _skipped("demos", "level fast skips the n-specific demos")
     if vmap.n == 3:
-        count, disc_ok = count_transversals_n3(vmap.flats, vmap.ctx, seed)
+        count, disc_ok = count_transversals_n3(proofs.family()[0], vmap.ctx)
         if count != 2 or not disc_ok:
             return _failed("demos", {"count": count, "disc_nonzero": disc_ok})
         return _passed(
             "demos", {"example": "transversal count", "count": 2, "disc_nonzero": True}
         )
     if vmap.n == 4:
-        return residual_component_example(vmap.flats, vmap.Q[:2], vmap.ctx, seed)
+        return residual_component_example(vmap.flats, vmap.Q[:2], vmap.ctx, proofs.seed)
     return _skipped("demos", f"no n-specific demo for n={vmap.n}")
 
 
@@ -889,6 +819,70 @@ def build_all(inst):
     vmap = maps.build_forward_map(inst.flats, inst.ctx)
     inv = maps.build_inverse_map(vmap, maps.solve_b_matrix(vmap))
     return vmap, inv
+
+
+class ProofRecord:
+    """The facts that several checks of one report read, each proved once.
+
+    `run_suite` makes one record per report from the report's instance, map
+    and seed.  The first check to read a fact proves it, and the record
+    keeps it until the report is done, so a second report, even of the same
+    instance, proves everything again.  A proof that raises keeps nothing:
+    the crash recurs in every check that reads the fact.  In a report the
+    map carries the instance's flats.  The table and the dimension are read
+    by linear-system-dimension and basis-property, det(B_i) by determinantal
+    and composition, the transversals by base-locus and transversal-sample,
+    the table by base-locus too and the n = 3 family by demos too.
+    """
+
+    def __init__(self, inst, vmap, seed):
+        self.inst, self.vmap, self.seed = inst, vmap, seed
+        self._facts = {}
+
+    def _fact(self, key, prove):
+        if key not in self._facts:
+            self._facts[key] = prove()
+        return self._facts[key]
+
+    def vanishing(self):
+        """table[i][j]: whether component i vanishes on flat j."""
+        ctx, flats = self.inst.ctx, self.inst.flats
+        return self._fact("vanishing", lambda: [
+            [maps.vanishes_on_flat(c, f, ctx) for f in flats] for c in self.vmap.components
+        ])
+
+    def dimension(self):
+        """The degree-n dimension.  Over Q the components witness its pinch
+        when the table proves them members; over F_p the rank is exact."""
+        def prove():
+            inst, wit = self.inst, self.vmap.components
+            if inst.ctx.kind != "qq" or not all(map(all, self.vanishing())):
+                wit = None
+            return maps.linear_system_dimension(inst.flats, inst.n, inst.ctx, witnesses=wit)
+
+        return self._fact("dimension", prove)
+
+    def determinants(self):
+        """det(B_i) by `minor_dp`, for every i."""
+        def prove():
+            b = maps.build_matrix_B(self.inst.flats, self.inst.ctx)
+            minors = [maps.minor_matrix(b, i) for i in range(len(b))]
+            return [la.det_poly_matrix(m, "minor_dp") for m in minors]
+
+        return self._fact("determinants", prove)
+
+    def family(self):
+        """The n = 3 transversal family (m, p, w) of `_n3_family`."""
+        vmap = self.vmap
+        return self._fact("family", lambda: _n3_family(vmap.flats, vmap.ctx, self.seed))
+
+    def family_failure(self):
+        """The divisibility proof of the family: `_family_failure`."""
+        return self._fact("divisibility", lambda: _family_failure(self.vmap, *self.family()))
+
+    def pair_failure(self, i, j):
+        """The transversal through flat_i ∩ flat_j: `_pair_failure`."""
+        return self._fact(("pair", i, j), lambda: _pair_failure(self.vmap, i, j, self.seed))
 
 
 def run_suite(
@@ -927,12 +921,10 @@ def run_suite(
             res = fn()
         except Exception as exc:  # a crashed check is a failed check
             res = _failed(name, {"error": f"{type(exc).__name__}: {exc}"})
-        if res.name != name:
-            res.name = name
+        res.name = name
         if timings:
             res.ms = round((time.perf_counter() - t0) * 1000.0, 3)
         report.checks.append(res)
-        return res
 
     runner("genericity", lambda: check_genericity(inst))
     if construction_error is not None:
@@ -942,18 +934,19 @@ def run_suite(
         for name in CHECK_ORDER[2:]:
             report.checks.append(_skipped(name, "construction failed"))
         return report.finalize()
-    runner("determinantal", lambda: check_determinantal(inst, vmap))
-    dimension = runner("linear-system-dimension", lambda: check_dimension(inst, vmap))
-    # the degree-n dimension is proved once per report
-    proved = dimension.witness["dim"] if dimension.status == "pass" else None
-    runner("basis-property", lambda: check_basis(inst, vmap, proved))
+    # shared facts live for this report only: the same instance verified
+    # again proves them again
+    proofs = ProofRecord(inst, vmap, seed)
+    runner("determinantal", lambda: check_determinantal(inst, vmap, proofs))
+    runner("linear-system-dimension", lambda: check_dimension(inst, vmap, proofs))
+    runner("basis-property", lambda: check_basis(inst, vmap, proofs))
     runner("b-matrix", lambda: check_b_matrix(vmap, inv))
-    runner("composition", lambda: verify_composition(vmap, inv))
+    runner("composition", lambda: verify_composition(vmap, inv, proofs))
     runner("round-trip", lambda: verify_roundtrip_sample(vmap, inv, k, seed))
-    runner("base-locus", lambda: verify_base_locus(vmap, seed))
-    runner("transversal-sample", lambda: check_transversal_sample(vmap, seed))
+    runner("base-locus", lambda: verify_base_locus(vmap, proofs))
+    runner("transversal-sample", lambda: check_transversal_sample(vmap, proofs))
     runner("multiplicity", lambda: check_multiplicity(vmap, seed))
     runner("class-matrix", lambda: check_class_matrix(n))
     runner("dual-dimension", lambda: check_dual_dimension(vmap, inv))
-    runner("demos", lambda: check_demos(vmap, level, seed))
+    runner("demos", lambda: check_demos(vmap, level, proofs))
     return report.finalize()

@@ -237,8 +237,8 @@ def cmd_demo(args):
             return 2
         inst = random_general_flats(n, args.seed, ctx, bound=args.bound)
         if n == 3:
-            count, disc_ok = checks.count_transversals_n3(inst.flats, ctx, args.seed)
             m, lines = checks.transversal_lines_n3(inst.flats, ctx, args.seed)
+            count, disc_ok = checks.count_transversals_n3(m, ctx)
             print(f"n=3 seed={args.seed}: meeting form {m.text(['s', 't'])}")
             print(
                 f"  {count} transversals to the four lines"

@@ -283,7 +283,11 @@ class FlatsInstance:
         return cls(n=n, ctx=ctx, flats=flats, **provenance)
 
 
-def random_general_flats(n, seed, ctx=None, bound=9, max_retries=32):
+_MAX_RETRIES = 32  # resamplings before random_general_flats gives up
+_SAMPLE_POINTS = 3  # points of genericity_check's condition (c)
+
+
+def random_general_flats(n, seed, ctx=None, bound=9):
     """n+1 random canonical flats in P^n certified by genericity_check.
 
     Deterministic in (seed, field, bound).  Resamples with a derived seed
@@ -293,7 +297,7 @@ def random_general_flats(n, seed, ctx=None, bound=9, max_retries=32):
         raise ValueError("need n >= 2")
     if ctx is None:
         ctx = FieldCtx.rationals()
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         rng = seeded_rng(seed, "flats", attempt)
         flats = []
         for j in range(n + 1):
@@ -306,7 +310,7 @@ def random_general_flats(n, seed, ctx=None, bound=9, max_retries=32):
         if report.ok:
             return FlatsInstance(n, seed, bound, ctx, flats, retries=attempt)
     raise RuntimeError(
-        f"no generic instance after {max_retries} attempts (n={n}, seed={seed})"
+        f"no generic instance after {_MAX_RETRIES} attempts (n={n}, seed={seed})"
     )
 
 
@@ -316,7 +320,7 @@ class GenericityReport:
     failures: list
 
 
-def genericity_check(flats, ctx, seed=0, attempt=0, sample_points=3):
+def genericity_check(flats, ctx, seed=0, attempt=0):
     """Certify that a flat list is general enough for the whole pipeline.
 
     Checks (a) canonical nonzero pattern, (b) pairwise intersections of the
@@ -346,7 +350,7 @@ def genericity_check(flats, ctx, seed=0, attempt=0, sample_points=3):
     if not failures:
         rng = seeded_rng(seed, "genericity", attempt)
         subsets = list(combinations(range(n1), n - 1))
-        for _ in range(sample_points):
+        for _ in range(_SAMPLE_POINTS):
             p = ProjPoint([ctx.random_nonzero(rng) for _ in range(n1)], ctx)
             for sub in subsets:
                 r = transversal_through(p, [flats[k] for k in sub], ctx)

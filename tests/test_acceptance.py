@@ -46,6 +46,11 @@ def full(n, seed):
     return _full[key]
 
 
+def record(inst, vmap):
+    """A fresh proof record for the checks that read one, as a report has."""
+    return checks.ProofRecord(inst, vmap, inst.seed)
+
+
 def test_criterion_01_determinantal_structure():
     t0 = time.monotonic()
     t_through_4 = None
@@ -103,7 +108,7 @@ def test_criterion_04_composition_identity():
     for n in (2, 3, 4, 5):
         inst, vmap, inv = full(n, 1)
         t0 = time.monotonic()
-        res = checks.verify_composition(vmap, inv)
+        res = checks.verify_composition(vmap, inv, record(inst, vmap))
         elapsed = time.monotonic() - t0
         assert res.status == "pass", res.witness
         assert res.witness["mode"] == "factorization"
@@ -170,7 +175,8 @@ def test_criterion_07_transversal_geometry():
 def test_criterion_08_two_transversals_in_p3():
     for seed in SEEDS:
         inst, _ = fwd(3, seed)
-        count, disc_ok = checks.count_transversals_n3(inst.flats, QQ, seed)
+        m, _ = checks.transversal_lines_n3(inst.flats, QQ, seed)
+        count, disc_ok = checks.count_transversals_n3(m, QQ)
         assert count == 2
         assert disc_ok
 
@@ -201,18 +207,18 @@ def test_criterion_11_transversals_inside_every_q():
     # two explicit lines; n = 4, 5: at least five literal sampled lines.
     for seed in SEEDS:
         inst, vmap = fwd(3, seed)
-        res = checks.check_transversal_sample(vmap, seed=seed)
+        res = checks.check_transversal_sample(vmap, record(inst, vmap))
         assert res.status == "pass", res.witness
         assert res.witness["transversal_count"] == 2
     ctx = FieldCtx.prime(M61)
     finst = random_general_flats(3, 2, ctx)
     fmap = maps.build_forward_map(finst.flats, ctx)
-    res = checks.check_transversal_sample(fmap, seed=2)
+    res = checks.check_transversal_sample(fmap, record(finst, fmap))
     assert res.status == "pass", res.witness
     assert res.witness["explicit_lines"] == 2
     for n in (4, 5):
         inst, vmap = fwd(n, 1)
-        res = checks.check_transversal_sample(vmap, seed=1)
+        res = checks.check_transversal_sample(vmap, record(inst, vmap))
         assert res.status == "pass", res.witness
         assert res.witness["lines"] >= 5
 
@@ -227,7 +233,7 @@ def test_criterion_12_mutation_sensitivity():
     from veneroni.projgeo import Flat
 
     bad_inst.flats[1] = Flat(1, tuple(a))
-    res = checks.check_determinantal(bad_inst, vmap)
+    res = checks.check_determinantal(bad_inst, vmap, record(bad_inst, vmap))
     assert res.status == "fail"
 
     # criterion 3 check: perturbing one b entry must break the expansion
@@ -243,7 +249,7 @@ def test_criterion_12_mutation_sensitivity():
     assert res.status == "fail"
 
     # criterion 4 check: the same b perturbation must break the composition
-    res = checks.verify_composition(vmap, bad_inv)
+    res = checks.verify_composition(vmap, bad_inv, record(inst, vmap))
     assert res.status == "fail"
     # ... as must tampering with a stored inverse component directly
     bad_inv2 = maps.InverseData(
@@ -253,7 +259,7 @@ def test_criterion_12_mutation_sensitivity():
                             for i, c in enumerate(inv.inverse_components)],
         dual_flats=inv.dual_flats,
     )
-    res = checks.verify_composition(vmap, bad_inv2)
+    res = checks.verify_composition(vmap, bad_inv2, record(inst, vmap))
     assert res.status == "fail"
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from veneroni.projgeo import (
     LineParam,
     ProjPoint,
     flat_intersection,
+    line_restrict,
     meeting_param,
     random_general_flats,
     transversal_through,
@@ -27,6 +29,11 @@ M61 = 2305843009213693951  # Mersenne prime 2^61 - 1
 
 def by_name(report):
     return {c.name: c for c in report.checks}
+
+
+def record(inst, vmap):
+    """A fresh proof record for the checks that read one, as a report has."""
+    return checks.ProofRecord(inst, vmap, inst.seed)
 
 
 @pytest.fixture(scope="module")
@@ -222,10 +229,11 @@ def _tamper(vmap, inv, target, two):
     ],
 )
 def test_tampering_fails_composition_by_name(field, target, index, reason):
-    vmap, inv = checks.build_all(random_general_flats(3, 4, field))
-    assert checks.verify_composition(vmap, inv).status == "pass"
+    inst = random_general_flats(3, 4, field)
+    vmap, inv = checks.build_all(inst)
+    assert checks.verify_composition(vmap, inv, record(inst, vmap)).status == "pass"
     _tamper(vmap, inv, target, field.from_int(2))
-    res = checks.verify_composition(vmap, inv)
+    res = checks.verify_composition(vmap, inv, record(inst, vmap))
     assert res.status == "fail"
     assert res.witness["reason"] == reason
     assert {k: res.witness[k] for k in index} == index
@@ -236,15 +244,16 @@ def test_tampering_fails_composition_by_name(field, target, index, reason):
 def test_component_off_the_system_fails_by_name(field):
     inst = random_general_flats(3, 4, field)
     vmap, _ = checks.build_all(inst)
-    assert checks.verify_base_locus(vmap).status == "pass"
-    assert checks.check_basis(inst, vmap).status == "pass"
+    assert checks.verify_base_locus(vmap, record(inst, vmap)).status == "pass"
+    assert checks.check_basis(inst, vmap, record(inst, vmap)).status == "pass"
     # x_0^3 vanishes on flat 0, where x_0 = 0, but not on flat 1
     vmap.components = list(vmap.components)
     vmap.components[2] = vmap.components[2] + Poly.var(0, 4, field.one) ** 3
-    res = checks.verify_base_locus(vmap)
+    proofs = record(inst, vmap)
+    res = checks.verify_base_locus(vmap, proofs)
     assert res.status == "fail"
     assert res.witness == {"component": 2, "flat": 1, "reason": "no vanishing"}
-    res = checks.check_basis(inst, vmap)
+    res = checks.check_basis(inst, vmap, proofs)
     assert res.status == "fail"
     assert res.witness == {"reason": "component outside the system"}
 
@@ -273,7 +282,8 @@ def test_component_of_the_wrong_degree_fails_by_name(field, extra):
 def test_transversal_count_across_seeds():
     for seed in range(5):
         inst = random_general_flats(3, seed, QQ)
-        count, disc_ok = checks.count_transversals_n3(inst.flats, QQ, seed)
+        m, _ = checks.transversal_lines_n3(inst.flats, QQ, seed)
+        count, disc_ok = checks.count_transversals_n3(m, QQ)
         assert count == 2
         assert disc_ok
 
@@ -314,7 +324,7 @@ def test_pair_point_draws_from_its_scope():
 def test_dual_dimension_values(suite3):
     inst2 = random_general_flats(2, 1, QQ)
     vmap2, inv2 = checks.build_all(inst2)
-    assert checks.dual_system_dimension(inv2, QQ, 2) == 3
+    assert checks.dual_system_dimension(inv2, QQ) == 3
     inst3, report3 = suite3
     assert by_name(report3)["dual-dimension"].witness["dim"] >= 4
 
@@ -367,7 +377,7 @@ def test_component_off_the_system_fails_basis_through_run_suite(field):
 def test_check_basis_alone_proves_the_dimension():
     inst = random_general_flats(3, 4, QQ)
     vmap, _ = checks.build_all(inst)
-    res = checks.check_basis(inst, vmap)
+    res = checks.check_basis(inst, vmap, record(inst, vmap))
     assert res.status == "pass"
     assert res.witness == {"rank": 4, "dim": 4}
 
@@ -375,7 +385,7 @@ def test_check_basis_alone_proves_the_dimension():
 def test_check_basis_ignores_a_dimension_that_did_not_pass(monkeypatch):
     inst = random_general_flats(3, 4, QQ)
 
-    def failed_dimension(inst, vmap):
+    def failed_dimension(inst, vmap, proofs):
         return checks._failed("linear-system-dimension", {"degree": 3, "dim": 99})
 
     monkeypatch.setattr(checks, "check_dimension", failed_dimension)
@@ -398,6 +408,93 @@ def test_reports_share_no_proof_across_runs():
     assert res["basis-property"]["witness"] == {"rank": 5, "dim": 6}
     res = {c["name"]: c for c in reports[0]["checks"]}
     assert res["basis-property"]["witness"] == {"rank": 5, "dim": 5}
+
+
+# ---- each shared fact is proved once per report ---------------------------
+
+FP31 = FieldCtx.prime(2147483647)
+
+
+@pytest.mark.parametrize(
+    "n, field, level, expected",
+    [
+        # 16 component/flat pairs, 12 Q_i on the flats j != i, and 16
+        # inverse components on the dual flats, each proved once
+        (3, QQ, "full", {"vanishes_on_flat": 44, "_n3_family": 1, "compute_Q": 0}),
+        # over F_p no witness is proved: only the 25 component/flat pairs
+        (4, FP31, "fast", {"vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 0}),
+    ],
+    ids=["n3-qq-full", "n4-fp-fast"],
+)
+def test_each_shared_fact_is_proved_once_per_report(monkeypatch, n, field, level, expected):
+    inst = random_general_flats(n, 11, field)
+    vmap, inv = checks.build_all(inst)
+    calls, pairs = Counter(), set()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "vanishes_on_flat":
+                pairs.add((tuple(sorted(args[0].terms.items())), args[1]))
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((maps, "vanishes_on_flat"), (maps, "compute_Q"), (checks, "_n3_family")):
+        counted(owner, name)
+    assert checks.run_suite(inst, vmap, inv, level=level).ok
+    assert {name: calls[name] for name in expected} == expected
+    assert len(pairs) == expected["vanishes_on_flat"]
+    # a second report of the same instance proves everything again
+    assert checks.run_suite(inst, vmap, inv, level=level).ok
+    assert {name: calls[name] for name in expected} == {k: 2 * v for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
+@pytest.mark.parametrize(
+    "n, witness",
+    [
+        (3, {"Q": 2, "uv_coefficient": [0, 2], "reason": "not divisible by the meeting form"}),
+        (4, {"pair": [0, 1], "reason": "line not inside Q_2"}),
+    ],
+    ids=["n3", "n4"],
+)
+def test_a_shared_transversal_fails_each_check_by_its_own_name(field, n, witness):
+    inst = random_general_flats(n, 11, field)
+    vmap, inv = checks.build_all(inst)
+    vmap.Q = list(vmap.Q)
+    vmap.Q[2] = vmap.Q[2] + Poly.var(0, n + 1, field.one) ** (n - 1)
+    report = checks.run_suite(inst, vmap, inv)
+    res = by_name(report)
+    for name in ("base-locus", "transversal-sample"):
+        assert res[name].name == name
+        assert res[name].status == "fail"
+        assert res[name].witness == witness
+    assert len({id(c) for c in report.checks}) == len(CHECK_ORDER)
+
+
+@pytest.mark.parametrize(
+    "field, failing",
+    [
+        (QQ, ["linear-system-dimension", "basis-property", "base-locus", "dual-dimension"]),
+        (FP31, ["basis-property", "base-locus"]),
+    ],
+    ids=["qq", "fp"],
+)
+def test_a_crashed_proof_crashes_every_check_that_reads_it(monkeypatch, field, failing):
+    inst = random_general_flats(3, 11, field)
+    vmap, inv = checks.build_all(inst)
+
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(maps, "vanishes_on_flat", crash)
+    report = checks.run_suite(inst, vmap, inv)
+    failed = [c for c in report.checks if c.status == "fail"]
+    assert [c.name for c in failed] == failing
+    assert all(c.witness == {"error": "RuntimeError: boom"} for c in failed)
 
 
 # ---- the construction's invariants hold on every canonical instance --------
@@ -546,7 +643,15 @@ def test_transversals_meet_every_queried_flat(ctx, coeffs, data):
         for f in query:
             assert meeting_param(line, f, ctx) is not None
     if len(flats) == 4:
-        _, pf, w = checks._n3_family(flats, ctx, data.draw(st.integers(0, 99), label="seed"))
+        m, pf, w = checks._n3_family(flats, ctx, data.draw(st.integers(0, 99), label="seed"))
         for f in flats[1:3]:
             assert _row_times(f, pf, pf).is_zero()
             assert _row_times(f, pf, w).is_zero()
+        # _family_lines tests no meeting and transversal-sample substitutes
+        # no explicit line: where the divisibility proof passes, each line
+        # at a root of m meets all four flats and lies inside every Q_i
+        vmap = maps.build_forward_map(flats, ctx)
+        if checks._family_failure(vmap, m, pf, w) is None:
+            for line in checks._family_lines(ctx, m, pf, w):
+                assert all(meeting_param(line, f, ctx) is not None for f in flats)
+                assert all(line_restrict(q, line).is_zero() for q in vmap.Q)

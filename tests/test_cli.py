@@ -231,18 +231,20 @@ def test_flats_file_below_p2_is_refused(tmp_path, capsys):
     assert "need n >= 2" in err
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_generate_and_verify_test_no_meeting(tmp_path, capsys, monkeypatch, n):
     # the cone hyperplanes prove that a computed transversal meets its
-    # flats, so neither generate nor a fast verify tests a meeting
+    # flats, so neither generate nor verify tests a meeting, not even in
+    # the n = 3 family lines or the anchor lines of the n = 4 demo
     def forbidden(*args):
         raise AssertionError("meeting_param called")
 
-    for module in (projgeo, checks, cli):
+    for module in (projgeo, cli):
         monkeypatch.setattr(module, "meeting_param", forbidden)
+    assert not hasattr(checks, "meeting_param")
     flats = tmp_path / "flats.json"
     assert run(capsys, ["generate", "-n", str(n), "--seed", "3", "-o", str(flats)])[0] == 0
-    rc, out, _ = run(capsys, ["verify", "-i", str(flats), "--level", "fast"])
+    rc, out, _ = run(capsys, ["verify", "-i", str(flats), "--level", "full"])
     assert rc == 0, out
 
 

@@ -202,3 +202,70 @@ def test_tracer_scan_sees_every_form_of_patch():
         ("exactla", "e"),
         ("Poly", "f"),
     }
+
+
+# ---- no memo outlives a report --------------------------------------------
+
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def _mutable(value):
+    """Whether an expression builds a mutable container."""
+    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in MUTABLE_CALLS
+    return False
+
+
+def lasting_memos(tree):
+    """Line numbers of state that could carry a memo from one report to the
+    next: `functools.cache` or `lru_cache`, a mutable container bound at
+    module or class level (other than `__all__`), and `global` rebinding."""
+    found = []
+    bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                continue
+            if node.value is not None and _mutable(node.value):
+                found.append(node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(a.name in ("cache", "lru_cache") for a in node.names):
+                found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("cache", "lru_cache")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_memo_outlives_a_report(path):
+    # a proof is kept only in the `checks.ProofRecord` of one report: the
+    # same instance verified twice in one process must be proved twice
+    assert lasting_memos(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_memo_scan_sees_every_form_of_lasting_state():
+    tree = ast.parse(
+        "import functools\nfrom functools import lru_cache\n"
+        "__all__ = ['f']\nLIMIT = 3\nNAMES = ('a',)\n_SEEN = {}\n"
+        "class C:\n    memo = dict()\n    size = 2\n"
+        "@functools.cache\ndef f():\n    global LIMIT\n    local = []\n"
+    )
+    assert lasting_memos(tree) == [2, 6, 8, 10, 12]
