@@ -14,6 +14,7 @@ each is at least a double point of every other Q_k.
 import sys
 
 from veneroni import checks, maps
+from veneroni.mpoly import Evaluator
 from veneroni.projgeo import flat_intersection, random_general_flats, transversal_through
 from veneroni.scalar import FieldCtx
 
@@ -37,10 +38,10 @@ print("  but no line through q meets all five flats.")
 
 print("\nmultiplicity at a pairwise intersection point:")
 q23 = flat_intersection(inst.flats[2], inst.flats[3], QQ)[0]
-vals = [q0.partial(v).evaluate(q23.coords) for v in range(5)]
+value, *partials = Evaluator([q0, *(q0.partial(v) for v in range(5))])(q23.coords)
 print(f"  at the point {q23.format()} of flat_2 ∩ flat_3:")
-print(f"  Q_0 = {q0.evaluate(q23.coords)} and all five partials of Q_0 are"
-      f" {'zero' if not any(map(bool, vals)) else 'NOT all zero'}")
+print(f"  Q_0 = {value} and all five partials of Q_0 are"
+      f" {'zero' if not any(partials) else 'NOT all zero'}")
 
 print("\nsanity: through a general point there is still a unique line")
 print("meeting any three of the flats, e.g. flats 0, 1, 2:")

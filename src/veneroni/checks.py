@@ -20,16 +20,16 @@ from itertools import combinations, islice
 
 from . import exactla as la
 from . import maps
-from .mpoly import Poly
+from .mpoly import Evaluator, Poly
 from .projgeo import (
     LineParam,
     ProjPoint,
     evaluate_form,
     flat_intersection,
     genericity_check,
-    line_restrict,
     parametrize_flat,
     transversal_through,
+    vanishing_on_line,
 )
 from .scalar import seeded_rng
 
@@ -128,11 +128,11 @@ def _point_on_flat(flat, ctx, rng):
 _OFF_LOCUS_TRIES = 200  # attempts before _sample_off_locus gives up
 
 
-def _sample_off_locus(vmap, rng):
-    """A random point where no Q_i vanishes."""
+def _sample_off_locus(vmap, q_values, rng):
+    """A random point where no Q_i vanishes; `q_values` evaluates the Q_i."""
     for _ in range(_OFF_LOCUS_TRIES):
         p = _random_point(vmap.ctx, rng, vmap.n + 1)
-        if all(bool(q.evaluate(p.coords)) for q in vmap.Q):
+        if all(q_values(p.coords)):
             return p
     raise RuntimeError("could not sample a point off the Q_i locus")
 
@@ -301,10 +301,11 @@ def _family_lines(ctx, m, p, w):
     roots = _binary_roots(m, ctx)
     if roots is None:
         return []
+    values = Evaluator([*p, *w])
     lines = []
     for s0, t0 in roots:
-        base = [pk.evaluate((s0, t0)) for pk in p]
-        direc = [wk.evaluate((s0, t0)) for wk in w]
+        point = values((s0, t0))
+        base, direc = point[: len(p)], point[len(p):]
         if not any(bool(v) for v in direc):
             raise RuntimeError("family point degenerates at a root")
         if la.rank([list(base), list(direc)], ctx) != 2:
@@ -481,19 +482,24 @@ def verify_composition(vmap, inv, proofs):
 
 
 def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
-    """Map k distinct random off-locus points forward and back; demand exact
-    return and pairwise-distinct images."""
+    """Map k >= 1 distinct random off-locus points forward and back; demand
+    exact return and pairwise-distinct images."""
+    if k < 1:
+        raise ValueError(f"round-trip needs at least 1 sample, got {k}")
     ctx = vmap.ctx
     rng = seeded_rng(seed, "roundtrip")
+    q_values = Evaluator(vmap.Q)
+    forward = Evaluator(vmap.components)
+    inverse = Evaluator(inv.inverse_components)
     images = []
     seen = set()
     for s in range(k):
-        p = _sample_off_locus(vmap, rng)
+        p = _sample_off_locus(vmap, q_values, rng)
         while p.coords in seen:  # small fields invite birthday collisions
-            p = _sample_off_locus(vmap, rng)
+            p = _sample_off_locus(vmap, q_values, rng)
         seen.add(p.coords)
-        img = maps.apply_map(vmap.components, p, ctx)
-        back = maps.apply_map(inv.inverse_components, img, ctx)
+        img = maps.apply_map(forward, p, ctx)
+        back = maps.apply_map(inverse, img, ctx)
         if back != p:
             return _failed(
                 "round-trip", {"sample": s, "point": p.format(), "returned": back.format()}
@@ -553,6 +559,7 @@ def _pair_failure(vmap, i, j, seed):
 
     The line meets flats i and j at q, and every other flat by the cone
     hyperplane proof of `transversal_through`, so no meeting is tested.
+    That the line lies inside Q_k is proved by `vanishing_on_line`.
     """
     ctx = vmap.ctx
     q = _pair_point(vmap, i, j, seed, "pair-point")
@@ -562,8 +569,8 @@ def _pair_failure(vmap, i, j, seed):
     res = transversal_through(q, rest, ctx)
     if res.kind != "unique":
         return {"pair": [i, j], "reason": f"expected a unique line, got {res.kind}"}
-    for k, qpoly in enumerate(vmap.Q):
-        if not line_restrict(qpoly, res.line).is_zero():
+    for k, inside in enumerate(vanishing_on_line(vmap.Q, res.line)):
+        if not inside:
             return {"pair": [i, j], "reason": f"line not inside Q_{k}"}
     return None
 
@@ -591,8 +598,9 @@ def _family_failure(vmap, m, p, w):
         if all(_divides(m, mu) for mu in minors):
             return {"reason": "family degenerates along the meeting form"}
     else:
+        values = Evaluator(minors)
         for s0, t0 in roots:
-            if not any(bool(mu.evaluate((s0, t0))) for mu in minors):
+            if not any(values((s0, t0))):
                 return {"reason": "family degenerates at a root"}
     # images live in the mixed ring (s, t, u, v)
     images = []
@@ -616,10 +624,10 @@ def _family_failure(vmap, m, p, w):
 
 
 def check_transversal_sample(vmap, proofs):
-    """Certified transversal lines substitute to zero in every Q_i; at
-    n >= 4, through points of the first ten flat pairs.
+    """Certified transversal lines lie inside every Q_i; at n >= 4, the
+    lines through points of the first ten flat pairs (`_pair_failure`).
 
-    At n = 3 the explicit lines are not substituted: every (u,v)-coefficient
+    At n = 3 the explicit lines are not tested: every (u,v)-coefficient
     of Q_k on the moving line is a multiple of m (`_family_failure`), so at
     a root of m, Q_k restricted to the line is zero.
     """
@@ -653,17 +661,19 @@ def check_transversal_sample(vmap, proofs):
     )
 
 
-def _double_at_pair_point(vmap, i, j, ks, grads, seed):
+def _double_at_pair_point(vmap, i, j, ks, at, seed):
     """At a point of flat_i ∩ flat_j, each Q_k with k in `ks` vanishes
-    together with its gradient `grads[k]`; the first failure, or None."""
+    together with its gradient; `at(point)` gives the values of the Q_k and
+    of their gradients.  The first failure, or None."""
     q = _pair_point(vmap, i, j, seed, "mult-point")
     if q is None:
         return _failed("multiplicity", {"pair": [i, j], "reason": "empty intersection"})
+    values, grads = at(q)
     for k in ks:
-        if vmap.Q[k].evaluate(q.coords):
+        if values[k]:
             return _failed("multiplicity", {"pair": [i, j], "k": k, "reason": "Q_k nonzero"})
         for v, dq in enumerate(grads[k]):
-            if dq.evaluate(q.coords):
+            if dq:
                 return _failed(
                     "multiplicity",
                     {"pair": [i, j], "k": k, "partial": v, "reason": "gradient nonzero"},
@@ -678,17 +688,24 @@ def _gradient(q):
 def check_multiplicity(vmap, seed=0):
     """All pairwise intersection points are at least double on every other
     Q_k; single-flat control points have honestly nonzero gradients.
-    Each pair's point and each Q_k's gradient are computed once."""
+    Each pair's point and each Q_k's gradient are computed once, and one
+    `Evaluator` gives every Q_k and every partial at each point."""
     if vmap.n < 4:
         return _skipped("multiplicity", "pairwise intersections are empty below P^4")
     ctx = vmap.ctx
     n1 = vmap.n + 1
     grads = [_gradient(q) for q in vmap.Q]
+    table = Evaluator([*vmap.Q, *(dq for grad in grads for dq in grad)])
+
+    def at(point):
+        vals = table(point.coords)
+        return vals[:n1], [vals[n1 * (k + 1): n1 * (k + 2)] for k in range(n1)]
+
     checked = 0
     for i in range(n1):
         for j in range(i + 1, n1):
             ks = [k for k in range(n1) if k not in (i, j)]
-            res = _double_at_pair_point(vmap, i, j, ks, grads, seed)
+            res = _double_at_pair_point(vmap, i, j, ks, at, seed)
             if res is not None:
                 return res
             checked += len(ks)
@@ -696,7 +713,7 @@ def check_multiplicity(vmap, seed=0):
     # vanish, otherwise the assertions above would be vacuous
     rng = seeded_rng(seed, "mult-control")
     p = _point_on_flat(vmap.flats[2], ctx, rng)
-    if not any(bool(dq.evaluate(p.coords)) for dq in grads[0]):
+    if not any(at(p)[1][0]):
         return _failed("multiplicity", {"reason": "control gradient vanished"})
     return _passed("multiplicity", {"points_checked": checked, "control": "nonzero gradient"})
 
@@ -779,7 +796,7 @@ def residual_component_example(flats, qs, ctx, seed=0):
     p0, p1 = anchors
     if la.rank([list(q), list(p0), list(p1)], ctx) != 3:
         return _failed(name, {"reason": "q, p0, p1 collinear"})
-    if qs[0].evaluate(q.coords) or qs[1].evaluate(q.coords):
+    if any(Evaluator(qs)(q.coords)):
         return _failed(name, {"reason": "q not on Q_0 and Q_1"})
     res = transversal_through(q, list(flats), ctx)
     if res.kind != "none":

@@ -150,6 +150,8 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
+    if args.samples < 1:  # a round-trip of no samples would pass untested
+        raise ValueError(f"-k/--samples must be >= 1, got {args.samples}")
     inst, vmap, inv = load_instance(args)
     report = checks.run_suite(
         inst,

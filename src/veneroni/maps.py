@@ -348,8 +348,9 @@ def build_inverse_map(vmap, inv):
 
 
 def apply_map(components, p, ctx):
-    """Evaluate the map at a point; error on the base locus."""
-    vals = [c.evaluate(p.coords) for c in components]
+    """The image of a point, with `components` an `mpoly.Evaluator` of the
+    map's components; error on the base locus."""
+    vals = components(p.coords)
     if not any(bool(v) for v in vals):
         raise BaseLocusError(f"point {p.format()} is in the base locus")
     return ProjPoint(vals, ctx)

@@ -8,13 +8,15 @@ inside that hyperplane (`transversal_through` proves this), so the lines
 through p meeting every flat of a query sweep out the common nullspace of
 the stacked cone forms.  Nullity 2 means a unique transversal, nullity
 d+1 >= 3 a d-dimensional family, and nullity 1 no transversal at all.
+Whether a polynomial vanishes on a line is proved from its values at a
+few points of the line (`vanishing_on_line`).
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import exactla as la
-from .mpoly import Poly
+from .mpoly import Evaluator, Poly
 from .scalar import FieldCtx, seeded_rng
 
 __all__ = [
@@ -27,8 +29,7 @@ __all__ = [
     "transversal_through",
     "flat_intersection",
     "parametrize_flat",
-    "restrict_to_span",
-    "line_restrict",
+    "vanishing_on_line",
     "meeting_param",
     "random_general_flats",
     "genericity_check",
@@ -120,7 +121,7 @@ class Flat:
 
 @dataclass(frozen=True)
 class LineParam:
-    """Line spanned by two independent points; substitutes to binary forms."""
+    """Line spanned by two independent points, base and dir."""
 
     base: ProjPoint
     dir: ProjPoint
@@ -209,23 +210,36 @@ def parametrize_flat(f, ctx):
     return [ProjPoint(v, ctx) for v in la.nullspace(f.form_rows(ctx), f.nvars, ctx)]
 
 
-def restrict_to_span(p, pts):
-    """Restrict a polynomial to the span of the given points.
+def vanishing_on_line(polys, line):
+    """For each polynomial, whether it vanishes on the whole line.
 
-    Substitutes x_i -> sum_m pts[m][i] * s_m, one parameter per point; the
-    result is the zero polynomial exactly when p vanishes on the whole span.
+    Restriction to the line, x -> s·base + t·dir, maps the degree-d part of
+    a polynomial to a binary form of degree d in (s, t), so a polynomial
+    vanishes on the line exactly when each of its homogeneous parts does.
+    A binary form of degree d that is not zero has at most d zeros on P^1,
+    and (1 : m) for m = 0..d are d+1 distinct points of P^1 (the field has
+    characteristic 0 or a prime above 2^30), so a part of degree d vanishes
+    on the line exactly when it is zero at base + m·dir for m = 0..d.  This
+    is a proof, not a sample; one `Evaluator` serves every part.
     """
-    k = len(pts)
-    images = [
-        Poly.from_linear([pt[i] for pt in pts]) for i in range(len(pts[0].coords))
-    ]
-    assert all(img.nvars == k for img in images)
-    return p.substitute(images)
-
-
-def line_restrict(p, line):
-    """Binary form in (s, t): the polynomial restricted to the line."""
-    return restrict_to_span(p, [line.base, line.dir])
+    parts, owners = [], []  # the homogeneous parts, and (polynomial, degree)
+    for k, q in enumerate(polys):
+        by_degree = {}
+        for e, c in q.terms.items():
+            by_degree.setdefault(sum(e), {})[e] = c
+        for d, terms in by_degree.items():
+            parts.append(Poly(q.nvars, terms))
+            owners.append((k, d))
+    inside = [True] * len(polys)
+    if not parts:
+        return inside
+    values = Evaluator(parts)
+    for m in range(max(d for _, d in owners) + 1):
+        point = [b + m * v for b, v in zip(line.base, line.dir)]
+        for (k, d), value in zip(owners, values(point)):
+            if value and m <= d:
+                inside[k] = False
+    return inside
 
 
 # ---- instance generation and serialization --------------------------------

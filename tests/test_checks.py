@@ -16,12 +16,13 @@ from veneroni.projgeo import (
     LineParam,
     ProjPoint,
     flat_intersection,
-    line_restrict,
     meeting_param,
     random_general_flats,
     transversal_through,
 )
 from veneroni.scalar import FieldCtx
+
+from oracles import line_restrict
 
 QQ = FieldCtx.rationals()
 M61 = 2305843009213693951  # Mersenne prime 2^61 - 1
@@ -450,6 +451,32 @@ def test_each_shared_fact_is_proved_once_per_report(monkeypatch, n, field, level
     # a second report of the same instance proves everything again
     assert checks.run_suite(inst, vmap, inv, level=level).ok
     assert {name: calls[name] for name in expected} == {k: 2 * v for k, v in expected.items()}
+
+
+def test_a_full_n4_verify_substitutes_only_in_composition(monkeypatch):
+    # the transversal lines of base-locus and transversal-sample are proved
+    # inside every Q_k by point values, so only the (n+1)^2 entries of C(v)
+    # are substituted
+    inst = random_general_flats(4, 11, QQ)
+    vmap, inv = checks.build_all(inst)
+    substitute, compose = Poly.substitute, checks.verify_composition
+    calls, inside = Counter(), []
+
+    def counted(self, images):
+        calls["composition" if inside else "elsewhere"] += 1
+        return substitute(self, images)
+
+    def composition(*args):
+        inside.append(True)
+        try:
+            return compose(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Poly, "substitute", counted)
+    monkeypatch.setattr(checks, "verify_composition", composition)
+    assert checks.run_suite(inst, vmap, inv, level="full").ok
+    assert calls == {"composition": 25}
 
 
 @pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])

@@ -276,6 +276,18 @@ def test_verify_fp_field(capsys):
     assert "composition: pass" in out
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_verify_refuses_a_sample_count_below_one(capsys, map3, k):
+    # a round-trip of no samples tests nothing, so it may not report a pass
+    rc, out, err = run(capsys, ["verify", "-i", str(map3), "-k", k])
+    assert rc == 2 and out == ""
+    assert f"-k/--samples must be >= 1, got {k}" in err
+    _, vmap, inv = cli.map_from_dict(json.loads(map3.read_text()))
+    with pytest.raises(ValueError, match=f"at least 1 sample, got {k}"):
+        checks.verify_roundtrip_sample(vmap, inv, k=int(k))
+    assert checks.verify_roundtrip_sample(vmap, inv, k=1).witness["samples"] == 1
+
+
 def test_verify_needs_input_or_n(capsys):
     rc, _, err = run(capsys, ["verify"])
     assert rc == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veneroni import checks
-from veneroni.mpoly import Poly
+from veneroni.mpoly import Evaluator, Poly
 from veneroni.scalar import FieldCtx, Fp, Rational
 
 QQ = FieldCtx.rationals()
@@ -380,6 +380,55 @@ def test_ints_mixed_into_fp_polynomials_land_in_fp(data):
         assert q == fa and in_field(q, "fp")
     if a and any(type(c) is Fp for c in a.terms.values()):
         assert in_field(a**2, "fp")
+
+
+@pytest.mark.parametrize("kind", ["qq", "fp"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_evaluator_matches_the_field_loop(kind, data):
+    ctx = QQ if kind == "qq" else FP
+    scalars = FIELDS[kind]
+    n = data.draw(st.integers(1, 3), label="nvars")
+    degree = data.draw(st.integers(0, 3), label="degree")
+    shapes = st.one_of(polys(scalars, n), polys(scalars, n, degree=degree), st.just(Poly.zero(n)))
+    batch = data.draw(st.lists(shapes, min_size=1, max_size=4), label="polys")
+    values = Evaluator(batch)  # one table for every point, fields shared
+    mixed = st.one_of(scalars, st.integers(-5, 5))
+    points = data.draw(st.lists(st.tuples(*[mixed] * n), min_size=1, max_size=3), label="points")
+    for point in points:
+        field_point = tuple(ctx.convert(x) for x in point)
+        named = kind == "qq" or any(
+            type(c) is Fp for c in [*point, *(c for q in batch for c in q.terms.values())]
+        )
+        got = values(point)
+        assert len(got) == len(batch)
+        for q, value in zip(batch, got):
+            assert ctx.convert(value) == oracle_evaluate(q, field_point)
+            # ints alone, in the point and every polynomial, name no field:
+            # the values are then rational
+            assert in_field(value, kind if named else "qq")
+
+
+def test_evaluator_refuses_a_wrong_point_and_two_primes():
+    a = Poly(2, {(1, 0): Fp(3, P), (0, 1): Fp(1, P)})
+    values = Evaluator([a, Poly.zero(2)])
+    assert values((Fp(2, P), 5)) == [Fp(11, P), Fp(0, P)]
+    with pytest.raises(ValueError, match="point length"):
+        values((Fp(1, P),))
+    with pytest.raises(ValueError, match="different prime fields"):
+        values((Fp(1, P2), Fp(2, P2)))
+    with pytest.raises(ValueError, match="different prime fields"):
+        Evaluator([a, Poly(2, {(1, 0): Fp(3, P2)})])
+    with pytest.raises(ValueError, match="different rings"):
+        Evaluator([a, Poly.zero(3)])
+    with pytest.raises(ValueError, match="at least one polynomial"):
+        Evaluator([])
+    # int coefficients take the field of each point, one lowering per field
+    ints = Evaluator([Poly(2, {(1, 1): 2, (0, 0): 1})])
+    assert ints((Fraction(1, 2), 3)) == [Rational(4)]
+    assert ints((Fp(2, P), 3)) == [Fp(13, P)]
+    with pytest.raises(ValueError, match="different prime fields"):
+        ints((Fp(1, P), Fp(1, P2)))
 
 
 def test_int_coefficients_give_rationals():

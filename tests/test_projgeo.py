@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veneroni import exactla as la
 from veneroni.mpoly import Poly
@@ -13,14 +15,15 @@ from veneroni.projgeo import (
     evaluate_form,
     flat_intersection,
     genericity_check,
-    line_restrict,
     meeting_param,
     parametrize_flat,
     random_general_flats,
-    restrict_to_span,
     transversal_through,
+    vanishing_on_line,
 )
 from veneroni.scalar import FieldCtx, seeded_rng
+
+from oracles import line_restrict, restrict_to_span
 
 QQ = FieldCtx.rationals()
 
@@ -241,13 +244,75 @@ def test_meeting_param_cases(flats4):
     assert meeting_param(line, f, QQ) is None
 
 
-def test_line_restrict_binary_form(flats4):
+def test_line_restriction_of_a_quadric(flats4):
     rng = seeded_rng(14, "lr")
     p = rand_point(4, rng)
     res = transversal_through(p, flats4[:3], QQ)
+    # x_0·f_0 vanishes on flat 0, which the transversal meets in one point
     q = flats4[0].form2_poly() * Poly.var(0, 5, QQ.one)
     b = line_restrict(q, res.line)
-    assert b.nvars == 2 and b.degree() <= 2
+    assert b.nvars == 2 and b.degree() == 2
+    assert vanishing_on_line([q], res.line) == [False]
+
+
+SMALL = st.integers(-4, 4)
+
+
+@st.composite
+def line_and_polys(draw, ctx):
+    """A line of P^n, n = 2..4, and polynomials L·r + t with L a linear form
+    vanishing on the line; r and t are non-homogeneous, t often zero."""
+    n1 = draw(st.integers(3, 5), label="n + 1")
+    coords = st.lists(SMALL, min_size=n1, max_size=n1)
+    base = draw(coords.filter(any), label="base")
+
+    def independent(v):
+        return any(base[a] * v[b] != base[b] * v[a] for a in range(n1) for b in range(a))
+
+    direction = draw(coords.filter(independent), label="dir")
+    base, direction = ([ctx.from_int(c) for c in v] for v in (base, direction))
+    line = LineParam(ProjPoint(base, ctx), ProjPoint(direction, ctx))
+    kernel = la.nullspace([base, direction], n1, ctx)
+    weights = draw(st.lists(SMALL, min_size=len(kernel), max_size=len(kernel)), label="L")
+    form = Poly.from_linear(
+        [sum((w * v[i] for w, v in zip(weights, kernel)), ctx.zero) for i in range(n1)]
+    )
+    exps = st.tuples(*[st.integers(0, 2)] * n1)
+
+    def poly(max_size):
+        terms = draw(st.dictionaries(exps, SMALL, max_size=max_size))
+        return Poly(n1, {e: ctx.from_int(c) for e, c in terms.items()})
+
+    polys = [form * poly(4) + poly(2) for _ in range(draw(st.integers(1, 3)))]
+    return line, form, polys
+
+
+@pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_vanishing_on_line_agrees_with_substitution(ctx, data):
+    line, form, polys = data.draw(line_and_polys(ctx))
+    expected = [line_restrict(q, line).is_zero() for q in polys]
+    assert vanishing_on_line(polys, line) == expected
+    # multiples of L vanish on the line whatever the cofactor
+    members = [form * q for q in polys]
+    assert vanishing_on_line(members, line) == [True] * len(members)
+
+
+@pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+def test_vanishing_on_line_splits_the_homogeneous_parts(ctx):
+    # x0^2 - x0 is zero at every affine point (1, m, 0) of the line, but its
+    # restriction s^2 - s is not zero: each homogeneous part is judged alone
+    x0 = Poly.var(0, 3, ctx.one)
+    line = LineParam(
+        ProjPoint([ctx.one, ctx.zero, ctx.zero], ctx),
+        ProjPoint([ctx.zero, ctx.one, ctx.zero], ctx),
+    )
+    q = x0 * x0 - x0
+    assert not line_restrict(q, line).is_zero()
+    assert vanishing_on_line([q], line) == [False]
+    assert vanishing_on_line([Poly.var(2, 3, ctx.one) * q, Poly.zero(3)], line) == [True, True]
+    assert vanishing_on_line([], line) == []
 
 
 def test_genericity_check_pass_and_failures(flats4):
