@@ -24,6 +24,7 @@ from .mpoly import Evaluator, Poly
 from .projgeo import (
     LineParam,
     ProjPoint,
+    cone_hyperplane,
     evaluate_form,
     flat_intersection,
     genericity_check,
@@ -194,12 +195,12 @@ def _n3_family(flats, ctx, seed=0):
     the moving line.
 
     Both cone rows annihilate p and w identically, so neither is tested.
-    The row of flat j is f1(p)·f2 − f2(p)·f1 with (f1, f2) = (x_j, f_j),
-    and its product with p is f1(p)f2(p) − f2(p)f1(p) = 0.  Its product
-    with w is the first-row expansion of the 4x4 determinant with that
-    row on top of the stacked cone rows and random row, which repeats a
-    row and so is zero.  Both identities hold in any commutative ring,
-    here the binary forms in (s,t).
+    The row of flat j is its `cone_hyperplane` f1(p)·f2 − f2(p)·f1 at the
+    point p(s,t), with (f1, f2) = (x_j, f_j); its product with p is
+    f1(p)f2(p) − f2(p)f1(p) = 0.  Its product with w is the first-row
+    expansion of the 4x4 determinant with that row on top of the stacked
+    cone rows and random row, which repeats a row and so is zero.  Both
+    identities hold in any commutative ring, here the binary forms in (s,t).
     """
     n1 = 4
     span = parametrize_flat(flats[0], ctx)
@@ -208,42 +209,21 @@ def _n3_family(flats, ctx, seed=0):
         Poly(2, {(1, 0): span[0][i], (0, 1): span[1][i]})
         for i in range(n1)
     ]
-    zero2 = Poly.zero(2)
-    cone_rows = []
-    for j in (1, 2):
-        f1_at_p = p[j]
-        a = flats[j].a
-        f2_at_p = Poly.zero(2)
-        for k in range(n1):
-            if a[k]:
-                f2_at_p = f2_at_p + p[k].scale(a[k])
-        row = []
-        for k in range(n1):
-            entry = f1_at_p.scale(a[k]) if a[k] else Poly.zero(2)
-            if k == j:
-                entry = entry - f2_at_p
-            row.append(entry)
-        cone_rows.append(row)
+    cone_rows = [cone_hyperplane(p, flats[j], ctx) for j in (1, 2)]
     # meeting condition with flat 3: the four hyperplanes (two moving cone
     # rows, two fixed rows of flat 3) share a point iff this det vanishes
-    e3 = [Poly.const(ctx.one, 2) if k == 3 else zero2 for k in range(n1)]
-    a3 = [
-        Poly.const(flats[3].a[k], 2) if flats[3].a[k] else zero2 for k in range(n1)
-    ]
-    m = la.det_laplace(cone_rows + [e3, a3])
+    rows3 = [[Poly.const(c, 2) for c in row] for row in flats[3].form_rows(ctx)]
+    m = la.det_laplace(cone_rows + rows3)
     # a second point of the moving line: generalized cross product of the
     # two cone rows and one fixed random row
     rng = seeded_rng(seed, "n3-family")
     for _ in range(16):
         r = [Poly.const(ctx.random_nonzero(rng), 2) for _ in range(n1)]
         stacked = cone_rows + [r]
-        w = []
-        sign = 1
-        for k in range(n1):
-            mk = [[row[c] for c in range(n1) if c != k] for row in stacked]
-            d = la.det_laplace(mk)
-            w.append(d.scale(ctx.from_int(sign)))
-            sign = -sign
+        w = [
+            la.det_laplace([row[:k] + row[k + 1:] for row in stacked]) * (-1) ** k
+            for k in range(n1)
+        ]
         if any(not wk.is_zero() for wk in w):
             break
     return m, p, w
@@ -330,14 +310,14 @@ def check_genericity(inst):
 def check_determinantal(inst, vmap, proofs):
     """Expand every det(B_i) two independent ways and tie it to Q_i.
 
-    The two strategies must agree, the determinant must divide by x_i, and
-    the quotient must equal the stored Q_i and, times x_i, the stored
-    component.  The `minor_dp` expansion is the record's, which
-    `composition` reads too.  That the quotient is the closed form
-    det(M_i) is the identity det(B_i) = x_i·det(M_i) of `maps.compute_Q`,
-    a theorem for canonical flats, so det(M_i) is not expanded here.  Its
-    degree n-1, its vanishing on the flats j != i and its nonzero vertex
-    values are theorems about det(M_i) too (`maps.compute_Q`,
+    The two strategies must agree, the determinant must divide by x_i, the
+    quotient must equal the stored Q_i, and the record's tie of the stored
+    component to x_i·Q_i must be zero.  The `minor_dp` expansion is the
+    record's.  That the quotient is the closed form det(M_i) is the
+    identity det(B_i) = x_i·det(M_i) of `maps.compute_Q`, a theorem for
+    canonical flats, so det(M_i) is not expanded here.  Its degree n-1, its
+    vanishing on the flats j != i and its nonzero vertex values are
+    theorems about det(M_i) too (`maps.compute_Q`,
     `maps.build_forward_map`), so they are not replayed either.
     """
     b = maps.build_matrix_B(inst.flats, inst.ctx)
@@ -351,7 +331,7 @@ def check_determinantal(inst, vmap, proofs):
             return _failed("determinantal", {"i": i, "reason": "determinant not divisible"})
         if q != vmap.Q[i]:
             return _failed("determinantal", {"i": i, "reason": "stored Q differs"})
-        if Poly.var(i, len(b), inst.ctx.one) * q != vmap.components[i]:
+        if proofs.ties()[i]:
             return _failed("determinantal", {"i": i, "reason": "stored component differs"})
         term_counts.append(len(q.terms))
     return _passed(
@@ -360,22 +340,12 @@ def check_determinantal(inst, vmap, proofs):
     )
 
 
-def _verified_witnesses(flats, ctx, cands):
-    """The candidate polynomials if each vanishes on every flat, else None.
-
-    Witnesses serve only the rational pinch of `linear_system_dimension`;
-    over F_p the rank is exact and they go unused, so none are proved there.
-    """
-    if ctx.kind != "qq":
-        return None
-    members = all(maps.vanishes_on_flat(c, f, ctx) for c in cands for f in flats)
-    return cands if members else None
-
-
 def check_dimension(inst, vmap, proofs):
     """The degree-n system has dimension n+1; omitting any flat at degree
-    n-1 leaves exactly one hypersurface, with Q_i as the witness of the
-    system without flat i."""
+    n-1 leaves exactly one hypersurface.  Over Q, Q_i witnesses the system
+    without flat i when the record proves component i on every flat j != i
+    and ties it to x_i·Q_i: the prime ideal (x_j, f_j) holds x_i·Q_i but no
+    x_i, so it holds Q_i."""
     ctx, flats = inst.ctx, inst.flats
     n1 = len(flats)
     n = n1 - 1
@@ -384,11 +354,12 @@ def check_dimension(inst, vmap, proofs):
         return _failed("linear-system-dimension", {"degree": n, "dim": dim})
     omitted = []
     for i in range(n1):
-        subset = [j for j in range(n1) if j != i]
-        wure = _verified_witnesses([flats[j] for j in subset], ctx, [vmap.Q[i]])
-        omitted.append(
-            maps.linear_system_dimension(flats, n - 1, ctx, subset=subset, witnesses=wure)
-        )
+        rest = [f for j, f in enumerate(flats) if j != i]
+        wit = None
+        if ctx.kind == "qq" and not proofs.ties()[i]:
+            if all(v for j, v in enumerate(proofs.vanishing()[i]) if j != i):
+                wit = [vmap.Q[i]]
+        omitted.append(maps.linear_system_dimension(rest, n - 1, ctx, witnesses=wit))
     if any(d != 1 for d in omitted):
         return _failed("linear-system-dimension", {"degree": n - 1, "omit_dims": omitted})
     return _passed("linear-system-dimension", {"dim": dim, "omit_dims": omitted})
@@ -417,22 +388,20 @@ def check_basis(inst, vmap, proofs):
     return _passed("basis-property", {"rank": rank, "dim": dim})
 
 
-def check_b_matrix(vmap, inv):
+def check_b_matrix(vmap, inv, proofs):
     """Zero pattern, exact expansion residual, and g_i equal to row i of b.
 
-    With a zero residual, f_i·Q_i = sum_j b_{i,j} v_j, and with
-    g_i = sum_j b_{i,j} y_j exactly, g_i(v) = f_i·Q_i as polynomials: no
-    point is sampled, since the identity holds at every point.
+    With a zero residual (the record's), f_i·Q_i = sum_j b_{i,j} v_j, and
+    with g_i = sum_j b_{i,j} y_j exactly, g_i(v) = f_i·Q_i as polynomials:
+    no point is sampled, since the identity holds at every point.
     """
     n1 = vmap.n + 1
     for i in range(n1):
         for j in range(n1):
             if (i == j) != (not inv.b[i][j]):
                 return _failed("b-matrix", {"i": i, "j": j, "reason": "zero pattern"})
-        residual = vmap.flats[i].form2_poly() * vmap.Q[i]
-        for j in range(n1):
-            residual = residual - vmap.components[j].scale(inv.b[i][j])
-        if not residual.is_zero():
+        residual = proofs.b_rows()[i]
+        if residual:
             return _failed(
                 "b-matrix",
                 {"i": i, "reason": "nonzero residual", "residual_terms": len(residual.terms)},
@@ -446,12 +415,13 @@ def verify_composition(vmap, inv, proofs):
     """The inverse composed with the map is coordinatewise multiplication
     by the product of all Q_i, proved from the determinantal structure.
 
-    The stored inverse components must equal det(C_i).  Substituting the
-    components into the entries of C (linear forms in y) must give
-    B·diag(Q_0..Q_n) entry for entry: a_{m,k} x_k Q_k off the diagonal and
-    -sum_t b_{m,t} x_t Q_t = -f_m Q_m on it.  Finally det(B_i) = x_i Q_i,
-    with det(B_i) the record's `minor_dp` expansion, so no minor of B is
-    expanded here.
+    The stored inverse components must equal det(C_i), and C(v) (C has
+    linear forms in y) must equal B·diag(Q_0..Q_n).  Entry (m, k) of the
+    difference is a_{m,k}·(v_k − x_k·Q_k) off the diagonal, the record's tie
+    times a nonzero coefficient of a canonical flat, and f_m·Q_m − sum_t
+    b_{m,t} v_t on it, the record's b-row residual; they are read in
+    row-major order.  Finally det(B_i) = x_i Q_i, with det(B_i) the
+    record's `minor_dp` expansion, so no minor of B is expanded here.
     Substitution is a ring homomorphism and determinants are multiplicative,
     so det(C_i)(v) = det(B_i) prod_{k != i} Q_k = x_i prod Q.  The argument
     holds over any commutative ring, so prime fields need no detour.
@@ -468,11 +438,11 @@ def verify_composition(vmap, inv, proofs):
         residual = la.det_poly_matrix(maps.minor_matrix(c, i)) - stored
         if not residual.is_zero():
             return fail({"i": i}, "stored inverse component differs from det(C_i)", residual)
-    b = maps.build_matrix_B(vmap.flats, vmap.ctx)
+    ties, b_rows = proofs.ties(), proofs.b_rows()
     for m in range(n1):
         for k in range(n1):
-            residual = c[m][k].substitute(vmap.components) - b[m][k] * vmap.Q[k]
-            if not residual.is_zero():
+            residual = b_rows[m] if m == k else ties[k]
+            if residual:
                 return fail({"entry": [m, k]}, "C(v) != B·diag(Q)", residual)
     for i, det in enumerate(proofs.determinants()):
         residual = det - Poly.var(i, n1, vmap.ctx.one) * vmap.Q[i]
@@ -553,23 +523,24 @@ def _pair_point(vmap, i, j, seed, scope):
     return _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
 
 
-def _pair_failure(vmap, i, j, seed):
+def _pair_failure(proofs, i, j):
     """Why the line through a point q of flat_i ∩ flat_j that meets every
     flat does not lie inside every Q_k: a witness, or None when it does.
 
     The line meets flats i and j at q, and every other flat by the cone
     hyperplane proof of `transversal_through`, so no meeting is tested.
-    That the line lies inside Q_k is proved by `vanishing_on_line`.
+    That the line lies inside Q_k is proved by the record's line test.
     """
+    vmap = proofs.vmap
     ctx = vmap.ctx
-    q = _pair_point(vmap, i, j, seed, "pair-point")
+    q = _pair_point(vmap, i, j, proofs.seed, "pair-point")
     if q is None:
         return {"pair": [i, j], "reason": "empty intersection"}
     rest = [f for m, f in enumerate(vmap.flats) if m not in (i, j)]
     res = transversal_through(q, rest, ctx)
     if res.kind != "unique":
         return {"pair": [i, j], "reason": f"expected a unique line, got {res.kind}"}
-    for k, inside in enumerate(vanishing_on_line(vmap.Q, res.line)):
+    for k, inside in enumerate(proofs.on_line(res.line)):
         if not inside:
             return {"pair": [i, j], "reason": f"line not inside Q_{k}"}
     return None
@@ -739,9 +710,10 @@ def dual_system_dimension(inv, ctx):
     """Dimension of the degree-n system through all dual flats; reported,
     and only bounded below by n+1 (the inverse components)."""
     n = len(inv.b) - 1
-    wit = None
-    if inv.inverse_components is not None:
-        wit = _verified_witnesses(inv.dual_flats, ctx, inv.inverse_components)
+    wit, comps = None, inv.inverse_components  # witnesses serve only the pinch over Q
+    if ctx.kind == "qq" and comps is not None:
+        if all(maps.vanishes_on_flat(c, f, ctx) for c in comps for f in inv.dual_flats):
+            wit = comps
     return maps.linear_system_dimension(inv.dual_flats, n, ctx, witnesses=wit)
 
 
@@ -841,19 +813,17 @@ def build_all(inst):
 class ProofRecord:
     """The facts that several checks of one report read, each proved once.
 
-    `run_suite` makes one record per report from the report's instance, map
-    and seed.  The first check to read a fact proves it, and the record
-    keeps it until the report is done, so a second report, even of the same
-    instance, proves everything again.  A proof that raises keeps nothing:
-    the crash recurs in every check that reads the fact.  In a report the
-    map carries the instance's flats.  The table and the dimension are read
-    by linear-system-dimension and basis-property, det(B_i) by determinantal
-    and composition, the transversals by base-locus and transversal-sample,
-    the table by base-locus too and the n = 3 family by demos too.
+    `run_suite` makes one record per report from the report's instance, map,
+    inverse data and seed.  The first check to read a fact proves it, and
+    the record keeps it until the report is done, so a second report, even
+    of the same instance, proves everything again.  A proof that raises
+    keeps nothing: the crash recurs in every check that reads the fact.  In
+    a report the map carries the instance's flats.  README lists which
+    checks prove and read each fact.
     """
 
-    def __init__(self, inst, vmap, seed):
-        self.inst, self.vmap, self.seed = inst, vmap, seed
+    def __init__(self, inst, vmap, inv, seed):
+        self.inst, self.vmap, self.inv, self.seed = inst, vmap, inv, seed
         self._facts = {}
 
     def _fact(self, key, prove):
@@ -888,6 +858,28 @@ class ProofRecord:
 
         return self._fact("determinants", prove)
 
+    def ties(self):
+        """v_i − x_i·Q_i for every i: zero when the stored component is x_i·Q_i."""
+        def prove():
+            vmap = self.vmap
+            xs = [Poly.var(i, vmap.n + 1, vmap.ctx.one) for i in range(vmap.n + 1)]
+            return [v - x * q for v, x, q in zip(vmap.components, xs, vmap.Q)]
+
+        return self._fact("ties", prove)
+
+    def b_rows(self):
+        """f_i·Q_i − sum_j b_{i,j}·v_j for every i: zero when row i of b
+        expands f_i·Q_i in the stored components."""
+        def prove():
+            vmap = self.vmap
+            zero = Poly.zero(vmap.n + 1)
+            return [
+                f.form2_poly() * q - sum(map(Poly.scale, vmap.components, row), zero)
+                for f, q, row in zip(vmap.flats, vmap.Q, self.inv.b)
+            ]
+
+        return self._fact("b-rows", prove)
+
     def family(self):
         """The n = 3 transversal family (m, p, w) of `_n3_family`."""
         vmap = self.vmap
@@ -897,9 +889,13 @@ class ProofRecord:
         """The divisibility proof of the family: `_family_failure`."""
         return self._fact("divisibility", lambda: _family_failure(self.vmap, *self.family()))
 
+    def on_line(self, line):
+        """Whether each Q_k vanishes on the line, by the report's one line test."""
+        return self._fact("line-test", lambda: vanishing_on_line(self.vmap.Q))(line)
+
     def pair_failure(self, i, j):
         """The transversal through flat_i ∩ flat_j: `_pair_failure`."""
-        return self._fact(("pair", i, j), lambda: _pair_failure(self.vmap, i, j, self.seed))
+        return self._fact(("pair", i, j), lambda: _pair_failure(self, i, j))
 
 
 def run_suite(
@@ -953,11 +949,11 @@ def run_suite(
         return report.finalize()
     # shared facts live for this report only: the same instance verified
     # again proves them again
-    proofs = ProofRecord(inst, vmap, seed)
+    proofs = ProofRecord(inst, vmap, inv, seed)
     runner("determinantal", lambda: check_determinantal(inst, vmap, proofs))
     runner("linear-system-dimension", lambda: check_dimension(inst, vmap, proofs))
     runner("basis-property", lambda: check_basis(inst, vmap, proofs))
-    runner("b-matrix", lambda: check_b_matrix(vmap, inv))
+    runner("b-matrix", lambda: check_b_matrix(vmap, inv, proofs))
     runner("composition", lambda: verify_composition(vmap, inv, proofs))
     runner("round-trip", lambda: verify_roundtrip_sample(vmap, inv, k, seed))
     runner("base-locus", lambda: verify_base_locus(vmap, proofs))

@@ -181,8 +181,8 @@ def _restriction_rows(flat, d, ctx, mons):
     return [rows[m] for m in sorted(rows)]
 
 
-def linear_system_dimension(flats, d, ctx, subset=None, witnesses=None):
-    """Dimension of the degree-d forms vanishing on every listed flat.
+def linear_system_dimension(flats, d, ctx, witnesses=None):
+    """Dimension of the degree-d forms vanishing on every given flat.
 
     Computed as the nullity of the stacked restriction conditions.  When
     `witnesses` (known members of the system) are supplied and they are
@@ -191,14 +191,10 @@ def linear_system_dimension(flats, d, ctx, subset=None, witnesses=None):
     which avoids the expensive rational elimination in the big cases; if
     the bounds do not meet, the exact elimination runs anyway.
     """
-    chosen = flats if subset is None else [flats[k] for k in subset]
-    nvars = flats[0].nvars
-    mons = monomials_of_degree(nvars, d)
+    mons = monomials_of_degree(flats[0].nvars, d)
     rows = []
-    for f in chosen:
+    for f in flats:
         rows.extend(_restriction_rows(f, d, ctx, mons))
-    if not rows:
-        return len(mons)
     if witnesses is not None and ctx.kind == "qq":
         pinched = _pinch_nullity(rows, mons, witnesses, ctx)
         if pinched is not None:

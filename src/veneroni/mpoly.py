@@ -254,6 +254,8 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
+            if isinstance(other, (int, Rational, Fp)):
+                return self.scale(other)
             return NotImplemented
         self._check(other)
         if not self.terms or not other.terms:
@@ -263,8 +265,11 @@ class Poly:
         b, db = _lower(other.terms, p)
         return _lift(self.nvars, _product(a, b), p, da * db)
 
+    def __rmul__(self, c):
+        return self.__mul__(c)  # scalar · Poly; Poly · Poly never lands here
+
     def scale(self, c):
-        """Multiply by a scalar."""
+        """Multiply by a scalar, as `self * c` and `c * self` do."""
         p = Poly(self.nvars)
         if c:
             p.terms = {e: k * c for e, k in self.terms.items()}

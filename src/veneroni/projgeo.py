@@ -210,8 +210,8 @@ def parametrize_flat(f, ctx):
     return [ProjPoint(v, ctx) for v in la.nullspace(f.form_rows(ctx), f.nvars, ctx)]
 
 
-def vanishing_on_line(polys, line):
-    """For each polynomial, whether it vanishes on the whole line.
+def vanishing_on_line(polys):
+    """The line test: a function of a line, whether each polynomial vanishes on it.
 
     Restriction to the line, x -> s·base + t·dir, maps the degree-d part of
     a polynomial to a binary form of degree d in (s, t), so a polynomial
@@ -220,7 +220,7 @@ def vanishing_on_line(polys, line):
     and (1 : m) for m = 0..d are d+1 distinct points of P^1 (the field has
     characteristic 0 or a prime above 2^30), so a part of degree d vanishes
     on the line exactly when it is zero at base + m·dir for m = 0..d.  This
-    is a proof, not a sample; one `Evaluator` serves every part.
+    is a proof, not a sample; the parts and their `Evaluator` serve every line.
     """
     parts, owners = [], []  # the homogeneous parts, and (polynomial, degree)
     for k, q in enumerate(polys):
@@ -230,15 +230,17 @@ def vanishing_on_line(polys, line):
         for d, terms in by_degree.items():
             parts.append(Poly(q.nvars, terms))
             owners.append((k, d))
-    inside = [True] * len(polys)
-    if not parts:
-        return inside
-    values = Evaluator(parts)
-    for m in range(max(d for _, d in owners) + 1):
-        point = [b + m * v for b, v in zip(line.base, line.dir)]
-        for (k, d), value in zip(owners, values(point)):
-            if value and m <= d:
-                inside[k] = False
+    values = Evaluator(parts) if parts else None
+
+    def inside(line):
+        out = [True] * len(polys)
+        for m in range(max((d for _, d in owners), default=-1) + 1):
+            point = [b + m * v for b, v in zip(line.base, line.dir)]
+            for (k, d), value in zip(owners, values(point)):
+                if value and m <= d:
+                    out[k] = False
+        return out
+
     return inside
 
 

@@ -4,9 +4,12 @@ Restricting a polynomial to the span of points by `Poly.substitute` gives
 the zero polynomial exactly when the polynomial vanishes on the span.  The
 package proves such vanishing otherwise (`projgeo.vanishing_on_line` by
 point values, `maps.vanishes_on_flat` by elimination); these are the
-independent oracles they are tested against.
+independent oracles they are tested against.  The entries of
+C(v) − B·diag(Q) are likewise expanded here by substitution, where
+`checks.verify_composition` reads them from a report's proof record.
 """
 
+from veneroni import maps
 from veneroni.mpoly import Poly
 
 
@@ -20,3 +23,16 @@ def restrict_to_span(p, pts):
 def line_restrict(p, line):
     """The binary form in (s, t): the polynomial restricted to the line."""
     return restrict_to_span(p, [line.base, line.dir])
+
+
+def factorization_entries(vmap, inv):
+    """The entries ((m, k), C[m][k](v) − B[m][k]·Q_k) of C(v) − B·diag(Q),
+    in row-major order, with the components substituted into C."""
+    c = maps.build_matrix_C(vmap, inv)
+    b = maps.build_matrix_B(vmap.flats, vmap.ctx)
+    n1 = vmap.n + 1
+    return [
+        ((m, k), c[m][k].substitute(vmap.components) - b[m][k] * vmap.Q[k])
+        for m in range(n1)
+        for k in range(n1)
+    ]

@@ -46,9 +46,10 @@ def full(n, seed):
     return _full[key]
 
 
-def record(inst, vmap):
-    """A fresh proof record for the checks that read one, as a report has."""
-    return checks.ProofRecord(inst, vmap, inst.seed)
+def record(inst, vmap, inv=None):
+    """A fresh proof record for the checks that read one, as a report has;
+    checks that read no inverse data may leave it out."""
+    return checks.ProofRecord(inst, vmap, inv, inst.seed)
 
 
 def test_criterion_01_determinantal_structure():
@@ -86,10 +87,8 @@ def test_criterion_02_linear_system_dimensions():
             )
             assert dim == n + 1
             for omit in range(n + 1):
-                subset = [j for j in range(n + 1) if j != omit]
-                sub = maps.linear_system_dimension(
-                    inst.flats, n - 1, QQ, subset=subset, witnesses=[vmap.Q[omit]]
-                )
+                rest = [f for j, f in enumerate(inst.flats) if j != omit]
+                sub = maps.linear_system_dimension(rest, n - 1, QQ, witnesses=[vmap.Q[omit]])
                 assert sub == 1
 
 
@@ -100,7 +99,7 @@ def test_criterion_03_b_matrix_laws():
             for j in range(n + 1):
                 assert bool(inv.b[i][j]) == (i != j)
         # the defining expansion must re-verify with zero residual
-        res = checks.check_b_matrix(vmap, inv)
+        res = checks.check_b_matrix(vmap, inv, record(inst, vmap, inv))
         assert res.status == "pass", res.witness
 
 
@@ -108,7 +107,7 @@ def test_criterion_04_composition_identity():
     for n in (2, 3, 4, 5):
         inst, vmap, inv = full(n, 1)
         t0 = time.monotonic()
-        res = checks.verify_composition(vmap, inv, record(inst, vmap))
+        res = checks.verify_composition(vmap, inv, record(inst, vmap, inv))
         elapsed = time.monotonic() - t0
         assert res.status == "pass", res.witness
         assert res.witness["mode"] == "factorization"
@@ -233,7 +232,7 @@ def test_criterion_12_mutation_sensitivity():
     from veneroni.projgeo import Flat
 
     bad_inst.flats[1] = Flat(1, tuple(a))
-    res = checks.check_determinantal(bad_inst, vmap, record(bad_inst, vmap))
+    res = checks.check_determinantal(bad_inst, vmap, record(bad_inst, vmap, inv))
     assert res.status == "fail"
 
     # criterion 3 check: perturbing one b entry must break the expansion
@@ -245,11 +244,11 @@ def test_criterion_12_mutation_sensitivity():
         inverse_components=inv.inverse_components,
         dual_flats=inv.dual_flats,
     )
-    res = checks.check_b_matrix(vmap, bad_inv)
+    res = checks.check_b_matrix(vmap, bad_inv, record(inst, vmap, bad_inv))
     assert res.status == "fail"
 
     # criterion 4 check: the same b perturbation must break the composition
-    res = checks.verify_composition(vmap, bad_inv, record(inst, vmap))
+    res = checks.verify_composition(vmap, bad_inv, record(inst, vmap, bad_inv))
     assert res.status == "fail"
     # ... as must tampering with a stored inverse component directly
     bad_inv2 = maps.InverseData(
@@ -259,7 +258,7 @@ def test_criterion_12_mutation_sensitivity():
                             for i, c in enumerate(inv.inverse_components)],
         dual_flats=inv.dual_flats,
     )
-    res = checks.verify_composition(vmap, bad_inv2, record(inst, vmap))
+    res = checks.verify_composition(vmap, bad_inv2, record(inst, vmap, bad_inv2))
     assert res.status == "fail"
 
 

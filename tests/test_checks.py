@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -22,7 +23,7 @@ from veneroni.projgeo import (
 )
 from veneroni.scalar import FieldCtx
 
-from oracles import line_restrict
+from oracles import factorization_entries, line_restrict
 
 QQ = FieldCtx.rationals()
 M61 = 2305843009213693951  # Mersenne prime 2^61 - 1
@@ -32,9 +33,9 @@ def by_name(report):
     return {c.name: c for c in report.checks}
 
 
-def record(inst, vmap):
+def record(inst, vmap, inv):
     """A fresh proof record for the checks that read one, as a report has."""
-    return checks.ProofRecord(inst, vmap, inst.seed)
+    return checks.ProofRecord(inst, vmap, inv, inst.seed)
 
 
 @pytest.fixture(scope="module")
@@ -232,9 +233,9 @@ def _tamper(vmap, inv, target, two):
 def test_tampering_fails_composition_by_name(field, target, index, reason):
     inst = random_general_flats(3, 4, field)
     vmap, inv = checks.build_all(inst)
-    assert checks.verify_composition(vmap, inv, record(inst, vmap)).status == "pass"
+    assert checks.verify_composition(vmap, inv, record(inst, vmap, inv)).status == "pass"
     _tamper(vmap, inv, target, field.from_int(2))
-    res = checks.verify_composition(vmap, inv, record(inst, vmap))
+    res = checks.verify_composition(vmap, inv, record(inst, vmap, inv))
     assert res.status == "fail"
     assert res.witness["reason"] == reason
     assert {k: res.witness[k] for k in index} == index
@@ -244,13 +245,13 @@ def test_tampering_fails_composition_by_name(field, target, index, reason):
 @pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
 def test_component_off_the_system_fails_by_name(field):
     inst = random_general_flats(3, 4, field)
-    vmap, _ = checks.build_all(inst)
-    assert checks.verify_base_locus(vmap, record(inst, vmap)).status == "pass"
-    assert checks.check_basis(inst, vmap, record(inst, vmap)).status == "pass"
+    vmap, inv = checks.build_all(inst)
+    assert checks.verify_base_locus(vmap, record(inst, vmap, inv)).status == "pass"
+    assert checks.check_basis(inst, vmap, record(inst, vmap, inv)).status == "pass"
     # x_0^3 vanishes on flat 0, where x_0 = 0, but not on flat 1
     vmap.components = list(vmap.components)
     vmap.components[2] = vmap.components[2] + Poly.var(0, 4, field.one) ** 3
-    proofs = record(inst, vmap)
+    proofs = record(inst, vmap, inv)
     res = checks.verify_base_locus(vmap, proofs)
     assert res.status == "fail"
     assert res.witness == {"component": 2, "flat": 1, "reason": "no vanishing"}
@@ -271,12 +272,68 @@ def test_component_of_the_wrong_degree_fails_by_name(field, extra):
         "component": 1,
         "reason": "not homogeneous of degree n",
     }
-    # the composition proof substitutes images of mixed degrees and fails
-    # on the first entry of C(v) that the bad component reaches
+    # entry (0, 0) of C(v) − B·diag(Q) is the b-row residual of row 0,
+    # b_{0,1} times the extra term: the first entry the bad component reaches
     assert res["composition"].witness == {
         "entry": [0, 0],
         "reason": "C(v) != B·diag(Q)",
         "residual_terms": 1,
+    }
+
+
+FIELDS = [QQ, FieldCtx.prime(2147483647)]
+_BUILT = {}
+
+
+def _built(n, field):
+    """Instance, map and inverse of seed 5, built once per (n, field)."""
+    key = (n, field.kind)
+    if key not in _BUILT:
+        inst = random_general_flats(n, 5, field)
+        _BUILT[key] = (inst, *checks.build_all(inst))
+    return _BUILT[key]
+
+
+@st.composite
+def tampered_factorization(draw):
+    """A correct map with one change: a coefficient of one Q_k, of one
+    component or of one b entry (the inverse components then rebuilt from
+    the new b, so that they still equal det(C_i)), or a term of another
+    degree added to one component."""
+    field = draw(st.sampled_from(FIELDS), label="field")
+    n = draw(st.integers(2, 5), label="n")
+    inst, vmap, inv = _built(n, field)
+    vmap = dataclasses.replace(vmap, Q=list(vmap.Q), components=list(vmap.components))
+    inv = dataclasses.replace(inv, b=[row[:] for row in inv.b])
+    k = draw(st.integers(0, n), label="k")
+    delta = field.from_int(draw(st.integers(1, 9), label="delta"))
+    target = draw(st.sampled_from(["Q", "component", "b", "degree"]), label="target")
+    if target == "b":
+        t = draw(st.integers(0, n), label="t")
+        inv.b[k][t] = inv.b[k][t] + delta
+        maps.build_inverse_map(vmap, inv)
+    elif target == "degree":
+        exps = st.tuples(*[st.integers(0, 2)] * (n + 1)).filter(lambda e: sum(e) != n)
+        extra = Poly(n + 1, {draw(exps, label="e"): delta})
+        vmap.components[k] = vmap.components[k] + extra
+    else:
+        polys = vmap.Q if target == "Q" else vmap.components
+        e = draw(st.sampled_from(sorted(polys[k].terms)), label="e")
+        polys[k] = polys[k] + Poly(n + 1, {e: delta})
+    return inst, vmap, inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tampered_factorization())
+def test_composition_fails_at_the_oracles_first_nonzero_entry(case):
+    inst, vmap, inv = case
+    (m, k), residual = next((mk, r) for mk, r in factorization_entries(vmap, inv) if r)
+    res = checks.verify_composition(vmap, inv, record(inst, vmap, inv))
+    assert res.status == "fail"
+    assert res.witness == {
+        "entry": [m, k],
+        "reason": "C(v) != B·diag(Q)",
+        "residual_terms": len(residual.terms),
     }
 
 
@@ -377,8 +434,8 @@ def test_component_off_the_system_fails_basis_through_run_suite(field):
 
 def test_check_basis_alone_proves_the_dimension():
     inst = random_general_flats(3, 4, QQ)
-    vmap, _ = checks.build_all(inst)
-    res = checks.check_basis(inst, vmap, record(inst, vmap))
+    vmap, inv = checks.build_all(inst)
+    res = checks.check_basis(inst, vmap, record(inst, vmap, inv))
     assert res.status == "pass"
     assert res.witness == {"rank": 4, "dim": 4}
 
@@ -419,18 +476,31 @@ FP31 = FieldCtx.prime(2147483647)
 @pytest.mark.parametrize(
     "n, field, level, expected",
     [
-        # 16 component/flat pairs, 12 Q_i on the flats j != i, and 16
-        # inverse components on the dual flats, each proved once
-        (3, QQ, "full", {"vanishes_on_flat": 44, "_n3_family": 1, "compute_Q": 0}),
+        # 16 component/flat pairs and 16 inverse components on the dual
+        # flats, each proved once; Q_i on the flats j != i follows from the
+        # table and the ties, so it is not proved
+        (
+            3, QQ, "full",
+            {"vanishes_on_flat": 32, "_n3_family": 1, "compute_Q": 0, "vanishing_on_line": 0},
+        ),
         # over F_p no witness is proved: only the 25 component/flat pairs
-        (4, FP31, "fast", {"vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 0}),
+        (
+            4, FP31, "fast",
+            {"vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 0, "vanishing_on_line": 1},
+        ),
     ],
     ids=["n3-qq-full", "n4-fp-fast"],
 )
 def test_each_shared_fact_is_proved_once_per_report(monkeypatch, n, field, level, expected):
     inst = random_general_flats(n, 11, field)
     vmap, inv = checks.build_all(inst)
-    calls, pairs = Counter(), set()
+    calls, pairs, built = Counter(), set(), Counter()
+    fact = checks.ProofRecord._fact
+
+    def proving(record, key, prove):
+        if key not in record._facts:
+            built[key] += 1
+        return fact(record, key, prove)
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -443,40 +513,52 @@ def test_each_shared_fact_is_proved_once_per_report(monkeypatch, n, field, level
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((maps, "vanishes_on_flat"), (maps, "compute_Q"), (checks, "_n3_family")):
+    for owner, name in (
+        (maps, "vanishes_on_flat"),
+        (maps, "compute_Q"),
+        (checks, "_n3_family"),
+        (checks, "vanishing_on_line"),
+    ):
         counted(owner, name)
+    monkeypatch.setattr(checks.ProofRecord, "_fact", proving)
+    # the ties, the b-row residuals and (at n >= 4) the line test of the Q_k
+    once = {"ties": 1, "b-rows": 1, "line-test": expected["vanishing_on_line"]}
     assert checks.run_suite(inst, vmap, inv, level=level).ok
     assert {name: calls[name] for name in expected} == expected
     assert len(pairs) == expected["vanishes_on_flat"]
+    assert {key: built[key] for key in once} == once
     # a second report of the same instance proves everything again
     assert checks.run_suite(inst, vmap, inv, level=level).ok
     assert {name: calls[name] for name in expected} == {k: 2 * v for k, v in expected.items()}
+    assert {key: built[key] for key in once} == {k: 2 * v for k, v in once.items()}
 
 
-def test_a_full_n4_verify_substitutes_only_in_composition(monkeypatch):
-    # the transversal lines of base-locus and transversal-sample are proved
-    # inside every Q_k by point values, so only the (n+1)^2 entries of C(v)
-    # are substituted
-    inst = random_general_flats(4, 11, QQ)
+@pytest.mark.parametrize("n", [3, 4], ids=["n3", "n4"])
+def test_a_full_verify_substitutes_only_in_the_n3_family_proof(monkeypatch, n):
+    # composition reads the entries of C(v) − B·diag(Q) from the record's
+    # ties and b-row residuals, and the transversal lines at n >= 4 are
+    # proved inside every Q_k by point values; only the n = 3 family proof
+    # substitutes, once per Q_i
+    inst = random_general_flats(n, 11, QQ)
     vmap, inv = checks.build_all(inst)
-    substitute, compose = Poly.substitute, checks.verify_composition
+    substitute, family = Poly.substitute, checks._family_failure
     calls, inside = Counter(), []
 
     def counted(self, images):
-        calls["composition" if inside else "elsewhere"] += 1
+        calls["family" if inside else "elsewhere"] += 1
         return substitute(self, images)
 
-    def composition(*args):
+    def family_failure(*args):
         inside.append(True)
         try:
-            return compose(*args)
+            return family(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(Poly, "substitute", counted)
-    monkeypatch.setattr(checks, "verify_composition", composition)
+    monkeypatch.setattr(checks, "_family_failure", family_failure)
     assert checks.run_suite(inst, vmap, inv, level="full").ok
-    assert calls == {"composition": 25}
+    assert calls == ({"family": n + 1} if n == 3 else {})
 
 
 @pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])

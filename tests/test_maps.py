@@ -262,10 +262,10 @@ def test_linear_system_dimensions_n2():
     flats = random_general_flats(2, 42, QQ).flats
     assert maps.linear_system_dimension(flats, 2, QQ) == 3
     for omit in range(3):
-        subset = [j for j in range(3) if j != omit]
-        assert maps.linear_system_dimension(flats, 1, QQ, subset=subset) == 1
+        rest = [f for j, f in enumerate(flats) if j != omit]
+        assert maps.linear_system_dimension(rest, 1, QQ) == 1
     # two points impose two conditions on conics
-    assert maps.linear_system_dimension(flats, 2, QQ, subset=[0, 1]) == 4
+    assert maps.linear_system_dimension(flats[:2], 2, QQ) == 4
 
 
 def test_linear_system_dimensions_n3(m3):
@@ -273,8 +273,8 @@ def test_linear_system_dimensions_n3(m3):
     flats = vmap.flats
     assert maps.linear_system_dimension(flats, 3, QQ) == 4
     for omit in range(4):
-        subset = [j for j in range(4) if j != omit]
-        assert maps.linear_system_dimension(flats, 2, QQ, subset=subset) == 1
+        rest = [f for j, f in enumerate(flats) if j != omit]
+        assert maps.linear_system_dimension(rest, 2, QQ) == 1
 
 
 def test_witness_pinch_agrees_with_exact_path(m3):

@@ -50,6 +50,23 @@ def test_ring_laws(ctx):
         assert a * Poly.const(ctx.one, 3) == a
 
 
+@pytest.mark.parametrize("ctx", [QQ, FP])
+def test_a_product_with_a_field_scalar_is_a_scaling(ctx):
+    rng = random.Random(17)
+    a = rand_poly(ctx, rng)
+    for c in (ctx.from_int(-3), ctx.random(rng), 5, 0):
+        assert a * c == a.scale(c) == c * a
+        assert (a * c).nvars == (c * a).nvars == 3
+    assert a * ctx.zero == Poly.zero(3)
+    for other in ("2", 2.0, None, [1]):
+        assert a.__mul__(other) is NotImplemented
+        assert a.__rmul__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            a * other
+        with pytest.raises(TypeError):
+            other * a
+
+
 def test_pow_matches_repeated_product():
     rng = random.Random(5)
     a = rand_poly(QQ, rng)

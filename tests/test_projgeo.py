@@ -252,7 +252,7 @@ def test_line_restriction_of_a_quadric(flats4):
     q = flats4[0].form2_poly() * Poly.var(0, 5, QQ.one)
     b = line_restrict(q, res.line)
     assert b.nvars == 2 and b.degree() == 2
-    assert vanishing_on_line([q], res.line) == [False]
+    assert vanishing_on_line([q])(res.line) == [False]
 
 
 SMALL = st.integers(-4, 4)
@@ -293,10 +293,10 @@ def line_and_polys(draw, ctx):
 def test_vanishing_on_line_agrees_with_substitution(ctx, data):
     line, form, polys = data.draw(line_and_polys(ctx))
     expected = [line_restrict(q, line).is_zero() for q in polys]
-    assert vanishing_on_line(polys, line) == expected
+    assert vanishing_on_line(polys)(line) == expected
     # multiples of L vanish on the line whatever the cofactor
     members = [form * q for q in polys]
-    assert vanishing_on_line(members, line) == [True] * len(members)
+    assert vanishing_on_line(members)(line) == [True] * len(members)
 
 
 @pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
@@ -310,9 +310,9 @@ def test_vanishing_on_line_splits_the_homogeneous_parts(ctx):
     )
     q = x0 * x0 - x0
     assert not line_restrict(q, line).is_zero()
-    assert vanishing_on_line([q], line) == [False]
-    assert vanishing_on_line([Poly.var(2, 3, ctx.one) * q, Poly.zero(3)], line) == [True, True]
-    assert vanishing_on_line([], line) == []
+    assert vanishing_on_line([q])(line) == [False]
+    assert vanishing_on_line([Poly.var(2, 3, ctx.one) * q, Poly.zero(3)])(line) == [True, True]
+    assert vanishing_on_line([])(line) == []
 
 
 def test_genericity_check_pass_and_failures(flats4):
