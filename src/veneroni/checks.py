@@ -15,13 +15,14 @@ proved once per report, in a `ProofRecord`.  run_suite assembles the fixed
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations, islice
 
 from . import exactla as la
 from . import maps
 from .mpoly import Evaluator, Poly
 from .projgeo import (
+    Flat,
     LineParam,
     ProjPoint,
     cone_hyperplane,
@@ -300,10 +301,7 @@ def _family_lines(ctx, m, p, w):
 def check_genericity(inst):
     rep = genericity_check(inst.flats, inst.ctx, seed=inst.seed)
     if rep.ok:
-        return _passed(
-            "genericity",
-            {"conditions": ["canonical", "intersections", "transversals", "divisibility"]},
-        )
+        return _passed("genericity", {"conditions": ["canonical", "intersections", "transversals"]})
     return _failed("genericity", {"failures": rep.failures})
 
 
@@ -312,15 +310,15 @@ def check_determinantal(inst, vmap, proofs):
 
     The two strategies must agree, the determinant must divide by x_i, the
     quotient must equal the stored Q_i, and the record's tie of the stored
-    component to x_i·Q_i must be zero.  The `minor_dp` expansion is the
-    record's.  That the quotient is the closed form det(M_i) is the
+    component to x_i·Q_i must be zero.  B and its `minor_dp` expansion are
+    the record's.  That the quotient is the closed form det(M_i) is the
     identity det(B_i) = x_i·det(M_i) of `maps.compute_Q`, a theorem for
     canonical flats, so det(M_i) is not expanded here.  Its degree n-1, its
     vanishing on the flats j != i and its nonzero vertex values are
     theorems about det(M_i) too (`maps.compute_Q`,
     `maps.build_forward_map`), so they are not replayed either.
     """
-    b = maps.build_matrix_B(inst.flats, inst.ctx)
+    b = proofs.matrix()
     term_counts = []
     for i, det_a in enumerate(proofs.determinants()):
         if det_a != la.det_poly_matrix(maps.minor_matrix(b, i), "bareiss"):
@@ -412,20 +410,27 @@ def check_b_matrix(vmap, inv, proofs):
 
 
 def verify_composition(vmap, inv, proofs):
-    """The inverse composed with the map is coordinatewise multiplication
-    by the product of all Q_i, proved from the determinantal structure.
+    """Both composites are coordinatewise multiplication by a product,
+    w∘v = x·∏Q_i and v∘w = y·∏Q'_i, proved from the determinantal structure.
 
-    The stored inverse components must equal det(C_i), and C(v) (C has
-    linear forms in y) must equal B·diag(Q_0..Q_n).  Entry (m, k) of the
-    difference is a_{m,k}·(v_k − x_k·Q_k) off the diagonal, the record's tie
-    times a nonzero coefficient of a canonical flat, and f_m·Q_m − sum_t
-    b_{m,t} v_t on it, the record's b-row residual; they are read in
-    row-major order.  Finally det(B_i) = x_i Q_i, with det(B_i) the
-    record's `minor_dp` expansion, so no minor of B is expanded here.
-    Substitution is a ring homomorphism and determinants are multiplicative,
-    so det(C_i)(v) = det(B_i) prod_{k != i} Q_k = x_i prod Q.  The argument
-    holds over any commutative ring, so prime fields need no detour.
-    Nothing is sampled.
+    The stored inverse components w_i must be y_i·Q'_i, the dual record's
+    ties, and C(v) (C has linear forms in y) must equal B·diag(Q_0..Q_n).
+    Entry (m, k) of the difference is a_{m,k}·(v_k − x_k·Q_k) off the
+    diagonal, the record's tie times a nonzero coefficient of a canonical
+    flat, and f_m·Q_m − sum_t b_{m,t} v_t on it, the record's b-row
+    residual; they are read in row-major order.  Finally det(B_i) = x_i Q_i,
+    with det(B_i) the record's `minor_dp` expansion.  Substitution is a ring
+    homomorphism and determinants are multiplicative, so
+    det(C_i)(v) = det(B_i) prod_{k != i} Q_k = x_i prod Q.
+
+    y_i·Q'_i = det(C_i) by the minor lemma of `maps.build_inverse_map`,
+    which needs b = A^T, and a pass forces it: the ties and det(B_i) =
+    x_i Q_i make the v_j the construction components, independent at the
+    vertices (only v_k is nonzero at e_k), so the zero b-row residuals make
+    row i of b the one expansion of f_i·Q_i, which `maps.solve_b_matrix`
+    proves is row i of A^T.  v∘w is then the same theorem for the dual
+    instance, whose b-matrix is A; it is cited, not expanded.  All of it
+    holds over any commutative ring.  Nothing is sampled.
     """
     n1 = vmap.n + 1
 
@@ -433,10 +438,11 @@ def verify_composition(vmap, inv, proofs):
         wit = dict(index, reason=reason, residual_terms=len(residual.terms))
         return _failed("composition", wit)
 
-    c = maps.build_matrix_C(vmap, inv)
-    for i, stored in enumerate(inv.inverse_components or []):
-        residual = la.det_poly_matrix(maps.minor_matrix(c, i)) - stored
-        if not residual.is_zero():
+    dual = proofs.dual()
+    if dual is None:
+        return _failed("composition", {"reason": _NO_DUAL})
+    for i, residual in enumerate(dual.ties()):
+        if residual:
             return fail({"i": i}, "stored inverse component differs from det(C_i)", residual)
     ties, b_rows = proofs.ties(), proofs.b_rows()
     for m in range(n1):
@@ -448,7 +454,8 @@ def verify_composition(vmap, inv, proofs):
         residual = det - Poly.var(i, n1, vmap.ctx.one) * vmap.Q[i]
         if not residual.is_zero():
             return fail({"i": i}, "det(B_i) != x_i·Q_i", residual)
-    return _passed("composition", {"mode": "factorization", "entries": n1 * n1, "minors": n1})
+    wit = {"mode": "factorization", "entries": n1 * n1, "minors": n1}
+    return _passed("composition", dict(wit, inverse="v∘w = y·∏Q'_i by the dual instance"))
 
 
 def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
@@ -706,36 +713,26 @@ def check_class_matrix(n):
     return _passed("class-matrix", {"size": size, "square": "identity"})
 
 
-def dual_system_dimension(inv, ctx):
-    """Dimension of the degree-n system through all dual flats; reported,
-    and only bounded below by n+1 (the inverse components)."""
-    n = len(inv.b) - 1
-    wit, comps = None, inv.inverse_components  # witnesses serve only the pinch over Q
-    if ctx.kind == "qq" and comps is not None:
-        if all(maps.vanishes_on_flat(c, f, ctx) for c in comps for f in inv.dual_flats):
-            wit = comps
-    return maps.linear_system_dimension(inv.dual_flats, n, ctx, witnesses=wit)
+_NO_DUAL = "a row of b is off the canonical pattern: no dual flats"
 
 
-def check_dual_dimension(vmap, inv):
-    """The dual flats are (y_i, g_i) with g_i row i of b, and their degree-n
-    system has dimension at least n+1."""
-    n = vmap.n
+def check_dual_dimension(vmap, inv, proofs):
+    """The stored dual flats are (y_i, g_i) with g_i row i of b, and the
+    degree-n system through them has dimension exactly n+1: the dual
+    record's dimension."""
+    n1 = vmap.n + 1
     for i, (row, f) in enumerate(zip(inv.b, inv.dual_flats)):
         if (f.j, tuple(f.a)) != (i, tuple(row)):
             return _failed(
                 "dual-dimension", {"j": i, "reason": "dual flat differs from row i of b"}
             )
-    dim = dual_system_dimension(inv, vmap.ctx)
-    if dim < n + 1:
-        return _failed(
-            "dual-dimension",
-            {"dim": dim, "reason": "below the inverse-component span"},
-        )
-    if n == 2 and dim != 3:
-        return _failed("dual-dimension", {"dim": dim, "reason": "expected 3 for n=2"})
-    note = "asserted equal" if n == 2 else "reported only; equality not asserted"
-    return _passed("dual-dimension", {"dim": dim, "expected_at_least": n + 1, "note": note})
+    dual = proofs.dual()
+    if dual is None:
+        return _failed("dual-dimension", {"reason": _NO_DUAL})
+    dim = dual.dimension()
+    if dim != n1:
+        return _failed("dual-dimension", {"dim": dim, "expected": n1})
+    return _passed("dual-dimension", {"dim": dim, "expected": n1})
 
 
 def residual_component_example(flats, qs, ctx, seed=0):
@@ -818,8 +815,9 @@ class ProofRecord:
     the record keeps it until the report is done, so a second report, even
     of the same instance, proves everything again.  A proof that raises
     keeps nothing: the crash recurs in every check that reads the fact.  In
-    a report the map carries the instance's flats.  README lists which
-    checks prove and read each fact.
+    a report the map carries the instance's flats.  The record of the dual
+    instance is itself a fact (`dual`), with facts of its own.  README
+    lists which checks prove and read each fact.
     """
 
     def __init__(self, inst, vmap, inv, seed):
@@ -849,14 +847,16 @@ class ProofRecord:
 
         return self._fact("dimension", prove)
 
+    def matrix(self):
+        """The defining matrix B of the flats."""
+        return self._fact("matrix", lambda: maps.build_matrix_B(self.inst.flats, self.inst.ctx))
+
     def determinants(self):
         """det(B_i) by `minor_dp`, for every i."""
-        def prove():
-            b = maps.build_matrix_B(self.inst.flats, self.inst.ctx)
-            minors = [maps.minor_matrix(b, i) for i in range(len(b))]
-            return [la.det_poly_matrix(m, "minor_dp") for m in minors]
-
-        return self._fact("determinants", prove)
+        b = self.matrix()
+        return self._fact("determinants", lambda: [
+            la.det_poly_matrix(maps.minor_matrix(b, i), "minor_dp") for i in range(len(b))
+        ])
 
     def ties(self):
         """v_i − x_i·Q_i for every i: zero when the stored component is x_i·Q_i."""
@@ -879,6 +879,22 @@ class ProofRecord:
             ]
 
         return self._fact("b-rows", prove)
+
+    def dual(self):
+        """The record of the dual instance, or None when a row of b is off
+        the canonical pattern.  Its flats (y_i, g_i) are the rows of b, its
+        components the stored inverse components, and its Q'_i those of
+        `maps.build_forward_map` of the rows.  It has no inverse data: no
+        check reads the dual's b-rows."""
+        def prove():
+            flats = [Flat(i, tuple(row)) for i, row in enumerate(self.inv.b)]
+            if not all(f.is_canonical() for f in flats):
+                return None
+            dual = maps.build_forward_map(flats, self.inst.ctx)
+            dual = replace(dual, components=self.inv.inverse_components)
+            return ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed)
+
+        return self._fact("dual", prove)
 
     def family(self):
         """The n = 3 transversal family (m, p, w) of `_n3_family`."""
@@ -960,6 +976,6 @@ def run_suite(
     runner("transversal-sample", lambda: check_transversal_sample(vmap, proofs))
     runner("multiplicity", lambda: check_multiplicity(vmap, seed))
     runner("class-matrix", lambda: check_class_matrix(n))
-    runner("dual-dimension", lambda: check_dual_dimension(vmap, inv))
+    runner("dual-dimension", lambda: check_dual_dimension(vmap, inv, proofs))
     runner("demos", lambda: check_demos(vmap, level, proofs))
     return report.finalize()

@@ -8,15 +8,15 @@ the n+1 products x_i Q_i are the components of the degree-n map v_n.  The
 inverse comes from rewriting each f_i Q_i in the component basis; the
 coefficients form the b-matrix, which is the transpose of the flat matrix
 A = (a_{i,k}) because the rows of B sum to zero.  Row i of b gives the
-linear form g_i, the analogous matrix C in the target coordinates, and
-inverse components det(C_i).
+linear form g_i, and the rows of b are again canonical flats (y_i, g_i):
+the inverse is the Veneroni map of these dual flats (`build_inverse_map`).
 
 For canonical flats of P^n, n >= 2, every construction invariant (degrees,
-vanishing on the flats and dual flats, nonzero values at the vertices, the
-b-matrix expansion and its zero pattern) is a theorem about the shape of B
-and C, general instance or not.  The constructors state the proofs and
-test none of them; the verification suite re-derives them from stored,
-untrusted data.
+vanishing on the flats, nonzero values at the vertices, the b-matrix
+expansion and its zero pattern) is a theorem about the shape of B, general
+instance or not, and the inverse inherits them as the map of the dual
+flats.  The constructors state the proofs and test none of them; the
+verification suite re-derives them from stored, untrusted data.
 """
 
 from dataclasses import dataclass
@@ -53,25 +53,16 @@ class BaseLocusError(Exception):
     """The map was applied at a point where every component vanishes."""
 
 
-def _determinantal_matrix(flats, diagonal):
-    """Entry (i,k) = a_{i,k} x_k off the diagonal, and minus the linear form
-    with coefficients diagonal[i] on it."""
-    n1 = len(flats)
-    return [
-        [
-            -Poly.from_linear(diagonal[i]) if k == i else Poly.var(k, n1, f.a[k])
-            for k in range(n1)
-        ]
-        for i, f in enumerate(flats)
-    ]
-
-
 def build_matrix_B(flats, ctx):
     """The defining matrix: diagonal -f_i, entry (i,k) = a_{i,k} x_k."""
     for f in flats:
         if not f.is_canonical():
             raise ConstructionError(f"flat {f.j} is not canonical")
-    return _determinantal_matrix(flats, [f.a for f in flats])
+    n1 = len(flats)
+    return [
+        [-f.form2_poly() if k == i else Poly.var(k, n1, f.a[k]) for k in range(n1)]
+        for i, f in enumerate(flats)
+    ]
 
 
 def minor_matrix(m, i):
@@ -83,8 +74,9 @@ def minor_matrix(m, i):
     ]
 
 
-def compute_Q(flats, i, ctx):
-    """Q_i = det(B_i) / x_i in closed form, as det(M_i).
+def compute_Q(flats, i, ctx, b=None):
+    """Q_i = det(B_i) / x_i in closed form, as det(M_i); `b` is the flats'
+    matrix B when the caller has built it.
 
     For canonical flats (a_{j,j} = 0) each row of B sums to zero, so row j
     of B_i sums to -a_{j,i} x_i.  Adding every other column of B_i to its
@@ -100,7 +92,7 @@ def compute_Q(flats, i, ctx):
     and Q_i(e_i) = prod_{j != i} (-a_{j,i}) != 0.
     """
     n1 = len(flats)
-    m = minor_matrix(build_matrix_B(flats, ctx), i)
+    m = minor_matrix(build_matrix_B(flats, ctx) if b is None else b, i)
     for row, j in zip(m, (j for j in range(n1) if j != i)):
         row[0] = Poly.const(-flats[j].a[i], n1)
     return la.det_poly_matrix(m)
@@ -283,18 +275,19 @@ def build_forward_map(flats, ctx):
     j != i, and x_i lies in the ideal (x_i, f_i) of flat i.
     """
     n1 = len(flats)
-    qs = [compute_Q(flats, i, ctx) for i in range(n1)]
+    b = build_matrix_B(flats, ctx)
+    qs = [compute_Q(flats, i, ctx, b) for i in range(n1)]
     components = [Poly.var(i, n1, ctx.one) * q for i, q in enumerate(qs)]
     return VeneroniMap(n=n1 - 1, ctx=ctx, flats=list(flats), Q=qs, components=components)
 
 
 @dataclass
 class InverseData:
-    """The inverse map u_n: b-matrix, forms g_i, det(C_i), dual flats."""
+    """The inverse map u_n: b-matrix, forms g_i, its components, dual flats."""
 
     b: list  # (n+1) x (n+1) scalars, b[i][j] = 0 iff i = j
     g: list  # linear forms in the y-variables, row i of b
-    inverse_components: list | None = None  # det(C_i), degree n
+    inverse_components: list | None = None  # y_i Q'_i, degree n
     dual_flats: list | None = None  # ideals (y_i, g_i)
 
 
@@ -315,31 +308,20 @@ def solve_b_matrix(vmap):
     return InverseData(b=b, g=[Poly.from_linear(row) for row in b])
 
 
-def build_matrix_C(vmap, inv):
-    """Like B but in the y-variables, with -g_i replacing -f_i.
-
-    The diagonal forms are rebuilt from the b rows (their defining data)
-    rather than read from inv.g, so stale or tampered g forms cannot leak
-    into the inverse.
-    """
-    return _determinantal_matrix(vmap.flats, inv.b)
-
-
 def build_inverse_map(vmap, inv):
-    """Complete the inverse: components det(C_i) and the dual flats (y_i, g_i).
+    """Complete the inverse: the Veneroni map of the dual flats (y_i, g_i),
+    the rows of b, with components y_i Q'_i.
 
-    For b = A^T the dual flats are canonical, and as for the forward map the
-    invariants are theorems, so none is tested here.  Column j of C_i lies
-    in the ideal (y_j, g_j), so det(C_i) vanishes on every dual flat j != i.
-    All entries of C are linear forms, so det(C_i) is homogeneous of degree
-    n or zero, and it is not zero: at e_i the matrix C_i is diagonal with
-    entries -b[j][i] = -a_{i,j}, so det(C_i)(e_i) = prod_{j != i} (-a_{i,j}).
+    For b = A^T the dual flats are canonical, so the invariants of
+    `build_forward_map` hold and none is tested here, and their b-matrix is
+    A again.  That the map is the inverse of v: the classical inverse
+    components are det(C_i), with C the matrix B in y with -g_i on its
+    diagonal, entry (i,k) = a_{i,k} y_k.  With Y = diag(y) and B' the dual
+    flats' matrix, entry (r,c) = b_{r,c} y_c, b = A^T gives C^T = Y·B'·Y^-1,
+    and a diagonal similarity keeps principal minors: det(C_i) = y_i Q'_i.
     """
-    c = build_matrix_C(vmap, inv)
-    inv.inverse_components = [
-        la.det_poly_matrix(minor_matrix(c, i)) for i in range(vmap.n + 1)
-    ]
     inv.dual_flats = [Flat(i, tuple(row)) for i, row in enumerate(inv.b)]
+    inv.inverse_components = build_forward_map(inv.dual_flats, vmap.ctx).components
     return inv
 
 

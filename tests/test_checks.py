@@ -23,7 +23,7 @@ from veneroni.projgeo import (
 )
 from veneroni.scalar import FieldCtx
 
-from oracles import factorization_entries, line_restrict
+from oracles import factorization_entries, line_restrict, matrix_C
 
 QQ = FieldCtx.rationals()
 M61 = 2305843009213693951  # Mersenne prime 2^61 - 1
@@ -104,8 +104,14 @@ def test_suite_n5_samples_composition(suite5):
     _, report = suite5
     assert report.ok
     res = by_name(report)
-    # n=5 is proved, not sampled: all 36 entries of C(v) and 6 minors of B
-    assert res["composition"].witness == {"mode": "factorization", "entries": 36, "minors": 6}
+    # n=5 is proved, not sampled: all 36 entries of C(v) and 6 minors of B;
+    # v∘w is the dual instance's composition, cited
+    assert res["composition"].witness == {
+        "mode": "factorization",
+        "entries": 36,
+        "minors": 6,
+        "inverse": "v∘w = y·∏Q'_i by the dual instance",
+    }
     assert res["demos"].status == "skip"
 
 
@@ -297,9 +303,12 @@ def _built(n, field):
 @st.composite
 def tampered_factorization(draw):
     """A correct map with one change: a coefficient of one Q_k, of one
-    component or of one b entry (the inverse components then rebuilt from
-    the new b, so that they still equal det(C_i)), or a term of another
-    degree added to one component."""
+    component or of one b entry off the diagonal, or a term of another
+    degree added to one component.  A changed b entry stays nonzero, so
+    that the rows of b are still canonical flats, and the inverse
+    components are rebuilt as their map: the dual record's ties then hold
+    and the first failure is an entry of C(v) − B·diag(Q).  A b off the
+    canonical pattern has its own test."""
     field = draw(st.sampled_from(FIELDS), label="field")
     n = draw(st.integers(2, 5), label="n")
     inst, vmap, inv = _built(n, field)
@@ -309,8 +318,8 @@ def tampered_factorization(draw):
     delta = field.from_int(draw(st.integers(1, 9), label="delta"))
     target = draw(st.sampled_from(["Q", "component", "b", "degree"]), label="target")
     if target == "b":
-        t = draw(st.integers(0, n), label="t")
-        inv.b[k][t] = inv.b[k][t] + delta
+        t = draw(st.sampled_from([t for t in range(n + 1) if t != k]), label="t")
+        inv.b[k][t] = inv.b[k][t] + delta or delta
         maps.build_inverse_map(vmap, inv)
     elif target == "degree":
         exps = st.tuples(*[st.integers(0, 2)] * (n + 1)).filter(lambda e: sum(e) != n)
@@ -380,11 +389,29 @@ def test_pair_point_draws_from_its_scope():
 
 
 def test_dual_dimension_values(suite3):
-    inst2 = random_general_flats(2, 1, QQ)
-    vmap2, inv2 = checks.build_all(inst2)
-    assert checks.dual_system_dimension(inv2, QQ) == 3
-    inst3, report3 = suite3
-    assert by_name(report3)["dual-dimension"].witness["dim"] >= 4
+    report2 = checks.run_suite(random_general_flats(2, 1, QQ))
+    assert by_name(report2)["dual-dimension"].witness == {"dim": 3, "expected": 3}
+    _, report3 = suite3
+    assert by_name(report3)["dual-dimension"].witness == {"dim": 4, "expected": 4}
+
+
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+def test_b_off_the_canonical_pattern_fails_by_name(field):
+    # row 1 of b then defines no flat, so there is no dual instance: the
+    # checks that read the dual record fail by name, not with a crash
+    inst = random_general_flats(3, 4, field)
+    vmap, inv = checks.build_all(inst)
+    inv.b = [row[:] for row in inv.b]
+    inv.b[1][1] = field.one
+    report = checks.run_suite(inst, vmap, inv)
+    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    assert failed["b-matrix"] == {"i": 1, "j": 1, "reason": "zero pattern"}
+    assert failed["composition"] == {"reason": checks._NO_DUAL}
+    assert not [name for name, wit in failed.items() if "error" in wit]
+    # with the stored dual flats on b's rows, dual-dimension meets it too
+    inv.dual_flats = [Flat(i, tuple(row)) for i, row in enumerate(inv.b)]
+    res = by_name(checks.run_suite(inst, vmap, inv))["dual-dimension"]
+    assert (res.status, res.witness) == ("fail", {"reason": checks._NO_DUAL})
 
 
 def test_seed_defaults_to_instance_seed():
@@ -474,24 +501,35 @@ FP31 = FieldCtx.prime(2147483647)
 
 
 @pytest.mark.parametrize(
-    "n, field, level, expected",
+    "n, field, level, expected, dual_facts",
     [
         # 16 component/flat pairs and 16 inverse components on the dual
         # flats, each proved once; Q_i on the flats j != i follows from the
-        # table and the ties, so it is not proved
+        # table and the ties, so it is not proved.  B and the dual flats' B'
+        # are built once each, and compute_Q runs once per dual Q'_i
         (
             3, QQ, "full",
-            {"vanishes_on_flat": 32, "_n3_family": 1, "compute_Q": 0, "vanishing_on_line": 0},
+            {
+                "vanishes_on_flat": 32, "_n3_family": 1, "compute_Q": 4,
+                "build_matrix_B": 2, "vanishing_on_line": 0,
+            },
+            {"ties": 1, "vanishing": 1, "dimension": 1},
         ),
         # over F_p no witness is proved: only the 25 component/flat pairs
         (
             4, FP31, "fast",
-            {"vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 0, "vanishing_on_line": 1},
+            {
+                "vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 5,
+                "build_matrix_B": 2, "vanishing_on_line": 1,
+            },
+            {"ties": 1, "vanishing": 0, "dimension": 1},
         ),
     ],
     ids=["n3-qq-full", "n4-fp-fast"],
 )
-def test_each_shared_fact_is_proved_once_per_report(monkeypatch, n, field, level, expected):
+def test_each_shared_fact_is_proved_once_per_report(
+    monkeypatch, n, field, level, expected, dual_facts
+):
     inst = random_general_flats(n, 11, field)
     vmap, inv = checks.build_all(inst)
     calls, pairs, built = Counter(), set(), Counter()
@@ -499,7 +537,8 @@ def test_each_shared_fact_is_proved_once_per_report(monkeypatch, n, field, level
 
     def proving(record, key, prove):
         if key not in record._facts:
-            built[key] += 1
+            # the dual instance's record is the one without inverse data
+            built["dual" if record.inv is None else "map", key] += 1
         return fact(record, key, prove)
 
     def counted(owner, name):
@@ -516,17 +555,29 @@ def test_each_shared_fact_is_proved_once_per_report(monkeypatch, n, field, level
     for owner, name in (
         (maps, "vanishes_on_flat"),
         (maps, "compute_Q"),
+        (maps, "build_matrix_B"),
         (checks, "_n3_family"),
         (checks, "vanishing_on_line"),
     ):
         counted(owner, name)
     monkeypatch.setattr(checks.ProofRecord, "_fact", proving)
-    # the ties, the b-row residuals and (at n >= 4) the line test of the Q_k
-    once = {"ties": 1, "b-rows": 1, "line-test": expected["vanishing_on_line"]}
+    # B, the ties, the b-row residuals, (at n >= 4) the line test of the
+    # Q_k and the dual record; then the dual record's own facts
+    once = {
+        ("map", "matrix"): 1,
+        ("map", "ties"): 1,
+        ("map", "b-rows"): 1,
+        ("map", "line-test"): expected["vanishing_on_line"],
+        ("map", "dual"): 1,
+        **{("dual", key): count for key, count in dual_facts.items()},
+    }
     assert checks.run_suite(inst, vmap, inv, level=level).ok
     assert {name: calls[name] for name in expected} == expected
     assert len(pairs) == expected["vanishes_on_flat"]
     assert {key: built[key] for key in once} == once
+    assert sorted(key for role, key in built if role == "dual") == sorted(
+        key for key, count in dual_facts.items() if count
+    )
     # a second report of the same instance proves everything again
     assert checks.run_suite(inst, vmap, inv, level=level).ok
     assert {name: calls[name] for name in expected} == {k: 2 * v for k, v in expected.items()}
@@ -685,6 +736,24 @@ def test_det_b_is_x_times_the_column_sum_determinant(ctx, coeffs):
             assert j == i or maps.vanishes_on_flat(d, inv.dual_flats[j], ctx)
         closed = _prod((-a[i][j] for j in range(n1) if j != i), ctx)
         assert d.evaluate(_vertex(i, n1, ctx)) == closed
+
+
+@pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+@settings(max_examples=20, deadline=None)
+@given(coeffs=canonical_coefficients())
+@example(coeffs=[a for _, a in NON_GENERAL_N4])
+def test_the_inverse_is_the_map_of_the_dual_flats(ctx, coeffs):
+    # build_inverse_map expands no det(C_i): it is the forward map of the
+    # rows of b, and C^T = Y·B'·Y^-1 makes its components the det(C_i)
+    flats = [Flat(j, tuple(ctx.convert(c) for c in a)) for j, a in enumerate(coeffs)]
+    vmap = maps.build_forward_map(flats, ctx)
+    inv = maps.build_inverse_map(vmap, maps.solve_b_matrix(vmap))
+    c = matrix_C(vmap, inv)
+    for i, w in enumerate(inv.inverse_components):
+        assert w == la.det_poly_matrix(maps.minor_matrix(c, i), "bareiss")
+    # an involution: the dual flats' b-matrix is A again
+    dual = maps.build_forward_map(inv.dual_flats, ctx)
+    assert maps.solve_b_matrix(dual).b == [list(f.a) for f in flats]
 
 
 # ---- transversals meet their flats on every canonical instance -------------
