@@ -6,9 +6,10 @@ is untrusted data, so each check here re-derives its claim from the
 instance data it is handed and returns a CheckResult with witness data.
 Where a check meets a statement that is a theorem about data it has just
 recomputed (det(B_i) = x_i·det(M_i) and the degree, vanishing and vertex
-values of det(M_i) in `determinantal`, the meeting of a computed
-transversal with its flats, the algebra of the n = 3 family), it cites
-the proof instead of testing it.  A fact that several checks read is
+values of det(M_i) in `determinantal` and `composition`, the meeting of a
+computed transversal with its flats, the algebra of the n = 3 family), it
+cites the proof instead of testing it: det(B_i) is never expanded, only
+the smaller det(M_i).  A fact that several checks read is
 proved once per report, in a `ProofRecord`.  run_suite assembles the fixed
 13-check report used by the CLI.
 """
@@ -216,16 +217,21 @@ def _n3_family(flats, ctx, seed=0):
     rows3 = [[Poly.const(c, 2) for c in row] for row in flats[3].form_rows(ctx)]
     m = la.det_laplace(cone_rows + rows3)
     # a second point of the moving line: generalized cross product of the
-    # two cone rows and one fixed random row
+    # two cone rows and one fixed random row r.  At a root of m where r·p
+    # vanishes, p and w both lie in the null space of all three rows, so w
+    # is zero or a multiple of p there; such an r, whose linear form r·p
+    # divides m, is drawn again
     rng = seeded_rng(seed, "n3-family")
     for _ in range(16):
-        r = [Poly.const(ctx.random_nonzero(rng), 2) for _ in range(n1)]
-        stacked = cone_rows + [r]
+        r = [ctx.random_nonzero(rng) for _ in range(n1)]
+        stacked = cone_rows + [[Poly.const(c, 2) for c in r]]
         w = [
             la.det_laplace([row[:k] + row[k + 1:] for row in stacked]) * (-1) ** k
             for k in range(n1)
         ]
-        if any(not wk.is_zero() for wk in w):
+        rp = sum(map(Poly.scale, p, r), Poly.zero(2))
+        collapses = m and (not rp or _divides(rp, m))
+        if any(w) and not collapses:
             break
     return m, p, w
 
@@ -306,27 +312,23 @@ def check_genericity(inst):
 
 
 def check_determinantal(inst, vmap, proofs):
-    """Expand every det(B_i) two independent ways and tie it to Q_i.
+    """Expand every det(M_i) two independent ways and tie it to Q_i.
 
-    The two strategies must agree, the determinant must divide by x_i, the
-    quotient must equal the stored Q_i, and the record's tie of the stored
-    component to x_i·Q_i must be zero.  B and its `minor_dp` expansion are
-    the record's.  That the quotient is the closed form det(M_i) is the
-    identity det(B_i) = x_i·det(M_i) of `maps.compute_Q`, a theorem for
-    canonical flats, so det(M_i) is not expanded here.  Its degree n-1, its
+    The record's `minor_dp` expansion of det(M_i) must equal the `bareiss`
+    one of `maps.matrix_M` on the record's B, then the stored Q_i, and the
+    record's tie of the stored component to x_i·Q_i must be zero.  That
+    det(B_i) = x_i·det(M_i) is the theorem of `maps.compute_Q`, which holds
+    for every canonical instance, so det(B_i) is cited, not expanded, and
+    no division by x_i is tested.  The degree n-1 of det(M_i), its
     vanishing on the flats j != i and its nonzero vertex values are
-    theorems about det(M_i) too (`maps.compute_Q`,
-    `maps.build_forward_map`), so they are not replayed either.
+    theorems too (`maps.compute_Q`, `maps.build_forward_map`), so they are
+    not replayed either.
     """
     b = proofs.matrix()
     term_counts = []
-    for i, det_a in enumerate(proofs.determinants()):
-        if det_a != la.det_poly_matrix(maps.minor_matrix(b, i), "bareiss"):
+    for i, q in enumerate(proofs.determinants()):
+        if q != la.det_poly_matrix(maps.matrix_M(inst.flats, i, b), "bareiss"):
             return _failed("determinantal", {"i": i, "reason": "strategies disagree"})
-        try:
-            q = det_a.div_var(i)
-        except ValueError:
-            return _failed("determinantal", {"i": i, "reason": "determinant not divisible"})
         if q != vmap.Q[i]:
             return _failed("determinantal", {"i": i, "reason": "stored Q differs"})
         if proofs.ties()[i]:
@@ -418,9 +420,12 @@ def verify_composition(vmap, inv, proofs):
     Entry (m, k) of the difference is a_{m,k}·(v_k − x_k·Q_k) off the
     diagonal, the record's tie times a nonzero coefficient of a canonical
     flat, and f_m·Q_m − sum_t b_{m,t} v_t on it, the record's b-row
-    residual; they are read in row-major order.  Finally det(B_i) = x_i Q_i,
-    with det(B_i) the record's `minor_dp` expansion.  Substitution is a ring
-    homomorphism and determinants are multiplicative, so
+    residual; they are read in row-major order.  Finally det(B_i) = x_i Q_i:
+    det(B_i) = x_i·det(M_i) by the theorem of `maps.compute_Q`, so the
+    residual read is det(M_i) − Q_i, with det(M_i) the record's `minor_dp`
+    expansion; multiplying by x_i maps its terms one to one onto those of
+    det(B_i) − x_i Q_i.  Substitution is a ring homomorphism and
+    determinants are multiplicative, so
     det(C_i)(v) = det(B_i) prod_{k != i} Q_k = x_i prod Q.
 
     y_i·Q'_i = det(C_i) by the minor lemma of `maps.build_inverse_map`,
@@ -451,8 +456,8 @@ def verify_composition(vmap, inv, proofs):
             if residual:
                 return fail({"entry": [m, k]}, "C(v) != B·diag(Q)", residual)
     for i, det in enumerate(proofs.determinants()):
-        residual = det - Poly.var(i, n1, vmap.ctx.one) * vmap.Q[i]
-        if not residual.is_zero():
+        residual = det - vmap.Q[i]
+        if residual:
             return fail({"i": i}, "det(B_i) != x_i·Q_i", residual)
     wit = {"mode": "factorization", "entries": n1 * n1, "minors": n1}
     return _passed("composition", dict(wit, inverse="v∘w = y·∏Q'_i by the dual instance"))
@@ -852,10 +857,11 @@ class ProofRecord:
         return self._fact("matrix", lambda: maps.build_matrix_B(self.inst.flats, self.inst.ctx))
 
     def determinants(self):
-        """det(B_i) by `minor_dp`, for every i."""
-        b = self.matrix()
+        """det(M_i) by `minor_dp`, for every i: `maps.compute_Q` on the
+        record's B.  det(B_i) = x_i·det(M_i) is the theorem of `compute_Q`."""
+        inst, b = self.inst, self.matrix()
         return self._fact("determinants", lambda: [
-            la.det_poly_matrix(maps.minor_matrix(b, i), "minor_dp") for i in range(len(b))
+            maps.compute_Q(inst.flats, i, inst.ctx, b) for i in range(len(b))
         ])
 
     def ties(self):

@@ -15,13 +15,22 @@ be cross-checked:
 * `det_bareiss` - fraction-free elimination whose interior divisions are
   exact by Sylvester's identity.
 
-Both refuse matrices larger than MAX_DET_SIZE with a ValueError, since
-cost explodes beyond that.
+Both cross mpoly's integer boundary once per matrix: `_lower_matrix`
+turns every entry into (exponent, int) terms, over F_p one residue per
+coefficient and over Q numerators over one common denominator d_r per row,
+so det = det(integer matrix) / prod d_r.  The expansion then runs on ints
+(`mpoly._product` and its accumulator for products and sums,
+`mpoly._quotient` for Bareiss's exact quotients, which lie in Z[x]), and
+the result is lifted back once.  A scalar entry is a constant term, and a
+matrix of scalars has a scalar determinant.  Both refuse matrices larger
+than MAX_DET_SIZE with a ValueError, since cost explodes beyond that.
 """
 
 from collections import Counter
+from math import lcm
 
-from .scalar import FieldCtx, Fp
+from .mpoly import Poly, _lift, _lower, _nonzero, _prime, _product, _quotient
+from .scalar import FieldCtx, Fp, Rational
 
 MAX_DET_SIZE = 8
 _QQ = FieldCtx.rationals()
@@ -36,78 +45,116 @@ def _check_square(m):
     return k
 
 
-def det_laplace(m):
-    """Determinant by column-subset dynamic programming.
+def _lower_matrix(m):
+    """(rows, p, d, nvars): the entries of m as lists of (e, int) terms.
+
+    p is the prime of the F_p entries, or None over Q; over Q each row is
+    scaled by the common denominator of its coefficients and d is the
+    product of those, so det(m) = det(rows) / d.  nvars is that of the
+    polynomial entries, None for a matrix of scalars.
+    """
+    nvars = next((e.nvars for row in m for e in row if isinstance(e, Poly)), None)
+    const = (0,) * (nvars or 0)
+    # a zero scalar, dropped from the terms, still names its field
+    p = _prime(*(e.terms.values() if isinstance(e, Poly) else (e,) for row in m for e in row))
+    terms = [
+        [e.terms if isinstance(e, Poly) else {const: e} if e else {} for e in row]
+        for row in m
+    ]
+    rows, d = [], 1
+    for row in terms:
+        lowered = [_lower(t, p) for t in row]
+        dr = lcm(*(dt for _, dt in lowered))
+        rows.append([t if dt == dr else [(e, v * (dr // dt)) for e, v in t] for t, dt in lowered])
+        d *= dr
+    return rows, p, d, nvars
+
+
+def _det(m, expand):
+    """The determinant of m, with `expand` run on its integer form."""
+    if _check_square(m) == 0:
+        return 1
+    rows, p, d, nvars = _lower_matrix(m)
+    det = expand(rows, p)
+    if nvars is not None:
+        return _lift(nvars, dict(det), p, d)
+    v = det[0][1] if det else 0
+    return Rational(v, d) if p is None else Fp(v, p)
+
+
+def _negated(terms):
+    return [(e, -v) for e, v in terms]
+
+
+def _minor_dp(rows, p):
+    """Column-subset dynamic programming on (e, int) terms.
 
     D[mask] is the minor on the first popcount(mask) rows and the columns in
     mask; expanding each along its last row visits every subset once, which
     is far cheaper than the naive n! expansion and involves no division.
+    Zero entries and zero minors are skipped.
     """
-    k = _check_square(m)
-    if k == 0:
-        return 1
-    if k == 1:
-        return m[0][0]
-    prev = {1 << j: m[0][j] for j in range(k)}
+    k = len(rows)
+    prev = {1 << j: t for j, t in enumerate(rows[0]) if t}
     for r in range(1, k):
+        row = rows[r]
+        signed = (row, [_negated(t) for t in row])
         cur = {}
         for mask, minor in prev.items():
             # extend the column set by one unused column j; the expansion
-            # sign depends on j's position within the enlarged set.
+            # sign depends on j's position within the enlarged set
             for j in range(k):
                 bit = 1 << j
-                if mask & bit:
+                if mask & bit or not row[j]:
                     continue
                 nm = mask | bit
-                pos = bin(nm & (bit - 1)).count("1")
-                term = m[r][j] * minor
-                if (r + pos) % 2:
-                    term = -term
-                if nm in cur:
-                    cur[nm] = cur[nm] + term
-                else:
-                    cur[nm] = term
-        prev = cur
-    return prev[(1 << k) - 1]
+                odd = (r + bin(mask & (bit - 1)).count("1")) % 2
+                acc = cur.get(nm)
+                if acc is None:
+                    acc = cur[nm] = {}
+                _product(signed[odd][j], minor, acc)
+        prev = {mask: t for mask, acc in cur.items() if (t := _nonzero(acc, p))}
+    return prev.get((1 << k) - 1, [])
 
 
-def _exact_quo(a, b):
-    # Poly entries divide through exact_div; field scalars divide directly.
-    if hasattr(a, "exact_div"):
-        return a.exact_div(b)
-    return a / b
+def _bareiss(a, p):
+    """Fraction-free elimination on (e, int) terms; the rows `a` are consumed.
 
-
-def det_bareiss(m):
-    """Determinant by fraction-free Gaussian elimination (Bareiss).
-
-    Every interior division is by the previous pivot and is exact, so the
-    routine works verbatim for polynomial entries.  Rows are swapped (with a
-    sign flip) when a pivot vanishes.
+    Every interior division is by the previous pivot, and by Sylvester's
+    identity the quotient is a minor of the integer matrix, so it lies in
+    Z[x] (in F_p[x] over F_p) and the common denominator never grows.  Rows
+    are swapped (with a sign flip) when a pivot vanishes.
     """
-    k = _check_square(m)
-    if k == 0:
-        return 1
-    a = [list(row) for row in m]
+    k = len(a)
     sign = 1
     prev = None
     for i in range(k - 1):
         if not a[i][i]:
-            for r in range(i + 1, k):
-                if a[r][i]:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return a[i][i]  # a zero; the column below the pivot is gone
+            r = next((r for r in range(i + 1, k) if a[r][i]), None)
+            if r is None:
+                return []  # the column below the pivot is gone
+            a[i], a[r] = a[r], a[i]
+            sign = -sign
+        pivot = a[i][i]
         for r in range(i + 1, k):
+            lead = _negated(a[r][i])
             for c in range(i + 1, k):
-                num = a[i][i] * a[r][c] - a[r][i] * a[i][c]
-                a[r][c] = num if prev is None else _exact_quo(num, prev)
-            a[r][i] = a[i][i] - a[i][i]  # a zero of the right type
-        prev = a[i][i]
+                acc = _product(pivot, a[r][c])
+                num = _nonzero(_product(lead, a[i][c], acc), p)
+                a[r][c] = num if prev is None else _quotient(num, prev, p)[0]
+        prev = pivot
     d = a[k - 1][k - 1]
-    return -d if sign < 0 else d
+    return d if sign > 0 else _negated(d)
+
+
+def det_laplace(m):
+    """Determinant by column-subset dynamic programming (`_minor_dp`)."""
+    return _det(m, _minor_dp)
+
+
+def det_bareiss(m):
+    """Determinant by fraction-free Gaussian elimination (`_bareiss`)."""
+    return _det(m, _bareiss)
 
 
 def det_poly_matrix(m, strategy="minor_dp"):

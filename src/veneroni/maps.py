@@ -32,6 +32,7 @@ __all__ = [
     "InverseData",
     "build_matrix_B",
     "minor_matrix",
+    "matrix_M",
     "compute_Q",
     "linear_system_dimension",
     "build_forward_map",
@@ -74,9 +75,19 @@ def minor_matrix(m, i):
     ]
 
 
+def matrix_M(flats, i, b):
+    """M_i: the minor B_i of the flats' matrix `b` with the constants
+    -a_{j,i}, j != i, in its first column (see `compute_Q`)."""
+    n1 = len(flats)
+    m = minor_matrix(b, i)
+    for row, j in zip(m, (j for j in range(n1) if j != i)):
+        row[0] = Poly.const(-flats[j].a[i], n1)
+    return m
+
+
 def compute_Q(flats, i, ctx, b=None):
-    """Q_i = det(B_i) / x_i in closed form, as det(M_i); `b` is the flats'
-    matrix B when the caller has built it.
+    """Q_i = det(B_i) / x_i in closed form, as det(M_i) (`matrix_M`) by
+    `minor_dp`; `b` is the flats' matrix B when the caller has built it.
 
     For canonical flats (a_{j,j} = 0) each row of B sums to zero, so row j
     of B_i sums to -a_{j,i} x_i.  Adding every other column of B_i to its
@@ -91,11 +102,8 @@ def compute_Q(flats, i, ctx, b=None):
     B_i vanishes, so M_i(e_i) is lower triangular with diagonal -a_{j,i}
     and Q_i(e_i) = prod_{j != i} (-a_{j,i}) != 0.
     """
-    n1 = len(flats)
-    m = minor_matrix(build_matrix_B(flats, ctx) if b is None else b, i)
-    for row, j in zip(m, (j for j in range(n1) if j != i)):
-        row[0] = Poly.const(-flats[j].a[i], n1)
-    return la.det_poly_matrix(m)
+    b = build_matrix_B(flats, ctx) if b is None else b
+    return la.det_poly_matrix(matrix_M(flats, i, b))
 
 
 def monomials_of_degree(nvars, d):

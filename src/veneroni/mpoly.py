@@ -8,6 +8,9 @@ evaluation, substitution and exact division cross one boundary instead:
 `_lower` turns the coefficients into Python ints (residues mod p, or
 numerators over one common denominator), one loop on ints does the work,
 and `_lift` turns each result term back into a field element exactly once.
+The integer loops, `_product` (with its accumulator, the int-level sum)
+and the heap quotient `_quotient`, are also the determinant kernels'
+arithmetic: `exactla` lowers a whole matrix once and expands it on ints.
 Point values of a fixed list of polynomials come from one `Evaluator`.
 The field is read from every operand, so ints met with F_p elements land
 in F_p, and elements of two different primes raise ValueError.  Terms are
@@ -108,17 +111,80 @@ def _lift(nvars, acc, p, d):
     return out
 
 
-def _product(a, b):
-    """{e: sum of ca*cb over ea + eb = e} for two lists of (e, int) terms."""
+def _product(a, b, acc=None):
+    """{e: sum of ca*cb over ea + eb = e} for two lists of (e, int) terms,
+    added into the accumulator `acc` when one is given: the int-level sum.
+    Values are left unreduced; `_nonzero` reads them out."""
     if len(a) > len(b):
         a, b = b, a
-    acc = {}
+    if acc is None:
+        acc = {}
     get = acc.get
     for ea, ca in a:
         for eb, cb in b:
             e = tuple(map(add, ea, eb))
             acc[e] = get(e, 0) + ca * cb
     return acc
+
+
+def _quotient(num, div, p):
+    """(quo, s) with s·num = quo·div, for lists of (e, int) terms and a
+    nonzero `div`; raises ValueError when div does not divide num.
+
+    Heap division after Monagan and Pearce ("Sparse polynomial division
+    using a heap", 2011).  Their heap merges the products q_j*g_i; here the
+    remainder is a dict of ints updated in place and the heap holds its
+    exponents, so each step finds the grevlex-leading term without a scan.
+    An entry whose term cancelled after it was pushed is skipped when
+    popped.  Over F_p (p a prime) s is 1 and a quotient term costs one
+    product with the inverse of the lead coefficient of div.  Over Z (p
+    None) remainder and quotient are scaled by s, which grows only when
+    the lead coefficient of div does not divide the next leading one; so
+    s is 1 whenever the quotient lies in Z[x].
+    """
+    rem = dict(num)
+    eg, lg = max(div, key=lambda t: _grevlex(t[0]))
+    tail = [(e, c) for e, c in div if e != eg]
+    if p is not None:
+        inv = pow(lg, -1, p)
+    heap = [_heap_key(e) for e in rem]
+    heapify(heap)
+    quo, scale = {}, 1
+    while heap:
+        e = heappop(heap)[1][::-1]
+        v = rem.pop(e, None)
+        if v is None:
+            continue  # cancelled after it was pushed
+        if p is not None:
+            t = v * inv % p
+            if not t:
+                continue  # a sum of residues that vanishes mod p
+        else:
+            s = abs(lg) // gcd(v, lg)
+            if s != 1:  # make the leading numerator divisible by lg
+                v *= s
+                scale *= s
+                for f in rem:
+                    rem[f] *= s
+                for f in quo:
+                    quo[f] *= s
+            t = v // lg
+        de = tuple(map(sub, e, eg))
+        if min(de, default=0) < 0:
+            raise ValueError("not an exact multiple")
+        quo[de] = t
+        for f, c in tail:
+            f = tuple(map(add, de, f))
+            tc = t * c
+            w = rem.get(f)
+            if w is None:
+                rem[f] = -tc
+                heappush(heap, _heap_key(f))
+            elif w == tc:
+                del rem[f]
+            else:
+                rem[f] = w - tc
+    return list(quo.items()), scale
 
 
 def _powers(x, top):
@@ -191,10 +257,6 @@ class Poly:
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     def lead(self):
         """(exponent, coefficient) of the grevlex-leading term."""
@@ -295,30 +357,12 @@ class Poly:
 
     # ---- division -----------------------------------------------------
 
-    def div_var(self, i):
-        """Exact quotient by the variable x_i; raises if any term lacks it."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                raise ValueError(f"not divisible by x{i}")
-            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
-
     def exact_div(self, g):
         """Exact quotient self/g; raises ValueError when g does not divide.
 
-        Heap division after Monagan and Pearce ("Sparse polynomial
-        division using a heap", 2011), on the integer form of the operands.
-        Their heap merges the products q_j*g_i; here the remainder is a dict
-        of ints updated in place and the heap holds its exponents, so each
-        step finds the grevlex-leading term without a scan.  An entry whose
-        term cancelled after it was pushed is skipped when popped.  Over
-        F_p a quotient term costs one product with the inverse of the lead
-        coefficient; over Q the remainder holds numerators over a common
-        denominator, which grows only when the lead coefficient of g does
-        not divide the next leading numerator.
+        The operands cross the integer boundary once and `_quotient` divides
+        their integer forms: over Q self = A/da and g = G/dg, and
+        s·A = Q·G gives self/g = Q·dg/(s·da).
         """
         if not isinstance(g, Poly):
             raise TypeError("divisor must be a polynomial")
@@ -327,53 +371,9 @@ class Poly:
         div, dg = _lower(g.terms, p)
         if not div:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem, den = _lower(self.terms, p)
-        rem = dict(rem)
-        eg, lg = max(div, key=lambda t: _grevlex(t[0]))
-        tail = [(e, c) for e, c in div if e != eg]
-        if p is not None:
-            inv = pow(lg, -1, p)
-            new = Fp._from_residue
-        heap = [_heap_key(e) for e in rem]
-        heapify(heap)
-        quo = {}
-        while heap:
-            e = heappop(heap)[1][::-1]
-            v = rem.pop(e, None)
-            if v is None:
-                continue  # cancelled after it was pushed
-            if p is not None:
-                t = v * inv % p
-                if not t:
-                    continue  # a sum of residues that vanishes mod p
-                q = new(t, p)
-            else:
-                s = abs(lg) // gcd(v, lg)
-                if s != 1:  # make the numerators divisible by lg
-                    v *= s
-                    den *= s
-                    for f in rem:
-                        rem[f] *= s
-                t = v // lg
-                q = Rational(t * dg, den)
-            de = tuple(map(sub, e, eg))
-            if min(de, default=0) < 0:
-                raise ValueError("not an exact multiple")
-            quo[de] = q
-            for f, c in tail:
-                f = tuple(map(add, de, f))
-                tc = t * c
-                w = rem.get(f)
-                if w is None:
-                    rem[f] = -tc
-                    heappush(heap, _heap_key(f))
-                elif w == tc:
-                    del rem[f]
-                else:
-                    rem[f] = w - tc
-        out = Poly(self.nvars)
-        out.terms = quo
-        return out
+        num, da = _lower(self.terms, p)
+        quo, s = _quotient(num, div, p)
+        return _lift(self.nvars, {e: v * dg for e, v in quo}, p, da * s)
 
     def partial(self, i):
         """Partial derivative with respect to x_i."""

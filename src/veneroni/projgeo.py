@@ -110,9 +110,6 @@ class Flat:
     def form2_poly(self):
         return Poly.from_linear(self.a)
 
-    def contains(self, pt):
-        return (not pt[self.j]) and not evaluate_form(self.a, pt)
-
     def is_canonical(self):
         return not self.a[self.j] and all(
             bool(c) for i, c in enumerate(self.a) if i != self.j

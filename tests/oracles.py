@@ -1,4 +1,4 @@
-"""Substitution oracles shared by the tests.
+"""Oracles shared by the tests.
 
 Restricting a polynomial to the span of points by `Poly.substitute` gives
 the zero polynomial exactly when the polynomial vanishes on the span.  The
@@ -9,10 +9,18 @@ C(v) − B·diag(Q) are likewise expanded here by substitution, where
 `checks.verify_composition` reads them from a report's proof record, and
 the matrix C of the classical inverse, which the package never builds, is
 built here.
+
+The determinant kernels of `exactla` expand on the integer form of a
+matrix; `det_by_poly_ops` runs the column-subset expansion on the
+entries' own `+` and `*` instead, so no coefficient crosses that
+boundary.  The small predicates at the end (`is_homogeneous`, `div_var`,
+`flat_contains`) have no caller in the package, which proves what they
+test.
 """
 
 from veneroni import maps
 from veneroni.mpoly import Poly
+from veneroni.projgeo import evaluate_form
 
 
 def restrict_to_span(p, pts):
@@ -49,3 +57,47 @@ def factorization_entries(vmap, inv):
         for m in range(n1)
         for k in range(n1)
     ]
+
+
+def det_by_poly_ops(m):
+    """Determinant by column-subset dynamic programming on the entries' own
+    operators: D[mask] is the minor on the first popcount(mask) rows and
+    the columns in mask, expanded along its last row."""
+    k = len(m)
+    if k == 0:
+        return 1
+    prev = {1 << j: m[0][j] for j in range(k)}
+    for r in range(1, k):
+        cur = {}
+        for mask, minor in prev.items():
+            for j in range(k):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                nm = mask | bit
+                term = m[r][j] * minor
+                if (r + bin(mask & (bit - 1)).count("1")) % 2:
+                    term = -term
+                cur[nm] = cur[nm] + term if nm in cur else term
+        prev = cur
+    return prev[(1 << k) - 1]
+
+
+def is_homogeneous(p):
+    """Whether every term of p has the same total degree."""
+    return len({sum(e) for e in p.terms}) <= 1
+
+
+def div_var(p, i):
+    """The exact quotient p / x_i; ValueError when a term lacks x_i."""
+    out = {}
+    for e, c in p.terms.items():
+        if e[i] == 0:
+            raise ValueError(f"not divisible by x{i}")
+        out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+    return Poly(p.nvars, out)
+
+
+def flat_contains(flat, pt):
+    """Whether the point lies on the flat: x_j and f_j both vanish there."""
+    return not pt[flat.j] and not evaluate_form(flat.a, pt)

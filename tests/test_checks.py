@@ -23,7 +23,15 @@ from veneroni.projgeo import (
 )
 from veneroni.scalar import FieldCtx
 
-from oracles import factorization_entries, line_restrict, matrix_C
+from oracles import (
+    det_by_poly_ops,
+    div_var,
+    factorization_entries,
+    flat_contains,
+    is_homogeneous,
+    line_restrict,
+    matrix_C,
+)
 
 QQ = FieldCtx.rationals()
 M61 = 2305843009213693951  # Mersenne prime 2^61 - 1
@@ -368,6 +376,18 @@ def test_explicit_lines_when_form_splits():
     assert qlines == []
 
 
+def test_n3_family_draws_a_row_that_keeps_w_off_p_at_the_roots():
+    # at n=3 qq seed 148 the first random row r has r·p = 0 at the root
+    # (36 : -36) of the meeting form, where w then collapsed onto p and
+    # both family checks failed "family degenerates at a root"
+    inst = random_general_flats(3, 148, QQ)
+    m, p, w = checks._n3_family(inst.flats, QQ, 148)
+    minors = [p[a] * w[b] - p[b] * w[a] for a in range(4) for b in range(a + 1, 4)]
+    for root in checks._binary_roots(m, QQ):
+        assert any(mu.evaluate(root) for mu in minors)
+    assert checks.run_suite(inst, level="fast").ok
+
+
 def test_residual_example_across_seeds():
     for seed in (3, 5, 7):
         inst = random_general_flats(4, seed, QQ)
@@ -385,7 +405,7 @@ def test_pair_point_draws_from_its_scope():
     vmap = maps.build_forward_map(random_general_flats(5, 5, fp).flats, fp)
     pts = [checks._pair_point(vmap, 0, 1, 5, s) for s in ("pair-point", "mult-point")]
     assert pts[0] != pts[1]
-    assert all(vmap.flats[0].contains(p) and vmap.flats[1].contains(p) for p in pts)
+    assert all(flat_contains(vmap.flats[0], p) and flat_contains(vmap.flats[1], p) for p in pts)
 
 
 def test_dual_dimension_values(suite3):
@@ -506,11 +526,12 @@ FP31 = FieldCtx.prime(2147483647)
         # 16 component/flat pairs and 16 inverse components on the dual
         # flats, each proved once; Q_i on the flats j != i follows from the
         # table and the ties, so it is not proved.  B and the dual flats' B'
-        # are built once each, and compute_Q runs once per dual Q'_i
+        # are built once each, and compute_Q runs once per det(M_i) of the
+        # record and once per dual Q'_i
         (
             3, QQ, "full",
             {
-                "vanishes_on_flat": 32, "_n3_family": 1, "compute_Q": 4,
+                "vanishes_on_flat": 32, "_n3_family": 1, "compute_Q": 8,
                 "build_matrix_B": 2, "vanishing_on_line": 0,
             },
             {"ties": 1, "vanishing": 1, "dimension": 1},
@@ -519,7 +540,7 @@ FP31 = FieldCtx.prime(2147483647)
         (
             4, FP31, "fast",
             {
-                "vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 5,
+                "vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 10,
                 "build_matrix_B": 2, "vanishing_on_line": 1,
             },
             {"ties": 1, "vanishing": 0, "dimension": 1},
@@ -561,10 +582,11 @@ def test_each_shared_fact_is_proved_once_per_report(
     ):
         counted(owner, name)
     monkeypatch.setattr(checks.ProofRecord, "_fact", proving)
-    # B, the ties, the b-row residuals, (at n >= 4) the line test of the
-    # Q_k and the dual record; then the dual record's own facts
+    # B, the det(M_i), the ties, the b-row residuals, (at n >= 4) the line
+    # test of the Q_k and the dual record; then the dual record's own facts
     once = {
         ("map", "matrix"): 1,
+        ("map", "determinants"): 1,
         ("map", "ties"): 1,
         ("map", "b-rows"): 1,
         ("map", "line-test"): expected["vanishing_on_line"],
@@ -715,8 +737,8 @@ def test_det_b_is_x_times_the_column_sum_determinant(ctx, coeffs):
         assert la.det_poly_matrix(minor, "minor_dp") == expected
         assert la.det_poly_matrix(minor, "bareiss") == expected
         assert vmap.components[i] == expected
-        assert q.degree() == n - 1 and q.is_homogeneous()
-        assert expected.degree() == n and expected.is_homogeneous()
+        assert q.degree() == n - 1 and is_homogeneous(q)
+        assert expected.degree() == n and is_homogeneous(expected)
         for j in range(n1):
             assert j == i or maps.vanishes_on_flat(q, flats[j], ctx)
         for k in range(n1):
@@ -731,11 +753,38 @@ def test_det_b_is_x_times_the_column_sum_determinant(ctx, coeffs):
         assert residual.is_zero()
     for i, d in enumerate(inv.inverse_components):
         assert inv.dual_flats[i].is_canonical()
-        assert d.degree() == n and d.is_homogeneous()
+        assert d.degree() == n and is_homogeneous(d)
         for j in range(n1):
             assert j == i or maps.vanishes_on_flat(d, inv.dual_flats[j], ctx)
         closed = _prod((-a[i][j] for j in range(n1) if j != i), ctx)
         assert d.evaluate(_vertex(i, n1, ctx)) == closed
+
+
+@pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+@settings(max_examples=20, deadline=None)
+@given(coeffs=canonical_coefficients())
+@example(coeffs=[a for _, a in NON_GENERAL_N4])
+def test_det_m_is_det_b_over_x_by_both_strategies(ctx, coeffs):
+    # determinantal expands det(M_i) and cites det(B_i) = x_i·det(M_i);
+    # here det(B_i) is expanded by the Poly-op oracle and divided by x_i
+    flats = [Flat(j, tuple(ctx.convert(c) for c in a)) for j, a in enumerate(coeffs)]
+    b = maps.build_matrix_B(flats, ctx)
+    for i in range(len(flats)):
+        want = div_var(det_by_poly_ops(maps.minor_matrix(b, i)), i)
+        m = maps.matrix_M(flats, i, b)
+        assert la.det_poly_matrix(m, "minor_dp") == want
+        assert la.det_poly_matrix(m, "bareiss") == want
+        assert maps.compute_Q(flats, i, ctx, b) == want
+
+
+def test_determinantal_fails_by_name_when_the_strategies_disagree(monkeypatch):
+    inst = random_general_flats(3, 11, QQ)
+    vmap, inv = checks.build_all(inst)
+    bareiss = la.det_bareiss
+    monkeypatch.setattr(la, "det_bareiss", lambda m: bareiss(m) + Poly.const(QQ.one, 4))
+    res = {c.name: c for c in checks.run_suite(inst, vmap, inv, level="fast").checks}
+    assert res["determinantal"].status == "fail"
+    assert res["determinantal"].witness == {"i": 0, "reason": "strategies disagree"}
 
 
 @pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])

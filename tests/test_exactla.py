@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veneroni import exactla as la
@@ -9,6 +9,8 @@ from veneroni import maps
 from veneroni.mpoly import Poly
 from veneroni.projgeo import Flat
 from veneroni.scalar import FieldCtx, Fp, Rational
+
+from oracles import det_by_poly_ops
 
 P = (1 << 31) - 1
 QQ = FieldCtx.rationals()
@@ -85,6 +87,99 @@ def test_det_size_cap():
     for strategy in ("minor_dp", "bareiss"):
         with pytest.raises(ValueError, match="exceeds determinant cap 8"):
             la.det_poly_matrix(m9, strategy)
+
+
+MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+
+
+@st.composite
+def det_matrices(draw, kind):
+    """A square matrix of size 0..5 over Q or F_p (`kind`), of scalars or
+    of polynomials in two variables.  About a third of the entries are zero,
+    so Bareiss meets zero pivots and swaps rows.  Each coefficient is a
+    plain int or a field element; over Q a row's rationals share a
+    denominator drawn for that row, times a small factor, so rows differ."""
+    ctx = QQ if kind == "qq" else FP
+    k = draw(st.integers(0, 5), label="size")
+    poly = draw(st.booleans(), label="poly")
+
+    def coeff(den):
+        v = draw(st.integers(-6, 6))
+        if draw(st.booleans()):
+            return v
+        if kind == "qq":
+            return Rational(v, den * draw(st.integers(1, 3)))
+        return Fp(v * draw(st.integers(1, P - 1)), P)
+
+    def entry(den):
+        if draw(st.integers(0, 2)) == 0:
+            return Poly.zero(2) if poly else draw(st.sampled_from([0, ctx.zero]))
+        if not poly:
+            return coeff(den)
+        mons = draw(st.lists(st.sampled_from(MONOMIALS), min_size=1, max_size=3, unique=True))
+        return Poly(2, {e: coeff(den) for e in mons})
+
+    rows = []
+    for _ in range(k):
+        den = draw(st.integers(1, 9), label="row denominator")
+        rows.append([entry(den) for _ in range(k)])
+    return rows
+
+
+def in_field(x, ctx):
+    """A matrix, polynomial or scalar with every coefficient in ctx."""
+    if isinstance(x, list):
+        return [in_field(v, ctx) for v in x]
+    if isinstance(x, Poly):
+        return Poly(x.nvars, {e: ctx.convert(c) for e, c in x.terms.items()})
+    return ctx.convert(x)
+
+
+def holds_fp(m):
+    return any(
+        isinstance(c, Fp)
+        for row in m
+        for e in row
+        for c in (e.terms.values() if isinstance(e, Poly) else (e,))
+    )
+
+
+def sympy_det(m, ctx):
+    """The determinant of a scalar matrix over ctx, computed by sympy."""
+    sympy = pytest.importorskip("sympy")
+    if not m:
+        return ctx.one
+    if ctx.kind == "qq":
+        return Rational(str(sympy.Matrix([[sympy.Rational(str(v)) for v in r] for r in m]).det()))
+    domain = pytest.importorskip("sympy.polys.matrices")
+    gf = sympy.GF(P)
+    rows = [[gf(v.r) for v in r] for r in m]
+    return Fp(int(gf.to_int(domain.DomainMatrix(rows, (len(m), len(m)), gf).det())), P)
+
+
+@pytest.mark.parametrize("kind", ["qq", "fp"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_det_kernels_match_the_poly_op_expansion(kind, data):
+    # both kernels expand the matrix as drawn, on its integer form; the
+    # oracles expand it with every coefficient in the field: the same
+    # column-subset loop on the entries' own + and *, and sympy
+    ctx = QQ if kind == "qq" else FP
+    if data is None:  # a zero leading pivot and rows over different denominators
+        m = [[0, Rational(1, 2), 3], [Rational(2, 3), 0, 1], [5, Rational(1, 7), 0]]
+        if kind == "fp":
+            m = [[v if isinstance(v, int) else FP.convert(v) for v in row] for row in m]
+    else:
+        m = data.draw(det_matrices(kind))
+    clean = in_field(m, ctx)
+    want = det_by_poly_ops(clean)
+    for strategy in ("minor_dp", "bareiss"):
+        got = la.det_poly_matrix(m, strategy)
+        # a matrix that holds no element of F_p is over Q, and so is its det
+        assert (got if kind == "qq" or holds_fp(m) else in_field(got, ctx)) == want
+        if m and not isinstance(m[0][0], Poly):
+            assert in_field(got, ctx) == sympy_det(clean, ctx)
 
 
 def test_rref_shape_and_idempotence():

@@ -9,6 +9,8 @@ from veneroni import checks
 from veneroni.mpoly import Evaluator, Poly
 from veneroni.scalar import FieldCtx, Fp, Rational
 
+from oracles import div_var, is_homogeneous
+
 QQ = FieldCtx.rationals()
 FP = FieldCtx.prime((1 << 31) - 1)
 P = FP.p
@@ -78,7 +80,7 @@ def test_pow_matches_repeated_product():
 
 def test_zero_handling():
     z = Poly.zero(4)
-    assert z.is_zero() and z.degree() == -1 and z.is_homogeneous()
+    assert z.is_zero() and z.degree() == -1 and is_homogeneous(z)
     assert not z
     assert z.evaluate([QQ.one] * 4) == 0
     with pytest.raises(ValueError):
@@ -99,9 +101,9 @@ def test_euler_identity_on_homogeneous_polys():
 def test_div_var():
     x0, x1 = Poly.var(0, 2, QQ.one), Poly.var(1, 2, QQ.one)
     p = x0 * x1 + x0 * x0
-    assert p.div_var(0) == x1 + x0
+    assert div_var(p, 0) == x1 + x0
     with pytest.raises(ValueError):
-        (p + Poly.const(QQ.one, 2)).div_var(0)
+        div_var(p + Poly.const(QQ.one, 2), 0)
 
 
 @pytest.mark.parametrize("ctx", [QQ, FP])

@@ -23,7 +23,7 @@ from veneroni.projgeo import (
 )
 from veneroni.scalar import FieldCtx, seeded_rng
 
-from oracles import line_restrict, restrict_to_span
+from oracles import flat_contains, line_restrict, restrict_to_span
 
 QQ = FieldCtx.rationals()
 
@@ -100,7 +100,7 @@ def test_pairwise_intersections(flats4, flats3):
         for j in range(i + 1, 5):
             pts = flat_intersection(flats4[i], flats4[j], QQ)
             assert len(pts) == 1
-            assert flats4[i].contains(pts[0]) and flats4[j].contains(pts[0])
+            assert flat_contains(flats4[i], pts[0]) and flat_contains(flats4[j], pts[0])
     for i in range(4):
         for j in range(i + 1, 4):
             assert flat_intersection(flats3[i], flats3[j], QQ) == []
@@ -113,7 +113,7 @@ def test_parametrize_flat(flats4):
     pts = parametrize_flat(f, QQ)
     assert len(pts) == 3  # n-1 spanning points
     for p in pts:
-        assert f.contains(p)
+        assert flat_contains(f, p)
     # substituting the parametrization kills both defining forms
     x1 = Poly.var(1, 5, QQ.one)
     assert restrict_to_span(x1, pts).is_zero()
