@@ -9,8 +9,9 @@ recomputed (det(B_i) = x_i·det(M_i) and the degree, vanishing and vertex
 values of det(M_i) in `determinantal` and `composition`, the meeting of a
 computed transversal with its flats, the algebra of the n = 3 family), it
 cites the proof instead of testing it: det(B_i) is never expanded, only
-the smaller det(M_i).  A fact that several checks read is
-proved once per report, in a `ProofRecord`.  run_suite assembles the fixed
+the smaller det(M_i), and no leave-one-out system is eliminated (the
+lemma of `check_dimension`).  A fact that several checks read is proved
+once per report, in a `ProofRecord`.  run_suite assembles the fixed
 13-check report used by the CLI.
 """
 
@@ -340,29 +341,29 @@ def check_determinantal(inst, vmap, proofs):
     )
 
 
-def check_dimension(inst, vmap, proofs):
-    """The degree-n system has dimension n+1; omitting any flat at degree
-    n-1 leaves exactly one hypersurface.  Over Q, Q_i witnesses the system
-    without flat i when the record proves component i on every flat j != i
-    and ties it to x_i·Q_i: the prime ideal (x_j, f_j) holds x_i·Q_i but no
-    x_i, so it holds Q_i."""
-    ctx, flats = inst.ctx, inst.flats
-    n1 = len(flats)
-    n = n1 - 1
+def check_dimension(inst, proofs):
+    """The degree-n system S has dimension n+1, the record's; omitting any
+    flat i leaves exactly one hypersurface of degree n-1, by this lemma.
+
+    Lemma.  For n+1 canonical flats of P^n let T_i be the degree-(n-1)
+    system through the flats j != i.  x_i·T_i lies in S, since x_i lies in
+    the ideal (x_i, f_i) of flat i, and dim x_i·T_i = dim T_i.  The
+    products x_j·det(M_j), j != i, lie in S (`maps.build_forward_map`).
+    At the vertices e_k, k != i, which lie on x_i = 0, they take the
+    values δ_jk·det(M_j)(e_j), and det(M_j)(e_j) != 0 (`maps.compute_Q`);
+    so no nonzero combination of them vanishes on x_i = 0, while all of
+    x_i·T_i does, and dim S >= n + dim T_i.  If dim S = n+1, then
+    dim T_i <= 1, and det(M_i) is a nonzero member of T_i, so dim T_i = 1.
+    The same vertex values make the n+1 products x_i·det(M_i) independent
+    members of S: dim S >= n+1 for every canonical instance, in any field,
+    whatever the stored map holds.  A report's flats are canonical:
+    `FlatsInstance.from_dict` and `maps.build_matrix_B` refuse others.
+    """
+    n = inst.n
     dim = proofs.dimension()
-    if dim != n1:
+    if dim != n + 1:
         return _failed("linear-system-dimension", {"degree": n, "dim": dim})
-    omitted = []
-    for i in range(n1):
-        rest = [f for j, f in enumerate(flats) if j != i]
-        wit = None
-        if ctx.kind == "qq" and not proofs.ties()[i]:
-            if all(v for j, v in enumerate(proofs.vanishing()[i]) if j != i):
-                wit = [vmap.Q[i]]
-        omitted.append(maps.linear_system_dimension(rest, n - 1, ctx, witnesses=wit))
-    if any(d != 1 for d in omitted):
-        return _failed("linear-system-dimension", {"degree": n - 1, "omit_dims": omitted})
-    return _passed("linear-system-dimension", {"dim": dim, "omit_dims": omitted})
+    return _passed("linear-system-dimension", {"dim": dim, "omit_dims": [1] * (n + 1)})
 
 
 def check_basis(inst, vmap, proofs):
@@ -842,15 +843,11 @@ class ProofRecord:
         ])
 
     def dimension(self):
-        """The degree-n dimension.  Over Q the components witness its pinch
-        when the table proves them members; over F_p the rank is exact."""
-        def prove():
-            inst, wit = self.inst, self.vmap.components
-            if inst.ctx.kind != "qq" or not all(map(all, self.vanishing())):
-                wit = None
-            return maps.linear_system_dimension(inst.flats, inst.n, inst.ctx, witnesses=wit)
-
-        return self._fact("dimension", prove)
+        """The degree-n dimension, by `maps.linear_system_dimension`."""
+        inst = self.inst
+        return self._fact(
+            "dimension", lambda: maps.linear_system_dimension(inst.flats, inst.n, inst.ctx)
+        )
 
     def matrix(self):
         """The defining matrix B of the flats."""
@@ -973,7 +970,7 @@ def run_suite(
     # again proves them again
     proofs = ProofRecord(inst, vmap, inv, seed)
     runner("determinantal", lambda: check_determinantal(inst, vmap, proofs))
-    runner("linear-system-dimension", lambda: check_dimension(inst, vmap, proofs))
+    runner("linear-system-dimension", lambda: check_dimension(inst, proofs))
     runner("basis-property", lambda: check_basis(inst, vmap, proofs))
     runner("b-matrix", lambda: check_b_matrix(vmap, inv, proofs))
     runner("composition", lambda: verify_composition(vmap, inv, proofs))

@@ -173,6 +173,8 @@ def cmd_verify(args):
             line = f"{c.name}: {c.status}"
             if c.status == "skip":
                 line += f" ({c.witness.get('reason', '')})"
+            if c.ms is not None:
+                line += f" [{c.ms:.3f} ms]"
             print(line)
         print(report.summary)
     return 0 if report.ok else 1

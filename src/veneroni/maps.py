@@ -181,50 +181,41 @@ def _restriction_rows(flat, d, ctx, mons):
     return [rows[m] for m in sorted(rows)]
 
 
-def linear_system_dimension(flats, d, ctx, witnesses=None):
+def linear_system_dimension(flats, d, ctx):
     """Dimension of the degree-d forms vanishing on every given flat.
 
-    Computed as the nullity of the stacked restriction conditions.  When
-    `witnesses` (known members of the system) are supplied and they are
-    linearly independent, a rank bound over a large prime field is used to
-    pinch the nullity between the witness count and the modular nullity,
-    which avoids the expensive rational elimination in the big cases; if
-    the bounds do not meet, the exact elimination runs anyway.
+    Computed as the nullity of the stacked restriction conditions.  For
+    n+1 canonical flats of P^n in index order and d = n the dimension is at
+    least n+1 (the lemma of `checks.check_dimension`), so over Q a nullity
+    of n+1 mod a large prime, which can only overcount, is exact and the
+    costly rational elimination is skipped.  Otherwise it runs.
     """
+    n1 = len(flats)
     mons = monomials_of_degree(flats[0].nvars, d)
     rows = []
     for f in flats:
         rows.extend(_restriction_rows(f, d, ctx, mons))
-    if witnesses is not None and ctx.kind == "qq":
-        pinched = _pinch_nullity(rows, mons, witnesses, ctx)
-        if pinched is not None:
-            return pinched
+    canonical = all(f.nvars == n1 and f.j == i and f.is_canonical() for i, f in enumerate(flats))
+    if ctx.kind == "qq" and d == n1 - 1 and canonical and _pinch_nullity(rows, len(mons)) == n1:
+        return n1
     return len(mons) - la.rank(rows, ctx)
 
 
 _PINCH_PRIME = (1 << 31) - 1
 
 
-def _pinch_nullity(rows, mons, witnesses, ctx):
-    """Sandwich the rational nullity using a mod-p rank and known members.
-
-    Reducing mod p can only lower the rank, so nullity_p >= nullity_QQ.
-    Independent witnesses give nullity_QQ >= #witnesses.  When the two
-    meet, the value is exact.  A denominator divisible by p has no residue,
-    and a witness with a term of another degree is no member of the system;
-    either way the pinch fails closed into the exact path.
+def _pinch_nullity(rows, ncols):
+    """The nullity of the rational rows mod p, an upper bound on their
+    nullity over Q: reducing mod p can only lower the rank.  None when p
+    divides a denominator, which has no residue: the pinch fails closed
+    into the exact path.
     """
     p = _PINCH_PRIME
     try:
-        wrows = coefficient_rows(witnesses, mons, ctx)
-        int_rows, int_wrows = la.residues(rows, p), la.residues(wrows, p)
+        int_rows = la.residues(rows, p)
     except ValueError:
         return None
-    nullity_p = len(mons) - la.rank_mod_p(int_rows, p)
-    # witness independence, also certified mod p (a nonzero minor lifts)
-    if nullity_p == len(witnesses) and la.rank_mod_p(int_wrows, p) == nullity_p:
-        return nullity_p
-    return None
+    return ncols - la.rank_mod_p(int_rows, p)
 
 
 @dataclass

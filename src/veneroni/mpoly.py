@@ -2,8 +2,8 @@
 
 A polynomial is a dict mapping exponent tuples to nonzero coefficients,
 all from one field: rationals or prime-field elements (see `scalar`), with
-plain ints accepted as either.  Addition, negation, scaling and
-differentiation use the coefficients' own operators.  Products,
+plain ints accepted as either (and kept: see `_lift`).  Addition, negation,
+scaling and differentiation use the coefficients' own operators.  Products,
 evaluation, substitution and exact division cross one boundary instead:
 `_lower` turns the coefficients into Python ints (residues mod p, or
 numerators over one common denominator), one loop on ints does the work,
@@ -98,12 +98,16 @@ def _lower(terms, p):
     return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
 
 
-def _lift(nvars, acc, p, d):
-    """The Poly with coefficients acc[e] mod p, or acc[e]/d over Q; zeros drop."""
+def _lift(nvars, acc, p, d, *operands):
+    """The Poly with coefficients acc[e] mod p, or acc[e]/d over Q; zeros
+    drop.  Plain ints stay plain when d is 1 and so are all coefficients of
+    the `operands`, the terms dicts the result came from."""
     out = Poly(nvars)
     if p is not None:
         new = Fp._from_residue
         out.terms = {e: new(r, p) for e, r in _nonzero(acc, p)}
+    elif d == 1 and operands and all(c.__class__ is int for t in operands for c in t.values()):
+        out.terms = dict(_nonzero(acc, p))
     elif d == 1:
         out.terms = {e: Rational(v) for e, v in _nonzero(acc, p)}
     else:
@@ -325,7 +329,7 @@ class Poly:
         p = _prime(self.terms.values(), other.terms.values())
         a, da = _lower(self.terms, p)
         b, db = _lower(other.terms, p)
-        return _lift(self.nvars, _product(a, b), p, da * db)
+        return _lift(self.nvars, _product(a, b), p, da * db, self.terms, other.terms)
 
     def __rmul__(self, c):
         return self.__mul__(c)  # scalar · Poly; Poly · Poly never lands here
@@ -352,7 +356,7 @@ class Poly:
             if not self.terms:
                 return Poly.const(1, self.nvars)  # no coefficient names a field
             p = _prime(self.terms.values())
-            return _lift(self.nvars, {(0,) * self.nvars: 1}, p, 1)
+            return _lift(self.nvars, {(0,) * self.nvars: 1}, p, 1, self.terms)
         return result
 
     # ---- division -----------------------------------------------------
@@ -373,7 +377,7 @@ class Poly:
             raise ZeroDivisionError("division by the zero polynomial")
         num, da = _lower(self.terms, p)
         quo, s = _quotient(num, div, p)
-        return _lift(self.nvars, {e: v * dg for e, v in quo}, p, da * s)
+        return _lift(self.nvars, {e: v * dg for e, v in quo}, p, da * s, self.terms, g.terms)
 
     def partial(self, i):
         """Partial derivative with respect to x_i."""
@@ -420,7 +424,7 @@ class Poly:
             c *= dpow[top - sum(e)]
             for f, x in v:
                 acc[f] = get(f, 0) + c * x
-        return _lift(m, acc, p, dc * dpow[top])
+        return _lift(m, acc, p, dc * dpow[top], self.terms, *(im.terms for im in images))
 
     # ---- text and JSON --------------------------------------------------
 

@@ -490,7 +490,7 @@ def test_check_basis_alone_proves_the_dimension():
 def test_check_basis_ignores_a_dimension_that_did_not_pass(monkeypatch):
     inst = random_general_flats(3, 4, QQ)
 
-    def failed_dimension(inst, vmap, proofs):
+    def failed_dimension(inst, proofs):
         return checks._failed("linear-system-dimension", {"degree": 3, "dim": 99})
 
     monkeypatch.setattr(checks, "check_dimension", failed_dimension)
@@ -523,20 +523,19 @@ FP31 = FieldCtx.prime(2147483647)
 @pytest.mark.parametrize(
     "n, field, level, expected, dual_facts",
     [
-        # 16 component/flat pairs and 16 inverse components on the dual
-        # flats, each proved once; Q_i on the flats j != i follows from the
-        # table and the ties, so it is not proved.  B and the dual flats' B'
-        # are built once each, and compute_Q runs once per det(M_i) of the
-        # record and once per dual Q'_i
+        # the 16 component/flat pairs, each proved once; no dimension reads
+        # a vanishing table, so the dual flats' table is not proved.  B and
+        # the dual flats' B' are built once each, and compute_Q runs once
+        # per det(M_i) of the record and once per dual Q'_i
         (
             3, QQ, "full",
             {
-                "vanishes_on_flat": 32, "_n3_family": 1, "compute_Q": 8,
+                "vanishes_on_flat": 16, "_n3_family": 1, "compute_Q": 8,
                 "build_matrix_B": 2, "vanishing_on_line": 0,
             },
-            {"ties": 1, "vanishing": 1, "dimension": 1},
+            {"ties": 1, "vanishing": 0, "dimension": 1},
         ),
-        # over F_p no witness is proved: only the 25 component/flat pairs
+        # the same over F_p: the 25 component/flat pairs
         (
             4, FP31, "fast",
             {
@@ -657,15 +656,8 @@ def test_a_shared_transversal_fails_each_check_by_its_own_name(field, n, witness
     assert len({id(c) for c in report.checks}) == len(CHECK_ORDER)
 
 
-@pytest.mark.parametrize(
-    "field, failing",
-    [
-        (QQ, ["linear-system-dimension", "basis-property", "base-locus", "dual-dimension"]),
-        (FP31, ["basis-property", "base-locus"]),
-    ],
-    ids=["qq", "fp"],
-)
-def test_a_crashed_proof_crashes_every_check_that_reads_it(monkeypatch, field, failing):
+@pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
+def test_a_crashed_proof_crashes_every_check_that_reads_it(monkeypatch, field):
     inst = random_general_flats(3, 11, field)
     vmap, inv = checks.build_all(inst)
 
@@ -675,7 +667,8 @@ def test_a_crashed_proof_crashes_every_check_that_reads_it(monkeypatch, field, f
     monkeypatch.setattr(maps, "vanishes_on_flat", crash)
     report = checks.run_suite(inst, vmap, inv)
     failed = [c for c in report.checks if c.status == "fail"]
-    assert [c.name for c in failed] == failing
+    # the checks that read the vanishing table; no dimension reads it
+    assert [c.name for c in failed] == ["basis-property", "base-locus"]
     assert all(c.witness == {"error": "RuntimeError: boom"} for c in failed)
 
 
@@ -775,6 +768,59 @@ def test_det_m_is_det_b_over_x_by_both_strategies(ctx, coeffs):
         assert la.det_poly_matrix(m, "minor_dp") == want
         assert la.det_poly_matrix(m, "bareiss") == want
         assert maps.compute_Q(flats, i, ctx, b) == want
+
+
+@st.composite
+def small_canonical_coefficients(draw):
+    """Coefficients of n+1 canonical flats of P^n, 2 <= n <= 5, nonzero ints
+    of absolute value at most a bound of 1..3: small enough that
+    non-general instances occur."""
+    n = draw(st.integers(2, 5))
+    bound = draw(st.integers(1, 3))
+    coeff = st.sampled_from([v for v in range(-bound, bound + 1) if v])
+    return [[0 if i == j else draw(coeff) for i in range(n + 1)] for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
+@settings(max_examples=40, deadline=None)
+@given(coeffs=small_canonical_coefficients())
+@example(coeffs=[a for _, a in NON_GENERAL_N4])
+@example(coeffs=[[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+def test_the_leave_one_out_dimensions_are_a_lemma_of_the_degree_n_one(ctx, coeffs):
+    # check_dimension eliminates only the degree-n system and cites the
+    # leave-one-out dimensions; here each is eliminated exactly.  The
+    # record holds no map: the lemma reads none
+    flats = [Flat(j, tuple(ctx.convert(c) for c in a)) for j, a in enumerate(coeffs)]
+    n = len(flats) - 1
+    inst = FlatsInstance(n=n, seed=0, bound=3, ctx=ctx, flats=flats)
+    res = checks.check_dimension(inst, checks.ProofRecord(inst, None, None, 0))
+    dim = maps.linear_system_dimension(flats, n, ctx)
+    assert dim >= n + 1  # the lemma's lower bound, in any field
+    if dim != n + 1:
+        assert (res.status, res.witness) == ("fail", {"degree": n, "dim": dim})
+        return
+    omitted = [
+        maps.linear_system_dimension(flats[:i] + flats[i + 1:], n - 1, ctx)
+        for i in range(n + 1)
+    ]
+    assert omitted == [1] * (n + 1)
+    assert (res.status, res.witness) == ("pass", {"dim": n + 1, "omit_dims": omitted})
+
+
+@pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_verify_eliminates_only_the_two_degree_n_systems(monkeypatch, field, n):
+    inst = random_general_flats(n, 5, field)
+    degrees = []
+    dimension = maps.linear_system_dimension
+
+    def counted(flats, d, ctx):
+        degrees.append(d)
+        return dimension(flats, d, ctx)
+
+    monkeypatch.setattr(maps, "linear_system_dimension", counted)
+    assert checks.run_suite(inst, level="fast").ok
+    assert degrees == [n, n]  # the forward and the dual system
 
 
 def test_determinantal_fails_by_name_when_the_strategies_disagree(monkeypatch):

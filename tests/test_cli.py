@@ -2,6 +2,7 @@ import importlib.metadata
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -126,6 +127,22 @@ def test_verify_timings_break_byte_identity_only_when_asked(tmp_path, map3):
     assert cli.main(["verify", "-i", str(map3), "-o", str(r), "--timings"]) == 0
     report = json.loads(r.read_text())
     assert all(c["ms"] is not None for c in report["checks"])
+
+
+def test_verify_timings_print_each_checks_ms_in_text_mode(capsys, map3):
+    rc, plain, _ = run(capsys, ["verify", "-i", str(map3)])
+    assert rc == 0
+    rc, timed, _ = run(capsys, ["verify", "-i", str(map3), "--timings"])
+    assert rc == 0
+    plain_lines, timed_lines = plain.splitlines(), timed.splitlines()
+    assert len(timed_lines) == len(plain_lines) == len(CHECK_ORDER) + 1
+    # the summary line carries no time, and without the flag no line does
+    assert timed_lines[-1] == plain_lines[-1]
+    assert " ms]" not in plain
+    for old, new in zip(plain_lines[:-1], timed_lines[:-1]):
+        head, ms = re.fullmatch(r"(.*) \[(\d+\.\d{3}) ms\]", new).groups()
+        assert head == old
+        assert float(ms) >= 0
 
 
 def test_verify_mutated_b_matrix(tmp_path, map3, capsys):

@@ -94,6 +94,78 @@ def test_layer_scan_sees_a_late_or_nested_import():
     assert function_imports(tree) == [4]
 
 
+# ---- every helper of the package has a caller in it ------------------------
+
+DEMOS = TESTS.parent / "demos"
+# kept only for the benchmark's tracer, which patches it by name
+UNCALLED = {"exactla.solve"}
+
+
+def definitions(tree):
+    """Module-level functions and classes, and the methods of those
+    classes other than dunders, as (qualified name, bare name) pairs."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                (f"{node.name}.{m.name}", m.name)
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+            )
+    return out
+
+
+def references(tree):
+    """Names a module reads, bare or as an attribute, outside the body of
+    the module-level definition of the same name (so recursion is no use)."""
+    out = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                out.add(name)
+    return out
+
+
+def unreferenced(defining, readers):
+    """Definitions of the `defining` modules ({module: tree}) that no reader
+    tree names, as "module.qualified name"."""
+    used = set().union(*(references(tree) for tree in readers))
+    return sorted(
+        f"{module}.{qualified}"
+        for module, tree in defining.items()
+        for qualified, name in definitions(tree)
+        if name not in used
+    )
+
+
+def test_every_function_and_class_of_the_package_is_referenced():
+    # a helper only the tests call proves nothing the package relies on
+    package = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    demos = [ast.parse(p.read_text(encoding="utf-8")) for p in DEMOS.glob("*.py")]
+    assert unreferenced(package, [*package.values(), *demos]) == sorted(UNCALLED)
+
+
+def test_scan_sees_an_unreferenced_def():
+    tree = ast.parse(
+        "def used():\n    return 1\n"
+        "def recursive(k):\n    return recursive(k - 1)\n"
+        "def dead():\n    return used() + Box().read()\n"
+        "class Box:\n    def __init__(self):\n        self.v = 0\n"
+        "    def read(self):\n        return self.v\n"
+        "    def unread(self):\n        return self.v\n"
+    )
+    assert unreferenced({"m": tree}, [tree]) == ["m.Box.unread", "m.dead", "m.recursive"]
+
+
 # ---- the names the benchmark's tracer patches ----------------------------
 
 TRACER = TESTS.parent / "perfbench" / "tracer.py"

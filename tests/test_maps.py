@@ -277,13 +277,26 @@ def test_linear_system_dimensions_n3(m3):
         assert maps.linear_system_dimension(rest, 2, QQ) == 1
 
 
-def test_witness_pinch_agrees_with_exact_path(m3):
+def restriction_rows(flats, d):
+    mons = maps.monomials_of_degree(flats[0].nvars, d)
+    return [r for f in flats for r in maps._restriction_rows(f, d, QQ, mons)], len(mons)
+
+
+def test_pinch_agrees_with_exact_path(m3):
     vmap, _ = m3
-    exact = maps.linear_system_dimension(vmap.flats, 3, QQ)
-    pinched = maps.linear_system_dimension(
-        vmap.flats, 3, QQ, witnesses=vmap.components
-    )
-    assert exact == pinched == 4
+    rows, ncols = restriction_rows(vmap.flats, 3)
+    assert maps._pinch_nullity(rows, ncols) == 4
+    assert maps.linear_system_dimension(vmap.flats, 3, QQ) == ncols - la.rank(rows, QQ) == 4
+
+
+def test_pinch_falls_back_to_the_exact_path_when_the_bounds_do_not_meet(monkeypatch):
+    # mod 5 the conditions of these flats lose rank: the nullity 6 bounds
+    # the rational one from above only, so the exact elimination decides
+    monkeypatch.setattr(maps, "_PINCH_PRIME", 5)
+    flats = random_general_flats(4, 1, QQ).flats
+    rows, ncols = restriction_rows(flats, 4)
+    assert maps._pinch_nullity(rows, ncols) == 6
+    assert maps.linear_system_dimension(flats, 4, QQ) == 5
 
 
 def dense(rows, ncols, ctx):
@@ -303,12 +316,10 @@ def test_pinch_fails_closed_when_p_divides_a_denominator():
     # have denominators p^k
     a = [(0, p, 1), (1, 0, 1), (1, 2, 0)]
     flats = [Flat(j, tuple(QQ.from_int(v) for v in row)) for j, row in enumerate(a)]
-    vmap = maps.build_forward_map(flats, QQ)
-    mons = maps.monomials_of_degree(3, 2)
-    rows = [r for f in flats for r in maps._restriction_rows(f, 2, QQ, mons)]
-    assert any(c.denominator % p == 0 for r in dense(rows, len(mons), QQ) for c in r)
-    assert maps._pinch_nullity(rows, mons, vmap.components, QQ) is None
-    assert maps.linear_system_dimension(flats, 2, QQ, witnesses=vmap.components) == 3
+    rows, ncols = restriction_rows(flats, 2)
+    assert any(c.denominator % p == 0 for r in dense(rows, ncols, QQ) for c in r)
+    assert maps._pinch_nullity(rows, ncols) is None
+    assert maps.linear_system_dimension(flats, 2, QQ) == 3
 
 
 def test_degree_n_system_is_spanned_by_components(m3):

@@ -450,10 +450,16 @@ def test_evaluator_refuses_a_wrong_point_and_two_primes():
         ints((Fp(1, P), Fp(1, P2)))
 
 
-def test_int_coefficients_give_rationals():
+def test_int_coefficients_stay_ints():
+    # plain ints name no field, so a polynomial made from int-only operands
+    # keeps them and can still meet F_p; a value is rational
     a = Poly(2, {(1, 0): 2, (0, 1): -3})
+    x = Poly.var(0, 2, FP.one)
     for out in (a * a, a**0, a**3, (a * a).exact_div(a), a.substitute([a, a])):
-        assert in_field(out, "qq")
+        assert out and all(type(c) is int for c in out.terms.values())
+        assert in_field(out * x, "fp") and in_field(x * out, "fp")
+        assert in_field(out * Poly.var(0, 2, QQ.one), "qq")
+    assert (a * a) * x == a * (a * x)
     assert in_field(a.evaluate((1, 2)), "qq")
     assert in_field(a.evaluate((Fraction(1, 2), 2)), "qq")
 
