@@ -2,11 +2,14 @@
 """The n = 3 case: exactly two lines meet four general lines in P^3.
 
 Parametrizing the first line and intersecting the cones over the second
-and third lines produces a moving line that always meets the first three;
-asking it to also meet the fourth cuts out a binary form of degree 2 in
-the parameter.  Its two roots are the two transversals.  Over the
-rationals the roots are often conjugate; over F_p (p = 2^61 - 1) about
-half the seeds split and the lines can be printed explicitly.
+and third lines produces a moving line that always meets the first three:
+it joins a point of the first line to the point of the second line on the
+third line's cone.  Asking it to also meet the fourth cuts out a binary
+form of degree 2 in the parameter.  Its two roots are the two
+transversals, each printed through its points on the first and second
+lines.  Over the rationals the roots are often conjugate; over F_p
+(p = 2^61 - 1) about half the seeds split and the lines can be printed
+explicitly.
 """
 
 import sys
@@ -20,7 +23,7 @@ p = 2305843009213693951
 
 for ctx, label in ((FieldCtx.rationals(), "QQ"), (FieldCtx.prime(p), f"F_{p}")):
     inst = random_general_flats(3, seed, ctx)
-    m, lines = checks.transversal_lines_n3(inst.flats, ctx, seed)
+    m, lines = checks.transversal_lines_n3(inst.flats, ctx)
     count, disc_ok = checks.count_transversals_n3(m, ctx)
     print(f"over {label}:")
     print(f"  meeting form  m(s,t) = {m.text(['s', 't'])}")

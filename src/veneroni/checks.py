@@ -10,7 +10,9 @@ values of det(M_i) in `determinantal` and `composition`, the meeting of a
 computed transversal with its flats, the algebra of the n = 3 family), it
 cites the proof instead of testing it: det(B_i) is never expanded, only
 the smaller det(M_i), and no leave-one-out system is eliminated (the
-lemma of `check_dimension`).  A fact that several checks read is proved
+lemma of `check_dimension`).  The n = 3 family is built in closed form,
+with no random draw: its one test is that flats 0, 1, 2 are pairwise
+disjoint (`_family_failure`).  A fact that several checks read is proved
 once per report, in a `ProofRecord`.  run_suite assembles the fixed
 13-check report used by the CLI.
 """
@@ -28,7 +30,6 @@ from .projgeo import (
     LineParam,
     ProjPoint,
     cone_hyperplane,
-    evaluate_form,
     flat_intersection,
     genericity_check,
     parametrize_flat,
@@ -187,23 +188,25 @@ def _binary_disc(m, ctx):
 # ---- the one-parameter transversal family in P^3 -----------------------
 
 
-def _n3_family(flats, ctx, seed=0):
+def _n3_family(flats, ctx):
     """The transversal family along flat 0 for four flats in P^3.
 
-    Points of flat 0 are parametrized as p(s,t); the unique transversal
-    through p(s,t) to flats 1 and 2 is cut out by their two cone
-    hyperplanes, whose coefficient rows are linear in (s,t).  Returns the
-    meeting condition with flat 3 (a binary form of degree 2), the
-    parametrized base point p, and a second parametrized point w spanning
-    the moving line.
+    Points of flat 0 are parametrized as p(s,t); the transversal through
+    p(s,t) to flats 1 and 2 is cut out by their two cone hyperplanes,
+    whose coefficient rows are linear in (s,t).  Returns the meeting
+    condition with flat 3 (a binary form of degree 2), the parametrized
+    base point p, and a second parametrized point w spanning the moving
+    line: the point h(q2)·q1 − h(q1)·q2 of flat 1 on flat 2's cone row h,
+    with q1, q2 spanning flat 1, so w is linear in (s,t) too.
 
     Both cone rows annihilate p and w identically, so neither is tested.
     The row of flat j is its `cone_hyperplane` f1(p)·f2 − f2(p)·f1 at the
     point p(s,t), with (f1, f2) = (x_j, f_j); its product with p is
-    f1(p)f2(p) − f2(p)f1(p) = 0.  Its product with w is the first-row
-    expansion of the 4x4 determinant with that row on top of the stacked
-    cone rows and random row, which repeats a row and so is zero.  Both
-    identities hold in any commutative ring, here the binary forms in (s,t).
+    f1(p)f2(p) − f2(p)f1(p) = 0.  Flat 1's row vanishes on all of flat 1,
+    which holds w, and h·w = h(q2)h(q1) − h(q1)h(q2) = 0.  Both identities
+    hold in any commutative ring, here the binary forms in (s,t).  That p
+    and w span the transversal at a root of m when the flats are disjoint
+    is proved in `_family_failure`.
     """
     n1 = 4
     span = parametrize_flat(flats[0], ctx)
@@ -212,28 +215,14 @@ def _n3_family(flats, ctx, seed=0):
         Poly(2, {(1, 0): span[0][i], (0, 1): span[1][i]})
         for i in range(n1)
     ]
-    cone_rows = [cone_hyperplane(p, flats[j], ctx) for j in (1, 2)]
+    cone_rows = [cone_hyperplane(p, flats[j]) for j in (1, 2)]
     # meeting condition with flat 3: the four hyperplanes (two moving cone
     # rows, two fixed rows of flat 3) share a point iff this det vanishes
     rows3 = [[Poly.const(c, 2) for c in row] for row in flats[3].form_rows(ctx)]
     m = la.det_laplace(cone_rows + rows3)
-    # a second point of the moving line: generalized cross product of the
-    # two cone rows and one fixed random row r.  At a root of m where r·p
-    # vanishes, p and w both lie in the null space of all three rows, so w
-    # is zero or a multiple of p there; such an r, whose linear form r·p
-    # divides m, is drawn again
-    rng = seeded_rng(seed, "n3-family")
-    for _ in range(16):
-        r = [ctx.random_nonzero(rng) for _ in range(n1)]
-        stacked = cone_rows + [[Poly.const(c, 2) for c in r]]
-        w = [
-            la.det_laplace([row[:k] + row[k + 1:] for row in stacked]) * (-1) ** k
-            for k in range(n1)
-        ]
-        rp = sum(map(Poly.scale, p, r), Poly.zero(2))
-        collapses = m and (not rp or _divides(rp, m))
-        if any(w) and not collapses:
-            break
+    q1, q2 = parametrize_flat(flats[1], ctx)
+    hq1, hq2 = (sum(map(Poly.scale, cone_rows[1], q), Poly.zero(2)) for q in (q1, q2))
+    w = [hq2.scale(a) - hq1.scale(b) for a, b in zip(q1, q2)]
     return m, p, w
 
 
@@ -264,40 +253,32 @@ def _binary_roots(m, ctx):
     return [(ctx.one, ctx.zero), (-c, b)]
 
 
-def transversal_lines_n3(flats, ctx, seed=0):
+def transversal_lines_n3(flats, ctx):
     """The meeting form m of four flats in P^3 and the explicit transversal
     lines, when m splits over the field.  A meeting form of degree other
-    than 2 raises, as in `count_transversals_n3`."""
-    m, p, w = _n3_family(flats, ctx, seed)
+    than 2 raises, as in `count_transversals_n3`; the lines are those of
+    `_family_lines`, which needs flats 0, 1, 2 pairwise disjoint, as the
+    genericity check certifies."""
+    m, p, w = _n3_family(flats, ctx)
     count_transversals_n3(m, ctx)
     return m, _family_lines(ctx, m, p, w)
 
 
 def _family_lines(ctx, m, p, w):
-    """The lines of the family (m, p, w) at the roots of m, if it splits.
+    """The lines of the family (m, p, w) at the roots of m, if it splits:
+    each through its point of flat 0 and its point of flat 1.
 
-    No line is tested against the flats.  At a root (s0:t0) let P and W be
-    p and w there.  Both lie in the cone hyperplanes of flats 1 and 2
-    through P (`_n3_family`).  W is nonzero only when the two cone rows
-    are independent (W is their cross product with a third row), so once
-    the rank test makes P and W independent, the line PW is the whole
-    common null space of the two rows.  It meets flat 0 at P, flats 1 and
-    2 by the cone proof of `transversal_through`, and flat 3 because
-    m(s0,t0) = 0 says that the two rows and the two forms of flat 3 share
-    a null vector, a point of flat 3 on the line.
+    No line is tested.  For flats 0, 1, 2 pairwise disjoint the line
+    through p and w at a root of m meets all four flats (`_family_failure`).
     """
     roots = _binary_roots(m, ctx)
     if roots is None:
         return []
     values = Evaluator([*p, *w])
     lines = []
-    for s0, t0 in roots:
-        point = values((s0, t0))
+    for root in roots:
+        point = values(root)
         base, direc = point[: len(p)], point[len(p):]
-        if not any(bool(v) for v in direc):
-            raise RuntimeError("family point degenerates at a root")
-        if la.rank([list(base), list(direc)], ctx) != 2:
-            raise RuntimeError("family line collapses at a root")
         lines.append(LineParam(ProjPoint(base, ctx), ProjPoint(direc, ctx)))
     return lines
 
@@ -567,25 +548,27 @@ def _family_failure(vmap, m, p, w):
     (u,v)-coefficients that are binary forms in (s,t); each must be a
     multiple of the meeting form m, which vanishes exactly at the
     transversal parameters.
+
+    The family (`_n3_family`) spans the transversals when flats 0, 1, 2
+    are pairwise disjoint, the one test made of it.  Then p, a point of
+    flat 0, is off flat 2, so its cone row h through flat 2 is nonzero;
+    w = 0 would put flat 1 inside the plane h = 0 with flat 2, and no
+    plane holds two skew lines; and w != p, as w lies on flat 1.  The cone
+    planes H1(p), H2(p) of flats 1 and 2 are distinct by the same skew
+    lines, so H1(p) ∩ H2(p) is the line pw.  At a root of m the two cone
+    rows and the forms of flat 3 share a null vector, a point of flat 3 on
+    that line; the line meets flat 0 at p, flat 1 at w, and flat 2 by the
+    cone proof of `transversal_through`.
     """
     ctx = vmap.ctx
     if m.is_zero() or m.degree() != 2:
         return {"reason": f"meeting form degree {m.degree()}"}
     if not _binary_disc(m, ctx):
         return {"reason": "meeting form has a double root"}
-    # the moving point w must not collapse onto p at either root: some
-    # 2x2 minor of [p; w] must be nonzero there, i.e. not divisible by m
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        if flat_intersection(vmap.flats[a], vmap.flats[b], ctx):
+            return {"pair": [a, b], "reason": "flats meet"}
     n1 = vmap.n + 1
-    minors = [p[a] * w[b] - p[b] * w[a] for a, b in combinations(range(n1), 2)]
-    roots = _binary_roots(m, ctx)
-    if roots is None:
-        if all(_divides(m, mu) for mu in minors):
-            return {"reason": "family degenerates along the meeting form"}
-    else:
-        values = Evaluator(minors)
-        for s0, t0 in roots:
-            if not any(values((s0, t0))):
-                return {"reason": "family degenerates at a root"}
     # images live in the mixed ring (s, t, u, v)
     images = []
     for k in range(n1):
@@ -763,7 +746,7 @@ def residual_component_example(flats, qs, ctx, seed=0):
     q = _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
     anchors = []
     for idx in (0, 1):
-        rows = [[evaluate_form(form, p) for p in pts] for form in flats[idx].form_rows(ctx)]
+        rows = [list(r) for r in zip(*(flats[idx].values(p) for p in pts))]
         ns = la.nullspace(rows, 3, ctx)
         if len(ns) != 1:
             return _failed(name, {"reason": f"plane meets flat {idx} badly"})
@@ -902,7 +885,7 @@ class ProofRecord:
     def family(self):
         """The n = 3 transversal family (m, p, w) of `_n3_family`."""
         vmap = self.vmap
-        return self._fact("family", lambda: _n3_family(vmap.flats, vmap.ctx, self.seed))
+        return self._fact("family", lambda: _n3_family(vmap.flats, vmap.ctx))
 
     def family_failure(self):
         """The divisibility proof of the family: `_family_failure`."""

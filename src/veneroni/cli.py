@@ -199,7 +199,7 @@ def cmd_transversal(args):
     res = transversal_through(p, queried, ctx)
     meetings = []
     if res.kind == "unique":
-        meetings = [meeting_param(res.line, f, ctx) for f in queried]
+        meetings = [meeting_param(res.line, f) for f in queried]
 
     def fmt_param(m):
         return None if m is None else f"{ctx.format(m[0])}:{ctx.format(m[1])}"
@@ -241,7 +241,7 @@ def cmd_demo(args):
             return 2
         inst = random_general_flats(n, args.seed, ctx, bound=args.bound)
         if n == 3:
-            m, lines = checks.transversal_lines_n3(inst.flats, ctx, args.seed)
+            m, lines = checks.transversal_lines_n3(inst.flats, ctx)
             count, disc_ok = checks.count_transversals_n3(m, ctx)
             print(f"n=3 seed={args.seed}: meeting form {m.text(['s', 't'])}")
             print(

@@ -134,39 +134,19 @@ def coefficient_rows(polys, mons, ctx):
     return rows
 
 
-def _flat_reduction(flat, ctx):
-    """(j, k, L): on the flat x_j = 0 and x_k = L, a linear form in the
-    variables other than x_j and x_k.
-
-    k is the first index other than j with a_{j,k} != 0, and
-    L = -sum_{i != j,k} (a_{j,i}/a_{j,k}) x_i.  The map x_j -> 0, x_k -> L
-    is the isomorphism k[x]/(x_j, f_j) = k[x_i : i != j,k]; the coefficient
-    a_{j,j} plays no part (f_j matters only modulo x_j).  Raises ValueError
-    when every a_{j,i} with i != j is zero, since (x_j, f_j) is then no
-    codimension-2 flat.
-    """
-    j, a = flat.j, flat.a
-    k = next((i for i, c in enumerate(a) if i != j and c), None)
-    if k is None:
-        raise ValueError(f"flat {j} is degenerate: f_{j} has no term off x_{j}")
-    scale = -ctx.inv(a[k])
-    line = Poly.from_linear(
-        [ctx.zero if i in (j, k) else c * scale for i, c in enumerate(a)]
-    )
-    return j, k, line
-
-
 def _restriction_rows(flat, d, ctx, mons):
     """Linear conditions on degree-d coefficients for vanishing on the flat.
 
-    Each monomial x^e goes to its image under the reduction of the flat:
-    zero when e_j > 0, else x^e with x_k replaced by L.  A degree-d form
-    vanishes on the flat exactly when its image is zero, so each monomial
-    of the images gives one condition, a {column: entry} dict holding the
-    nonzero contributions of the coefficients.  Monomials with x_j give no
-    entry at all.
+    Each monomial x^e goes to its image under `Flat.reduction`: zero when
+    e_j > 0, else x^e with x_k replaced by L.  A degree-d form vanishes on
+    the flat exactly when its image is zero, so each monomial of the
+    images gives one condition, a {column: entry} dict holding the nonzero
+    contributions of the coefficients.  Monomials with x_j give no entry
+    at all.
     """
-    j, k, line = _flat_reduction(flat, ctx)
+    j = flat.j
+    k, coeffs = flat.reduction(ctx)
+    line = Poly.from_linear(coeffs)
     powers = [Poly.const(ctx.one, flat.nvars)]  # powers[m] = L^m
     for _ in range(d):
         powers.append(powers[-1] * line)
@@ -232,12 +212,14 @@ class VeneroniMap:
 def vanishes_on_flat(p, flat, ctx):
     """Exact test: p vanishes on the flat, i.e. p lies in its ideal (x_j, f_j).
 
-    p vanishes on the flat exactly when its image under the reduction of
-    `_flat_reduction` (x_j -> 0, x_k -> L) is zero.  Terms with x_j drop
-    out, the rest are grouped by their power of x_k, and the image is
-    summed by Horner in L.  Raises ValueError on a degenerate flat.
+    p vanishes on the flat exactly when its image under `Flat.reduction`
+    (x_j -> 0, x_k -> L) is zero.  Terms with x_j drop out, the rest are
+    grouped by their power of x_k, and the image is summed by Horner in L.
+    Raises ValueError on a degenerate flat.
     """
-    j, k, line = _flat_reduction(flat, ctx)
+    j = flat.j
+    k, coeffs = flat.reduction(ctx)
+    line = Poly.from_linear(coeffs)
     groups = {}  # power of x_k -> the terms carrying it, with x_k removed
     for e, c in p.terms.items():
         if not e[j]:

@@ -262,13 +262,6 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def lead(self):
-        """(exponent, coefficient) of the grevlex-leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grevlex)
-        return e, self.terms[e]
-
     def sorted_terms(self):
         """Terms in descending grevlex order."""
         return sorted(self.terms.items(), key=lambda t: _grevlex(t[0]), reverse=True)

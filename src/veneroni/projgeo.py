@@ -13,7 +13,9 @@ few points of the line (`vanishing_on_line`).
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import add, mul
 
 from . import exactla as la
 from .mpoly import Evaluator, Poly
@@ -80,16 +82,6 @@ class ProjPoint:
         return ",".join(str(c) for c in self.coords)
 
 
-def evaluate_form(coeffs, vec):
-    """Value of the linear form with the given coefficients at a vector."""
-    it = iter(zip(coeffs, vec))
-    c, v = next(it)
-    total = c * v
-    for c, v in it:
-        total = total + c * v
-    return total
-
-
 @dataclass(frozen=True)
 class Flat:
     """Codimension-2 flat of P^n with ideal (x_j, f_j), in canonical form."""
@@ -109,6 +101,29 @@ class Flat:
 
     def form2_poly(self):
         return Poly.from_linear(self.a)
+
+    def values(self, p):
+        """(x_j(p), f_j(p)) at a point p, whose coordinates may be scalars
+        or polynomials: f_j(p) is one dot product."""
+        return p[self.j], reduce(add, map(mul, self.a, p))
+
+    def reduction(self, ctx):
+        """(k, L): on the flat x_j = 0 and x_k = L, a linear form, given by
+        its coefficients, in the variables other than x_j and x_k.
+
+        k is the first index other than j with a_{j,k} != 0, and
+        L = -sum_{i != j,k} (a_{j,i}/a_{j,k}) x_i.  The map x_j -> 0,
+        x_k -> L is the isomorphism k[x]/(x_j, f_j) = k[x_i : i != j,k];
+        the coefficient a_{j,j} plays no part (f_j matters only modulo
+        x_j).  Raises ValueError when every a_{j,i} with i != j is zero,
+        since (x_j, f_j) is then no codimension-2 flat.
+        """
+        j, a = self.j, self.a
+        k = next((i for i, c in enumerate(a) if i != j and c), None)
+        if k is None:
+            raise ValueError(f"flat {j} is degenerate: f_{j} has no term off x_{j}")
+        scale = -ctx.inv(a[k])
+        return k, [ctx.zero if i in (j, k) else c * scale for i, c in enumerate(a)]
 
     def is_canonical(self):
         return not self.a[self.j] and all(
@@ -134,31 +149,28 @@ class TransversalResult:
     basis: list = field(default_factory=list)
 
 
-def cone_hyperplane(p, flat, ctx):
+def cone_hyperplane(p, flat):
     """Coefficients of the hyperplane spanned by p and the flat.
 
-    The form is f1(p)*f2 - f2(p)*f1; it vanishes at p and on the whole
-    flat.  Returns None (vacuous, no constraint) when p lies on the flat.
+    The form is x_j(p)·f_j − f_j(p)·x_j: x_j(p)·a with f_j(p) taken off
+    entry j.  It vanishes at p and on the whole flat.  Returns None
+    (vacuous, no constraint) when p lies on the flat.
     """
-    r1, r2 = flat.form_rows(ctx)
-    v1 = evaluate_form(r1, p)
-    v2 = evaluate_form(r2, p)
-    if not v1 and not v2:
+    xj, fj = flat.values(p)
+    if not xj and not fj:
         return None
-    return [v1 * c2 - v2 * c1 for c1, c2 in zip(r1, r2)]
+    row = [xj * c for c in flat.a]
+    row[flat.j] = row[flat.j] - fj
+    return row
 
 
-def meeting_param(line, flat, ctx):
+def meeting_param(line, flat):
     """Where the line meets the flat: (s, t), "contained", or None (misses).
 
     The line meets the flat iff the 2x2 matrix of the flat's forms at the
     two spanning points is singular; rank 0 means the line lies inside.
     """
-    r1, r2 = flat.form_rows(ctx)
-    m = [
-        [evaluate_form(r1, line.base), evaluate_form(r1, line.dir)],
-        [evaluate_form(r2, line.base), evaluate_form(r2, line.dir)],
-    ]
+    m = list(zip(flat.values(line.base), flat.values(line.dir)))
     if m[0][0] * m[1][1] - m[0][1] * m[1][0]:
         return None
     for row in m:
@@ -181,7 +193,7 @@ def transversal_through(p, flats, ctx):
     """
     rows = []
     for f in flats:
-        c = cone_hyperplane(p, f, ctx)
+        c = cone_hyperplane(p, f)
         if c is not None:
             rows.append(c)
     n1 = len(p.coords)
@@ -203,8 +215,16 @@ def flat_intersection(a, b, ctx):
 
 
 def parametrize_flat(f, ctx):
-    """n-1 points spanning the flat."""
-    return [ProjPoint(v, ctx) for v in la.nullspace(f.form_rows(ctx), f.nvars, ctx)]
+    """n-1 points spanning the flat: e_i + L_i·e_k for each i other than j
+    and k, in increasing i, with (k, L) the flat's `Flat.reduction`."""
+    k, line = f.reduction(ctx)
+    pts = []
+    for i, c in enumerate(line):
+        if i not in (f.j, k):
+            v = [ctx.zero] * f.nvars
+            v[i], v[k] = ctx.one, c
+            pts.append(ProjPoint(v, ctx))
+    return pts
 
 
 def vanishing_on_line(polys):

@@ -292,12 +292,6 @@ class FieldCtx:
         v = k - bound
         return Rational(v if v < 0 else v + 1)
 
-    def random(self, rng: random.Random, bound: int = 9):
-        """Uniform draw including zero."""
-        if self.kind == "fp":
-            return Fp(rng.randrange(self.p), self.p)
-        return Rational(rng.randrange(-bound, bound + 1))
-
 
 def seeded_rng(seed, *scope) -> random.Random:
     """A Random stream bound to (seed, scope...).

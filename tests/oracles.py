@@ -3,7 +3,7 @@
 Restricting a polynomial to the span of points by `Poly.substitute` gives
 the zero polynomial exactly when the polynomial vanishes on the span.  The
 package proves such vanishing otherwise (`projgeo.vanishing_on_line` by
-point values, `maps.vanishes_on_flat` by elimination); these are the
+point values, `maps.vanishes_on_flat` by reduction); these are the
 independent oracles they are tested against.  The entries of
 C(v) − B·diag(Q) are likewise expanded here by substitution, where
 `checks.verify_composition` reads them from a report's proof record, and
@@ -15,12 +15,17 @@ matrix; `det_by_poly_ops` runs the column-subset expansion on the
 entries' own `+` and `*` instead, so no coefficient crosses that
 boundary.  The small predicates at the end (`is_homogeneous`, `div_var`,
 `flat_contains`) have no caller in the package, which proves what they
-test.
+test.  `flat_span` is the general solver behind the closed form of
+`projgeo.parametrize_flat`: the nullspace of a flat's two forms.  `lead`
+and `random_scalar` serve only the tests, so they live here and not on
+`Poly` and `FieldCtx`.
 """
 
+from veneroni import exactla as la
 from veneroni import maps
 from veneroni.mpoly import Poly
-from veneroni.projgeo import evaluate_form
+from veneroni.projgeo import ProjPoint
+from veneroni.scalar import Fp, Rational
 
 
 def restrict_to_span(p, pts):
@@ -100,4 +105,24 @@ def div_var(p, i):
 
 def flat_contains(flat, pt):
     """Whether the point lies on the flat: x_j and f_j both vanish there."""
-    return not pt[flat.j] and not evaluate_form(flat.a, pt)
+    return not pt[flat.j] and not sum(c * x for c, x in zip(flat.a, pt))
+
+
+def flat_span(flat, ctx):
+    """Points spanning the flat, read off the nullspace of its two forms."""
+    return [ProjPoint(v, ctx) for v in la.nullspace(flat.form_rows(ctx), flat.nvars, ctx)]
+
+
+def lead(p):
+    """(exponent, coefficient) of the grevlex-leading term of p."""
+    if not p.terms:
+        raise ValueError("zero polynomial has no leading term")
+    return p.sorted_terms()[0]
+
+
+def random_scalar(ctx, rng, bound=9):
+    """Uniform draw including zero: an integer in [-bound, bound], or any
+    residue."""
+    if ctx.kind == "fp":
+        return Fp(rng.randrange(ctx.p), ctx.p)
+    return Rational(rng.randrange(-bound, bound + 1))

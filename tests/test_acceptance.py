@@ -147,7 +147,7 @@ def test_criterion_07_transversal_geometry():
             p = ProjPoint([QQ.random_nonzero(rng) for _ in range(n + 1)], QQ)
             res = transversal_through(p, list(queried), QQ)
             assert res.kind == "unique"
-            params = [meeting_param(res.line, f, QQ) for f in queried]
+            params = [meeting_param(res.line, f) for f in queried]
             assert all(m is not None for m in params)
             for a in range(len(params)):
                 for b in range(a + 1, len(params)):
@@ -174,7 +174,7 @@ def test_criterion_07_transversal_geometry():
 def test_criterion_08_two_transversals_in_p3():
     for seed in SEEDS:
         inst, _ = fwd(3, seed)
-        m, _ = checks.transversal_lines_n3(inst.flats, QQ, seed)
+        m, _ = checks.transversal_lines_n3(inst.flats, QQ)
         count, disc_ok = checks.count_transversals_n3(m, QQ)
         assert count == 2
         assert disc_ok

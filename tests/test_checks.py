@@ -357,7 +357,7 @@ def test_composition_fails_at_the_oracles_first_nonzero_entry(case):
 def test_transversal_count_across_seeds():
     for seed in range(5):
         inst = random_general_flats(3, seed, QQ)
-        m, _ = checks.transversal_lines_n3(inst.flats, QQ, seed)
+        m, _ = checks.transversal_lines_n3(inst.flats, QQ)
         count, disc_ok = checks.count_transversals_n3(m, QQ)
         assert count == 2
         assert disc_ok
@@ -366,26 +366,45 @@ def test_transversal_count_across_seeds():
 def test_explicit_lines_when_form_splits():
     ctx = FieldCtx.prime(M61)
     inst = random_general_flats(3, 2, ctx)
-    m, lines = checks.transversal_lines_n3(inst.flats, ctx, 2)
+    m, lines = checks.transversal_lines_n3(inst.flats, ctx)
     assert m.degree() == 2
     assert len(lines) == 2
     # conjugate roots over QQ at this seed: no explicit lines, same form degree
     qinst = random_general_flats(3, 5, QQ)
-    m2, qlines = checks.transversal_lines_n3(qinst.flats, QQ, 5)
+    m2, qlines = checks.transversal_lines_n3(qinst.flats, QQ)
     assert m2.degree() == 2
     assert qlines == []
 
 
-def test_n3_family_draws_a_row_that_keeps_w_off_p_at_the_roots():
-    # at n=3 qq seed 148 the first random row r has r·p = 0 at the root
-    # (36 : -36) of the meeting form, where w then collapsed onto p and
-    # both family checks failed "family degenerates at a root"
+def test_n3_family_takes_w_on_flat_1_inside_flat_2s_cone_row():
+    # w = h(q2)·q1 − h(q1)·q2: x_1(w) = f_1(w) = 0 and h·w = 0, as binary
+    # forms; no random row is drawn
     inst = random_general_flats(3, 148, QQ)
-    m, p, w = checks._n3_family(inst.flats, QQ, 148)
-    minors = [p[a] * w[b] - p[b] * w[a] for a in range(4) for b in range(a + 1, 4)]
-    for root in checks._binary_roots(m, QQ):
-        assert any(mu.evaluate(root) for mu in minors)
+    flat1 = inst.flats[1]
+    m, p, w = checks._n3_family(inst.flats, QQ)
+    assert any(w) and all(c.degree() == 1 for c in w if c)
+    assert w[1].is_zero()
+    assert sum((w[k].scale(c) for k, c in enumerate(flat1.a)), Poly.zero(2)).is_zero()
+    assert _row_times(inst.flats[2], p, w).is_zero()
+    # at this seed the random third row of the earlier construction once
+    # collapsed w onto p at a root of the meeting form
     assert checks.run_suite(inst, level="fast").ok
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"]
+)
+def test_n3_family_fails_by_the_pair_of_flats_that_meet(field):
+    # a_{0,2}·a_{1,3} = a_{0,3}·a_{1,2} puts (0 : 0 : 3 : -2) on flats 0
+    # and 1; the meeting form still has two distinct roots
+    coeffs = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 0, 5], [7, 2, 3, 0]]
+    flats = [Flat(j, tuple(field.from_int(c) for c in a)) for j, a in enumerate(coeffs)]
+    assert len(flat_intersection(flats[0], flats[1], field)) == 1
+    res = by_name(checks.run_suite(FlatsInstance(3, 0, 9, field, flats)))
+    assert res["genericity"].status == "fail"
+    for name in ("base-locus", "transversal-sample"):
+        assert res[name].status == "fail"
+        assert res[name].witness == {"pair": [0, 1], "reason": "flats meet"}
 
 
 def test_residual_example_across_seeds():
@@ -914,9 +933,9 @@ def test_transversals_meet_every_queried_flat(ctx, coeffs, data):
         lines = [LineParam(p, e) for e in ends if e != p]
     for line in lines:
         for f in query:
-            assert meeting_param(line, f, ctx) is not None
+            assert meeting_param(line, f) is not None
     if len(flats) == 4:
-        m, pf, w = checks._n3_family(flats, ctx, data.draw(st.integers(0, 99), label="seed"))
+        m, pf, w = checks._n3_family(flats, ctx)
         for f in flats[1:3]:
             assert _row_times(f, pf, pf).is_zero()
             assert _row_times(f, pf, w).is_zero()
@@ -926,5 +945,5 @@ def test_transversals_meet_every_queried_flat(ctx, coeffs, data):
         vmap = maps.build_forward_map(flats, ctx)
         if checks._family_failure(vmap, m, pf, w) is None:
             for line in checks._family_lines(ctx, m, pf, w):
-                assert all(meeting_param(line, f, ctx) is not None for f in flats)
+                assert all(meeting_param(line, f) is not None for f in flats)
                 assert all(line_restrict(q, line).is_zero() for q in vmap.Q)

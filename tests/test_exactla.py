@@ -10,7 +10,7 @@ from veneroni.mpoly import Poly
 from veneroni.projgeo import Flat
 from veneroni.scalar import FieldCtx, Fp, Rational
 
-from oracles import det_by_poly_ops
+from oracles import det_by_poly_ops, random_scalar
 
 P = (1 << 31) - 1
 QQ = FieldCtx.rationals()
@@ -18,15 +18,15 @@ FP = FieldCtx.prime(P)
 
 
 def rand_mat(ctx, rng, k, bound=5):
-    return [[ctx.random(rng, bound) for _ in range(k)] for _ in range(k)]
+    return [[random_scalar(ctx, rng, bound) for _ in range(k)] for _ in range(k)]
 
 
 def rand_poly_mat(ctx, rng, k, nvars=3):
     def entry():
         p = Poly.zero(nvars)
         for i in range(nvars):
-            p = p + Poly.var(i, nvars, ctx.random(rng, 3))
-        return p + Poly.const(ctx.random(rng, 3), nvars)
+            p = p + Poly.var(i, nvars, random_scalar(ctx, rng, 3))
+        return p + Poly.const(random_scalar(ctx, rng, 3), nvars)
 
     return [[entry() for _ in range(k)] for _ in range(k)]
 
@@ -175,7 +175,7 @@ def test_det_kernels_match_the_poly_op_expansion(kind, data):
 
 def test_rref_shape_and_idempotence():
     rng = random.Random(31)
-    rows = [[QQ.random(rng) for _ in range(5)] for _ in range(3)]
+    rows = [[random_scalar(QQ, rng) for _ in range(5)] for _ in range(3)]
     red, piv = la.rref(rows, QQ)
     for r, c in enumerate(piv):
         assert red[r][c] == 1
@@ -189,7 +189,7 @@ def test_nullspace_annihilates_and_counts(ctx):
     rng = random.Random(17)
     for _ in range(15):
         nr, nc = rng.randrange(1, 5), rng.randrange(1, 6)
-        rows = [[ctx.random(rng, 3) for _ in range(nc)] for _ in range(nr)]
+        rows = [[random_scalar(ctx, rng, 3) for _ in range(nc)] for _ in range(nr)]
         ns = la.nullspace(rows, nc, ctx)
         assert len(ns) == nc - la.rank(rows, ctx)
         for v in ns:

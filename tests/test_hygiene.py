@@ -118,32 +118,34 @@ def definitions(tree):
 
 
 def references(tree):
-    """Names a module reads, bare or as an attribute, outside the body of
-    the module-level definition of the same name (so recursion is no use)."""
-    out = set()
+    """Names a module reads outside the body of the module-level definition
+    of the same name (so recursion is no use): those read bare, and those
+    read as an attribute."""
+    bare, attributes = set(), set()
     for top in tree.body:
         own = getattr(top, "name", None)
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            else:
-                continue
-            if name != own:
-                out.add(name)
-    return out
+            if isinstance(node, ast.Name) and node.id != own:
+                bare.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != own:
+                attributes.add(node.attr)
+    return bare, attributes
 
 
 def unreferenced(defining, readers):
     """Definitions of the `defining` modules ({module: tree}) that no reader
-    tree names, as "module.qualified name"."""
-    used = set().union(*(references(tree) for tree in readers))
+    tree names, as "module.qualified name".  A method is read only as an
+    attribute: a local variable or a module of the same name is no use."""
+    bare, attributes = set(), set()
+    for tree in readers:
+        b, a = references(tree)
+        bare |= b
+        attributes |= a
     return sorted(
         f"{module}.{qualified}"
         for module, tree in defining.items()
         for qualified, name in definitions(tree)
-        if name not in used
+        if name not in attributes and ("." in qualified or name not in bare)
     )
 
 
@@ -158,11 +160,12 @@ def test_scan_sees_an_unreferenced_def():
     tree = ast.parse(
         "def used():\n    return 1\n"
         "def recursive(k):\n    return recursive(k - 1)\n"
-        "def dead():\n    return used() + Box().read()\n"
+        "def dead():\n    unread = 1\n    return used() + Box().read() + unread\n"
         "class Box:\n    def __init__(self):\n        self.v = 0\n"
         "    def read(self):\n        return self.v\n"
         "    def unread(self):\n        return self.v\n"
     )
+    # the local variable `unread` is read bare, which no method counts
     assert unreferenced({"m": tree}, [tree]) == ["m.Box.unread", "m.dead", "m.recursive"]
 
 

@@ -16,7 +16,15 @@ from veneroni.projgeo import (
 )
 from veneroni.scalar import FieldCtx, seeded_rng
 
-from oracles import div_var, flat_contains, is_homogeneous, line_restrict, restrict_to_span
+from oracles import (
+    div_var,
+    flat_contains,
+    flat_span,
+    is_homogeneous,
+    lead,
+    line_restrict,
+    restrict_to_span,
+)
 
 QQ = FieldCtx.rationals()
 
@@ -45,7 +53,7 @@ def proportional(p, q):
     """True when p = c·q for some nonzero scalar c."""
     if p.is_zero() or q.is_zero():
         return p.is_zero() and q.is_zero()
-    (_, cp), (_, cq) = p.lead(), q.lead()
+    (_, cp), (_, cq) = lead(p), lead(q)
     return set(p.terms) == set(q.terms) and p.scale(cq) == q.scale(cp)
 
 
@@ -427,6 +435,21 @@ def flat_coefficients(draw, n, j):
     return a
 
 
+@pytest.mark.parametrize("ctx", [QQ, FP], ids=["qq", "fp"])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), data=st.data())
+def test_parametrize_flat_is_the_nullspace_basis(ctx, n, data):
+    # the closed form e_i + L_i·e_k against the general solver, point for
+    # point, on canonical flats and on flats off the canonical pattern
+    j = data.draw(st.integers(0, n), label="j")
+    if data.draw(st.booleans(), label="canonical"):
+        a = [0 if i == j else data.draw(SMALL.filter(bool)) for i in range(n + 1)]
+    else:
+        a = data.draw(flat_coefficients(n, j), label="a")
+    flat = Flat(j, tuple(ctx.convert(c) for c in a))
+    assert parametrize_flat(flat, ctx) == flat_span(flat, ctx)
+
+
 @st.composite
 def flat_and_member(draw):
     """A flat (x_j, f_j), possibly with a_{j,j} != 0 and zeros elsewhere, and
@@ -457,7 +480,7 @@ def test_vanishes_on_flat_agrees_with_span_restriction(ctx, case):
     flat = Flat(j, tuple(ctx.convert(c) for c in a))
     member = Poly.var(j, n1, ctx.one) * poly(r) + flat.form2_poly() * poly(s)
     p = member + poly(t)
-    expected = restrict_to_span(p, parametrize_flat(flat, ctx)).is_zero()
+    expected = restrict_to_span(p, flat_span(flat, ctx)).is_zero()
     assert maps.vanishes_on_flat(p, flat, ctx) == expected
     assert maps.vanishes_on_flat(member, flat, ctx)
 
@@ -482,9 +505,9 @@ def flats_and_degree(draw):
 
 
 def parametrized_rows(flat, d, ctx, mons):
-    """Oracle: the conditions read off the substitution of a parametrization
-    of the flat into each monomial, one row per parameter monomial."""
-    basis = parametrize_flat(flat, ctx)
+    """Oracle: the conditions read off the substitution of the nullspace
+    basis of the flat into each monomial, one row per parameter monomial."""
+    basis = flat_span(flat, ctx)
     images = [Poly.from_linear([pt[i] for pt in basis]) for i in range(flat.nvars)]
     par = {m: r for r, m in enumerate(maps.monomials_of_degree(len(basis), d))}
     rows = [[ctx.zero] * len(mons) for _ in par]

@@ -9,7 +9,7 @@ from veneroni import checks
 from veneroni.mpoly import Evaluator, Poly
 from veneroni.scalar import FieldCtx, Fp, Rational
 
-from oracles import div_var, is_homogeneous
+from oracles import div_var, is_homogeneous, lead, random_scalar
 
 QQ = FieldCtx.rationals()
 FP = FieldCtx.prime((1 << 31) - 1)
@@ -23,7 +23,7 @@ def rand_poly(ctx, rng, nvars=3, maxdeg=3, nterms=6):
         e = [0] * nvars
         for _ in range(rng.randrange(maxdeg + 1)):
             e[rng.randrange(nvars)] += 1
-        p = p + Poly(nvars, {tuple(e): ctx.random(rng)})
+        p = p + Poly(nvars, {tuple(e): random_scalar(ctx, rng)})
     return p
 
 
@@ -56,7 +56,7 @@ def test_ring_laws(ctx):
 def test_a_product_with_a_field_scalar_is_a_scaling(ctx):
     rng = random.Random(17)
     a = rand_poly(ctx, rng)
-    for c in (ctx.from_int(-3), ctx.random(rng), 5, 0):
+    for c in (ctx.from_int(-3), random_scalar(ctx, rng), 5, 0):
         assert a * c == a.scale(c) == c * a
         assert (a * c).nvars == (c * a).nvars == 3
     assert a * ctx.zero == Poly.zero(3)
@@ -84,7 +84,7 @@ def test_zero_handling():
     assert not z
     assert z.evaluate([QQ.one] * 4) == 0
     with pytest.raises(ValueError):
-        z.lead()
+        lead(z)
 
 
 def test_euler_identity_on_homogeneous_polys():
@@ -150,7 +150,7 @@ def test_grevlex_order():
     assert [e for e, _ in p.sorted_terms()] == [
         (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2),
     ]
-    assert p.lead()[0] == (2, 0, 0)
+    assert lead(p)[0] == (2, 0, 0)
 
 
 def test_text_formatting():
@@ -258,11 +258,11 @@ def oracle_pow(a, k, one):
 def oracle_exact_div(f, g):
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    eg, cg = g.lead()
+    eg, cg = lead(g)
     q = Poly(f.nvars)
     r = f
     while r.terms:
-        er, cr = r.lead()
+        er, cr = lead(r)
         de = tuple(a - b for a, b in zip(er, eg))
         if any(d < 0 for d in de):
             raise ValueError("not an exact multiple")

@@ -12,7 +12,6 @@ from veneroni.projgeo import (
     LineParam,
     ProjPoint,
     cone_hyperplane,
-    evaluate_form,
     flat_intersection,
     genericity_check,
     meeting_param,
@@ -23,7 +22,7 @@ from veneroni.projgeo import (
 )
 from veneroni.scalar import FieldCtx, seeded_rng
 
-from oracles import flat_contains, line_restrict, restrict_to_span
+from oracles import flat_contains, flat_span, line_restrict, random_scalar, restrict_to_span
 
 QQ = FieldCtx.rationals()
 
@@ -128,14 +127,14 @@ def test_cone_hyperplane(flats4):
     rng = seeded_rng(3, "cone")
     f = flats4[2]
     p = rand_point(4, rng)
-    c = cone_hyperplane(p, f, QQ)
+    c = cone_hyperplane(p, f)
     assert c is not None
-    assert not evaluate_form(c, p)  # vanishes at p
+    assert not mat_vec([c], list(p))[0]  # vanishes at p
     cpoly = Poly.from_linear(c)
-    assert restrict_to_span(cpoly, parametrize_flat(f, QQ)).is_zero()
+    assert restrict_to_span(cpoly, flat_span(f, QQ)).is_zero()
     # a point on the flat gives a vacuous constraint
     on_flat = parametrize_flat(f, QQ)[0]
-    assert cone_hyperplane(on_flat, f, QQ) is None
+    assert cone_hyperplane(on_flat, f) is None
 
 
 def test_unique_transversal_and_meetings(flats4):
@@ -145,14 +144,11 @@ def test_unique_transversal_and_meetings(flats4):
         res = transversal_through(p, flats4[:3], QQ)  # n-1 = 3 flats
         assert res.kind == "unique"
         line = res.line
-        meetings = [meeting_param(line, f, QQ) for f in flats4[:3]]
+        meetings = [meeting_param(line, f) for f in flats4[:3]]
         assert len(meetings) == 3 and distinct_meetings(meetings)
         # the algebraic meeting condition, checked independently
         for f in flats4[:3]:
-            m = [
-                [evaluate_form(r, line.base), evaluate_form(r, line.dir)]
-                for r in f.form_rows(QQ)
-            ]
+            m = [mat_vec(f.form_rows(QQ), list(pt)) for pt in (line.base, line.dir)]
             assert m[0][0] * m[1][1] == m[0][1] * m[1][0]
         # the line passes through p
         assert la.rank([list(line.base), list(line.dir), list(p)], QQ) == 2
@@ -200,7 +196,7 @@ def test_family_members_meet_all_queried(flats4):
             continue
         line = LineParam(q, b)
         for f in (flats4[2], flats4[3], flats4[4]):
-            assert meeting_param(line, f, QQ) is not None
+            assert meeting_param(line, f) is not None
 
 
 def test_transversal_projective_invariance(flats3):
@@ -210,7 +206,7 @@ def test_transversal_projective_invariance(flats3):
     rng = seeded_rng(21, "inv")
     n1 = 4
     while True:
-        m = [[QQ.random(rng) for _ in range(n1)] for _ in range(n1)]
+        m = [[random_scalar(QQ, rng) for _ in range(n1)] for _ in range(n1)]
         if la.det_laplace(m):
             break
     p = rand_point(3, rng)
@@ -236,12 +232,12 @@ def test_meeting_param_cases(flats4):
     f = flats4[0]
     span = parametrize_flat(f, QQ)
     inside = LineParam(span[0], span[1])
-    assert meeting_param(inside, f, QQ) == "contained"
+    assert meeting_param(inside, f) == "contained"
     rng = seeded_rng(9, "miss")
     p, q = rand_point(4, rng), rand_point(4, rng)
     line = LineParam(p, q)
     # a random line in P^4 misses a codim-2 flat
-    assert meeting_param(line, f, QQ) is None
+    assert meeting_param(line, f) is None
 
 
 def test_line_restriction_of_a_quadric(flats4):
