@@ -7,12 +7,14 @@ instance data it is handed and returns a CheckResult with witness data.
 Where a check meets a statement that is a theorem about data it has just
 recomputed (det(B_i) = x_i·det(M_i) and the degree, vanishing and vertex
 values of det(M_i) in `determinantal` and `composition`, the meeting of a
-computed transversal with its flats, the algebra of the n = 3 family), it
-cites the proof instead of testing it: det(B_i) is never expanded, only
-the smaller det(M_i), and no leave-one-out system is eliminated (the
-lemma of `check_dimension`).  The n = 3 family is built in closed form,
-with no random draw: its one test is that flats 0, 1, 2 are pairwise
-disjoint (`_family_failure`).  A fact that several checks read is proved
+computed transversal with its flats, the algebra of the n = 3 family, the
+multiplicity of each det(M_k) along the other flats' pairwise
+intersections), it cites the proof instead of testing it: det(B_i) is
+never expanded, only the smaller det(M_i), no leave-one-out system is
+eliminated (the lemma of `check_dimension`), and no Q_k is evaluated at
+a pair point (the lemma of `check_multiplicity`).  The n = 3 family is
+built in closed form, with no random draw: its one test is that flats 0,
+1, 2 are pairwise disjoint (`_family_failure`).  A fact that several checks read is proved
 once per report, in a `ProofRecord`.  run_suite assembles the fixed
 13-check report used by the CLI.
 """
@@ -501,19 +503,18 @@ def verify_base_locus(vmap, proofs):
     )
 
 
-def _pair_point(vmap, i, j, seed, scope):
-    """A point of flat_i ∩ flat_j, or None when the intersection is empty.
+def _pair_point(proofs, i, j):
+    """A point of flat_i ∩ flat_j, the record's `meet`: its one basis point,
+    or a point of its span drawn from the "pair-point" rng scope.
 
-    A single point is returned as it is; a larger intersection gives a
-    point of its span drawn from the rng scope `scope`.
+    The meet is never empty at n >= 4: four linear forms in n+1 >= 5
+    variables have a common zero.
     """
-    ctx = vmap.ctx
-    pts = flat_intersection(vmap.flats[i], vmap.flats[j], ctx)
-    if not pts:
-        return None
+    pts = proofs.meet(i, j)
     if len(pts) == 1:
         return pts[0]
-    rng = seeded_rng(seed, scope, i, j)
+    ctx = proofs.vmap.ctx
+    rng = seeded_rng(proofs.seed, "pair-point", i, j)
     return _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
 
 
@@ -527,9 +528,7 @@ def _pair_failure(proofs, i, j):
     """
     vmap = proofs.vmap
     ctx = vmap.ctx
-    q = _pair_point(vmap, i, j, proofs.seed, "pair-point")
-    if q is None:
-        return {"pair": [i, j], "reason": "empty intersection"}
+    q = _pair_point(proofs, i, j)
     rest = [f for m, f in enumerate(vmap.flats) if m not in (i, j)]
     res = transversal_through(q, rest, ctx)
     if res.kind != "unique":
@@ -628,61 +627,45 @@ def check_transversal_sample(vmap, proofs):
     )
 
 
-def _double_at_pair_point(vmap, i, j, ks, at, seed):
-    """At a point of flat_i ∩ flat_j, each Q_k with k in `ks` vanishes
-    together with its gradient; `at(point)` gives the values of the Q_k and
-    of their gradients.  The first failure, or None."""
-    q = _pair_point(vmap, i, j, seed, "mult-point")
-    if q is None:
-        return _failed("multiplicity", {"pair": [i, j], "reason": "empty intersection"})
-    values, grads = at(q)
-    for k in ks:
-        if values[k]:
-            return _failed("multiplicity", {"pair": [i, j], "k": k, "reason": "Q_k nonzero"})
-        for v, dq in enumerate(grads[k]):
-            if dq:
-                return _failed(
-                    "multiplicity",
-                    {"pair": [i, j], "k": k, "partial": v, "reason": "gradient nonzero"},
-                )
-    return None
+def check_multiplicity(vmap, proofs):
+    """Every Q_k is double along the whole of flat_i ∩ flat_j, k not in
+    {i, j}, by this lemma; a point of flat 2 where Q_0 has a nonzero
+    gradient keeps the claim from being vacuous.
 
-
-def _gradient(q):
-    return [q.partial(v) for v in range(q.nvars)]
-
-
-def check_multiplicity(vmap, seed=0):
-    """All pairwise intersection points are at least double on every other
-    Q_k; single-flat control points have honestly nonzero gradients.
-    Each pair's point and each Q_k's gradient are computed once, and one
-    `Evaluator` gives every Q_k and every partial at each point."""
+    Lemma.  Q_k = det(M_k) lies in I_i ∩ I_j, with I_j = (x_j, f_j) the
+    ideal of flat j (`maps.build_forward_map`).  When x_i, f_i, x_j, f_j
+    are linearly independent, exactly when flat_i ∩ flat_j has dimension
+    n-4 (the record's `meet` has n-3 basis points), a change of
+    coordinates makes them y_1..y_4, and I_i ∩ I_j = (y_1, y_2) ∩ (y_3, y_4)
+    = I_i·I_j, inside (I_i + I_j)^2.  So Q_k and each of its partials lie in
+    I_i + I_j and vanish on all of flat_i ∩ flat_j, over any field.  The
+    stored Q_k must be the record's det(M_k), the comparison
+    `determinantal` makes; no Q_k is evaluated at a pair point.
+    """
     if vmap.n < 4:
         return _skipped("multiplicity", "pairwise intersections are empty below P^4")
-    ctx = vmap.ctx
     n1 = vmap.n + 1
-    grads = [_gradient(q) for q in vmap.Q]
-    table = Evaluator([*vmap.Q, *(dq for grad in grads for dq in grad)])
-
-    def at(point):
-        vals = table(point.coords)
-        return vals[:n1], [vals[n1 * (k + 1): n1 * (k + 2)] for k in range(n1)]
-
-    checked = 0
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            ks = [k for k in range(n1) if k not in (i, j)]
-            res = _double_at_pair_point(vmap, i, j, ks, at, seed)
-            if res is not None:
-                return res
-            checked += len(ks)
+    for k, det in enumerate(proofs.determinants()):
+        if det != vmap.Q[k]:
+            return _failed("multiplicity", {"k": k, "reason": "stored Q differs"})
+    pairs = list(combinations(range(n1), 2))
+    for i, j in pairs:
+        dim = len(proofs.meet(i, j)) - 1
+        if dim != vmap.n - 4:
+            return _failed(
+                "multiplicity",
+                {"pair": [i, j], "dim": dim, "reason": "the forms of the two flats are dependent"},
+            )
     # control: at a general point of a single flat the gradient must not
-    # vanish, otherwise the assertions above would be vacuous
-    rng = seeded_rng(seed, "mult-control")
-    p = _point_on_flat(vmap.flats[2], ctx, rng)
-    if not any(at(p)[1][0]):
+    # vanish, so the double points are special to the pairwise intersections
+    rng = seeded_rng(proofs.seed, "mult-control")
+    p = _point_on_flat(vmap.flats[2], vmap.ctx, rng)
+    if not any(Evaluator([vmap.Q[0].partial(v) for v in range(n1)])(p.coords)):
         return _failed("multiplicity", {"reason": "control gradient vanished"})
-    return _passed("multiplicity", {"points_checked": checked, "control": "nonzero gradient"})
+    return _passed(
+        "multiplicity",
+        {"pairs": len(pairs), "mode": "ideal product", "control": "nonzero gradient"},
+    )
 
 
 def check_class_matrix(n):
@@ -895,6 +878,11 @@ class ProofRecord:
         """Whether each Q_k vanishes on the line, by the report's one line test."""
         return self._fact("line-test", lambda: vanishing_on_line(self.vmap.Q))(line)
 
+    def meet(self, i, j):
+        """A basis of flat_i ∩ flat_j, by `projgeo.flat_intersection`."""
+        flats, ctx = self.inst.flats, self.inst.ctx
+        return self._fact(("meet", i, j), lambda: flat_intersection(flats[i], flats[j], ctx))
+
     def pair_failure(self, i, j):
         """The transversal through flat_i ∩ flat_j: `_pair_failure`."""
         return self._fact(("pair", i, j), lambda: _pair_failure(self, i, j))
@@ -960,7 +948,7 @@ def run_suite(
     runner("round-trip", lambda: verify_roundtrip_sample(vmap, inv, k, seed))
     runner("base-locus", lambda: verify_base_locus(vmap, proofs))
     runner("transversal-sample", lambda: check_transversal_sample(vmap, proofs))
-    runner("multiplicity", lambda: check_multiplicity(vmap, seed))
+    runner("multiplicity", lambda: check_multiplicity(vmap, proofs))
     runner("class-matrix", lambda: check_class_matrix(n))
     runner("dual-dimension", lambda: check_dual_dimension(vmap, inv, proofs))
     runner("demos", lambda: check_demos(vmap, level, proofs))

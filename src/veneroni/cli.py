@@ -232,7 +232,7 @@ def cmd_transversal(args):
 
 
 def cmd_demo(args):
-    ns = [args.n] if args.n else [3, 4]
+    ns = [3, 4] if args.n is None else [args.n]
     ctx = parse_field(args.field)
     failed = False
     for n in ns:

@@ -18,13 +18,17 @@ boundary.  The small predicates at the end (`is_homogeneous`, `div_var`,
 test.  `flat_span` is the general solver behind the closed form of
 `projgeo.parametrize_flat`: the nullspace of a flat's two forms.  `lead`
 and `random_scalar` serve only the tests, so they live here and not on
-`Poly` and `FieldCtx`.
+`Poly` and `FieldCtx`.  `double_at_pair_points` evaluates each Q_k and all
+its partials at a point of each pairwise flat intersection, the sample
+that `checks.check_multiplicity` replaces by its ideal-product lemma.
 """
+
+from itertools import combinations
 
 from veneroni import exactla as la
 from veneroni import maps
 from veneroni.mpoly import Poly
-from veneroni.projgeo import ProjPoint
+from veneroni.projgeo import ProjPoint, flat_intersection
 from veneroni.scalar import Fp, Rational
 
 
@@ -126,3 +130,20 @@ def random_scalar(ctx, rng, bound=9):
     if ctx.kind == "fp":
         return Fp(rng.randrange(ctx.p), ctx.p)
     return Rational(rng.randrange(-bound, bound + 1))
+
+
+def double_at_pair_points(vmap, rng):
+    """The (i, j, k), k not in {i, j}, where Q_k or one of its partials is
+    nonzero at a random point of flat_i ∩ flat_j: empty when every such
+    Q_k is double at the points drawn."""
+    ctx, n1 = vmap.ctx, vmap.n + 1
+    gradients = [[q.partial(v) for v in range(n1)] for q in vmap.Q]
+    failures = []
+    for i, j in combinations(range(n1), 2):
+        basis = flat_intersection(vmap.flats[i], vmap.flats[j], ctx)
+        combo = [ctx.random_nonzero(rng) for _ in basis]
+        point = tuple(sum((c * b[m] for c, b in zip(combo, basis)), ctx.zero) for m in range(n1))
+        for k in range(n1):
+            if k not in (i, j) and any(p.evaluate(point) for p in (vmap.Q[k], *gradients[k])):
+                failures.append((i, j, k))
+    return failures

@@ -181,12 +181,12 @@ def test_criterion_08_two_transversals_in_p3():
 
 
 def test_criterion_09_multiplicity_two():
-    inst, vmap, _ = full(4, 1)
-    res = checks.check_multiplicity(vmap, seed=1)
+    inst, vmap = fwd(4, 1)
+    res = checks.check_multiplicity(vmap, record(inst, vmap))
     assert res.status == "pass", res.witness
-    # 10 pairs, 3 admissible k each, every one with Q_k and all partials zero
-    assert res.witness["points_checked"] == 30
-    assert res.witness["control"] == "nonzero gradient"
+    # 10 pairs, each meeting in a point, along which every Q_k with k off
+    # the pair lies in the square of the pair's ideal
+    assert res.witness == {"pairs": 10, "mode": "ideal product", "control": "nonzero gradient"}
 
 
 def test_criterion_10_residual_plane_example():

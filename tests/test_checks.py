@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,7 @@ from veneroni.scalar import FieldCtx
 from oracles import (
     det_by_poly_ops,
     div_var,
+    double_at_pair_points,
     factorization_entries,
     flat_contains,
     is_homogeneous,
@@ -102,8 +105,12 @@ def test_suite_n4(suite4):
     assert report.summary == "13 passed, 0 failed, 0 skipped"
     res = by_name(report)
     assert res["composition"].witness["mode"] == "factorization"
-    # C(5,2) pairs, three admissible k each
-    assert res["multiplicity"].witness["points_checked"] == 30
+    # C(5,2) pairs, each meeting in a point
+    assert res["multiplicity"].witness == {
+        "pairs": 10,
+        "mode": "ideal product",
+        "control": "nonzero gradient",
+    }
     assert res["transversal-sample"].witness["mode"] == "pair-point"
     assert res["demos"].witness["example"] == "residual plane point"
 
@@ -417,14 +424,58 @@ def test_residual_example_across_seeds():
         assert res.witness["anchor_lines"] == 2
 
 
-def test_pair_point_draws_from_its_scope():
+def test_pair_point_lies_on_both_flats_and_is_fixed_by_the_seed():
     # from n = 5 two flats meet in more than a point, so the point is drawn
-    # from the rng scope the caller names
+    # from the span of the record's meet with the report's seed
     fp = FieldCtx.prime(2147483647)
-    vmap = maps.build_forward_map(random_general_flats(5, 5, fp).flats, fp)
-    pts = [checks._pair_point(vmap, 0, 1, 5, s) for s in ("pair-point", "mult-point")]
-    assert pts[0] != pts[1]
+    inst = random_general_flats(5, 5, fp)
+    vmap = maps.build_forward_map(inst.flats, fp)
+    pts = [
+        checks._pair_point(checks.ProofRecord(inst, vmap, None, seed), 0, 1)
+        for seed in (5, 5, 6)
+    ]
+    assert pts[0] == pts[1] != pts[2]
     assert all(flat_contains(vmap.flats[0], p) and flat_contains(vmap.flats[1], p) for p in pts)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_multiplicity_agrees_with_the_pair_point_oracle(field, n):
+    inst = random_general_flats(n, 7, field)
+    vmap, inv = checks.build_all(inst)
+    assert checks.check_multiplicity(vmap, record(inst, vmap, inv)).status == "pass"
+    assert double_at_pair_points(vmap, random.Random(n)) == []
+    # a Q_2 that is no longer det(M_2) loses its double points, and the
+    # check, which can no longer cite the lemma, fails closed
+    vmap.Q = list(vmap.Q)
+    vmap.Q[2] = vmap.Q[2] + Poly.var(0, n + 1, field.one) ** (n - 1)
+    assert double_at_pair_points(vmap, random.Random(n))
+    res = checks.check_multiplicity(vmap, record(inst, vmap, inv))
+    assert res.witness == {"k": 2, "reason": "stored Q differs"}
+
+
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+def test_multiplicity_fails_by_the_pair_of_flats_that_meet_in_a_line(field):
+    # (a_{0,2}, a_{0,3}, a_{0,4}) and (a_{1,2}, a_{1,3}, a_{1,4}) are
+    # proportional, so x_0, f_0, x_1, f_1 are dependent and flats 0 and 1
+    # meet in a line, where the lemma of the check says nothing
+    coeffs = [
+        [0, 1, 1, 2, 3],
+        [1, 0, 2, 4, 6],
+        [2, 3, 0, 5, 7],
+        [7, 2, 3, 0, 1],
+        [3, 5, 2, 1, 0],
+    ]
+    flats = [Flat(j, tuple(field.from_int(c) for c in a)) for j, a in enumerate(coeffs)]
+    assert len(flat_intersection(flats[0], flats[1], field)) == 2
+    res = by_name(checks.run_suite(FlatsInstance(4, 0, 9, field, flats)))
+    assert res["genericity"].status == "fail"
+    assert res["multiplicity"].status == "fail"
+    assert res["multiplicity"].witness == {
+        "pair": [0, 1],
+        "dim": 1,
+        "reason": "the forms of the two flats are dependent",
+    }
 
 
 def test_dual_dimension_values(suite3):
@@ -545,21 +596,26 @@ FP31 = FieldCtx.prime(2147483647)
         # the 16 component/flat pairs, each proved once; no dimension reads
         # a vanishing table, so the dual flats' table is not proved.  B and
         # the dual flats' B' are built once each, and compute_Q runs once
-        # per det(M_i) of the record and once per dual Q'_i
+        # per det(M_i) of the record and once per dual Q'_i.  The n = 3
+        # family tests three pairs of flats for a meeting itself
         (
             3, QQ, "full",
             {
                 "vanishes_on_flat": 16, "_n3_family": 1, "compute_Q": 8,
-                "build_matrix_B": 2, "vanishing_on_line": 0,
+                "build_matrix_B": 2, "vanishing_on_line": 0, "flat_intersection": 3,
+                "partial": 0,
             },
             {"ties": 1, "vanishing": 0, "dimension": 1},
         ),
-        # the same over F_p: the 25 component/flat pairs
+        # the same over F_p: the 25 component/flat pairs, each of the 10
+        # pairs of flats met once, by the record, for every check, and no
+        # partial but Q_0's five, for the control of `multiplicity`
         (
             4, FP31, "fast",
             {
                 "vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 10,
-                "build_matrix_B": 2, "vanishing_on_line": 1,
+                "build_matrix_B": 2, "vanishing_on_line": 1, "flat_intersection": 10,
+                "partial": 5,
             },
             {"ties": 1, "vanishing": 0, "dimension": 1},
         ),
@@ -597,17 +653,21 @@ def test_each_shared_fact_is_proved_once_per_report(
         (maps, "build_matrix_B"),
         (checks, "_n3_family"),
         (checks, "vanishing_on_line"),
+        (checks, "flat_intersection"),
+        (Poly, "partial"),
     ):
         counted(owner, name)
     monkeypatch.setattr(checks.ProofRecord, "_fact", proving)
     # B, the det(M_i), the ties, the b-row residuals, (at n >= 4) the line
-    # test of the Q_k and the dual record; then the dual record's own facts
+    # test of the Q_k, the meet of each pair of flats and the dual record;
+    # then the dual record's own facts
     once = {
         ("map", "matrix"): 1,
         ("map", "determinants"): 1,
         ("map", "ties"): 1,
         ("map", "b-rows"): 1,
         ("map", "line-test"): expected["vanishing_on_line"],
+        **{("map", ("meet", *pair)): int(n >= 4) for pair in combinations(range(n + 1), 2)},
         ("map", "dual"): 1,
         **{("dual", key): count for key, count in dual_facts.items()},
     }

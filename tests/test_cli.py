@@ -398,8 +398,9 @@ def test_demo_n4(capsys):
     assert "no line through q meets all five flats" in out
 
 
-def test_demo_rejects_other_n(capsys):
-    rc, _, err = run(capsys, ["demo", "-n", "5"])
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_demo_rejects_other_n(capsys, n):
+    rc, _, err = run(capsys, ["demo", "-n", n])
     assert rc == 2
     assert "n=3 and n=4 only" in err
 

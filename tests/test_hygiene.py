@@ -2,6 +2,7 @@
 re-exported, and the package's modules import one another in layers."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,37 @@ def test_scan_sees_an_unreferenced_def():
     )
     # the local variable `unread` is read bare, which no method counts
     assert unreferenced({"m": tree}, [tree]) == ["m.Box.unread", "m.dead", "m.recursive"]
+
+
+# ---- each rng stream has its own scope --------------------------------------
+
+
+def rng_scopes(tree):
+    """The scope of each `seeded_rng` call, its second argument: the string
+    when it is a literal, else None."""
+    scopes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "seeded_rng":
+                arg = node.args[1] if len(node.args) > 1 else None
+                literal = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                scopes.append(arg.value if literal else None)
+    return scopes
+
+
+def test_each_rng_call_names_its_own_scope():
+    # `scalar.seeded_rng` keeps streams independent only while no two call
+    # sites share a scope, which a scope passed in as a variable would hide
+    scopes = [s for p in SRC.glob("*.py") for s in rng_scopes(ast.parse(p.read_text("utf-8")))]
+    assert scopes and None not in scopes
+    assert sorted(s for s, count in Counter(scopes).items() if count > 1) == []
+
+
+def test_scope_scan_sees_a_variable_or_missing_scope():
+    tree = ast.parse("seeded_rng(1, 'a', 2)\nscalar.seeded_rng(2, scope)\nseeded_rng(3)\n")
+    assert rng_scopes(tree) == ["a", None, None]
 
 
 # ---- the names the benchmark's tracer patches ----------------------------

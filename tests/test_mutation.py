@@ -44,8 +44,9 @@ EXPECTED = {
     ("flats", "coefficient"): (1, FLAT_FAILS),
     ("flats", "degree"): (2, []),
 }
-# at n = 4 the changed Q_1 and flat 1 also lose the double points on Q_1
-MULTIPLICITY = {("Q", "coefficient"), ("flats", "coefficient")}
+# at n = 4 a changed Q_1 or flat 1 leaves a stored Q_1 other than det(M_1),
+# so `multiplicity` cannot cite its lemma and fails closed
+MULTIPLICITY = {("Q", "coefficient"), ("Q", "degree"), ("flats", "coefficient")}
 
 
 @pytest.fixture(scope="module")
