@@ -15,7 +15,7 @@ import sys
 
 from veneroni import checks, maps
 from veneroni.mpoly import Evaluator
-from veneroni.projgeo import flat_intersection, random_general_flats, transversal_through
+from veneroni.projgeo import flat_meet, random_general_flats, transversal_through
 from veneroni.scalar import FieldCtx
 
 seed = int(sys.argv[1]) if len(sys.argv) > 1 else 3
@@ -37,7 +37,7 @@ print("    meets flats 1, 2, 3, 4 (four of five);")
 print("  but no line through q meets all five flats.")
 
 print("\nmultiplicity at a pairwise intersection point:")
-q23 = flat_intersection(inst.flats[2], inst.flats[3], QQ)[0]
+q23 = flat_meet(inst.flats[2], inst.flats[3], QQ)[0]
 value, *partials = Evaluator([q0, *(q0.partial(v) for v in range(5))])(q23.coords)
 print(f"  at the point {q23.format()} of flat_2 ∩ flat_3:")
 print(f"  Q_0 = {value} and all five partials of Q_0 are"

@@ -32,7 +32,7 @@ from .projgeo import (
     LineParam,
     ProjPoint,
     cone_hyperplane,
-    flat_intersection,
+    flat_meet,
     genericity_check,
     parametrize_flat,
     transversal_through,
@@ -289,7 +289,7 @@ def _family_lines(ctx, m, p, w):
 
 
 def check_genericity(inst):
-    rep = genericity_check(inst.flats, inst.ctx, seed=inst.seed)
+    rep = genericity_check(inst.flats, inst.ctx, seed=inst.seed, attempt=inst.retries)
     if rep.ok:
         return _passed("genericity", {"conditions": ["canonical", "intersections", "transversals"]})
     return _failed("genericity", {"failures": rep.failures})
@@ -565,7 +565,7 @@ def _family_failure(vmap, m, p, w):
     if not _binary_disc(m, ctx):
         return {"reason": "meeting form has a double root"}
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        if flat_intersection(vmap.flats[a], vmap.flats[b], ctx):
+        if flat_meet(vmap.flats[a], vmap.flats[b], ctx):
             return {"pair": [a, b], "reason": "flats meet"}
     n1 = vmap.n + 1
     # images live in the mixed ring (s, t, u, v)
@@ -720,7 +720,7 @@ def residual_component_example(flats, qs, ctx, seed=0):
     """
     name = "demos"
     pts = [
-        flat_intersection(flats[i], flats[j], ctx)[0]
+        flat_meet(flats[i], flats[j], ctx)[0]
         for i, j in ((2, 3), (2, 4), (3, 4))
     ]
     if la.rank([list(p) for p in pts], ctx) != 3:
@@ -879,9 +879,9 @@ class ProofRecord:
         return self._fact("line-test", lambda: vanishing_on_line(self.vmap.Q))(line)
 
     def meet(self, i, j):
-        """A basis of flat_i ∩ flat_j, by `projgeo.flat_intersection`."""
+        """A basis of flat_i ∩ flat_j, in the closed form of `projgeo.flat_meet`."""
         flats, ctx = self.inst.flats, self.inst.ctx
-        return self._fact(("meet", i, j), lambda: flat_intersection(flats[i], flats[j], ctx))
+        return self._fact(("meet", i, j), lambda: flat_meet(flats[i], flats[j], ctx))
 
     def pair_failure(self, i, j):
         """The transversal through flat_i ∩ flat_j: `_pair_failure`."""

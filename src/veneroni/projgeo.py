@@ -29,7 +29,7 @@ __all__ = [
     "FlatsInstance",
     "cone_hyperplane",
     "transversal_through",
-    "flat_intersection",
+    "flat_meet",
     "parametrize_flat",
     "vanishing_on_line",
     "meeting_param",
@@ -208,10 +208,31 @@ def transversal_through(p, flats, ctx):
     return TransversalResult(kind="family", dim=nullity - 1, basis=pts)
 
 
-def flat_intersection(a, b, ctx):
-    """Basis (list of points) of the intersection of two flats."""
-    rows = a.form_rows(ctx) + b.form_rows(ctx)
-    return [ProjPoint(v, ctx) for v in la.nullspace(rows, a.nvars, ctx)]
+def flat_meet(a, b, ctx):
+    """Basis of flat_a ∩ flat_b: the four forms' nullspace basis, in closed form.
+
+    The meet is x_i = x_j = 0 and u·x = v·x = 0 on the other columns.  The
+    echelon form of [u; v] pivots at its first nonzero column c and at the
+    first l with u_c·v_l − u_l·v_c ≠ 0; each free column f gives the point
+    e_f plus the solution at c and l by Cramer's rule on that minor.
+    """
+    u, v = a.a, b.a
+    cols = [k for k in range(a.nvars) if k not in (a.j, b.j)]
+    c = next((k for k in cols if u[k] or v[k]), None)
+    l = next((k for k in cols if c is not None and u[c] * v[k] - u[k] * v[c]), None)
+    if c is not None:  # rank 1 when l is None: u, v proportional or one of them zero
+        w = u if u[c] else v
+        inv = ctx.inv(w[c] if l is None else u[c] * v[l] - u[l] * v[c])
+    basis = []
+    for f in (k for k in cols if k not in (c, l)):
+        x = [ctx.zero] * a.nvars
+        x[f] = ctx.one
+        if l is not None:
+            x[c], x[l] = (u[l] * v[f] - v[l] * u[f]) * inv, (v[c] * u[f] - u[c] * v[f]) * inv
+        elif c is not None:
+            x[c] = -w[f] * inv
+        basis.append(ProjPoint(x, ctx))
+    return basis
 
 
 def parametrize_flat(f, ctx):
@@ -357,12 +378,15 @@ def genericity_check(flats, ctx, seed=0, attempt=0):
     """Certify that a flat list is general enough for the whole pipeline.
 
     Checks (a) canonical nonzero pattern, (b) pairwise intersections of the
-    expected dimension, (c) unique transversals through sampled general
-    points for every (n-1)-subset.  Condition (d), every det(B_i) exactly
-    divisible by x_i, follows from (a) and needs no test: with a_{j,j} = 0
-    the rows of B sum to zero, so det(B_i) = x_i det(M_i) identically
-    (`maps.compute_Q`).  Failures are named; the report carries all
-    of them.
+    expected dimension, read off `flat_meet`, (c) a unique transversal
+    through a sampled point for every (n-1)-subset: by the cone proof of
+    `transversal_through`, cone rows of rank n-1 at p.  The rows are linear
+    in p, so a nonzero (n-1)-minor at one point is nonzero on a dense open
+    set, and a subset passes at the first of `_SAMPLE_POINTS` points with
+    rank n-1.  Condition (d), every det(B_i) exactly divisible by x_i,
+    follows from (a): with a_{j,j} = 0 the rows of B sum to zero, so
+    det(B_i) = x_i det(M_i) identically (`maps.compute_Q`).  Failures are
+    named; the report carries all of them.
     """
     failures = []
     n1 = len(flats)
@@ -372,27 +396,23 @@ def genericity_check(flats, ctx, seed=0, attempt=0):
             failures.append(f"a: flat {f.j} violates the canonical zero pattern")
     if not failures:
         expected = max(n - 4, -1)  # projective dimension, -1 meaning empty
-        for i in range(n1):
-            for j in range(i + 1, n1):
-                got = len(flat_intersection(flats[i], flats[j], ctx)) - 1
-                if got != expected:
-                    failures.append(
-                        f"b: intersection {i},{j} has dimension {got},"
-                        f" expected {expected}"
-                    )
+        for i, j in combinations(range(n1), 2):
+            got = len(flat_meet(flats[i], flats[j], ctx)) - 1
+            if got != expected:
+                failures.append(
+                    f"b: intersection {i},{j} has dimension {got}, expected {expected}"
+                )
     if not failures:
         rng = seeded_rng(seed, "genericity", attempt)
-        subsets = list(combinations(range(n1), n - 1))
+        pending = list(combinations(range(n1), n - 1))
         for _ in range(_SAMPLE_POINTS):
             p = ProjPoint([ctx.random_nonzero(rng) for _ in range(n1)], ctx)
-            for sub in subsets:
-                r = transversal_through(p, [flats[k] for k in sub], ctx)
-                if r.kind != "unique":
-                    failures.append(
-                        f"c: point {p.format()} with flats {sub} gave {r.kind}"
-                    )
-                    break
-            else:
-                continue
-            break
+            rows = [cone_hyperplane(p, f) for f in flats]  # None: p on the flat
+            pending = [
+                s for s in pending if la.rank([rows[k] for k in s if rows[k]], ctx) != n - 1
+            ]
+            if not pending:
+                break
+        else:
+            failures.append(f"c: point {p.format()} with flats {pending[0]} gave family")
     return GenericityReport(ok=not failures, failures=failures)

@@ -16,7 +16,9 @@ entries' own `+` and `*` instead, so no coefficient crosses that
 boundary.  The small predicates at the end (`is_homogeneous`, `div_var`,
 `flat_contains`) have no caller in the package, which proves what they
 test.  `flat_span` is the general solver behind the closed form of
-`projgeo.parametrize_flat`: the nullspace of a flat's two forms.  `lead`
+`projgeo.parametrize_flat`: the nullspace of a flat's two forms;
+`flat_intersection`, the nullspace of two flats' four forms, is the one
+behind `projgeo.flat_meet`.  `lead`
 and `random_scalar` serve only the tests, so they live here and not on
 `Poly` and `FieldCtx`.  `double_at_pair_points` evaluates each Q_k and all
 its partials at a point of each pairwise flat intersection, the sample
@@ -28,7 +30,7 @@ from itertools import combinations
 from veneroni import exactla as la
 from veneroni import maps
 from veneroni.mpoly import Poly
-from veneroni.projgeo import ProjPoint, flat_intersection
+from veneroni.projgeo import ProjPoint
 from veneroni.scalar import Fp, Rational
 
 
@@ -147,3 +149,10 @@ def double_at_pair_points(vmap, rng):
             if k not in (i, j) and any(p.evaluate(point) for p in (vmap.Q[k], *gradients[k])):
                 failures.append((i, j, k))
     return failures
+
+
+def flat_intersection(a, b, ctx):
+    """Basis of the intersection of two flats, read off the nullspace of
+    their four forms: the general solver behind `projgeo.flat_meet`."""
+    rows = a.form_rows(ctx) + b.form_rows(ctx)
+    return [ProjPoint(v, ctx) for v in la.nullspace(rows, a.nvars, ctx)]

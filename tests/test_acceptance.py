@@ -11,14 +11,13 @@ from veneroni import exactla as la
 from veneroni.mpoly import Poly
 from veneroni.projgeo import (
     ProjPoint,
-    flat_intersection,
     meeting_param,
     random_general_flats,
     transversal_through,
 )
 from veneroni.scalar import FieldCtx, seeded_rng
 
-from oracles import div_var
+from oracles import div_var, flat_intersection
 
 QQ = FieldCtx.rationals()
 M61 = 2305843009213693951

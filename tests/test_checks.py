@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from veneroni import checks
 from veneroni import exactla as la
-from veneroni import maps
+from veneroni import maps, projgeo
 from veneroni.checks import CHECK_ORDER
 from veneroni.mpoly import Poly
 from veneroni.projgeo import (
@@ -18,7 +18,6 @@ from veneroni.projgeo import (
     FlatsInstance,
     LineParam,
     ProjPoint,
-    flat_intersection,
     meeting_param,
     random_general_flats,
     transversal_through,
@@ -31,6 +30,7 @@ from oracles import (
     double_at_pair_points,
     factorization_entries,
     flat_contains,
+    flat_intersection,
     is_homogeneous,
     line_restrict,
     matrix_C,
@@ -511,6 +511,28 @@ def test_seed_defaults_to_instance_seed():
     assert a == b
 
 
+def test_verify_recertifies_the_attempt_that_generate_accepted(monkeypatch):
+    # n = 3 seed 1 re-rolls once: its flats are those of attempt 1, whose
+    # sample points the certificate must draw again in a verify
+    calls = []
+    certify = projgeo.genericity_check
+
+    def recorded(flats, ctx, seed=0, attempt=0):
+        report = certify(flats, ctx, seed=seed, attempt=attempt)
+        calls.append((seed, attempt, report))
+        return report
+
+    monkeypatch.setattr(projgeo, "genericity_check", recorded)
+    monkeypatch.setattr(checks, "genericity_check", recorded)
+    inst = random_general_flats(3, 1, QQ)
+    assert inst.retries == 1 and calls[-1][:2] == (1, 1) and calls[-1][2].ok
+    generated = calls[-1]
+    calls.clear()
+    loaded = FlatsInstance.from_dict(inst.to_dict("0"))
+    assert checks.run_suite(loaded, level="fast").ok
+    assert calls == [generated]
+
+
 def test_skip_counts_as_ok():
     res = checks.CheckResult("x", "skip", {"reason": "r"})
     assert res.ok
@@ -602,7 +624,7 @@ FP31 = FieldCtx.prime(2147483647)
             3, QQ, "full",
             {
                 "vanishes_on_flat": 16, "_n3_family": 1, "compute_Q": 8,
-                "build_matrix_B": 2, "vanishing_on_line": 0, "flat_intersection": 3,
+                "build_matrix_B": 2, "vanishing_on_line": 0, "flat_meet": 3,
                 "partial": 0,
             },
             {"ties": 1, "vanishing": 0, "dimension": 1},
@@ -614,7 +636,7 @@ FP31 = FieldCtx.prime(2147483647)
             4, FP31, "fast",
             {
                 "vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 10,
-                "build_matrix_B": 2, "vanishing_on_line": 1, "flat_intersection": 10,
+                "build_matrix_B": 2, "vanishing_on_line": 1, "flat_meet": 10,
                 "partial": 5,
             },
             {"ties": 1, "vanishing": 0, "dimension": 1},
@@ -653,7 +675,7 @@ def test_each_shared_fact_is_proved_once_per_report(
         (maps, "build_matrix_B"),
         (checks, "_n3_family"),
         (checks, "vanishing_on_line"),
-        (checks, "flat_intersection"),
+        (checks, "flat_meet"),
         (Poly, "partial"),
     ):
         counted(owner, name)

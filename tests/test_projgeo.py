@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 from veneroni import exactla as la
 from veneroni.mpoly import Poly
 from veneroni.projgeo import (
+    _SAMPLE_POINTS,
     Flat,
     FlatsInstance,
     LineParam,
     ProjPoint,
     cone_hyperplane,
-    flat_intersection,
+    flat_meet,
     genericity_check,
     meeting_param,
     parametrize_flat,
@@ -22,7 +24,14 @@ from veneroni.projgeo import (
 )
 from veneroni.scalar import FieldCtx, seeded_rng
 
-from oracles import flat_contains, flat_span, line_restrict, random_scalar, restrict_to_span
+from oracles import (
+    flat_contains,
+    flat_intersection,
+    flat_span,
+    line_restrict,
+    random_scalar,
+    restrict_to_span,
+)
 
 QQ = FieldCtx.rationals()
 
@@ -334,3 +343,88 @@ def test_upper_semicontinuity_of_intersection(flats4, flats3):
             for j in range(i + 1, n + 1):
                 got = len(flat_intersection(flats[i], flats[j], QQ)) - 1
                 assert got >= floor
+
+
+# ---- the closed forms of genericity (b) and (c) ----------------------------
+
+FP31 = FieldCtx.prime(2147483647)
+COEFFS = st.sampled_from((1, -1, 2, -2, 3))
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flat_meet_is_the_nullspace_basis(ctx, data):
+    # coefficients from five values, and often flat 1 copying flat 0 off
+    # columns 0 and 1, so that dependent pairs occur at every n
+    n1 = data.draw(st.integers(3, 7), label="n + 1")
+    rows = [[data.draw(COEFFS) for _ in range(n1)] for _ in range(n1)]
+    if data.draw(st.booleans(), label="twin"):
+        rows[1][2:] = rows[0][2:]
+    flats = [
+        Flat(j, tuple(ctx.zero if i == j else ctx.from_int(c) for i, c in enumerate(r)))
+        for j, r in enumerate(rows)
+    ]
+    expected = max(n1 - 5, -1)
+    report = genericity_check(flats, ctx)
+    for i in range(n1):
+        for j in range(i, n1):
+            basis = flat_intersection(flats[i], flats[j], ctx)
+            assert flat_meet(flats[i], flats[j], ctx) == basis
+            if i < j:
+                # (b) reads the dimension len − 1 off the closed form
+                dim = len(basis) - 1
+                failure = f"b: intersection {i},{j} has dimension {dim}, expected {expected}"
+                assert (failure in report.failures) == (dim != expected)
+
+
+def sample_points(inst):
+    """The points genericity (c) draws for a certified instance."""
+    rng = seeded_rng(inst.seed, "genericity", inst.retries)
+    n1, ctx = inst.n + 1, inst.ctx
+    return [
+        ProjPoint([ctx.random_nonzero(rng) for _ in range(n1)], ctx)
+        for _ in range(_SAMPLE_POINTS)
+    ]
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cone_rank_decides_a_unique_transversal(ctx, n):
+    # (c) passes a subset where its cone rows, None left out, have rank
+    # n − 1: exactly where `transversal_through` finds a unique line
+    for seed in range(20):
+        inst = random_general_flats(n, seed, ctx)
+        for p in sample_points(inst):
+            rows = [cone_hyperplane(p, f) for f in inst.flats]
+            for sub in combinations(range(n + 1), n - 1):
+                rank = la.rank([rows[k] for k in sub if rows[k] is not None], ctx)
+                unique = transversal_through(p, [inst.flats[k] for k in sub], ctx).kind == "unique"
+                assert (rank == n - 1) == unique
+
+
+class ScriptedPoints:
+    """A field whose random draws are the given coordinates, in order."""
+
+    def __init__(self, ctx, points):
+        self.ctx, self.coords = ctx, iter(c for p in points for c in p)
+
+    def random_nonzero(self, rng):
+        return next(self.coords)
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+
+def test_a_sample_point_on_a_flat_fails_only_that_point(flats4):
+    on = parametrize_flat(flats4[0], QQ)[0]
+    general = rand_point(4, seeded_rng(2, "general"))
+    assert cone_hyperplane(on, flats4[0]) is None
+    assert transversal_through(on, flats4[:3], QQ).kind == "family"
+    # the subsets through flat 0 fail at `on` and pass at the next point
+    for points in ([on, general, general], [on, on, general]):
+        rep = genericity_check(flats4, ScriptedPoints(QQ, points))
+        assert rep.ok and rep.failures == []
+    # a subset that passes at none of the points fails (c), by its name
+    rep = genericity_check(flats4, ScriptedPoints(QQ, [on, on, on]))
+    assert rep.failures == [f"c: point {on.format()} with flats (0, 1, 2) gave family"]
