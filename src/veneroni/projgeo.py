@@ -211,26 +211,25 @@ def transversal_through(p, flats, ctx):
 def flat_meet(a, b, ctx):
     """Basis of flat_a ∩ flat_b: the four forms' nullspace basis, in closed form.
 
-    The meet is x_i = x_j = 0 and u·x = v·x = 0 on the other columns.  The
-    echelon form of [u; v] pivots at its first nonzero column c and at the
-    first l with u_c·v_l − u_l·v_c ≠ 0; each free column f gives the point
-    e_f plus the solution at c and l by Cramer's rule on that minor.
+    The meet is x_i = x_j = 0 and u·x = v·x = 0 on the other columns.  Both
+    flats are canonical (genericity (b) runs after (a), and `FlatsInstance`
+    admits no other), so u is nonzero there and the echelon form of [u; v]
+    pivots at the first column c and at the first l with u_c·v_l − u_l·v_c
+    ≠ 0; each free column f gives the point e_f plus the solution at c and l
+    by Cramer's rule on that minor, or at c alone when v is a multiple of u.
     """
     u, v = a.a, b.a
-    cols = [k for k in range(a.nvars) if k not in (a.j, b.j)]
-    c = next((k for k in cols if u[k] or v[k]), None)
-    l = next((k for k in cols if c is not None and u[c] * v[k] - u[k] * v[c]), None)
-    if c is not None:  # rank 1 when l is None: u, v proportional or one of them zero
-        w = u if u[c] else v
-        inv = ctx.inv(w[c] if l is None else u[c] * v[l] - u[l] * v[c])
+    c, *rest = [k for k in range(a.nvars) if k not in (a.j, b.j)]
+    l = next((k for k in rest if u[c] * v[k] - u[k] * v[c]), None)
+    inv = ctx.inv(u[c] if l is None else u[c] * v[l] - u[l] * v[c])
     basis = []
-    for f in (k for k in cols if k not in (c, l)):
+    for f in (k for k in rest if k != l):
         x = [ctx.zero] * a.nvars
         x[f] = ctx.one
-        if l is not None:
+        if l is None:
+            x[c] = -u[f] * inv
+        else:
             x[c], x[l] = (u[l] * v[f] - v[l] * u[f]) * inv, (v[c] * u[f] - u[c] * v[f]) * inv
-        elif c is not None:
-            x[c] = -w[f] * inv
         basis.append(ProjPoint(x, ctx))
     return basis
 
