@@ -38,6 +38,6 @@ for ctx, label in ((FieldCtx.rationals(), "QQ"), (FieldCtx.prime(p), f"F_{p}")):
               " no line has coordinates here")
     print()
 
-print("either way, both transversals lie inside every Q_i: restricting Q_i")
-print("to the moving line leaves binary forms all divisible by m(s,t),")
-print("which is exactly what the transversal-sample check proves.")
+print("either way, both transversals lie inside every Q_i: each meets the")
+print("four pairwise skew lines at four distinct points, three of them on the")
+print("quadric Q_i, which is exactly what the transversal-sample check counts.")

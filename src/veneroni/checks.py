@@ -12,9 +12,12 @@ multiplicity of each det(M_k) along the other flats' pairwise
 intersections), it cites the proof instead of testing it: det(B_i) is
 never expanded, only the smaller det(M_i), no leave-one-out system is
 eliminated (the lemma of `check_dimension`), and no Q_k is evaluated at
-a pair point (the lemma of `check_multiplicity`).  The n = 3 family is
-built in closed form, with no random draw: its one test is that flats 0,
-1, 2 are pairwise disjoint (`_family_failure`).  A fact that several checks read is proved
+a pair point (the lemma of `check_multiplicity`).  A transversal lies
+inside Q_k, of degree n-1, when it meets Q_k at n points counted with
+multiplicity, which the flats it meets provide (`_pair_failure`,
+`_family_failure`); no Q_k is restricted to a line.  The n = 3 family is
+built in closed form, with no random draw, and its count needs the four
+flats pairwise disjoint.  A fact that several checks read is proved
 once per report, in a `ProofRecord`.  run_suite assembles the fixed
 13-check report used by the CLI.
 """
@@ -34,9 +37,9 @@ from .projgeo import (
     cone_hyperplane,
     flat_meet,
     genericity_check,
+    meeting_param,
     parametrize_flat,
     transversal_through,
-    vanishing_on_line,
 )
 from .scalar import seeded_rng
 
@@ -161,19 +164,6 @@ def _field_sqrt(ctx, a):
 
 
 # ---- binary forms in two parameters ------------------------------------
-
-
-def _divides(m, phi):
-    """Whether the polynomial m divides phi exactly.
-
-    For a single divisor, exact division fails exactly when m does not
-    divide: every leading term of a multiple of m is divisible by m's.
-    """
-    try:
-        phi.exact_div(m)
-    except ValueError:
-        return False
-    return True
 
 
 def _binary_abc(m, ctx):
@@ -518,14 +508,45 @@ def _pair_point(proofs, i, j):
     return _span_point([ctx.random_nonzero(rng) for _ in pts], pts, ctx)
 
 
+def _hypotheses_failure(proofs):
+    """Why the zero counts of `_pair_failure` and `_family_failure` and the
+    lemma of `check_multiplicity` cannot be cited: a witness, or None.
+
+    (H1) Each stored Q_k is the record's det(M_k), so it lies in the ideal
+    I_m = (x_m, f_m) of every flat m != k (`maps.build_forward_map`) and
+    vanishes on flat m.  (H2) At n >= 4 each pair meet has dimension n-4,
+    so I_a ∩ I_b = I_a·I_b and every Q_k, k not in {a, b}, is double along
+    flat_a ∩ flat_b (`check_multiplicity`).
+    """
+    vmap = proofs.vmap
+    for k, det in enumerate(proofs.determinants()):
+        if det != vmap.Q[k]:
+            return {"k": k, "reason": "stored Q differs"}
+    if vmap.n >= 4:
+        for i, j in combinations(range(vmap.n + 1), 2):
+            dim = len(proofs.meet(i, j)) - 1
+            if dim != vmap.n - 4:
+                reason = "the forms of the two flats are dependent"
+                return {"pair": [i, j], "dim": dim, "reason": reason}
+    return None
+
+
 def _pair_failure(proofs, i, j):
     """Why the line through a point q of flat_i ∩ flat_j that meets every
     flat does not lie inside every Q_k: a witness, or None when it does.
 
     The line meets flats i and j at q, and every other flat by the cone
-    hyperplane proof of `transversal_through`, so no meeting is tested.
-    That the line lies inside Q_k is proved by the record's line test.
+    hyperplane proof of `transversal_through`; a flat it misses all the
+    same fails closed.  Q_k on the line is a binary form of degree n-1,
+    zero or with at most n-1 zeros counted with multiplicity.  Under
+    (H1) and (H2) of `_hypotheses_failure` it vanishes where the line
+    meets a flat m != k, doubly where it meets two of them, and everywhere
+    when such a flat holds the line.  So n zeros put the line inside Q_k,
+    and no Q_k is restricted to the line.
     """
+    failure = proofs.hypotheses()
+    if failure is not None:
+        return failure
     vmap = proofs.vmap
     ctx = vmap.ctx
     q = _pair_point(proofs, i, j)
@@ -533,69 +554,59 @@ def _pair_failure(proofs, i, j):
     res = transversal_through(q, rest, ctx)
     if res.kind != "unique":
         return {"pair": [i, j], "reason": f"expected a unique line, got {res.kind}"}
-    for k, inside in enumerate(proofs.on_line(res.line)):
-        if not inside:
-            return {"pair": [i, j], "reason": f"line not inside Q_{k}"}
+    through, holding = {}, set()  # P^1 point -> flats through it; flats holding the line
+    for m, f in enumerate(vmap.flats):
+        param = meeting_param(res.line, f)
+        if param is None:
+            return {"pair": [i, j], "reason": f"line misses flat {m}"}
+        if param == "contained":
+            holding.add(m)
+        else:
+            through.setdefault(ProjPoint(param, ctx), set()).add(m)
+    for k in range(vmap.n + 1):
+        zeros = sum(min(2, len(flats - {k})) for flats in through.values())
+        if not holding - {k} and zeros < vmap.n:
+            return {"pair": [i, j], "reason": f"too few zeros of Q_{k}"}
     return None
 
 
-def _family_failure(vmap, m, p, w):
-    """Divisibility proof that both transversals lie inside every Q_i: the
-    first witness against it, or None.
+def _family_failure(proofs):
+    """Why both transversals of four flats in P^3 do not lie inside every
+    Q_k: the first witness, or None.
 
-    Restricting Q_i to the moving line u·p(s,t) + v·w(s,t) gives
-    (u,v)-coefficients that are binary forms in (s,t); each must be a
-    multiple of the meeting form m, which vanishes exactly at the
-    transversal parameters.
-
-    The family (`_n3_family`) spans the transversals when flats 0, 1, 2
-    are pairwise disjoint, the one test made of it.  Then p, a point of
-    flat 0, is off flat 2, so its cone row h through flat 2 is nonzero;
+    The meeting form m of the family (`_n3_family`) must have degree 2
+    and distinct roots, and the four flats must be pairwise disjoint (the
+    record's meets).  Then the family spans the transversals: p, a point
+    of flat 0, is off flat 2, so its cone row h through flat 2 is nonzero;
     w = 0 would put flat 1 inside the plane h = 0 with flat 2, and no
     plane holds two skew lines; and w != p, as w lies on flat 1.  The cone
     planes H1(p), H2(p) of flats 1 and 2 are distinct by the same skew
     lines, so H1(p) ∩ H2(p) is the line pw.  At a root of m the two cone
     rows and the forms of flat 3 share a null vector, a point of flat 3 on
     that line; the line meets flat 0 at p, flat 1 at w, and flat 2 by the
-    cone proof of `transversal_through`.
+    cone proof of `transversal_through`.  A transversal meets the four
+    flats at four distinct points, as no two flats meet, and no flat holds
+    it, as that flat would meet the other three.  Q_k vanishes on the three
+    flats other than k ((H1) of `_hypotheses_failure`), so it has three
+    zeros on each transversal and degree 2, and it holds both lines, over
+    the algebraic closure, with neither constructed.
     """
-    ctx = vmap.ctx
+    m = proofs.family()[0]
     if m.is_zero() or m.degree() != 2:
         return {"reason": f"meeting form degree {m.degree()}"}
-    if not _binary_disc(m, ctx):
+    if not _binary_disc(m, proofs.vmap.ctx):
         return {"reason": "meeting form has a double root"}
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        if flat_meet(vmap.flats[a], vmap.flats[b], ctx):
+    for a, b in combinations(range(4), 2):
+        if proofs.meet(a, b):
             return {"pair": [a, b], "reason": "flats meet"}
-    n1 = vmap.n + 1
-    # images live in the mixed ring (s, t, u, v)
-    images = []
-    for k in range(n1):
-        ip = Poly(4, {(e[0], e[1], 1, 0): c for e, c in p[k].terms.items()})
-        iw = Poly(4, {(e[0], e[1], 0, 1): c for e, c in w[k].terms.items()})
-        images.append(ip + iw)
-    for i, qpoly in enumerate(vmap.Q):
-        restricted = qpoly.substitute(images)
-        groups = {}
-        for e, c in restricted.terms.items():
-            groups.setdefault((e[2], e[3]), {})[(e[0], e[1])] = c
-        for uv, terms in groups.items():
-            if not _divides(m, Poly(2, terms)):
-                return {
-                    "Q": i,
-                    "uv_coefficient": list(uv),
-                    "reason": "not divisible by the meeting form",
-                }
-    return None
+    return proofs.hypotheses()
 
 
 def check_transversal_sample(vmap, proofs):
-    """Certified transversal lines lie inside every Q_i; at n >= 4, the
-    lines through points of the first ten flat pairs (`_pair_failure`).
-
-    At n = 3 the explicit lines are not tested: every (u,v)-coefficient
-    of Q_k on the moving line is a multiple of m (`_family_failure`), so at
-    a root of m, Q_k restricted to the line is zero.
+    """Certified transversal lines lie inside every Q_i, each by a count of
+    its zeros on the line: at n >= 4, the lines through points of the
+    first ten flat pairs (`_pair_failure`); at n = 3, both transversals at
+    once (`_family_failure`), so the explicit lines are not tested.
     """
     n = vmap.n
     if n == 2:
@@ -614,7 +625,7 @@ def check_transversal_sample(vmap, proofs):
                 "meeting_form_degree": 2,
                 "transversal_count": 2,
                 "explicit_lines": len(lines),
-                "note": "both transversals verified at once via divisibility",
+                "note": "both transversals inside every Q_i by a zero count",
             },
         )
     pairs = [list(pair) for pair in islice(combinations(range(n + 1), 2), 10)]
@@ -639,23 +650,16 @@ def check_multiplicity(vmap, proofs):
     coordinates makes them y_1..y_4, and I_i ∩ I_j = (y_1, y_2) ∩ (y_3, y_4)
     = I_i·I_j, inside (I_i + I_j)^2.  So Q_k and each of its partials lie in
     I_i + I_j and vanish on all of flat_i ∩ flat_j, over any field.  The
-    stored Q_k must be the record's det(M_k), the comparison
-    `determinantal` makes; no Q_k is evaluated at a pair point.
+    stored Q_k must be the record's det(M_k), and every pair meet must have
+    dimension n-4: (H1) and (H2) of `_hypotheses_failure`.  No Q_k is
+    evaluated at a pair point.
     """
     if vmap.n < 4:
         return _skipped("multiplicity", "pairwise intersections are empty below P^4")
+    failure = proofs.hypotheses()
+    if failure is not None:
+        return _failed("multiplicity", failure)
     n1 = vmap.n + 1
-    for k, det in enumerate(proofs.determinants()):
-        if det != vmap.Q[k]:
-            return _failed("multiplicity", {"k": k, "reason": "stored Q differs"})
-    pairs = list(combinations(range(n1), 2))
-    for i, j in pairs:
-        dim = len(proofs.meet(i, j)) - 1
-        if dim != vmap.n - 4:
-            return _failed(
-                "multiplicity",
-                {"pair": [i, j], "dim": dim, "reason": "the forms of the two flats are dependent"},
-            )
     # control: at a general point of a single flat the gradient must not
     # vanish, so the double points are special to the pairwise intersections
     rng = seeded_rng(proofs.seed, "mult-control")
@@ -664,7 +668,7 @@ def check_multiplicity(vmap, proofs):
         return _failed("multiplicity", {"reason": "control gradient vanished"})
     return _passed(
         "multiplicity",
-        {"pairs": len(pairs), "mode": "ideal product", "control": "nonzero gradient"},
+        {"pairs": math.comb(n1, 2), "mode": "ideal product", "control": "nonzero gradient"},
     )
 
 
@@ -865,18 +869,18 @@ class ProofRecord:
 
         return self._fact("dual", prove)
 
+    def hypotheses(self):
+        """(H1) and (H2) of the zero counts: `_hypotheses_failure`."""
+        return self._fact("hypotheses", lambda: _hypotheses_failure(self))
+
     def family(self):
         """The n = 3 transversal family (m, p, w) of `_n3_family`."""
         vmap = self.vmap
         return self._fact("family", lambda: _n3_family(vmap.flats, vmap.ctx))
 
     def family_failure(self):
-        """The divisibility proof of the family: `_family_failure`."""
-        return self._fact("divisibility", lambda: _family_failure(self.vmap, *self.family()))
-
-    def on_line(self, line):
-        """Whether each Q_k vanishes on the line, by the report's one line test."""
-        return self._fact("line-test", lambda: vanishing_on_line(self.vmap.Q))(line)
+        """The zero count of the family's transversals: `_family_failure`."""
+        return self._fact("family-count", lambda: _family_failure(self))
 
     def meet(self, i, j):
         """A basis of flat_i ∩ flat_j, in the closed form of `projgeo.flat_meet`."""

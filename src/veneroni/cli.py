@@ -37,12 +37,15 @@ def parse_field(text):
 
 
 def dump_json(obj, path):
-    text = json.dumps(obj, indent=2) + "\n"
+    # json.dump writes the encoder's chunks as they come, where json.dumps
+    # would hold them all at once, about seven times the size of the text
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        json.dump(obj, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def load_json(path):
@@ -202,7 +205,9 @@ def cmd_transversal(args):
         meetings = [meeting_param(res.line, f) for f in queried]
 
     def fmt_param(m):
-        return None if m is None else f"{ctx.format(m[0])}:{ctx.format(m[1])}"
+        if m is None or m == "contained":
+            return m
+        return f"{ctx.format(m[0])}:{ctx.format(m[1])}"
 
     if args.json:
         out = {"kind": res.kind, "queried": [f.j for f in queried]}

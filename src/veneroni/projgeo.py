@@ -8,8 +8,8 @@ inside that hyperplane (`transversal_through` proves this), so the lines
 through p meeting every flat of a query sweep out the common nullspace of
 the stacked cone forms.  Nullity 2 means a unique transversal, nullity
 d+1 >= 3 a d-dimensional family, and nullity 1 no transversal at all.
-Whether a polynomial vanishes on a line is proved from its values at a
-few points of the line (`vanishing_on_line`).
+`meeting_param` gives the point of a line on a flat, in the line's own
+parameters.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +18,7 @@ from itertools import combinations
 from operator import add, mul
 
 from . import exactla as la
-from .mpoly import Evaluator, Poly
+from .mpoly import Poly
 from .scalar import FieldCtx, seeded_rng
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "transversal_through",
     "flat_meet",
     "parametrize_flat",
-    "vanishing_on_line",
     "meeting_param",
     "random_general_flats",
     "genericity_check",
@@ -245,40 +244,6 @@ def parametrize_flat(f, ctx):
             v[i], v[k] = ctx.one, c
             pts.append(ProjPoint(v, ctx))
     return pts
-
-
-def vanishing_on_line(polys):
-    """The line test: a function of a line, whether each polynomial vanishes on it.
-
-    Restriction to the line, x -> s·base + t·dir, maps the degree-d part of
-    a polynomial to a binary form of degree d in (s, t), so a polynomial
-    vanishes on the line exactly when each of its homogeneous parts does.
-    A binary form of degree d that is not zero has at most d zeros on P^1,
-    and (1 : m) for m = 0..d are d+1 distinct points of P^1 (the field has
-    characteristic 0 or a prime above 2^30), so a part of degree d vanishes
-    on the line exactly when it is zero at base + m·dir for m = 0..d.  This
-    is a proof, not a sample; the parts and their `Evaluator` serve every line.
-    """
-    parts, owners = [], []  # the homogeneous parts, and (polynomial, degree)
-    for k, q in enumerate(polys):
-        by_degree = {}
-        for e, c in q.terms.items():
-            by_degree.setdefault(sum(e), {})[e] = c
-        for d, terms in by_degree.items():
-            parts.append(Poly(q.nvars, terms))
-            owners.append((k, d))
-    values = Evaluator(parts) if parts else None
-
-    def inside(line):
-        out = [True] * len(polys)
-        for m in range(max((d for _, d in owners), default=-1) + 1):
-            point = [b + m * v for b, v in zip(line.base, line.dir)]
-            for (k, d), value in zip(owners, values(point)):
-                if value and m <= d:
-                    out[k] = False
-        return out
-
-    return inside
 
 
 # ---- instance generation and serialization --------------------------------

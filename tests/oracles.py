@@ -2,8 +2,9 @@
 
 Restricting a polynomial to the span of points by `Poly.substitute` gives
 the zero polynomial exactly when the polynomial vanishes on the span.  The
-package proves such vanishing otherwise (`projgeo.vanishing_on_line` by
-point values, `maps.vanishes_on_flat` by reduction); these are the
+package proves such vanishing otherwise (`maps.vanishes_on_flat` by
+reduction, `checks._pair_failure` by a count of zeros); these, and
+`vanishing_on_line`, which decides it from point values, are the
 independent oracles they are tested against.  The entries of
 C(v) − B·diag(Q) are likewise expanded here by substitution, where
 `checks.verify_composition` reads them from a report's proof record, and
@@ -29,7 +30,7 @@ from itertools import combinations
 
 from veneroni import exactla as la
 from veneroni import maps
-from veneroni.mpoly import Poly
+from veneroni.mpoly import Evaluator, Poly
 from veneroni.projgeo import ProjPoint
 from veneroni.scalar import Fp, Rational
 
@@ -44,6 +45,40 @@ def restrict_to_span(p, pts):
 def line_restrict(p, line):
     """The binary form in (s, t): the polynomial restricted to the line."""
     return restrict_to_span(p, [line.base, line.dir])
+
+
+def vanishing_on_line(polys):
+    """The line test: a function of a line, whether each polynomial vanishes on it.
+
+    Restriction to the line, x -> s·base + t·dir, maps the degree-d part of
+    a polynomial to a binary form of degree d in (s, t), so a polynomial
+    vanishes on the line exactly when each of its homogeneous parts does.
+    A binary form of degree d that is not zero has at most d zeros on P^1,
+    and (1 : m) for m = 0..d are d+1 distinct points of P^1 (the field has
+    characteristic 0 or a prime above 2^30), so a part of degree d vanishes
+    on the line exactly when it is zero at base + m·dir for m = 0..d.  The
+    parts and their `Evaluator` serve every line.
+    """
+    parts, owners = [], []  # the homogeneous parts, and (polynomial, degree)
+    for k, q in enumerate(polys):
+        by_degree = {}
+        for e, c in q.terms.items():
+            by_degree.setdefault(sum(e), {})[e] = c
+        for d, terms in by_degree.items():
+            parts.append(Poly(q.nvars, terms))
+            owners.append((k, d))
+    values = Evaluator(parts) if parts else None
+
+    def inside(line):
+        out = [True] * len(polys)
+        for m in range(max((d for _, d in owners), default=-1) + 1):
+            point = [b + m * v for b, v in zip(line.base, line.dir)]
+            for (k, d), value in zip(owners, values(point)):
+                if value and m <= d:
+                    out[k] = False
+        return out
+
+    return inside
 
 
 def matrix_C(vmap, inv):

@@ -201,8 +201,8 @@ def test_criterion_10_residual_plane_example():
 
 def test_criterion_11_transversals_inside_every_q():
     # n = 3: exactly two transversals exist, so the whole family is proved
-    # at once by divisibility and the split-field instances also check the
-    # two explicit lines; n = 4, 5: at least five literal sampled lines.
+    # at once by a count of zeros and the split-field instances also check
+    # the two explicit lines; n = 4, 5: at least five literal sampled lines.
     for seed in SEEDS:
         inst, vmap = fwd(3, seed)
         res = checks.check_transversal_sample(vmap, record(inst, vmap))

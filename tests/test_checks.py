@@ -34,6 +34,7 @@ from oracles import (
     is_homogeneous,
     line_restrict,
     matrix_C,
+    vanishing_on_line,
 )
 
 QQ = FieldCtx.rationals()
@@ -619,13 +620,12 @@ FP31 = FieldCtx.prime(2147483647)
         # a vanishing table, so the dual flats' table is not proved.  B and
         # the dual flats' B' are built once each, and compute_Q runs once
         # per det(M_i) of the record and once per dual Q'_i.  The n = 3
-        # family tests three pairs of flats for a meeting itself
+        # family's count reads the record's meet of each of the six pairs
         (
             3, QQ, "full",
             {
                 "vanishes_on_flat": 16, "_n3_family": 1, "compute_Q": 8,
-                "build_matrix_B": 2, "vanishing_on_line": 0, "flat_meet": 3,
-                "partial": 0,
+                "build_matrix_B": 2, "flat_meet": 6, "partial": 0,
             },
             {"ties": 1, "vanishing": 0, "dimension": 1},
         ),
@@ -636,8 +636,7 @@ FP31 = FieldCtx.prime(2147483647)
             4, FP31, "fast",
             {
                 "vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 10,
-                "build_matrix_B": 2, "vanishing_on_line": 1, "flat_meet": 10,
-                "partial": 5,
+                "build_matrix_B": 2, "flat_meet": 10, "partial": 5,
             },
             {"ties": 1, "vanishing": 0, "dimension": 1},
         ),
@@ -674,22 +673,22 @@ def test_each_shared_fact_is_proved_once_per_report(
         (maps, "compute_Q"),
         (maps, "build_matrix_B"),
         (checks, "_n3_family"),
-        (checks, "vanishing_on_line"),
         (checks, "flat_meet"),
         (Poly, "partial"),
     ):
         counted(owner, name)
     monkeypatch.setattr(checks.ProofRecord, "_fact", proving)
-    # B, the det(M_i), the ties, the b-row residuals, (at n >= 4) the line
-    # test of the Q_k, the meet of each pair of flats and the dual record;
-    # then the dual record's own facts
+    # B, the det(M_i), the ties, the b-row residuals, the hypotheses of
+    # the zero counts, (at n = 3) the family's count, the meet of each pair
+    # of flats and the dual record; then the dual record's own facts
     once = {
         ("map", "matrix"): 1,
         ("map", "determinants"): 1,
         ("map", "ties"): 1,
         ("map", "b-rows"): 1,
-        ("map", "line-test"): expected["vanishing_on_line"],
-        **{("map", ("meet", *pair)): int(n >= 4) for pair in combinations(range(n + 1), 2)},
+        ("map", "hypotheses"): 1,
+        ("map", "family-count"): int(n == 3),
+        **{("map", ("meet", *pair)): 1 for pair in combinations(range(n + 1), 2)},
         ("map", "dual"): 1,
         **{("dual", key): count for key, count in dual_facts.items()},
     }
@@ -707,43 +706,28 @@ def test_each_shared_fact_is_proved_once_per_report(
 
 
 @pytest.mark.parametrize("n", [3, 4], ids=["n3", "n4"])
-def test_a_full_verify_substitutes_only_in_the_n3_family_proof(monkeypatch, n):
+def test_a_full_verify_substitutes_nothing(monkeypatch, n):
     # composition reads the entries of C(v) − B·diag(Q) from the record's
-    # ties and b-row residuals, and the transversal lines at n >= 4 are
-    # proved inside every Q_k by point values; only the n = 3 family proof
-    # substitutes, once per Q_i
+    # ties and b-row residuals, and every transversal is proved inside
+    # every Q_k by a count of its zeros, with no Q_k restricted to a line
     inst = random_general_flats(n, 11, QQ)
     vmap, inv = checks.build_all(inst)
-    substitute, family = Poly.substitute, checks._family_failure
-    calls, inside = Counter(), []
+    substitute, calls = Poly.substitute, []
 
     def counted(self, images):
-        calls["family" if inside else "elsewhere"] += 1
+        calls.append(self)
         return substitute(self, images)
 
-    def family_failure(*args):
-        inside.append(True)
-        try:
-            return family(*args)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(Poly, "substitute", counted)
-    monkeypatch.setattr(checks, "_family_failure", family_failure)
     assert checks.run_suite(inst, vmap, inv, level="full").ok
-    assert calls == ({"family": n + 1} if n == 3 else {})
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
-@pytest.mark.parametrize(
-    "n, witness",
-    [
-        (3, {"Q": 2, "uv_coefficient": [0, 2], "reason": "not divisible by the meeting form"}),
-        (4, {"pair": [0, 1], "reason": "line not inside Q_2"}),
-    ],
-    ids=["n3", "n4"],
-)
-def test_a_shared_transversal_fails_each_check_by_its_own_name(field, n, witness):
+@pytest.mark.parametrize("n", [3, 4], ids=["n3", "n4"])
+def test_a_shared_transversal_fails_each_check_by_its_own_name(field, n):
+    # a Q_2 that is no longer det(M_2) need not vanish on the flats, so
+    # neither count can be cited
     inst = random_general_flats(n, 11, field)
     vmap, inv = checks.build_all(inst)
     vmap.Q = list(vmap.Q)
@@ -753,8 +737,97 @@ def test_a_shared_transversal_fails_each_check_by_its_own_name(field, n, witness
     for name in ("base-locus", "transversal-sample"):
         assert res[name].name == name
         assert res[name].status == "fail"
-        assert res[name].witness == witness
+        assert res[name].witness == {"k": 2, "reason": "stored Q differs"}
     assert len({id(c) for c in report.checks}) == len(CHECK_ORDER)
+
+
+# ---- a pair line lies inside every Q_k by a count of its zeros --------------
+
+
+def _pair_line_params(inst, i, j):
+    """Where the line through the pair point of flats i and j meets each
+    flat, as `_pair_failure` draws it for a report of the instance."""
+    vmap = maps.build_forward_map(inst.flats, inst.ctx)
+    q = checks._pair_point(checks.ProofRecord(inst, vmap, None, inst.seed), i, j)
+    rest = [f for m, f in enumerate(inst.flats) if m not in (i, j)]
+    line = transversal_through(q, rest, inst.ctx).line
+    return [meeting_param(line, f) for f in inst.flats]
+
+
+@pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
+@pytest.mark.parametrize("n, seeds", [(4, range(6)), (5, range(2))], ids=["n4", "n5"])
+def test_every_pair_line_the_count_accepts_is_inside_every_q(monkeypatch, field, n, seeds):
+    count, lines = checks.meeting_param, []
+
+    def recorded(line, flat):
+        lines.append(line)
+        return count(line, flat)
+
+    monkeypatch.setattr(checks, "meeting_param", recorded)
+    for seed in seeds:
+        inst = random_general_flats(n, seed, field)
+        vmap, inv = checks.build_all(inst)
+        proofs = record(inst, vmap, inv)
+        inside = vanishing_on_line(vmap.Q)
+        for i, j in combinations(range(n + 1), 2):
+            lines.clear()
+            assert checks._pair_failure(proofs, i, j) is None
+            # the count reads each flat's meeting with one line
+            assert len(lines) == n + 1 and len(set(lines)) == 1
+            assert inside(lines[0]) == [True] * (n + 1)
+
+
+def test_a_double_point_counts_twice():
+    # the line through flat_0 ∩ flat_2 meets flats 1 and 3 at one point, a
+    # double point of Q_0, Q_2 and Q_4 there, so five flats give four
+    # points of P^1 and each Q_k still has four zeros
+    inst = random_general_flats(4, 112, QQ)
+    points = [ProjPoint(param, QQ) for param in _pair_line_params(inst, 0, 2)]
+    assert points[1] == points[3] and len(set(points)) == 3
+    res = by_name(checks.run_suite(inst, level="fast"))
+    assert res["transversal-sample"].status == res["base-locus"].status == "pass"
+
+
+@pytest.mark.parametrize("seed", [293, 580])
+def test_a_flat_that_holds_the_line_puts_it_inside_every_other_q(seed):
+    # flat 3 holds the line through each of its pair points, so the line
+    # lies inside every Q_k with k != 3, and Q_3 counts the other four flats
+    inst = random_general_flats(4, seed, QQ)
+    for i in (0, 1, 2, 4):
+        params = _pair_line_params(inst, min(i, 3), max(i, 3))
+        assert params[3] == "contained"
+        others = [ProjPoint(p, QQ) for m, p in enumerate(params) if m != 3]
+        assert len(set(others)) == 4
+    res = by_name(checks.run_suite(inst, level="fast"))
+    assert res["transversal-sample"].status == res["base-locus"].status == "pass"
+
+
+@pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
+@pytest.mark.parametrize(
+    "stub, reason",
+    [
+        (lambda line, flat, ctx: (ctx.one, ctx.zero), "too few zeros of Q_0"),
+        (lambda line, flat, ctx: (ctx.zero, ctx.one) if flat.j >= 2 else meeting_param(line, flat),
+         "too few zeros of Q_0"),
+        (lambda line, flat, ctx: "contained" if flat.j == 0 else (ctx.one, ctx.zero),
+         "too few zeros of Q_0"),
+        (lambda line, flat, ctx: None if flat.j == 3 else meeting_param(line, flat),
+         "line misses flat 3"),
+    ],
+    ids=["all-merged", "three-merged", "own-flat-holds", "missed"],
+)
+def test_the_count_fails_closed_by_name(monkeypatch, field, stub, reason):
+    # every flat met at one point leaves each Q_k two zeros, not four;
+    # flats 2, 3, 4 met at one point off the pair point leave Q_0 three,
+    # one short of the four it needs; flat 0 holding the line says
+    # nothing of Q_0, which need not vanish on flat 0; a flat the cone
+    # proof says the line meets, missed all the same, is named
+    inst = random_general_flats(4, 11, field)
+    monkeypatch.setattr(checks, "meeting_param", lambda line, flat: stub(line, flat, field))
+    res = by_name(checks.run_suite(inst, level="fast"))
+    for name in ("base-locus", "transversal-sample"):
+        assert res[name].status == "fail"
+        assert res[name].witness == {"pair": [0, 1], "reason": reason}
 
 
 @pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
@@ -1021,11 +1094,12 @@ def test_transversals_meet_every_queried_flat(ctx, coeffs, data):
         for f in flats[1:3]:
             assert _row_times(f, pf, pf).is_zero()
             assert _row_times(f, pf, w).is_zero()
-        # _family_lines tests no meeting and transversal-sample substitutes
-        # no explicit line: where the divisibility proof passes, each line
-        # at a root of m meets all four flats and lies inside every Q_i
+        # _family_lines tests no meeting and transversal-sample restricts
+        # no Q_i to an explicit line: where the count passes, each line at
+        # a root of m meets all four flats and lies inside every Q_i
         vmap = maps.build_forward_map(flats, ctx)
-        if checks._family_failure(vmap, m, pf, w) is None:
+        proofs = checks.ProofRecord(FlatsInstance(3, 0, 9, ctx, flats), vmap, None, 0)
+        if checks._family_failure(proofs) is None:
             for line in checks._family_lines(ctx, m, pf, w):
                 assert all(meeting_param(line, f) is not None for f in flats)
                 assert all(line_restrict(q, line).is_zero() for q in vmap.Q)

@@ -249,20 +249,31 @@ def test_flats_file_below_p2_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_generate_and_verify_test_no_meeting(tmp_path, capsys, monkeypatch, n):
+def test_only_the_zero_count_tests_a_meeting(tmp_path, capsys, monkeypatch, n):
     # the cone hyperplanes prove that a computed transversal meets its
-    # flats, so neither generate nor verify tests a meeting, not even in
-    # the n = 3 family lines or the anchor lines of the n = 4 demo
+    # flats, so generate tests no meeting, and neither do the n = 3 family
+    # lines or the anchor lines of the n = 4 demo; verify reads where each
+    # of its ten pair lines (n >= 4) meets the n+1 flats, for the count of
+    # the zeros of each Q_k on it, and nothing else
     def forbidden(*args):
         raise AssertionError("meeting_param called")
 
+    lines, meeting = [], checks.meeting_param
+
+    def counted(line, flat):
+        lines.append(line)
+        return meeting(line, flat)
+
     for module in (projgeo, cli):
         monkeypatch.setattr(module, "meeting_param", forbidden)
-    assert not hasattr(checks, "meeting_param")
+    monkeypatch.setattr(checks, "meeting_param", counted)
     flats = tmp_path / "flats.json"
     assert run(capsys, ["generate", "-n", str(n), "--seed", "3", "-o", str(flats)])[0] == 0
+    assert lines == []
     rc, out, _ = run(capsys, ["verify", "-i", str(flats), "--level", "full"])
     assert rc == 0, out
+    pair_lines = 0 if n == 3 else 10
+    assert len(lines) == (n + 1) * pair_lines and len(set(lines)) == pair_lines
 
 
 def test_verify_missing_file(capsys):
@@ -350,6 +361,17 @@ def test_transversal_unique_json(map3, capsys):
     assert d["queried"] == [2, 3]
     assert len(d["line"]) == 2
     assert all(m["param"] is not None for m in d["meetings"])
+
+
+def test_transversal_prints_contained_for_a_flat_holding_the_line(capsys):
+    # at this seed flat 3 holds the line through its point (0:1:0:0:-2)
+    argv = ["transversal", "-n", "4", "--seed", "293", "--point", "0,1,0,0,-2"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert "  meets flat 3 at parameter contained\n" in out
+    rc, out, _ = run(capsys, [*argv, "--json"])
+    assert rc == 0
+    assert json.loads(out)["meetings"][3] == {"j": 3, "param": "contained"}
 
 
 def test_transversal_family(map3, capsys):

@@ -98,8 +98,8 @@ def test_layer_scan_sees_a_late_or_nested_import():
 # ---- every helper of the package has a caller in it ------------------------
 
 DEMOS = TESTS.parent / "demos"
-# kept only for the benchmark's tracer, which patches it by name
-UNCALLED = {"exactla.solve"}
+# kept only for the benchmark's tracer, which patches them by name
+UNCALLED = {"exactla.solve", "mpoly.Poly.exact_div"}
 
 
 def definitions(tree):

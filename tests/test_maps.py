@@ -14,7 +14,7 @@ from veneroni.projgeo import (
     random_general_flats,
     transversal_through,
 )
-from veneroni.scalar import FieldCtx, seeded_rng
+from veneroni.scalar import FieldCtx, Fp, seeded_rng
 
 from oracles import (
     div_var,
@@ -540,3 +540,51 @@ def test_restriction_rows_agree_with_parametrized_rows(ctx, case):
     nullity = len(mons) - la.rank(oracle, ctx)
     assert len(mons) - la.rank(rows, ctx) == nullity
     assert maps.linear_system_dimension(flats, d, ctx) == nullity
+
+
+# ---- reduction mod p commutes with the construction -------------------------
+
+
+def reduce_mod_p(values, ctx):
+    """The images in F_p of rationals, by `exactla.residues`: ValueError
+    when p divides a denominator."""
+    return [Fp(r, ctx.p) for r in la.residues([list(values)], ctx.p)[0]]
+
+
+def reduce_poly(q, ctx):
+    """The polynomial with every coefficient reduced mod p; zeros drop."""
+    coeffs = zip(q.terms, reduce_mod_p(q.terms.values(), ctx))
+    return Poly(q.nvars, {e: c for e, c in coeffs if c})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 10**6),
+    j=st.integers(0, 4),
+    den=st.sampled_from([1, 2, 9, FP.p, 3 * FP.p]),
+)
+def test_reduction_mod_p_commutes_with_the_construction(n, seed, j, den):
+    # every construction step is a polynomial in the flats' coefficients:
+    # det(M_i), the products x_i·Q_i, b = Aᵀ and the map of the dual flats.
+    # f_j divided by den is the same flat with other coefficients
+    flats = random_general_flats(n, seed, QQ).flats
+    j %= n + 1
+    flats[j] = Flat(j, tuple(c / den for c in flats[j].a))
+    vmap = maps.build_forward_map(flats, QQ)
+    inv = maps.build_inverse_map(vmap, maps.solve_b_matrix(vmap))
+    if den % FP.p == 0:
+        # column j of b = Aᵀ holds the divided coefficients, which have no
+        # image in F_p, and neither has flat j
+        with pytest.raises(ValueError, match="vanishes mod"):
+            reduce_mod_p([c for row in inv.b for c in row], FP)
+        with pytest.raises(ValueError, match="vanishes mod"):
+            reduce_mod_p(flats[j].a, FP)
+        return
+    reduced = [Flat(f.j, tuple(reduce_mod_p(f.a, FP))) for f in flats]
+    vmap_p = maps.build_forward_map(reduced, FP)
+    inv_p = maps.build_inverse_map(vmap_p, maps.solve_b_matrix(vmap_p))
+    assert [reduce_poly(q, FP) for q in vmap.Q] == vmap_p.Q
+    assert [reduce_poly(c, FP) for c in vmap.components] == vmap_p.components
+    assert [reduce_mod_p(row, FP) for row in inv.b] == inv_p.b
+    assert [reduce_poly(c, FP) for c in inv.inverse_components] == inv_p.inverse_components

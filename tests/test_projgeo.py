@@ -20,7 +20,6 @@ from veneroni.projgeo import (
     parametrize_flat,
     random_general_flats,
     transversal_through,
-    vanishing_on_line,
 )
 from veneroni.scalar import FieldCtx, seeded_rng
 
@@ -31,6 +30,7 @@ from oracles import (
     line_restrict,
     random_scalar,
     restrict_to_span,
+    vanishing_on_line,
 )
 
 QQ = FieldCtx.rationals()
