@@ -6,9 +6,10 @@ is untrusted data, so each check here re-derives its claim from the
 instance data it is handed and returns a CheckResult with witness data.
 Where a check meets a statement that is a theorem about data it has just
 recomputed (det(B_i) = x_i·det(M_i) and the degree, vanishing and vertex
-values of det(M_i) in `determinantal` and `composition`, the meeting of a
-computed transversal with its flats, the algebra of the n = 3 family, the
-multiplicity of each det(M_k) along the other flats' pairwise
+values of det(M_i) in `determinantal` and `composition`, and so of the
+components x_i·det(M_i) in `basis-property` and `base-locus`, the meeting
+of a computed transversal with its flats, the algebra of the n = 3 family,
+the multiplicity of each det(M_k) along the other flats' pairwise
 intersections), it cites the proof instead of testing it: det(B_i) is
 never expanded, only the smaller det(M_i), no leave-one-out system is
 eliminated (the lemma of `check_dimension`), and no Q_k is evaluated at
@@ -115,10 +116,6 @@ def _skipped(name, reason):
 # ---- small shared samplers and field helpers ---------------------------
 
 
-def _random_point(ctx, rng, n1):
-    return ProjPoint([ctx.random_nonzero(rng) for _ in range(n1)], ctx)
-
-
 def _span_point(combo, pts, ctx):
     """The point sum_m combo[m] * pts[m] of the span of the given points."""
     return ProjPoint(
@@ -141,7 +138,7 @@ _OFF_LOCUS_TRIES = 200  # attempts before _sample_off_locus gives up
 def _sample_off_locus(vmap, q_values, rng):
     """A random point where no Q_i vanishes; `q_values` evaluates the Q_i."""
     for _ in range(_OFF_LOCUS_TRIES):
-        p = _random_point(vmap.ctx, rng, vmap.n + 1)
+        p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)
         if all(q_values(p.coords)):
             return p
     raise RuntimeError("could not sample a point off the Q_i locus")
@@ -175,6 +172,13 @@ def _binary_disc(m, ctx):
     """Discriminant b^2 - 4ac of a degree-2 binary form."""
     a, b, c = _binary_abc(m, ctx)
     return b * b - ctx.from_int(4) * a * c
+
+
+def _meeting_degree_failure(m):
+    """The witness of an n = 3 meeting form m of degree other than 2, or None."""
+    if m.is_zero() or m.degree() != 2:
+        return {"reason": f"meeting form degree {m.degree()}"}
+    return None
 
 
 # ---- the one-parameter transversal family in P^3 -----------------------
@@ -225,7 +229,7 @@ def count_transversals_n3(m, ctx):
     Returns (degree of the meeting form, discriminant nonzero).  A degree
     other than 2 signals a non-general instance and raises.
     """
-    if m.is_zero() or m.degree() != 2:
+    if _meeting_degree_failure(m) is not None:
         raise maps.ConstructionError(
             f"meeting form has degree {m.degree()}, not 2: non-general instance"
         )
@@ -340,26 +344,21 @@ def check_dimension(inst, proofs):
 
 
 def check_basis(inst, vmap, proofs):
-    """The n+1 components are independent and exhaust the degree-n system:
-    homogeneous of degree n, of rank n+1, members of the system by the
-    record's vanishing table, and as many as the record's dimension."""
-    ctx = inst.ctx
-    n1 = vmap.n + 1
-    for i, c in enumerate(vmap.components):
-        if any(sum(e) != vmap.n for e in c.terms):
-            return _failed(
-                "basis-property", {"component": i, "reason": "not homogeneous of degree n"}
-            )
-    mons = maps.monomials_of_degree(n1, vmap.n)
-    rank = la.rank(maps.coefficient_rows(vmap.components, mons, ctx), ctx)
-    if rank != n1:
-        return _failed("basis-property", {"rank": rank})
-    if not all(map(all, proofs.vanishing())):
-        return _failed("basis-property", {"reason": "component outside the system"})
+    """The n+1 components are a basis of the degree-n system: they are the
+    construction's x_i·det(M_i) (`_construction_failure`), and the system
+    has the record's dimension n+1.  The rest is cited: each x_i·det(M_i)
+    has degree n and vanishes on all n+1 flats (`maps.build_forward_map`),
+    and only x_k·det(M_k) is nonzero at the vertex e_k (`maps.compute_Q`),
+    so the n+1 of them have rank n+1 (the lemma of `check_dimension`).
+    """
+    failure = _construction_failure(proofs)
+    if failure is not None:
+        return _failed("basis-property", failure)
+    n1 = inst.n + 1
     dim = proofs.dimension()
     if dim != n1:
-        return _failed("basis-property", {"rank": rank, "dim": dim})
-    return _passed("basis-property", {"rank": rank, "dim": dim})
+        return _failed("basis-property", {"rank": n1, "dim": dim})
+    return _passed("basis-property", {"rank": n1, "dim": dim})
 
 
 def check_b_matrix(vmap, inv, proofs):
@@ -468,25 +467,23 @@ def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
 
 def verify_base_locus(vmap, proofs):
     """Components vanish on every flat; certified transversals land inside
-    every Q_i; a general point stays outside the base locus."""
-    ctx = vmap.ctx
-    for i, row in enumerate(proofs.vanishing()):
-        for j, vanishes in enumerate(row):
-            if not vanishes:
-                return _failed(
-                    "base-locus", {"component": i, "flat": j, "reason": "no vanishing"}
-                )
-    failure = sampled = None
+    every Q_i; a general point stays outside the base locus.  The first and
+    the last are theorems once the stored components are the construction's
+    x_i·det(M_i) (`_construction_failure`): each vanishes on all n+1 flats
+    (`maps.build_forward_map`), and x_0·det(M_0) is nonzero at the vertex
+    e_0 (`maps.compute_Q`).  `_pair_failure` (n >= 4) and `_family_failure`
+    (n = 3) count the zeros of the transversals.
+    """
+    failure = _construction_failure(proofs)
+    if failure is not None:
+        return _failed("base-locus", failure)
+    sampled = None
     if vmap.n >= 4:
         failure, sampled = proofs.pair_failure(0, 1), "pair-point line inside every Q_i"
     elif vmap.n == 3:
         failure, sampled = proofs.family_failure(), "one-parameter family inside every Q_i"
     if failure is not None:
         return _failed("base-locus", failure)
-    rng = seeded_rng(proofs.seed, "base-locus-general")
-    p = _random_point(ctx, rng, vmap.n + 1)
-    if not any(bool(c.evaluate(p.coords)) for c in vmap.components):
-        return _failed("base-locus", {"reason": "general point in base locus"})
     return _passed(
         "base-locus",
         {"vanishing": "all components on all flats", "transversal": sampled},
@@ -518,16 +515,35 @@ def _hypotheses_failure(proofs):
     so I_a ∩ I_b = I_a·I_b and every Q_k, k not in {a, b}, is double along
     flat_a ∩ flat_b (`check_multiplicity`).
     """
+    failure = _stored_q_failure(proofs)
     vmap = proofs.vmap
-    for k, det in enumerate(proofs.determinants()):
-        if det != vmap.Q[k]:
-            return {"k": k, "reason": "stored Q differs"}
-    if vmap.n >= 4:
+    if failure is None and vmap.n >= 4:
         for i, j in combinations(range(vmap.n + 1), 2):
             dim = len(proofs.meet(i, j)) - 1
             if dim != vmap.n - 4:
                 reason = "the forms of the two flats are dependent"
                 return {"pair": [i, j], "dim": dim, "reason": reason}
+    return failure
+
+
+def _stored_q_failure(proofs):
+    """(H1): the first stored Q_k other than the record's det(M_k), or None."""
+    for k, det in enumerate(proofs.determinants()):
+        if det != proofs.vmap.Q[k]:
+            return {"k": k, "reason": "stored Q differs"}
+    return None
+
+
+def _construction_failure(proofs):
+    """Why the stored components are not the construction's x_i·det(M_i):
+    (H1), each stored Q_k the record's det(M_k), then the record's ties
+    v_i − x_i·Q_i, all zero; the first witness, or None."""
+    failure = _stored_q_failure(proofs)
+    if failure is not None:
+        return failure
+    for i, tie in enumerate(proofs.ties()):
+        if tie:
+            return {"i": i, "reason": "stored component differs"}
     return None
 
 
@@ -592,8 +608,9 @@ def _family_failure(proofs):
     the algebraic closure, with neither constructed.
     """
     m = proofs.family()[0]
-    if m.is_zero() or m.degree() != 2:
-        return {"reason": f"meeting form degree {m.degree()}"}
+    failure = _meeting_degree_failure(m)
+    if failure is not None:
+        return failure
     if not _binary_disc(m, proofs.vmap.ctx):
         return {"reason": "meeting form has a double root"}
     for a, b in combinations(range(4), 2):
@@ -762,9 +779,12 @@ def check_demos(vmap, level, proofs):
     if level == "fast":
         return _skipped("demos", "level fast skips the n-specific demos")
     if vmap.n == 3:
-        count, disc_ok = count_transversals_n3(proofs.family()[0], vmap.ctx)
-        if count != 2 or not disc_ok:
-            return _failed("demos", {"count": count, "disc_nonzero": disc_ok})
+        m = proofs.family()[0]
+        failure = _meeting_degree_failure(m)
+        if failure is not None:
+            return _failed("demos", failure)
+        if not _binary_disc(m, vmap.ctx):
+            return _failed("demos", {"count": 2, "disc_nonzero": False})
         return _passed(
             "demos", {"example": "transversal count", "count": 2, "disc_nonzero": True}
         )
@@ -804,13 +824,6 @@ class ProofRecord:
         if key not in self._facts:
             self._facts[key] = prove()
         return self._facts[key]
-
-    def vanishing(self):
-        """table[i][j]: whether component i vanishes on flat j."""
-        ctx, flats = self.inst.ctx, self.inst.flats
-        return self._fact("vanishing", lambda: [
-            [maps.vanishes_on_flat(c, f, ctx) for f in flats] for c in self.vmap.components
-        ])
 
     def dimension(self):
         """The degree-n dimension, by `maps.linear_system_dimension`."""

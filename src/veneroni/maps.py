@@ -41,7 +41,6 @@ __all__ = [
     "apply_map",
     "class_matrix",
     "monomials_of_degree",
-    "coefficient_rows",
 ]
 
 
@@ -115,23 +114,6 @@ def monomials_of_degree(nvars, d):
         for rest in monomials_of_degree(nvars - 1, d - k):
             out.append((k,) + rest)
     return out
-
-
-def coefficient_rows(polys, mons, ctx):
-    """One row per polynomial: its coefficients on the monomials `mons`.
-
-    Raises ValueError on a term whose monomial is not listed.
-    """
-    col = {m: i for i, m in enumerate(mons)}
-    rows = []
-    for poly in polys:
-        row = [ctx.zero] * len(mons)
-        for e, c in poly.terms.items():
-            if e not in col:
-                raise ValueError(f"term {list(e)} is not of degree {sum(mons[0])}")
-            row[col[e]] = c
-        rows.append(row)
-    return rows
 
 
 def _restriction_rows(flat, d, ctx, mons):
@@ -216,6 +198,9 @@ def vanishes_on_flat(p, flat, ctx):
     (x_j -> 0, x_k -> L) is zero.  Terms with x_j drop out, the rest are
     grouped by their power of x_k, and the image is summed by Horner in L.
     Raises ValueError on a degenerate flat.
+
+    Nothing in the package calls it; the tests use it as an oracle and
+    perfbench/tracer.py wraps it.
     """
     j = flat.j
     k, coeffs = flat.reduction(ctx)

@@ -386,7 +386,8 @@ class Poly:
 
     def evaluate(self, point):
         """Value at a tuple of field elements (one per variable); see
-        `Evaluator`, which evaluates several polynomials at once."""
+        `Evaluator`, which evaluates several polynomials at once.  Nothing in
+        the package calls it; the tests do, and perfbench/tracer.py wraps it."""
         return Evaluator([self])(point)[0]
 
     def substitute(self, images):

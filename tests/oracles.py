@@ -16,10 +16,11 @@ matrix; `det_by_poly_ops` runs the column-subset expansion on the
 entries' own `+` and `*` instead, so no coefficient crosses that
 boundary.  The small predicates at the end (`is_homogeneous`, `div_var`,
 `flat_contains`) have no caller in the package, which proves what they
-test.  `flat_span` is the general solver behind the closed form of
-`projgeo.parametrize_flat`: the nullspace of a flat's two forms;
-`flat_intersection`, the nullspace of two flats' four forms, is the one
-behind `projgeo.flat_meet`.  `lead`
+test; `coefficient_rows` lays polynomials out as the rows of a rank that
+`checks.check_basis` cites instead of eliminating.  `flat_span` is the
+general solver behind the closed form of `projgeo.parametrize_flat`: the
+nullspace of a flat's two forms; `flat_intersection`, the nullspace of
+two flats' four forms, is the one behind `projgeo.flat_meet`.  `lead`
 and `random_scalar` serve only the tests, so they live here and not on
 `Poly` and `FieldCtx`.  `double_at_pair_points` evaluates each Q_k and all
 its partials at a point of each pairwise flat intersection, the sample
@@ -142,6 +143,23 @@ def div_var(p, i):
             raise ValueError(f"not divisible by x{i}")
         out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
     return Poly(p.nvars, out)
+
+
+def coefficient_rows(polys, mons, ctx):
+    """One row per polynomial: its coefficients on the monomials `mons`.
+
+    Raises ValueError on a term whose monomial is not listed.
+    """
+    col = {m: i for i, m in enumerate(mons)}
+    rows = []
+    for poly in polys:
+        row = [ctx.zero] * len(mons)
+        for e, c in poly.terms.items():
+            if e not in col:
+                raise ValueError(f"term {list(e)} is not of degree {sum(mons[0])}")
+            row[col[e]] = c
+        rows.append(row)
+    return rows
 
 
 def flat_contains(flat, pt):

@@ -5,14 +5,14 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from veneroni import checks
 from veneroni import exactla as la
 from veneroni import maps, projgeo
 from veneroni.checks import CHECK_ORDER
-from veneroni.mpoly import Poly
+from veneroni.mpoly import Evaluator, Poly
 from veneroni.projgeo import (
     Flat,
     FlatsInstance,
@@ -25,6 +25,7 @@ from veneroni.projgeo import (
 from veneroni.scalar import FieldCtx
 
 from oracles import (
+    coefficient_rows,
     det_by_poly_ops,
     div_var,
     double_at_pair_points,
@@ -270,16 +271,14 @@ def test_component_off_the_system_fails_by_name(field):
     vmap, inv = checks.build_all(inst)
     assert checks.verify_base_locus(vmap, record(inst, vmap, inv)).status == "pass"
     assert checks.check_basis(inst, vmap, record(inst, vmap, inv)).status == "pass"
-    # x_0^3 vanishes on flat 0, where x_0 = 0, but not on flat 1
+    # x_0^3 vanishes on flat 0, where x_0 = 0, but not on flat 1; both
+    # checks cite membership once the component is tied to x_2·Q_2
     vmap.components = list(vmap.components)
     vmap.components[2] = vmap.components[2] + Poly.var(0, 4, field.one) ** 3
     proofs = record(inst, vmap, inv)
-    res = checks.verify_base_locus(vmap, proofs)
-    assert res.status == "fail"
-    assert res.witness == {"component": 2, "flat": 1, "reason": "no vanishing"}
-    res = checks.check_basis(inst, vmap, proofs)
-    assert res.status == "fail"
-    assert res.witness == {"reason": "component outside the system"}
+    for res in (checks.verify_base_locus(vmap, proofs), checks.check_basis(inst, vmap, proofs)):
+        assert res.status == "fail"
+        assert res.witness == {"i": 2, "reason": "stored component differs"}
 
 
 @pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
@@ -290,10 +289,9 @@ def test_component_of_the_wrong_degree_fails_by_name(field, extra):
     vmap.components = list(vmap.components)
     vmap.components[1] = vmap.components[1] + Poly(4, {extra: field.one})
     res = by_name(checks.run_suite(inst, vmap, inv))
-    assert res["basis-property"].witness == {
-        "component": 1,
-        "reason": "not homogeneous of degree n",
-    }
+    # the tie v_1 − x_1·Q_1 is the extra term: no degree is tested
+    assert res["basis-property"].witness == {"i": 1, "reason": "stored component differs"}
+    assert res["base-locus"].witness == {"i": 1, "reason": "stored component differs"}
     # entry (0, 0) of C(v) − B·diag(Q) is the b-row residual of row 0,
     # b_{0,1} times the extra term: the first entry the bad component reaches
     assert res["composition"].witness == {
@@ -566,10 +564,10 @@ def test_component_off_the_system_fails_basis_through_run_suite(field):
     vmap.components[2] = vmap.components[2] + Poly.var(0, 4, field.one) ** 3
     res = by_name(checks.run_suite(inst, vmap, inv, level="fast"))
     # the system itself is unchanged, so its dimension still passes and is
-    # handed on; the basis check must still test membership
+    # handed on; the basis check must still tie the component to x_2·Q_2
     assert res["linear-system-dimension"].status == "pass"
     assert res["basis-property"].status == "fail"
-    assert res["basis-property"].witness == {"reason": "component outside the system"}
+    assert res["basis-property"].witness == {"i": 2, "reason": "stored component differs"}
 
 
 def test_check_basis_alone_proves_the_dimension():
@@ -608,6 +606,28 @@ def test_reports_share_no_proof_across_runs():
     assert res["basis-property"]["witness"] == {"rank": 5, "dim": 5}
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=["qq", "fp"])
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 10**6),
+    k=st.integers(1, 4),
+    coords=st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+)
+def test_round_trip_returns_every_point_exactly(field, n, seed, k, coords):
+    inst = random_general_flats(n, seed, field)
+    vmap, inv = checks.build_all(inst)
+    res = checks.verify_roundtrip_sample(vmap, inv, k=k, seed=seed)
+    assert res.status == "pass"
+    assert res.witness == {"samples": k, "distinct_images": True}
+    # a drawn point off the Q_i, where w∘v = x·∏Q_i is nonzero, returns
+    point = [field.from_int(c) for c in coords[: n + 1]]
+    assume(all(Evaluator(vmap.Q)(point)))
+    p = ProjPoint(point, field)
+    image = maps.apply_map(Evaluator(vmap.components), p, field)
+    assert maps.apply_map(Evaluator(inv.inverse_components), image, field) == p
+
+
 # ---- each shared fact is proved once per report ---------------------------
 
 FP31 = FieldCtx.prime(2147483647)
@@ -616,29 +636,29 @@ FP31 = FieldCtx.prime(2147483647)
 @pytest.mark.parametrize(
     "n, field, level, expected, dual_facts",
     [
-        # the 16 component/flat pairs, each proved once; no dimension reads
-        # a vanishing table, so the dual flats' table is not proved.  B and
-        # the dual flats' B' are built once each, and compute_Q runs once
-        # per det(M_i) of the record and once per dual Q'_i.  The n = 3
-        # family's count reads the record's meet of each of the six pairs
+        # no component is restricted to a flat: once tied to x_i·det(M_i)
+        # its vanishing is cited.  B and the dual flats' B' are built once
+        # each, and compute_Q runs once per det(M_i) of the record and once
+        # per dual Q'_i.  The n = 3 family's count reads the record's meet
+        # of each of the six pairs
         (
             3, QQ, "full",
             {
-                "vanishes_on_flat": 16, "_n3_family": 1, "compute_Q": 8,
+                "vanishes_on_flat": 0, "_n3_family": 1, "compute_Q": 8,
                 "build_matrix_B": 2, "flat_meet": 6, "partial": 0,
             },
-            {"ties": 1, "vanishing": 0, "dimension": 1},
+            {"ties": 1, "dimension": 1},
         ),
-        # the same over F_p: the 25 component/flat pairs, each of the 10
-        # pairs of flats met once, by the record, for every check, and no
-        # partial but Q_0's five, for the control of `multiplicity`
+        # the same over F_p: each of the 10 pairs of flats met once, by the
+        # record, for every check, and no partial but Q_0's five, for the
+        # control of `multiplicity`
         (
             4, FP31, "fast",
             {
-                "vanishes_on_flat": 25, "_n3_family": 0, "compute_Q": 10,
+                "vanishes_on_flat": 0, "_n3_family": 0, "compute_Q": 10,
                 "build_matrix_B": 2, "flat_meet": 10, "partial": 5,
             },
-            {"ties": 1, "vanishing": 0, "dimension": 1},
+            {"ties": 1, "dimension": 1},
         ),
     ],
     ids=["n3-qq-full", "n4-fp-fast"],
@@ -648,7 +668,7 @@ def test_each_shared_fact_is_proved_once_per_report(
 ):
     inst = random_general_flats(n, 11, field)
     vmap, inv = checks.build_all(inst)
-    calls, pairs, built = Counter(), set(), Counter()
+    calls, built = Counter(), Counter()
     fact = checks.ProofRecord._fact
 
     def proving(record, key, prove):
@@ -662,8 +682,6 @@ def test_each_shared_fact_is_proved_once_per_report(
 
         def wrapper(*args):
             calls[name] += 1
-            if name == "vanishes_on_flat":
-                pairs.add((tuple(sorted(args[0].terms.items())), args[1]))
             return fn(*args)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -694,7 +712,6 @@ def test_each_shared_fact_is_proved_once_per_report(
     }
     assert checks.run_suite(inst, vmap, inv, level=level).ok
     assert {name: calls[name] for name in expected} == expected
-    assert len(pairs) == expected["vanishes_on_flat"]
     assert {key: built[key] for key in once} == once
     assert sorted(key for role, key in built if role == "dual") == sorted(
         key for key, count in dual_facts.items() if count
@@ -838,11 +855,13 @@ def test_a_crashed_proof_crashes_every_check_that_reads_it(monkeypatch, field):
     def crash(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(maps, "vanishes_on_flat", crash)
+    monkeypatch.setattr(maps, "linear_system_dimension", crash)
     report = checks.run_suite(inst, vmap, inv)
     failed = [c for c in report.checks if c.status == "fail"]
-    # the checks that read the vanishing table; no dimension reads it
-    assert [c.name for c in failed] == ["basis-property", "base-locus"]
+    # the checks that read the degree-n dimension, the map's or the dual's
+    assert [c.name for c in failed] == [
+        "linear-system-dimension", "basis-property", "dual-dimension"
+    ]
     assert all(c.witness == {"error": "RuntimeError: boom"} for c in failed)
 
 
@@ -908,9 +927,13 @@ def test_det_b_is_x_times_the_column_sum_determinant(ctx, coeffs):
         assert expected.degree() == n and is_homogeneous(expected)
         for j in range(n1):
             assert j == i or maps.vanishes_on_flat(q, flats[j], ctx)
+            # `basis-property` and `base-locus` cite this and the rank below
+            assert maps.vanishes_on_flat(expected, flats[j], ctx)
         for k in range(n1):
             value = q.evaluate(_vertex(k, n1, ctx))
             assert value and value == _vertex_value_of_q(a, i, k, ctx)
+    mons = maps.monomials_of_degree(n1, n)
+    assert la.rank(coefficient_rows(vmap.components, mons, ctx), ctx) == n1
     inv = maps.build_inverse_map(vmap, maps.solve_b_matrix(vmap))
     for k in range(n1):
         assert [bool(c) for c in inv.b[k]] == [j != k for j in range(n1)]

@@ -276,6 +276,21 @@ def test_only_the_zero_count_tests_a_meeting(tmp_path, capsys, monkeypatch, n):
     assert len(lines) == (n + 1) * pair_lines and len(set(lines)) == pair_lines
 
 
+def test_non_general_n3_flats_fail_verify_by_name(tmp_path, capsys):
+    # canonical flats whose meeting form is zero: every check that reads
+    # the n = 3 family fails with its degree, and none crashes
+    coeffs = [(0, 2, 2, 1), (1, 0, -2, -1), (-2, -1, 0, 2), (-1, 2, 2, 0)]
+    flats = [{"j": j, "f2": [str(c) for c in a]} for j, a in enumerate(coeffs)]
+    path = tmp_path / "flats3.json"
+    path.write_text(json.dumps({"n": 3, "seed": 0, "field": {"kind": "qq"}, "flats": flats}))
+    rc, out, _ = run(capsys, ["verify", "-i", str(path), "--level", "full", "--json"])
+    assert rc == 1
+    failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    assert not [name for name, witness in failed.items() if "error" in witness]
+    for name in ("base-locus", "transversal-sample", "demos"):
+        assert failed[name] == {"reason": "meeting form degree -1"}
+
+
 def test_verify_missing_file(capsys):
     rc, _, err = run(capsys, ["verify", "-i", "/nonexistent/x.json"])
     assert rc == 2

@@ -27,12 +27,18 @@ def unused_imports(tree):
         elif isinstance(node, ast.ImportFrom):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(exported(tree))
+    return sorted(imported - used)
+
+
+def exported(tree):
+    """The names a module lists in `__all__`, empty when it has none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
-    return sorted(imported - used)
+            return ast.literal_eval(node.value)
+    return []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -43,6 +49,36 @@ def test_no_unused_imports(path):
 def test_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d\n__all__ = ['b']\nos.sep\n")
     assert unused_imports(tree) == ["d"]
+
+
+def top_level_names(tree):
+    """Names a module binds at its top level: functions, classes,
+    assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", ["__init__", "maps", "projgeo"])
+def test_every_export_names_a_definition(name):
+    # a helper deleted from a module must leave its `__all__` entry with it
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assert exported(tree)
+    assert sorted(set(exported(tree)) - top_level_names(tree)) == []
+
+
+def test_export_scan_sees_a_stale_name():
+    tree = ast.parse(
+        "from a import b\nc = 1\ndef d():\n    e = 2\nclass F:\n    pass\n"
+        "__all__ = ['b', 'c', 'd', 'e', 'F', 'g']\n"
+    )
+    assert sorted(set(exported(tree)) - top_level_names(tree)) == ["e", "g"]
 
 
 # each module may import only the modules before it, and the package
@@ -98,8 +134,14 @@ def test_layer_scan_sees_a_late_or_nested_import():
 # ---- every helper of the package has a caller in it ------------------------
 
 DEMOS = TESTS.parent / "demos"
-# kept only for the benchmark's tracer, which patches them by name
-UNCALLED = {"exactla.solve", "mpoly.Poly.exact_div"}
+# kept for the benchmark's tracer, which patches them by name, and for the
+# tests, which use them as oracles
+UNCALLED = {
+    "exactla.solve",
+    "maps.vanishes_on_flat",
+    "mpoly.Poly.evaluate",
+    "mpoly.Poly.exact_div",
+}
 
 
 def definitions(tree):
