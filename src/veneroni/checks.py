@@ -7,20 +7,21 @@ instance data it is handed and returns a CheckResult with witness data.
 Where a check meets a statement that is a theorem about data it has just
 recomputed (det(B_i) = x_i·det(M_i) and the degree, vanishing and vertex
 values of det(M_i) in `determinantal` and `composition`, and so of the
-components x_i·det(M_i) in `basis-property` and `base-locus`, the meeting
-of a computed transversal with its flats, the algebra of the n = 3 family,
-the multiplicity of each det(M_k) along the other flats' pairwise
-intersections), it cites the proof instead of testing it: det(B_i) is
-never expanded, only the smaller det(M_i), no leave-one-out system is
-eliminated (the lemma of `check_dimension`), and no Q_k is evaluated at
-a pair point (the lemma of `check_multiplicity`).  A transversal lies
-inside Q_k, of degree n-1, when it meets Q_k at n points counted with
-multiplicity, which the flats it meets provide (`_pair_failure`,
-`_family_failure`); no Q_k is restricted to a line.  The n = 3 family is
-built in closed form, with no random draw, and its count needs the four
-flats pairwise disjoint.  A fact that several checks read is proved
-once per report, in a `ProofRecord`.  run_suite assembles the fixed
-13-check report used by the CLI.
+components x_i·det(M_i) in `basis-property` and `base-locus`, the
+expansion f_i·Q_i = sum_j b_{i,j}·v_j once b = A^T in `b-matrix` and
+`composition`, the meeting of a computed transversal with its flats, the
+algebra of the n = 3 family, the multiplicity of each det(M_k) along the
+other flats' pairwise intersections), it cites the proof instead of
+testing it: det(B_i) is never expanded, only the smaller det(M_i), no
+leave-one-out system is eliminated (the lemma of `check_dimension`), and
+no Q_k is evaluated at a pair point (the lemma of `check_multiplicity`).
+A transversal lies inside Q_k, of degree n-1, when it meets Q_k at n
+points counted with multiplicity, which the flats it meets provide
+(`_pair_failure`, `_family_failure`); no Q_k is restricted to a line.
+The n = 3 family is built in closed form, with no random draw, and its
+count needs the four flats pairwise disjoint.  A fact that several
+checks read is proved once per report, in a `ProofRecord`.  run_suite
+assembles the fixed 13-check report used by the CLI.
 """
 
 import math
@@ -250,14 +251,14 @@ def _binary_roots(m, ctx):
 
 
 def transversal_lines_n3(flats, ctx):
-    """The meeting form m of four flats in P^3 and the explicit transversal
-    lines, when m splits over the field.  A meeting form of degree other
-    than 2 raises, as in `count_transversals_n3`; the lines are those of
-    `_family_lines`, which needs flats 0, 1, 2 pairwise disjoint, as the
-    genericity check certifies."""
+    """The meeting form m of four flats in P^3, its (count, disc_ok) by
+    `count_transversals_n3`, which raises on a degree other than 2, and the
+    explicit transversal lines, when m splits over the field.  The lines
+    are those of `_family_lines`, which needs flats 0, 1, 2 pairwise
+    disjoint, as the genericity check certifies."""
     m, p, w = _n3_family(flats, ctx)
-    count_transversals_n3(m, ctx)
-    return m, _family_lines(ctx, m, p, w)
+    counted = count_transversals_n3(m, ctx)
+    return m, counted, _family_lines(ctx, m, p, w)
 
 
 def _family_lines(ctx, m, p, w):
@@ -362,24 +363,21 @@ def check_basis(inst, vmap, proofs):
 
 
 def check_b_matrix(vmap, inv, proofs):
-    """Zero pattern, exact expansion residual, and g_i equal to row i of b.
+    """Row i of b expands f_i·Q_i in the stored components, and g_i is
+    row i of b.
 
-    With a zero residual (the record's), f_i·Q_i = sum_j b_{i,j} v_j, and
-    with g_i = sum_j b_{i,j} y_j exactly, g_i(v) = f_i·Q_i as polynomials:
-    no point is sampled, since the identity holds at every point.
+    Once the components are the construction's and b = A^T
+    (`_expansion_failure`), f_i·Q_i = sum_j b_{i,j} v_j is the theorem of
+    `maps.solve_b_matrix`, and the zero pattern of b, b[i][j] = 0 iff
+    i = j, is that of canonical flats transposed.  With g_i = sum_j b_{i,j}
+    y_j exactly, g_i(v) = f_i·Q_i as polynomials: nothing is expanded and
+    no point is sampled.
     """
-    n1 = vmap.n + 1
-    for i in range(n1):
-        for j in range(n1):
-            if (i == j) != (not inv.b[i][j]):
-                return _failed("b-matrix", {"i": i, "j": j, "reason": "zero pattern"})
-        residual = proofs.b_rows()[i]
-        if residual:
-            return _failed(
-                "b-matrix",
-                {"i": i, "reason": "nonzero residual", "residual_terms": len(residual.terms)},
-            )
-        if inv.g[i] != Poly.from_linear(inv.b[i]):
+    failure = _expansion_failure(proofs)
+    if failure is not None:
+        return _failed("b-matrix", failure)
+    for i, row in enumerate(inv.b):
+        if inv.g[i] != Poly.from_linear(row):
             return _failed("b-matrix", {"i": i, "reason": "g row disagrees with b"})
     return _passed("b-matrix", {"pattern": "zero diagonal", "residual": "0"})
 
@@ -389,49 +387,30 @@ def verify_composition(vmap, inv, proofs):
     w∘v = x·∏Q_i and v∘w = y·∏Q'_i, proved from the determinantal structure.
 
     The stored inverse components w_i must be y_i·Q'_i, the dual record's
-    ties, and C(v) (C has linear forms in y) must equal B·diag(Q_0..Q_n).
-    Entry (m, k) of the difference is a_{m,k}·(v_k − x_k·Q_k) off the
-    diagonal, the record's tie times a nonzero coefficient of a canonical
-    flat, and f_m·Q_m − sum_t b_{m,t} v_t on it, the record's b-row
-    residual; they are read in row-major order.  Finally det(B_i) = x_i Q_i:
-    det(B_i) = x_i·det(M_i) by the theorem of `maps.compute_Q`, so the
-    residual read is det(M_i) − Q_i, with det(M_i) the record's `minor_dp`
-    expansion; multiplying by x_i maps its terms one to one onto those of
-    det(B_i) − x_i Q_i.  Substitution is a ring homomorphism and
-    determinants are multiplicative, so
-    det(C_i)(v) = det(B_i) prod_{k != i} Q_k = x_i prod Q.
-
-    y_i·Q'_i = det(C_i) by the minor lemma of `maps.build_inverse_map`,
-    which needs b = A^T, and a pass forces it: the ties and det(B_i) =
-    x_i Q_i make the v_j the construction components, independent at the
-    vertices (only v_k is nonzero at e_k), so the zero b-row residuals make
-    row i of b the one expansion of f_i·Q_i, which `maps.solve_b_matrix`
-    proves is row i of A^T.  v∘w is then the same theorem for the dual
-    instance, whose b-matrix is A; it is cited, not expanded.  All of it
-    holds over any commutative ring.  Nothing is sampled.
+    ties, which is det(C_i) by the minor lemma of `maps.build_inverse_map`
+    once b = A^T; C is B in y with -g_i on its diagonal.  Once the
+    components are the construction's and b = A^T (`_expansion_failure`),
+    C(v) = B·diag(Q_0..Q_n): off the diagonal a_{m,k}·v_k = a_{m,k}·x_k·Q_k,
+    and on it g_m(v) = f_m·Q_m, the expansion of `maps.solve_b_matrix`.
+    det(B_i) = x_i·det(M_i) = x_i·Q_i by the theorem of `maps.compute_Q`.
+    Substitution is a ring homomorphism and determinants are
+    multiplicative, so det(C_i)(v) = det(B_i) prod_{k != i} Q_k =
+    x_i prod Q.  v∘w is the same theorem for the dual instance, whose
+    b-matrix is A; it is cited, not expanded.  All of it holds over any
+    commutative ring.  Nothing is sampled.
     """
-    n1 = vmap.n + 1
-
-    def fail(index, reason, residual):
-        wit = dict(index, reason=reason, residual_terms=len(residual.terms))
-        return _failed("composition", wit)
-
     dual = proofs.dual()
     if dual is None:
         return _failed("composition", {"reason": _NO_DUAL})
     for i, residual in enumerate(dual.ties()):
         if residual:
-            return fail({"i": i}, "stored inverse component differs from det(C_i)", residual)
-    ties, b_rows = proofs.ties(), proofs.b_rows()
-    for m in range(n1):
-        for k in range(n1):
-            residual = b_rows[m] if m == k else ties[k]
-            if residual:
-                return fail({"entry": [m, k]}, "C(v) != B·diag(Q)", residual)
-    for i, det in enumerate(proofs.determinants()):
-        residual = det - vmap.Q[i]
-        if residual:
-            return fail({"i": i}, "det(B_i) != x_i·Q_i", residual)
+            reason = "stored inverse component differs from det(C_i)"
+            wit = {"i": i, "reason": reason, "residual_terms": len(residual.terms)}
+            return _failed("composition", wit)
+    failure = _expansion_failure(proofs)
+    if failure is not None:
+        return _failed("composition", failure)
+    n1 = vmap.n + 1
     wit = {"mode": "factorization", "entries": n1 * n1, "minors": n1}
     return _passed("composition", dict(wit, inverse="v∘w = y·∏Q'_i by the dual instance"))
 
@@ -544,6 +523,22 @@ def _construction_failure(proofs):
     for i, tie in enumerate(proofs.ties()):
         if tie:
             return {"i": i, "reason": "stored component differs"}
+    return None
+
+
+def _expansion_failure(proofs):
+    """Why row i of b is not the expansion of f_i·Q_i in the stored
+    components that `maps.solve_b_matrix` proves: the witness of
+    `_construction_failure`, then the first (i, j) with b[i][j] other than
+    a_{j,i}, the entry of A^T; or None."""
+    failure = _construction_failure(proofs)
+    if failure is not None:
+        return failure
+    flats = proofs.inst.flats
+    for i, row in enumerate(proofs.inv.b):
+        for j, entry in enumerate(row):
+            if entry != flats[j].a[i]:
+                return {"i": i, "j": j, "reason": "b differs from Aᵀ"}
     return None
 
 
@@ -853,31 +848,21 @@ class ProofRecord:
 
         return self._fact("ties", prove)
 
-    def b_rows(self):
-        """f_i·Q_i − sum_j b_{i,j}·v_j for every i: zero when row i of b
-        expands f_i·Q_i in the stored components."""
-        def prove():
-            vmap = self.vmap
-            zero = Poly.zero(vmap.n + 1)
-            return [
-                f.form2_poly() * q - sum(map(Poly.scale, vmap.components, row), zero)
-                for f, q, row in zip(vmap.flats, vmap.Q, self.inv.b)
-            ]
-
-        return self._fact("b-rows", prove)
-
     def dual(self):
         """The record of the dual instance, or None when a row of b is off
         the canonical pattern.  Its flats (y_i, g_i) are the rows of b, its
-        components the stored inverse components, and its Q'_i those of
-        `maps.build_forward_map` of the rows.  It has no inverse data: no
-        check reads the dual's b-rows."""
+        components the stored inverse components, and its Q'_i `compute_Q`
+        of the rows on one matrix B'.  It has no inverse data."""
         def prove():
             flats = [Flat(i, tuple(row)) for i, row in enumerate(self.inv.b)]
             if not all(f.is_canonical() for f in flats):
                 return None
-            dual = maps.build_forward_map(flats, self.inst.ctx)
-            dual = replace(dual, components=self.inv.inverse_components)
+            ctx = self.inst.ctx
+            b = maps.build_matrix_B(flats, ctx)
+            qs = [maps.compute_Q(flats, i, ctx, b) for i in range(len(flats))]
+            dual = maps.VeneroniMap(
+                self.inst.n, ctx, flats, qs, self.inv.inverse_components
+            )
             return ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed)
 
         return self._fact("dual", prove)

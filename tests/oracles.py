@@ -7,9 +7,9 @@ reduction, `checks._pair_failure` by a count of zeros); these, and
 `vanishing_on_line`, which decides it from point values, are the
 independent oracles they are tested against.  The entries of
 C(v) − B·diag(Q) are likewise expanded here by substitution, where
-`checks.verify_composition` reads them from a report's proof record, and
-the matrix C of the classical inverse, which the package never builds, is
-built here.
+`checks.verify_composition` cites them from b = Aᵀ and the construction,
+and the matrix C of the classical inverse, which the package never
+builds, is built here.
 
 The determinant kernels of `exactla` expand on the integer form of a
 matrix; `det_by_poly_ops` runs the column-subset expansion on the

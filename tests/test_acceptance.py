@@ -173,8 +173,7 @@ def test_criterion_07_transversal_geometry():
 def test_criterion_08_two_transversals_in_p3():
     for seed in SEEDS:
         inst, _ = fwd(3, seed)
-        m, _ = checks.transversal_lines_n3(inst.flats, QQ)
-        count, disc_ok = checks.count_transversals_n3(m, QQ)
+        _, (count, disc_ok), _ = checks.transversal_lines_n3(inst.flats, QQ)
         assert count == 2
         assert disc_ok
 

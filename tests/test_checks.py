@@ -236,7 +236,8 @@ def _tamper(vmap, inv, target, two):
         vmap.components = _scaled(vmap.components, 2, two)
     elif target == "inverse-component":
         inv.inverse_components = _scaled(inv.inverse_components, 3, two)
-    else:  # every Q_i and component scaled alike: C(v) = B·diag(Q) still holds
+    else:  # every Q_i and component scaled alike: C(v) = B·diag(Q) still holds,
+        # but no Q_i is det(M_i)
         vmap.Q = [q.scale(two) for q in vmap.Q]
         vmap.components = [c.scale(two) for c in vmap.components]
 
@@ -246,11 +247,10 @@ def _tamper(vmap, inv, target, two):
     "target, index, reason",
     [
         ("b", {"i": 1}, "stored inverse component differs from det(C_i)"),
-        ("Q", {"entry": [0, 1]}, "C(v) != B·diag(Q)"),
-        ("component", {"entry": [0, 0]}, "C(v) != B·diag(Q)"),
+        ("Q", {"k": 1}, "stored Q differs"),
+        ("component", {"i": 2}, "stored component differs"),
         ("inverse-component", {"i": 3}, "stored inverse component differs from det(C_i)"),
-        # the residual Q_0 - 2·Q_0 has as many terms (10) as x_0·Q_0 - 2·x_0·Q_0
-        ("all-Q", {"i": 0, "residual_terms": 10}, "det(B_i) != x_i·Q_i"),
+        ("all-Q", {"k": 0}, "stored Q differs"),
     ],
 )
 def test_tampering_fails_composition_by_name(field, target, index, reason):
@@ -260,9 +260,11 @@ def test_tampering_fails_composition_by_name(field, target, index, reason):
     _tamper(vmap, inv, target, field.from_int(2))
     res = checks.verify_composition(vmap, inv, record(inst, vmap, inv))
     assert res.status == "fail"
-    assert res.witness["reason"] == reason
-    assert {k: res.witness[k] for k in index} == index
-    assert res.witness["residual_terms"] > 0
+    # a stale inverse component names the size of its tie; the map's own
+    # pieces fail with the construction's witness
+    terms = res.witness.pop("residual_terms", None)
+    assert res.witness == dict(index, reason=reason)
+    assert (terms is not None and terms > 0) == ("inverse component" in reason)
 
 
 @pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
@@ -292,13 +294,7 @@ def test_component_of_the_wrong_degree_fails_by_name(field, extra):
     # the tie v_1 − x_1·Q_1 is the extra term: no degree is tested
     assert res["basis-property"].witness == {"i": 1, "reason": "stored component differs"}
     assert res["base-locus"].witness == {"i": 1, "reason": "stored component differs"}
-    # entry (0, 0) of C(v) − B·diag(Q) is the b-row residual of row 0,
-    # b_{0,1} times the extra term: the first entry the bad component reaches
-    assert res["composition"].witness == {
-        "entry": [0, 0],
-        "reason": "C(v) != B·diag(Q)",
-        "residual_terms": 1,
-    }
+    assert res["composition"].witness == {"i": 1, "reason": "stored component differs"}
 
 
 FIELDS = [QQ, FieldCtx.prime(2147483647)]
@@ -318,11 +314,11 @@ def _built(n, field):
 def tampered_factorization(draw):
     """A correct map with one change: a coefficient of one Q_k, of one
     component or of one b entry off the diagonal, or a term of another
-    degree added to one component.  A changed b entry stays nonzero, so
-    that the rows of b are still canonical flats, and the inverse
-    components are rebuilt as their map: the dual record's ties then hold
-    and the first failure is an entry of C(v) − B·diag(Q).  A b off the
-    canonical pattern has its own test."""
+    degree added to one component; with the witness that names the change.
+    A changed b entry stays nonzero, so that the rows of b are still
+    canonical flats, and the inverse components are rebuilt as their map:
+    the dual record's ties then hold and the first failure is the changed
+    piece.  A b off the canonical pattern has its own test."""
     field = draw(st.sampled_from(FIELDS), label="field")
     n = draw(st.integers(2, 5), label="n")
     inst, vmap, inv = _built(n, field)
@@ -335,36 +331,35 @@ def tampered_factorization(draw):
         t = draw(st.sampled_from([t for t in range(n + 1) if t != k]), label="t")
         inv.b[k][t] = inv.b[k][t] + delta or delta
         maps.build_inverse_map(vmap, inv)
-    elif target == "degree":
+        return inst, vmap, inv, {"i": k, "j": t, "reason": "b differs from Aᵀ"}
+    if target == "degree":
         exps = st.tuples(*[st.integers(0, 2)] * (n + 1)).filter(lambda e: sum(e) != n)
         extra = Poly(n + 1, {draw(exps, label="e"): delta})
         vmap.components[k] = vmap.components[k] + extra
-    else:
-        polys = vmap.Q if target == "Q" else vmap.components
-        e = draw(st.sampled_from(sorted(polys[k].terms)), label="e")
-        polys[k] = polys[k] + Poly(n + 1, {e: delta})
-    return inst, vmap, inv
+        return inst, vmap, inv, {"i": k, "reason": "stored component differs"}
+    polys = vmap.Q if target == "Q" else vmap.components
+    e = draw(st.sampled_from(sorted(polys[k].terms)), label="e")
+    polys[k] = polys[k] + Poly(n + 1, {e: delta})
+    if target == "Q":
+        return inst, vmap, inv, {"k": k, "reason": "stored Q differs"}
+    return inst, vmap, inv, {"i": k, "reason": "stored component differs"}
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=tampered_factorization())
-def test_composition_fails_at_the_oracles_first_nonzero_entry(case):
-    inst, vmap, inv = case
-    (m, k), residual = next((mk, r) for mk, r in factorization_entries(vmap, inv) if r)
+def test_composition_fails_by_name_where_the_oracle_sees_a_nonzero_entry(case):
+    # the oracle expands C(v) − B·diag(Q); composition cites it from the
+    # construction and b = Aᵀ, and names the piece that was changed
+    inst, vmap, inv, witness = case
+    assert any(r for _, r in factorization_entries(vmap, inv))
     res = checks.verify_composition(vmap, inv, record(inst, vmap, inv))
-    assert res.status == "fail"
-    assert res.witness == {
-        "entry": [m, k],
-        "reason": "C(v) != B·diag(Q)",
-        "residual_terms": len(residual.terms),
-    }
+    assert (res.status, res.witness) == ("fail", witness)
 
 
 def test_transversal_count_across_seeds():
     for seed in range(5):
         inst = random_general_flats(3, seed, QQ)
-        m, _ = checks.transversal_lines_n3(inst.flats, QQ)
-        count, disc_ok = checks.count_transversals_n3(m, QQ)
+        _, (count, disc_ok), _ = checks.transversal_lines_n3(inst.flats, QQ)
         assert count == 2
         assert disc_ok
 
@@ -372,12 +367,12 @@ def test_transversal_count_across_seeds():
 def test_explicit_lines_when_form_splits():
     ctx = FieldCtx.prime(M61)
     inst = random_general_flats(3, 2, ctx)
-    m, lines = checks.transversal_lines_n3(inst.flats, ctx)
+    m, _, lines = checks.transversal_lines_n3(inst.flats, ctx)
     assert m.degree() == 2
     assert len(lines) == 2
     # conjugate roots over QQ at this seed: no explicit lines, same form degree
     qinst = random_general_flats(3, 5, QQ)
-    m2, qlines = checks.transversal_lines_n3(qinst.flats, QQ)
+    m2, _, qlines = checks.transversal_lines_n3(qinst.flats, QQ)
     assert m2.degree() == 2
     assert qlines == []
 
@@ -494,7 +489,7 @@ def test_b_off_the_canonical_pattern_fails_by_name(field):
     inv.b[1][1] = field.one
     report = checks.run_suite(inst, vmap, inv)
     failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
-    assert failed["b-matrix"] == {"i": 1, "j": 1, "reason": "zero pattern"}
+    assert failed["b-matrix"] == {"i": 1, "j": 1, "reason": "b differs from Aᵀ"}
     assert failed["composition"] == {"reason": checks._NO_DUAL}
     assert not [name for name, wit in failed.items() if "error" in wit]
     # with the stored dual flats on b's rows, dual-dimension meets it too
@@ -696,14 +691,13 @@ def test_each_shared_fact_is_proved_once_per_report(
     ):
         counted(owner, name)
     monkeypatch.setattr(checks.ProofRecord, "_fact", proving)
-    # B, the det(M_i), the ties, the b-row residuals, the hypotheses of
-    # the zero counts, (at n = 3) the family's count, the meet of each pair
-    # of flats and the dual record; then the dual record's own facts
+    # B, the det(M_i), the ties, the hypotheses of the zero counts, (at
+    # n = 3) the family's count, the meet of each pair of flats and the
+    # dual record; then the dual record's own facts
     once = {
         ("map", "matrix"): 1,
         ("map", "determinants"): 1,
         ("map", "ties"): 1,
-        ("map", "b-rows"): 1,
         ("map", "hypotheses"): 1,
         ("map", "family-count"): int(n == 3),
         **{("map", ("meet", *pair)): 1 for pair in combinations(range(n + 1), 2)},
@@ -724,9 +718,9 @@ def test_each_shared_fact_is_proved_once_per_report(
 
 @pytest.mark.parametrize("n", [3, 4], ids=["n3", "n4"])
 def test_a_full_verify_substitutes_nothing(monkeypatch, n):
-    # composition reads the entries of C(v) − B·diag(Q) from the record's
-    # ties and b-row residuals, and every transversal is proved inside
-    # every Q_k by a count of its zeros, with no Q_k restricted to a line
+    # composition cites C(v) = B·diag(Q) from the construction and b = Aᵀ,
+    # and every transversal is proved inside every Q_k by a count of its
+    # zeros, with no Q_k restricted to a line
     inst = random_general_flats(n, 11, QQ)
     vmap, inv = checks.build_all(inst)
     substitute, calls = Poly.substitute, []
@@ -1046,6 +1040,23 @@ def test_the_inverse_is_the_map_of_the_dual_flats(ctx, coeffs):
     # an involution: the dual flats' b-matrix is A again
     dual = maps.build_forward_map(inv.dual_flats, ctx)
     assert maps.solve_b_matrix(dual).b == [list(f.a) for f in flats]
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
+@settings(max_examples=20, deadline=None)
+@given(coeffs=small_canonical_coefficients())
+@example(coeffs=[a for _, a in NON_GENERAL_N4])
+@example(coeffs=[[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+def test_b_is_a_transposed_and_c_of_v_factors_on_every_canonical_instance(ctx, coeffs):
+    # `b-matrix` and `composition` test b = Aᵀ and cite the expansion
+    # f_i·Q_i = sum_j b_{i,j}·v_j of `maps.solve_b_matrix`; here every
+    # entry of C(v) − B·diag(Q) is expanded, general instance or not
+    flats = [Flat(j, tuple(ctx.convert(c) for c in a)) for j, a in enumerate(coeffs)]
+    vmap = maps.build_forward_map(flats, ctx)
+    inv = maps.solve_b_matrix(vmap)
+    n1 = len(flats)
+    assert inv.b == [[flats[j].a[i] for j in range(n1)] for i in range(n1)]
+    assert [mk for mk, r in factorization_entries(vmap, inv) if r] == []
 
 
 # ---- transversals meet their flats on every canonical instance -------------

@@ -2,6 +2,7 @@
 re-exported, and the package's modules import one another in layers."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -418,3 +419,28 @@ def test_memo_scan_sees_every_form_of_lasting_state():
         "@functools.cache\ndef f():\n    global LIMIT\n    local = []\n"
     )
     assert lasting_memos(tree) == [2, 6, 8, 10, 12]
+
+
+# ---- README lists every shared fact of a report ----------------------------
+
+README = TESTS.parent / "README.md"
+
+
+def listed_facts(text):
+    """The `ProofRecord.<name>` methods a text names."""
+    return set(re.findall(r"`ProofRecord\.(\w+)`", text))
+
+
+def test_readme_lists_each_shared_fact_of_the_proof_record():
+    # a fact deleted from the record must take its bullet with it
+    methods = {
+        name
+        for name, value in vars(checks.ProofRecord).items()
+        if callable(value) and not name.startswith("_")
+    }
+    assert listed_facts(README.read_text(encoding="utf-8")) == methods
+
+
+def test_fact_scan_reads_only_quoted_method_names():
+    text = "`ProofRecord.ties`, `ProofRecord.meet` and ProofRecord.dual; `checks.ProofRecord`"
+    assert listed_facts(text) == {"ties", "meet"}
