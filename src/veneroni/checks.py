@@ -224,17 +224,18 @@ def _n3_family(flats, ctx):
 
 
 def count_transversals_n3(m, ctx):
-    """Count the lines meeting four general flats in P^3, from their
-    meeting form m (see `transversal_lines_n3`).
+    """Whether the two lines meeting four general flats in P^3 are
+    distinct, from their meeting form m (see `transversal_lines_n3`).
 
-    Returns (degree of the meeting form, discriminant nonzero).  A degree
-    other than 2 signals a non-general instance and raises.
+    The count is the degree of m, which is 2 for a general instance: a
+    degree other than 2 signals a non-general instance and raises.  Returns
+    whether the discriminant of m is nonzero, i.e. the two roots differ.
     """
     if _meeting_degree_failure(m) is not None:
         raise maps.ConstructionError(
             f"meeting form has degree {m.degree()}, not 2: non-general instance"
         )
-    return 2, bool(_binary_disc(m, ctx))
+    return bool(_binary_disc(m, ctx))
 
 
 def _binary_roots(m, ctx):
@@ -251,14 +252,14 @@ def _binary_roots(m, ctx):
 
 
 def transversal_lines_n3(flats, ctx):
-    """The meeting form m of four flats in P^3, its (count, disc_ok) by
+    """The meeting form m of four flats in P^3, its disc_ok flag by
     `count_transversals_n3`, which raises on a degree other than 2, and the
     explicit transversal lines, when m splits over the field.  The lines
     are those of `_family_lines`, which needs flats 0, 1, 2 pairwise
     disjoint, as the genericity check certifies."""
     m, p, w = _n3_family(flats, ctx)
-    counted = count_transversals_n3(m, ctx)
-    return m, counted, _family_lines(ctx, m, p, w)
+    disc_ok = count_transversals_n3(m, ctx)
+    return m, disc_ok, _family_lines(ctx, m, p, w)
 
 
 def _family_lines(ctx, m, p, w):
@@ -362,7 +363,7 @@ def check_basis(inst, vmap, proofs):
     return _passed("basis-property", {"rank": n1, "dim": dim})
 
 
-def check_b_matrix(vmap, inv, proofs):
+def check_b_matrix(inv, proofs):
     """Row i of b expands f_i·Q_i in the stored components, and g_i is
     row i of b.
 
@@ -382,7 +383,7 @@ def check_b_matrix(vmap, inv, proofs):
     return _passed("b-matrix", {"pattern": "zero diagonal", "residual": "0"})
 
 
-def verify_composition(vmap, inv, proofs):
+def verify_composition(vmap, proofs):
     """Both composites are coordinatewise multiplication by a product,
     w∘v = x·∏Q_i and v∘w = y·∏Q'_i, proved from the determinantal structure.
 
@@ -945,8 +946,8 @@ def run_suite(
     runner("determinantal", lambda: check_determinantal(inst, vmap, proofs))
     runner("linear-system-dimension", lambda: check_dimension(inst, proofs))
     runner("basis-property", lambda: check_basis(inst, vmap, proofs))
-    runner("b-matrix", lambda: check_b_matrix(vmap, inv, proofs))
-    runner("composition", lambda: verify_composition(vmap, inv, proofs))
+    runner("b-matrix", lambda: check_b_matrix(inv, proofs))
+    runner("composition", lambda: verify_composition(vmap, proofs))
     runner("round-trip", lambda: verify_roundtrip_sample(vmap, inv, k, seed))
     runner("base-locus", lambda: verify_base_locus(vmap, proofs))
     runner("transversal-sample", lambda: check_transversal_sample(vmap, proofs))

@@ -37,15 +37,74 @@ def parse_field(text):
 
 
 def dump_json(obj, path):
-    # json.dump writes the encoder's chunks as they come, where json.dumps
-    # would hold them all at once, about seven times the size of the text
+    """Write the JSON tree obj to path (None: stdout) as
+    `json.dump(obj, fh, indent=2)` plus a newline would, byte for byte,
+    streaming it in pieces, never as one joined text.  Dict keys must be
+    strings, as in every artifact; `json.dump` would also convert numbers,
+    bools and None, where this raises TypeError."""
     if path is None:
-        json.dump(obj, sys.stdout, indent=2)
+        _write_json(obj, "\n", sys.stdout.write)
         sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        _write_json(obj, "\n", fh.write)
         fh.write("\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, nl, write):
+    # `json.dump` always runs the stdlib's generator encoder when indenting:
+    # one yield and one write per token.  Here a list of only ints or only
+    # strings (exponents, coefficients) is one join and one write, and so
+    # is a dict entry whose value is a str or an int.  `nl` is the newline
+    # and indent of the line that closes obj.
+    kind = type(obj)
+    if kind is str:
+        write(_encode_str(obj))
+    elif kind is int:
+        write(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            head = sep + _encode_str(key) + ": "
+            kind = type(value)
+            if kind is str:
+                write(head + _encode_str(value))
+            elif kind is int:
+                write(head + int.__repr__(value))
+            else:
+                write(head)
+                _write_json(value, inner, write)
+            sep = "," + inner
+        write(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = nl + "  "
+        # a subclass is iterated once, as `json.dump` does
+        kinds = set(map(type, obj)) if kind is list or kind is tuple else None
+        if kinds == {int}:
+            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+        elif kinds == {str}:
+            write("[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]")
+        else:
+            sep = "[" + inner
+            for value in obj:
+                write(sep)
+                _write_json(value, inner, write)
+                sep = "," + inner
+            write(nl + "]")
+    else:
+        # None, bools, floats and str or int subclasses; anything else
+        # raises the TypeError `json.dump` raises
+        write(json.dumps(obj))
 
 
 def load_json(path):
@@ -246,10 +305,10 @@ def cmd_demo(args):
             return 2
         inst = random_general_flats(n, args.seed, ctx, bound=args.bound)
         if n == 3:
-            m, (count, disc_ok), lines = checks.transversal_lines_n3(inst.flats, ctx)
+            m, disc_ok, lines = checks.transversal_lines_n3(inst.flats, ctx)
             print(f"n=3 seed={args.seed}: meeting form {m.text(['s', 't'])}")
             print(
-                f"  {count} transversals to the four lines"
+                "  2 transversals to the four lines"
                 f" (discriminant nonzero: {disc_ok})"
             )
             if lines:

@@ -28,14 +28,11 @@ from operator import add, mul, sub
 from .scalar import Fp, Rational
 
 
-def _grevlex(e):
-    # Graded reverse-lex key: higher total degree wins, ties broken so the
-    # term with the *smaller* trailing exponents is larger.
-    return (sum(e), tuple(-k for k in reversed(e)))
-
-
 def _heap_key(e):
-    # Min-heap form of _grevlex: the grevlex-largest exponent pops first.
+    # Graded reverse-lex order, largest first: higher total degree wins,
+    # ties broken so the term with the *smaller* trailing exponents is
+    # larger.  Ascending keys are descending grevlex, so the grevlex-largest
+    # exponent pops first from a min-heap.
     return (-sum(e), e[::-1])
 
 
@@ -147,7 +144,7 @@ def _quotient(num, div, p):
     s is 1 whenever the quotient lies in Z[x].
     """
     rem = dict(num)
-    eg, lg = max(div, key=lambda t: _grevlex(t[0]))
+    eg, lg = min(div, key=lambda t: _heap_key(t[0]))
     tail = [(e, c) for e, c in div if e != eg]
     if p is not None:
         inv = pow(lg, -1, p)
@@ -264,7 +261,7 @@ class Poly:
 
     def sorted_terms(self):
         """Terms in descending grevlex order."""
-        return sorted(self.terms.items(), key=lambda t: _grevlex(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: _heap_key(t[0]))
 
     def __len__(self):
         return len(self.terms)

@@ -256,9 +256,9 @@ def _tamper(vmap, inv, target, two):
 def test_tampering_fails_composition_by_name(field, target, index, reason):
     inst = random_general_flats(3, 4, field)
     vmap, inv = checks.build_all(inst)
-    assert checks.verify_composition(vmap, inv, record(inst, vmap, inv)).status == "pass"
+    assert checks.verify_composition(vmap, record(inst, vmap, inv)).status == "pass"
     _tamper(vmap, inv, target, field.from_int(2))
-    res = checks.verify_composition(vmap, inv, record(inst, vmap, inv))
+    res = checks.verify_composition(vmap, record(inst, vmap, inv))
     assert res.status == "fail"
     # a stale inverse component names the size of its tie; the map's own
     # pieces fail with the construction's witness
@@ -352,15 +352,15 @@ def test_composition_fails_by_name_where_the_oracle_sees_a_nonzero_entry(case):
     # construction and b = Aᵀ, and names the piece that was changed
     inst, vmap, inv, witness = case
     assert any(r for _, r in factorization_entries(vmap, inv))
-    res = checks.verify_composition(vmap, inv, record(inst, vmap, inv))
+    res = checks.verify_composition(vmap, record(inst, vmap, inv))
     assert (res.status, res.witness) == ("fail", witness)
 
 
 def test_transversal_count_across_seeds():
     for seed in range(5):
         inst = random_general_flats(3, seed, QQ)
-        _, (count, disc_ok), _ = checks.transversal_lines_n3(inst.flats, QQ)
-        assert count == 2
+        m, disc_ok, _ = checks.transversal_lines_n3(inst.flats, QQ)
+        assert m.degree() == 2
         assert disc_ok
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
 import pathlib
@@ -6,8 +8,11 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import veneroni
 from veneroni import checks, cli, projgeo
@@ -27,6 +32,95 @@ def run(capsys, argv):
     rc = cli.main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# ---- the artifact writer --------------------------------------------------
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+# quotes, backslashes, control characters and non-ASCII text, astral too
+SPECIAL = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\U0001f600')
+TEXT = st.text(SPECIAL | st.characters(), max_size=6)
+INTS = st.integers() | st.integers(min_value=-(10**60), max_value=10**60)
+SCALARS = (
+    st.none() | st.booleans() | INTS | st.floats() | st.just(-0.0) | TEXT
+    | st.builds(_Str, TEXT) | st.builds(_Int, INTS)
+)
+KEYS = TEXT | st.builds(_Str, TEXT)
+
+
+def _containers(kids):
+    return (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.lists(kids, max_size=4).map(_List)
+        | st.lists(INTS, max_size=4)
+        | st.lists(TEXT, max_size=4).map(tuple)
+        | st.dictionaries(KEYS, kids, max_size=4)
+        | st.dictionaries(KEYS, kids, max_size=4).map(_Dict)
+    )
+
+
+JSON_TREES = st.recursive(SCALARS, _containers, max_leaves=24)
+
+
+def reference_text(obj):
+    fh = io.StringIO()
+    json.dump(obj, fh, indent=2)
+    return fh.getvalue() + "\n"
+
+
+def written_texts(obj, path):
+    cli.dump_json(obj, path)
+    with open(path, encoding="utf-8") as fh:
+        in_file = fh.read()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.dump_json(obj, None)
+    return in_file, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer") / "out.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=JSON_TREES)
+@example(tree={"e": [1, 0, -2], "c": ["1/2", "-3"], "empty": [{}, [], ()]})
+@example(tree=[_Dict({_Str("k"): _List([_Int(7), True])}), {"x": None, "y": -0.0}])
+def test_dump_json_writes_what_json_dump_writes(json_path, tree):
+    assert written_texts(tree, json_path) == (reference_text(tree),) * 2
+
+
+@pytest.mark.parametrize("obj", [Fraction(1, 2), [1, {"c": Fraction(1, 3)}], {"s": {1, 2}}])
+def test_dump_json_refuses_what_json_dump_refuses(json_path, obj):
+    with pytest.raises(TypeError) as expected:
+        reference_text(obj)
+    with pytest.raises(TypeError) as got:
+        cli.dump_json(obj, json_path)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("key", [1, None, (1, 2)])
+def test_dump_json_takes_only_string_keys(json_path, key):
+    with pytest.raises(TypeError):
+        cli.dump_json({key: 0}, json_path)
 
 
 # ---- generate -------------------------------------------------------------

@@ -354,6 +354,51 @@ def test_tracer_scan_sees_every_form_of_patch():
     }
 
 
+# ---- every artifact goes through cli.dump_json ------------------------------
+
+
+def indented_json_calls(tree):
+    """Line numbers of `json.dump` or `json.dumps` calls with `indent=`,
+    through `import json [as j]` or `from json import dump[s] [as d]`."""
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            names = [a for a in node.names if a.name in ("dump", "dumps")]
+            functions.update(a.asname or a.name for a in names)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        named = (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("dump", "dumps")
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+        ) or (isinstance(func, ast.Name) and func.id in functions)
+        if named and any(k.arg == "indent" for k in node.keywords):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_artifacts_are_written_only_by_dump_json(path):
+    # `json.dump(indent=...)` runs the stdlib's slow generator encoder;
+    # `cli.dump_json` writes the same bytes faster
+    assert indented_json_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_json_scan_sees_every_form_of_indented_dump():
+    tree = ast.parse(
+        "import json\nimport json as j\nfrom json import dump, dumps as d\n"
+        "json.dumps(x)\njson.dump(x, fh, indent=2)\nj.dumps(x, indent=None)\n"
+        "dump(x, fh, indent=1)\nd(x, indent=4)\nd(x)\nother.dumps(x, indent=2)\n"
+    )
+    assert indented_json_calls(tree) == [5, 6, 7, 8]
+
+
 # ---- no memo outlives a report --------------------------------------------
 
 MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
