@@ -13,8 +13,10 @@ expansion f_i·Q_i = sum_j b_{i,j}·v_j once b = A^T in `b-matrix` and
 algebra of the n = 3 family, the multiplicity of each det(M_k) along the
 other flats' pairwise intersections), it cites the proof instead of
 testing it: det(B_i) is never expanded, only the smaller det(M_i), no
-leave-one-out system is eliminated (the lemma of `check_dimension`), and
-no Q_k is evaluated at a pair point (the lemma of `check_multiplicity`).
+leave-one-out system is eliminated (the lemma of `check_dimension`), no
+degree-n system is eliminated once its restriction bound is n+1
+(`ProofRecord.dimension`), and no Q_k is evaluated at a pair point (the
+lemma of `check_multiplicity`).
 A transversal lies inside Q_k, of degree n-1, when it meets Q_k at n
 points counted with multiplicity, which the flats it meets provide
 (`_pair_failure`, `_family_failure`); no Q_k is restricted to a line.
@@ -41,6 +43,7 @@ from .projgeo import (
     genericity_check,
     meeting_param,
     parametrize_flat,
+    restriction_bound,
     transversal_through,
 )
 from .scalar import seeded_rng
@@ -223,7 +226,7 @@ def _n3_family(flats, ctx):
     return m, p, w
 
 
-def count_transversals_n3(m, ctx):
+def transversals_distinct_n3(m, ctx):
     """Whether the two lines meeting four general flats in P^3 are
     distinct, from their meeting form m (see `transversal_lines_n3`).
 
@@ -253,12 +256,12 @@ def _binary_roots(m, ctx):
 
 def transversal_lines_n3(flats, ctx):
     """The meeting form m of four flats in P^3, its disc_ok flag by
-    `count_transversals_n3`, which raises on a degree other than 2, and the
+    `transversals_distinct_n3`, which raises on a degree other than 2, and the
     explicit transversal lines, when m splits over the field.  The lines
     are those of `_family_lines`, which needs flats 0, 1, 2 pairwise
     disjoint, as the genericity check certifies."""
     m, p, w = _n3_family(flats, ctx)
-    disc_ok = count_transversals_n3(m, ctx)
+    disc_ok = transversals_distinct_n3(m, ctx)
     return m, disc_ok, _family_lines(ctx, m, p, w)
 
 
@@ -287,7 +290,8 @@ def _family_lines(ctx, m, p, w):
 def check_genericity(inst):
     rep = genericity_check(inst.flats, inst.ctx, seed=inst.seed, attempt=inst.retries)
     if rep.ok:
-        return _passed("genericity", {"conditions": ["canonical", "intersections", "transversals"]})
+        conditions = ["canonical", "intersections", "transversals", "dimension"]
+        return _passed("genericity", {"conditions": conditions})
     return _failed("genericity", {"failures": rep.failures})
 
 
@@ -323,6 +327,9 @@ def check_determinantal(inst, vmap, proofs):
 def check_dimension(inst, proofs):
     """The degree-n system S has dimension n+1, the record's; omitting any
     flat i leaves exactly one hypersurface of degree n-1, by this lemma.
+    The record reads n+1 off a `projgeo.restriction_bound` of n+1, which
+    this lemma's lower bound makes exact, and eliminates S only when the
+    bound is larger or missing.
 
     Lemma.  For n+1 canonical flats of P^n let T_i be the degree-(n-1)
     system through the flats j != i.  x_i·T_i lies in S, since x_i lies in
@@ -708,7 +715,7 @@ _NO_DUAL = "a row of b is off the canonical pattern: no dual flats"
 def check_dual_dimension(vmap, inv, proofs):
     """The stored dual flats are (y_i, g_i) with g_i row i of b, and the
     degree-n system through them has dimension exactly n+1: the dual
-    record's dimension."""
+    record's dimension, from the restriction bound on the rows of b."""
     n1 = vmap.n + 1
     for i, (row, f) in enumerate(zip(inv.b, inv.dual_flats)):
         if (f.j, tuple(f.a)) != (i, tuple(row)):
@@ -822,11 +829,17 @@ class ProofRecord:
         return self._facts[key]
 
     def dimension(self):
-        """The degree-n dimension, by `maps.linear_system_dimension`."""
-        inst = self.inst
-        return self._fact(
-            "dimension", lambda: maps.linear_system_dimension(inst.flats, inst.n, inst.ctx)
-        )
+        """The degree-n dimension: n+1 when `projgeo.restriction_bound` on
+        the flats' matrix A is n+1, since the lemma of `check_dimension`
+        gives n+1 from below, and otherwise the eliminated dimension of
+        `maps.linear_system_dimension`, so a failing check names it."""
+        def prove():
+            inst = self.inst
+            if restriction_bound([f.a for f in inst.flats]) == inst.n + 1:
+                return inst.n + 1
+            return maps.linear_system_dimension(inst.flats, inst.n, inst.ctx)
+
+        return self._fact("dimension", prove)
 
     def matrix(self):
         """The defining matrix B of the flats."""

@@ -146,11 +146,15 @@ def _restriction_rows(flat, d, ctx, mons):
 def linear_system_dimension(flats, d, ctx):
     """Dimension of the degree-d forms vanishing on every given flat.
 
-    Computed as the nullity of the stacked restriction conditions.  For
-    n+1 canonical flats of P^n in index order and d = n the dimension is at
-    least n+1 (the lemma of `checks.check_dimension`), so over Q a nullity
-    of n+1 mod a large prime, which can only overcount, is exact and the
-    costly rational elimination is skipped.  Otherwise it runs.
+    Computed as the nullity of the stacked restriction conditions.  A
+    verify reads the degree-n dimension off `projgeo.restriction_bound`
+    and calls this only as the fallback, when that bound is not n+1, so a
+    failing report names the real dimension; the tests use it as the
+    bound's oracle.  For n+1 canonical flats of P^n in index order and
+    d = n the dimension is at least n+1 (the lemma of
+    `checks.check_dimension`), so over Q a nullity of n+1 mod a large
+    prime, which can only overcount, is exact and the costly rational
+    elimination is skipped.  Otherwise it runs.
     """
     n1 = len(flats)
     mons = monomials_of_degree(flats[0].nvars, d)
@@ -172,12 +176,8 @@ def _pinch_nullity(rows, ncols):
     divides a denominator, which has no residue: the pinch fails closed
     into the exact path.
     """
-    p = _PINCH_PRIME
-    try:
-        int_rows = la.residues(rows, p)
-    except ValueError:
-        return None
-    return ncols - la.rank_mod_p(int_rows, p)
+    rank = la.residue_rank(rows, _PINCH_PRIME)
+    return None if rank is None else ncols - rank
 
 
 @dataclass

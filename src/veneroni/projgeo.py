@@ -15,6 +15,7 @@ parameters.
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import add, mul
 
 from . import exactla as la
@@ -34,6 +35,7 @@ __all__ = [
     "meeting_param",
     "random_general_flats",
     "genericity_check",
+    "restriction_bound",
 ]
 
 
@@ -303,6 +305,7 @@ class FlatsInstance:
 
 _MAX_RETRIES = 32  # resamplings before random_general_flats gives up
 _SAMPLE_POINTS = 3  # points of genericity_check's condition (c)
+_RESIDUE_PRIME = (1 << 31) - 1  # condition (c) over Q ranks mod this first
 
 
 def random_general_flats(n, seed, ctx=None, bound=9):
@@ -347,10 +350,13 @@ def genericity_check(flats, ctx, seed=0, attempt=0):
     `transversal_through`, cone rows of rank n-1 at p.  The rows are linear
     in p, so a nonzero (n-1)-minor at one point is nonzero on a dense open
     set, and a subset passes at the first of `_SAMPLE_POINTS` points with
-    rank n-1.  Condition (d), every det(B_i) exactly divisible by x_i,
-    follows from (a): with a_{j,j} = 0 the rows of B sum to zero, so
-    det(B_i) = x_i det(M_i) identically (`maps.compute_Q`).  Failures are
-    named; the report carries all of them.
+    rank n-1 (`_independent`).  Condition (d), every det(B_i) exactly
+    divisible by x_i, follows from (a): with a_{j,j} = 0 the rows of B sum
+    to zero, so det(B_i) = x_i det(M_i) identically (`maps.compute_Q`).
+    (e) the degree-n system through the flats and the one through the dual
+    flats, the rows of A^T, both have dimension n+1, by a
+    `restriction_bound` of n+1 on A and on A^T.  Failures are named; the
+    report carries all of them.
     """
     failures = []
     n1 = len(flats)
@@ -372,11 +378,112 @@ def genericity_check(flats, ctx, seed=0, attempt=0):
         for _ in range(_SAMPLE_POINTS):
             p = ProjPoint([ctx.random_nonzero(rng) for _ in range(n1)], ctx)
             rows = [cone_hyperplane(p, f) for f in flats]  # None: p on the flat
-            pending = [
-                s for s in pending if la.rank([rows[k] for k in s if rows[k]], ctx) != n - 1
-            ]
+            pending = [s for s in pending if not _independent([rows[k] for k in s], ctx)]
             if not pending:
                 break
         else:
             failures.append(f"c: point {p.format()} with flats {pending[0]} gave family")
+    if not failures:
+        a = [f.a for f in flats]
+        for name, rows in (("A", a), ("Aᵀ", list(zip(*a)))):
+            bound = restriction_bound(rows)
+            if bound != n1:
+                failures.append(f"e: restriction bound on {name} is {bound}, expected {n1}")
     return GenericityReport(ok=not failures, failures=failures)
+
+
+def _independent(rows, ctx):
+    """Whether the cone rows are all there (a None row: p on that flat) and
+    linearly independent.  Over Q their rank mod `_RESIDUE_PRIME` comes
+    first: reduction mod p can only lower a rank, so a full rank there is
+    the rank over Q.  Rows whose residue rank is lower, or with a
+    denominator that p divides, are eliminated over Q."""
+    if not all(rows):
+        return False
+    if ctx.kind == "qq" and la.residue_rank(rows, _RESIDUE_PRIME) == len(rows):
+        return True
+    return la.rank(rows, ctx) == len(rows)
+
+
+def restriction_bound(rows):
+    """An upper bound on the dimension of the degree-n forms through the
+    n+1 flats (x_j, f_j) of P^n, f_j = sum_k a_{j,k} x_k with A = `rows`,
+    by restriction to coordinate hyperplanes; None when this proof finds
+    none.  Only f_j modulo x_j matters, so a_{j,j} is never read.
+
+    Proof.  For a set C of coordinates write f_k|_C for f_k with the
+    variables outside C dropped, and for a degree m and a set J ⊆ C of
+    flats let U(C, m, J) be the forms of degree m in the variables of C
+    that lie in (x_k, f_k|_C) for every k in J.  The system is
+    U(all, n, all).  Take j in J, J' = J∖{j}, and restrict each h of
+    U(C, m, J) to x_j = 0.  Three conditions on entries and 2x2 minors of A:
+
+    (P) every f_k|_{C∖k}, k in J, is nonzero, so (x_k, f_k|_C) is the
+        ideal of two independent linear forms, a prime;
+    (K) no row k in J' is supported on C∖{k} at column j alone, so x_j,
+        of degree 1, lies outside (x_k, f_k|_C);
+    (I) when |C| >= 4, row j is proportional to no row k in J' on the
+        columns C∖{j, k}.  Then f_k|_{C∖{j,k}} is nonzero, so
+        (x_k, f_k|_{C∖j}) is prime, and f_j|_{C∖j} lies outside it.
+
+    Kernel: h = x_j·g with g of degree m-1, and for k in J' the prime
+    (x_k, f_k|_C) holds x_j·g but not x_j (K), so it holds g: the kernel
+    is x_j·U(C, m-1, J').  Image: h lies in (x_j, f_j|_C), so
+    h|_{x_j=0} = f_j|_{C∖j}·β with β of degree m-1 in C∖j, fixed by h
+    when f_j|_{C∖j} is nonzero (the image is 0 otherwise).  Setting x_j = 0
+    maps (x_k, f_k|_C) into (x_k, f_k|_{C∖j}), which then holds
+    f_j|_{C∖j}·β and, by (I), β: the image embeds in U(C∖j, m-1, J').  At
+    |C| = 3 no (I) is needed, since the bound on C∖j below counts every
+    binary form.  So
+
+        dim U(C, m, J) <= dim U(C, m-1, J') + dim U(C∖j, m-1, J').
+
+    The leaves, in this order: J = ∅ gives the C(|C|-1+m, m) monomials,
+    |C| = 2 the m+1 binary forms, and m = 0 gives 0, since no nonzero
+    constant lies in an ideal of linear forms.  A node tries each j in J in
+    increasing order and keeps the first whose two subtrees both succeed;
+    nodes are memoized on (C, m, J).  Only ideal membership is used, so the
+    bound holds over Q and F_p alike.  For canonical flats the lemma of
+    `checks.check_dimension` gives dimension >= n+1, so a bound of n+1
+    proves the dimension n+1.  (P) and (K) hold for every canonical A,
+    whose off-diagonal entries are nonzero.
+    """
+    n1 = len(rows)
+
+    def proportional(j, k, cols):
+        return not any(
+            rows[j][u] * rows[k][v] != rows[j][v] * rows[k][u]
+            for u, v in combinations(cols, 2)
+        )
+
+    memo = {}
+
+    def bound(c, m, js):
+        if not js:
+            return comb(len(c) - 1 + m, m)
+        if len(c) == 2:
+            return m + 1
+        if m == 0:
+            return 0
+        if (c, m, js) not in memo:
+            memo[c, m, js] = node(c, m, js)
+        return memo[c, m, js]
+
+    def node(c, m, js):
+        support = {k: {i for i in c if i != k and rows[k][i]} for k in js}
+        if not all(support.values()):  # (P)
+            return None
+        for j in sorted(js):
+            rest = js - {j}
+            if any(support[k] == {j} for k in rest):  # (K)
+                continue
+            if len(c) >= 4 and any(proportional(j, k, c - {j, k}) for k in rest):
+                continue  # (I)
+            kernel = bound(c, m - 1, rest)
+            image = None if kernel is None else bound(c - {j}, m - 1, rest)
+            if image is not None:
+                return kernel + image
+        return None
+
+    everything = frozenset(range(n1))
+    return bound(everything, n1 - 1, everything)

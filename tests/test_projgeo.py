@@ -428,3 +428,18 @@ def test_a_sample_point_on_a_flat_fails_only_that_point(flats4):
     # a subset that passes at none of the points fails (c), by its name
     rep = genericity_check(flats4, ScriptedPoints(QQ, [on, on, on]))
     assert rep.failures == [f"c: point {on.format()} with flats (0, 1, 2) gave family"]
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
+def test_a_family_point_fails_c_by_the_rank_of_its_cone_rows(ctx):
+    # in the plane through the pairwise meets of flats 2, 3, 4 every line
+    # through q meets the three lines the flats cut out of it, so their cone
+    # rows at q have rank n − 2: over Q a rank mod p of n − 2 must send the
+    # subset to the exact elimination, which fails it too
+    flats = random_general_flats(4, 42, ctx).flats
+    meets = [flat_meet(flats[i], flats[j], ctx)[0] for i, j in ((2, 3), (2, 4), (3, 4))]
+    q = ProjPoint([a + 2 * b + 3 * c for a, b, c in zip(*meets)], ctx)
+    rows = [cone_hyperplane(q, f) for f in flats]
+    assert all(rows) and la.rank(rows[2:], ctx) == 2
+    rep = genericity_check(flats, ScriptedPoints(ctx, [q, q, q]))
+    assert rep.failures == [f"c: point {q.format()} with flats (2, 3, 4) gave family"]
