@@ -12,11 +12,12 @@ expansion f_i·Q_i = sum_j b_{i,j}·v_j once b = A^T in `b-matrix` and
 `composition`, the meeting of a computed transversal with its flats, the
 algebra of the n = 3 family, the multiplicity of each det(M_k) along the
 other flats' pairwise intersections), it cites the proof instead of
-testing it: det(B_i) is never expanded, only the smaller det(M_i), no
-leave-one-out system is eliminated (the lemma of `check_dimension`), no
-degree-n system is eliminated once its restriction bound is n+1
-(`ProofRecord.dimension`), and no Q_k is evaluated at a pair point (the
-lemma of `check_multiplicity`).
+testing it: det(B_i) is never expanded (the record reads x_i·det(M_i)
+off the maximal minors of columns 1..n of B, and Bareiss expands the
+smaller det(M_i)), no leave-one-out system is eliminated (the lemma of
+`check_dimension`), no degree-n system is eliminated once its
+restriction bound is n+1 (`ProofRecord.dimension`), and no Q_k is
+evaluated at a pair point (the lemma of `check_multiplicity`).
 A transversal lies inside Q_k, of degree n-1, when it meets Q_k at n
 points counted with multiplicity, which the flats it meets provide
 (`_pair_failure`, `_family_failure`); no Q_k is restricted to a line.
@@ -139,13 +140,21 @@ def _point_on_flat(flat, ctx, rng):
 _OFF_LOCUS_TRIES = 200  # attempts before _sample_off_locus gives up
 
 
-def _sample_off_locus(vmap, q_values, rng):
-    """A random point where no Q_i vanishes; `q_values` evaluates the Q_i."""
+def _sample_off_locus(vmap, forward, rng):
+    """(p, values): a random point where no stored component vanishes, and
+    the components' values there, its image; `forward` evaluates them.
+
+    The coordinates are drawn nonzero and `ProjPoint` scales them by a
+    nonzero factor, so where v_i = x_i·Q_i, v_i(p) = p_i·Q_i(p) vanishes
+    exactly where Q_i does: for a valid map these are the points off the
+    Q_i, drawn without evaluating any Q_i.
+    """
     for _ in range(_OFF_LOCUS_TRIES):
         p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)
-        if all(q_values(p.coords)):
-            return p
-    raise RuntimeError("could not sample a point off the Q_i locus")
+        values = forward(p.coords)
+        if all(values):
+            return p, values
+    raise RuntimeError("could not sample a point where no component vanishes")
 
 
 def _field_sqrt(ctx, a):
@@ -296,14 +305,17 @@ def check_genericity(inst):
 
 
 def check_determinantal(inst, vmap, proofs):
-    """Expand every det(M_i) two independent ways and tie it to Q_i.
+    """Expand every Q_i by two expansions of two different matrices and tie
+    it to the stored Q_i.
 
-    The record's `minor_dp` expansion of det(M_i) must equal the `bareiss`
-    one of `maps.matrix_M` on the record's B, then the stored Q_i, and the
-    record's tie of the stored component to x_i·Q_i must be zero.  That
-    det(B_i) = x_i·det(M_i) is the theorem of `maps.compute_Q`, which holds
-    for every canonical instance, so det(B_i) is cited, not expanded, and
-    no division by x_i is tested.  The degree n-1 of det(M_i), its
+    The record's Q_i, read off one `minor_dp` expansion of the maximal
+    minors of columns 1..n of B by the cofactor lemma (`maps.compute_all_Q`,
+    which checks that x_i divides each minor term by term), must equal the
+    `bareiss` expansion of det(M_i), `maps.matrix_M` on the record's B, then
+    the stored Q_i, and the record's tie of the stored component to x_i·Q_i
+    must be zero.  That det(B_i) = x_i·det(M_i) is the theorem of
+    `maps.compute_Q`, which holds for every canonical instance, so det(B_i)
+    is cited, not expanded.  The degree n-1 of det(M_i), its
     vanishing on the flats j != i and its nonzero vertex values are
     theorems too (`maps.compute_Q`, `maps.build_forward_map`), so they are
     not replayed either.
@@ -424,23 +436,23 @@ def verify_composition(vmap, proofs):
 
 
 def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
-    """Map k >= 1 distinct random off-locus points forward and back; demand
-    exact return and pairwise-distinct images."""
+    """Map k >= 1 distinct random points where no component vanishes
+    (`_sample_off_locus`, whose values are the images) back; demand exact
+    return and pairwise-distinct images."""
     if k < 1:
         raise ValueError(f"round-trip needs at least 1 sample, got {k}")
     ctx = vmap.ctx
     rng = seeded_rng(seed, "roundtrip")
-    q_values = Evaluator(vmap.Q)
     forward = Evaluator(vmap.components)
     inverse = Evaluator(inv.inverse_components)
     images = []
     seen = set()
     for s in range(k):
-        p = _sample_off_locus(vmap, q_values, rng)
+        p, values = _sample_off_locus(vmap, forward, rng)
         while p.coords in seen:  # small fields invite birthday collisions
-            p = _sample_off_locus(vmap, q_values, rng)
+            p, values = _sample_off_locus(vmap, forward, rng)
         seen.add(p.coords)
-        img = maps.apply_map(forward, p, ctx)
+        img = ProjPoint(values, ctx)
         back = maps.apply_map(inverse, img, ctx)
         if back != p:
             return _failed(
@@ -846,12 +858,12 @@ class ProofRecord:
         return self._fact("matrix", lambda: maps.build_matrix_B(self.inst.flats, self.inst.ctx))
 
     def determinants(self):
-        """det(M_i) by `minor_dp`, for every i: `maps.compute_Q` on the
-        record's B.  det(B_i) = x_i·det(M_i) is the theorem of `compute_Q`."""
+        """Every det(M_i), read off one expansion of the maximal minors of
+        the record's B: `maps.compute_all_Q`.  det(B_i) = x_i·det(M_i) is the
+        theorem of `maps.compute_Q`, and the cofactor lemma of
+        `compute_all_Q` gives det(B_i) as a maximal minor."""
         inst, b = self.inst, self.matrix()
-        return self._fact("determinants", lambda: [
-            maps.compute_Q(inst.flats, i, inst.ctx, b) for i in range(len(b))
-        ])
+        return self._fact("determinants", lambda: maps.compute_all_Q(inst.flats, inst.ctx, b)[0])
 
     def ties(self):
         """v_i − x_i·Q_i for every i: zero when the stored component is x_i·Q_i."""
@@ -865,15 +877,14 @@ class ProofRecord:
     def dual(self):
         """The record of the dual instance, or None when a row of b is off
         the canonical pattern.  Its flats (y_i, g_i) are the rows of b, its
-        components the stored inverse components, and its Q'_i `compute_Q`
-        of the rows on one matrix B'.  It has no inverse data."""
+        components the stored inverse components, and its Q'_i from one
+        `maps.compute_all_Q` of the rows.  It has no inverse data."""
         def prove():
             flats = [Flat(i, tuple(row)) for i, row in enumerate(self.inv.b)]
             if not all(f.is_canonical() for f in flats):
                 return None
             ctx = self.inst.ctx
-            b = maps.build_matrix_B(flats, ctx)
-            qs = [maps.compute_Q(flats, i, ctx, b) for i in range(len(flats))]
+            qs = maps.compute_all_Q(flats, ctx)[0]
             dual = maps.VeneroniMap(
                 self.inst.n, ctx, flats, qs, self.inv.inverse_components
             )

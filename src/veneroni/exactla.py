@@ -15,15 +15,21 @@ be cross-checked:
 * `det_bareiss` - fraction-free elimination whose interior divisions are
   exact by Sylvester's identity.
 
+The subset expansion, `_minor_dp`, runs on k x c matrices, k <= c, and
+gives every maximal minor from one pass (`maximal_minors`); `det_laplace`
+reads the one full column set of a square matrix.
+
 Both cross mpoly's integer boundary once per matrix: `_lower_matrix`
 turns every entry into (exponent, int) terms, over F_p one residue per
 coefficient and over Q numerators over one common denominator d_r per row,
-so det = det(integer matrix) / prod d_r.  The expansion then runs on ints
-(`mpoly._product` and its accumulator for products and sums,
-`mpoly._quotient` for Bareiss's exact quotients, which lie in Z[x]), and
-the result is lifted back once.  A scalar entry is a constant term, and a
-matrix of scalars has a scalar determinant.  Both refuse matrices larger
-than MAX_DET_SIZE with a ValueError, since cost explodes beyond that.
+so a minor is that of the integer matrix over prod d_r.  The expansions
+then run on ints: the subset expansion on exponents packed into one int
+each, so a monomial product is an int addition, and Bareiss with
+`mpoly._product` and its accumulator for products and sums and
+`mpoly._quotient` for its exact quotients, which lie in Z[x].  Each
+result is lifted back once.  A scalar entry is a constant term, and a
+matrix of scalars has scalar minors.  Both refuse matrices of more than
+MAX_DET_SIZE rows with a ValueError, since cost explodes beyond that.
 """
 
 from collections import Counter
@@ -36,10 +42,13 @@ MAX_DET_SIZE = 8
 _QQ = FieldCtx.rationals()
 
 
-def _check_square(m):
+def _check_shape(m, square=True):
+    """The row count k of m, once m is k x k (k x c with k <= c when not
+    `square`) and k is at most MAX_DET_SIZE."""
     k = len(m)
-    if any(len(row) != k for row in m):
-        raise ValueError("matrix is not square")
+    c = len(m[0]) if m else 0
+    if any(len(row) != c for row in m) or c < k or (square and c != k):
+        raise ValueError("matrix is not square" if square else "matrix is not k x c with k <= c")
     if k > MAX_DET_SIZE:
         raise ValueError(f"matrix size {k} exceeds determinant cap {MAX_DET_SIZE}")
     return k
@@ -50,8 +59,8 @@ def _lower_matrix(m):
 
     p is the prime of the F_p entries, or None over Q; over Q each row is
     scaled by the common denominator of its coefficients and d is the
-    product of those, so det(m) = det(rows) / d.  nvars is that of the
-    polynomial entries, None for a matrix of scalars.
+    product of those, so a minor of m is that of rows over d.  nvars is
+    that of the polynomial entries, None for a matrix of scalars.
     """
     nvars = next((e.nvars for row in m for e in row if isinstance(e, Poly)), None)
     const = (0,) * (nvars or 0)
@@ -70,16 +79,21 @@ def _lower_matrix(m):
     return rows, p, d, nvars
 
 
+def _lifted(terms, p, d, nvars):
+    """The (e, int) terms of a minor of the lowered matrix, over d, as a
+    Poly in nvars variables, or as a scalar when nvars is None."""
+    if nvars is not None:
+        return _lift(nvars, dict(terms), p, d)
+    v = terms[0][1] if terms else 0
+    return Rational(v, d) if p is None else Fp(v, p)
+
+
 def _det(m, expand):
     """The determinant of m, with `expand` run on its integer form."""
-    if _check_square(m) == 0:
+    if _check_shape(m) == 0:
         return 1
     rows, p, d, nvars = _lower_matrix(m)
-    det = expand(rows, p)
-    if nvars is not None:
-        return _lift(nvars, dict(det), p, d)
-    v = det[0][1] if det else 0
-    return Rational(v, d) if p is None else Fp(v, p)
+    return _lifted(expand(rows, p), p, d, nvars)
 
 
 def _negated(terms):
@@ -87,34 +101,52 @@ def _negated(terms):
 
 
 def _minor_dp(rows, p):
-    """Column-subset dynamic programming on (e, int) terms.
+    """Every maximal minor of the k x c matrix `rows` of (e, int) terms,
+    k <= c, by column-subset dynamic programming: {mask: terms} for the
+    k-subsets `mask` of the columns, zero minors left out.
 
     D[mask] is the minor on the first popcount(mask) rows and the columns in
     mask; expanding each along its last row visits every subset once, which
-    is far cheaper than the naive n! expansion and involves no division.
-    Zero entries and zero minors are skipped.
+    is far cheaper than the naive k! expansion and involves no division.
+    Zero entries and zero minors are skipped.  Inside the expansion each
+    exponent tuple is one int with a field per variable, so a product of
+    monomials is one int addition.  An exponent of a minor is at most k
+    times the largest entry degree, which takes w bits; a field is a byte
+    when w <= 8, else w bits, so no field carries into the next.  Each
+    result term is unpacked once.
     """
     k = len(rows)
-    prev = {1 << j: t for j, t in enumerate(rows[0]) if t}
-    for r in range(1, k):
-        row = rows[r]
+    exps = [e for row in rows for t in row for e, _ in t]
+    nvars = len(exps[0]) if exps else 0
+    w = (k * max(map(sum, exps), default=0)).bit_length()
+    if w <= 8:  # a byte per variable: bytes() packs and to_bytes unpacks
+        pack = lambda e: int.from_bytes(bytes(e), "little")
+        unpack = lambda e: tuple(e.to_bytes(nvars, "little"))
+    else:
+        shifts, field = range(0, w * nvars, w), (1 << w) - 1
+        pack = lambda e: sum(x << s for x, s in zip(e, shifts))
+        unpack = lambda e: tuple([e >> s & field for s in shifts])
+    prev = {0: [(0, 1)]}  # the empty minor
+    for r, row in enumerate(rows):
+        row = [[(pack(e), v) for e, v in t] for t in row]
         signed = (row, [_negated(t) for t in row])
         cur = {}
         for mask, minor in prev.items():
             # extend the column set by one unused column j; the expansion
             # sign depends on j's position within the enlarged set
-            for j in range(k):
+            for j, t in enumerate(row):
                 bit = 1 << j
-                if mask & bit or not row[j]:
+                if mask & bit or not t:
                     continue
-                nm = mask | bit
-                odd = (r + bin(mask & (bit - 1)).count("1")) % 2
-                acc = cur.get(nm)
-                if acc is None:
-                    acc = cur[nm] = {}
-                _product(signed[odd][j], minor, acc)
+                odd = (r + (mask & (bit - 1)).bit_count()) % 2
+                acc = cur.setdefault(mask | bit, {})
+                get = acc.get
+                for eb, cb in signed[odd][j]:
+                    for ea, ca in minor:
+                        e = ea + eb
+                        acc[e] = get(e, 0) + ca * cb
         prev = {mask: t for mask, acc in cur.items() if (t := _nonzero(acc, p))}
-    return prev.get((1 << k) - 1, [])
+    return {mask: [(unpack(e), v) for e, v in t] for mask, t in prev.items()}
 
 
 def _bareiss(a, p):
@@ -148,8 +180,18 @@ def _bareiss(a, p):
 
 
 def det_laplace(m):
-    """Determinant by column-subset dynamic programming (`_minor_dp`)."""
-    return _det(m, _minor_dp)
+    """Determinant by column-subset dynamic programming: the one full mask
+    of `_minor_dp`."""
+    return _det(m, lambda rows, p: _minor_dp(rows, p).get((1 << len(rows)) - 1, []))
+
+
+def maximal_minors(m):
+    """{mask: minor} for a k x c matrix, k <= c: the determinant of the
+    columns in each k-subset `mask` (bit j for column j), all from one
+    `_minor_dp`; zero minors are left out."""
+    _check_shape(m, square=False)
+    rows, p, d, nvars = _lower_matrix(m)
+    return {mask: _lifted(t, p, d, nvars) for mask, t in _minor_dp(rows, p).items()}
 
 
 def det_bareiss(m):

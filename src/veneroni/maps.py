@@ -4,7 +4,10 @@ The map is determinantal: B is the (n+1)x(n+1) matrix with -f_i on the
 diagonal and a_{i,k} x_k elsewhere, built straight from the canonical flats.
 Deleting row and column i leaves B_i with det(B_i) = x_i Q_i, an identity
 that the zero row sums of B prove in closed form (`compute_Q`), and
-the n+1 products x_i Q_i are the components of the degree-n map v_n.  The
+the n+1 products x_i Q_i are the components of the degree-n map v_n.
+The zero row sums also make the cofactors along each row of B equal, so
+the components are the n+1 maximal minors of columns 1..n of B, up to
+sign, and one expansion gives them all (`compute_all_Q`).  The
 inverse comes from rewriting each f_i Q_i in the component basis; the
 coefficients form the b-matrix, which is the transpose of the flat matrix
 A = (a_{i,k}) because the rows of B sum to zero.  Row i of b gives the
@@ -34,6 +37,7 @@ __all__ = [
     "minor_matrix",
     "matrix_M",
     "compute_Q",
+    "compute_all_Q",
     "linear_system_dimension",
     "build_forward_map",
     "solve_b_matrix",
@@ -87,6 +91,9 @@ def matrix_M(flats, i, b):
 def compute_Q(flats, i, ctx, b=None):
     """Q_i = det(B_i) / x_i in closed form, as det(M_i) (`matrix_M`) by
     `minor_dp`; `b` is the flats' matrix B when the caller has built it.
+    The constructors and the proof record take every Q_i at once from
+    `compute_all_Q`; this expansion of one M_i at a time is its oracle in
+    the tests, and `demo` prints Q_0 and Q_1 by it.
 
     For canonical flats (a_{j,j} = 0) each row of B sums to zero, so row j
     of B_i sums to -a_{j,i} x_i.  Adding every other column of B_i to its
@@ -103,6 +110,37 @@ def compute_Q(flats, i, ctx, b=None):
     """
     b = build_matrix_B(flats, ctx) if b is None else b
     return la.det_poly_matrix(matrix_M(flats, i, b))
+
+
+def compute_all_Q(flats, ctx, b=None):
+    """(Q, components): every Q_r and x_r Q_r from one expansion, the n+1
+    maximal minors of the n x (n+1) transpose N of columns 1..n of B;
+    `b` is the flats' matrix B when the caller has built it.
+
+    The rows of B sum to zero, so the n+1 cofactors along each row of B are
+    equal (`solve_b_matrix`).  Along row r the cofactor of column 0 is
+    (-1)^r det(B without row r and column 0), the minor of N on the
+    columns other than r, and that of column r is det(B_r) = x_r Q_r
+    (`compute_Q`).  So x_r Q_r is (-1)^r times that minor, and one
+    `exactla.maximal_minors` of N gives all n+1 components.  Q_r is the
+    component with one unit of x_r taken off each term; a term without
+    x_r would contradict the lemma, so it raises ArithmeticError.
+    """
+    b = build_matrix_B(flats, ctx) if b is None else b
+    n1 = len(b)
+    minors = la.maximal_minors([[row[k] for row in b] for k in range(1, n1)])
+    qs, components = [], []
+    for r in range(n1):
+        v = minors.get(((1 << n1) - 1) ^ (1 << r), Poly(n1))
+        v = -v if r % 2 else v
+        q = Poly(n1)
+        for e, c in v.terms.items():
+            if not e[r]:
+                raise ArithmeticError(f"a term of x_{r} Q_{r} lacks x_{r}")
+            q.terms[e[:r] + (e[r] - 1,) + e[r + 1:]] = c
+        qs.append(q)
+        components.append(v)
+    return qs, components
 
 
 def monomials_of_degree(nvars, d):
@@ -219,7 +257,8 @@ def vanishes_on_flat(p, flat, ctx):
 
 
 def build_forward_map(flats, ctx):
-    """Build v_n: the components x_i Q_i, with Q_i from `compute_Q`.
+    """Build v_n: the components x_i Q_i and the Q_i, all from one
+    `compute_all_Q`, where Q_i = det(M_i) (`compute_Q`) by the cofactor lemma.
 
     Every construction invariant is a theorem for canonical flats of P^n,
     n >= 2, general or not, so none is tested here:
@@ -240,11 +279,8 @@ def build_forward_map(flats, ctx):
     So every component vanishes on all n+1 flats: Q_i covers each flat
     j != i, and x_i lies in the ideal (x_i, f_i) of flat i.
     """
-    n1 = len(flats)
-    b = build_matrix_B(flats, ctx)
-    qs = [compute_Q(flats, i, ctx, b) for i in range(n1)]
-    components = [Poly.var(i, n1, ctx.one) * q for i, q in enumerate(qs)]
-    return VeneroniMap(n=n1 - 1, ctx=ctx, flats=list(flats), Q=qs, components=components)
+    qs, components = compute_all_Q(flats, ctx)
+    return VeneroniMap(n=len(flats) - 1, ctx=ctx, flats=list(flats), Q=qs, components=components)
 
 
 @dataclass

@@ -25,6 +25,8 @@ and `random_scalar` serve only the tests, so they live here and not on
 `Poly` and `FieldCtx`.  `double_at_pair_points` evaluates each Q_k and all
 its partials at a point of each pairwise flat intersection, the sample
 that `checks.check_multiplicity` replaces by its ideal-product lemma.
+`sample_off_q_locus` draws the round-trip's points off the Q_i from the
+Q_i's own values, where `checks._sample_off_locus` reads the components'.
 """
 
 from itertools import combinations
@@ -209,3 +211,15 @@ def flat_intersection(a, b, ctx):
     their four forms: the general solver behind `projgeo.flat_meet`."""
     rows = a.form_rows(ctx) + b.form_rows(ctx)
     return [ProjPoint(v, ctx) for v in la.nullspace(rows, a.nvars, ctx)]
+
+
+def sample_off_q_locus(vmap, rng, tries=200):
+    """A random point where no stored Q_i vanishes, drawn as
+    `checks._sample_off_locus` draws its points but tested on the Q_i
+    themselves, where that sampler tests the components."""
+    q_values = Evaluator(vmap.Q)
+    for _ in range(tries):
+        p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)
+        if all(q_values(p.coords)):
+            return p
+    raise RuntimeError("could not sample a point off the Q_i locus")

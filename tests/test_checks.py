@@ -35,6 +35,7 @@ from oracles import (
     is_homogeneous,
     line_restrict,
     matrix_C,
+    sample_off_q_locus,
     vanishing_on_line,
 )
 
@@ -652,6 +653,22 @@ def test_round_trip_returns_every_point_exactly(field, n, seed, k, coords):
     assert maps.apply_map(Evaluator(inv.inverse_components), image, field) == p
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=["qq", "fp"])
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 10**6))
+def test_the_round_trip_draws_the_points_off_the_q_locus(field, n, seed):
+    # a drawn point has no zero coordinate, so v_i(p) = p_i·Q_i(p) vanishes
+    # exactly where Q_i does: the components' values pick the points the
+    # Q_i's own values pick, and are their images
+    vmap, _ = checks.build_all(random_general_flats(n, seed, field))
+    forward, q_values = Evaluator(vmap.components), Evaluator(vmap.Q)
+    rng, q_rng = random.Random(seed), random.Random(seed)
+    for _ in range(10):
+        p, values = checks._sample_off_locus(vmap, forward, rng)
+        assert p == sample_off_q_locus(vmap, q_rng)
+        assert values == [x * q for x, q in zip(p.coords, q_values(p.coords))]
+
+
 # ---- each shared fact is proved once per report ---------------------------
 
 FP31 = FieldCtx.prime(2147483647)
@@ -662,13 +679,13 @@ FP31 = FieldCtx.prime(2147483647)
     [
         # no component is restricted to a flat: once tied to x_i·det(M_i)
         # its vanishing is cited.  B and the dual flats' B' are built once
-        # each, and compute_Q runs once per det(M_i) of the record and once
-        # per dual Q'_i.  The n = 3 family's count reads the record's meet
-        # of each of the six pairs
+        # each, and one expansion of maximal minors gives the record's Q_i
+        # and one the dual Q'_i.  The n = 3 family's count reads the
+        # record's meet of each of the six pairs
         (
             3, QQ, "full",
             {
-                "vanishes_on_flat": 0, "_n3_family": 1, "compute_Q": 8,
+                "vanishes_on_flat": 0, "_n3_family": 1, "maximal_minors": 2,
                 "build_matrix_B": 2, "flat_meet": 6, "partial": 0,
             },
             {"ties": 1, "dimension": 1},
@@ -679,7 +696,7 @@ FP31 = FieldCtx.prime(2147483647)
         (
             4, FP31, "fast",
             {
-                "vanishes_on_flat": 0, "_n3_family": 0, "compute_Q": 10,
+                "vanishes_on_flat": 0, "_n3_family": 0, "maximal_minors": 2,
                 "build_matrix_B": 2, "flat_meet": 10, "partial": 5,
             },
             {"ties": 1, "dimension": 1},
@@ -712,7 +729,7 @@ def test_each_shared_fact_is_proved_once_per_report(
 
     for owner, name in (
         (maps, "vanishes_on_flat"),
-        (maps, "compute_Q"),
+        (la, "maximal_minors"),
         (maps, "build_matrix_B"),
         (checks, "_n3_family"),
         (checks, "flat_meet"),
@@ -743,6 +760,31 @@ def test_each_shared_fact_is_proved_once_per_report(
     assert checks.run_suite(inst, vmap, inv, level=level).ok
     assert {name: calls[name] for name in expected} == {k: 2 * v for k, v in expected.items()}
     assert {key: built[key] for key in once} == {k: 2 * v for k, v in once.items()}
+
+
+def test_a_build_and_a_verify_each_expand_the_minors_twice(monkeypatch):
+    # a build expands the maximal minors of the flats and of the dual
+    # flats; a passing verify those of its record and of the dual record,
+    # and eliminates each det(M_i) by Bareiss.  No det(M_i) runs minor_dp
+    inst = random_general_flats(4, 11, FP31)
+    calls = Counter()
+    minors, det = la.maximal_minors, la.det_poly_matrix
+
+    def counted_minors(m):
+        calls["maximal_minors"] += 1
+        return minors(m)
+
+    def counted_det(m, strategy="minor_dp"):
+        calls[strategy] += 1
+        return det(m, strategy)
+
+    monkeypatch.setattr(la, "maximal_minors", counted_minors)
+    monkeypatch.setattr(la, "det_poly_matrix", counted_det)
+    vmap, inv = checks.build_all(inst)
+    assert calls == {"maximal_minors": 2}
+    calls.clear()
+    assert checks.run_suite(inst, vmap, inv, level="fast").ok
+    assert calls == {"maximal_minors": 2, "bareiss": 5}
 
 
 @pytest.mark.parametrize("n", [3, 4], ids=["n3", "n4"])
@@ -896,10 +938,10 @@ NONZERO = st.one_of(
 
 
 @st.composite
-def canonical_coefficients(draw):
-    """Coefficients of n+1 canonical flats of P^n, 2 <= n <= 5, that have
+def canonical_coefficients(draw, top=5):
+    """Coefficients of n+1 canonical flats of P^n, 2 <= n <= top, that have
     not been through genericity."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, top))
     return [[0 if i == j else draw(NONZERO) for i in range(n + 1)] for j in range(n + 1)]
 
 
@@ -988,6 +1030,58 @@ def test_det_m_is_det_b_over_x_by_both_strategies(ctx, coeffs):
         assert la.det_poly_matrix(m, "minor_dp") == want
         assert la.det_poly_matrix(m, "bareiss") == want
         assert maps.compute_Q(flats, i, ctx, b) == want
+
+
+# canonical flats of P^4 with coefficients in ±1..±2
+SMALL_N4 = [
+    [0, -2, 1, -2, -1],
+    [2, 0, 1, 1, 2],
+    [-1, -1, 0, -1, -1],
+    [-2, -1, 1, 0, 1],
+    [1, 2, -1, -1, 0],
+]
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
+@settings(max_examples=15, deadline=None)
+@given(coeffs=canonical_coefficients(top=6))
+@example(coeffs=[a for _, a in NON_GENERAL_N4])
+@example(coeffs=SMALL_N4)
+def test_one_dp_gives_every_q_of_the_flats_and_the_dual_flats(ctx, coeffs):
+    # compute_all_Q reads every x_r·Q_r off one expansion of the maximal
+    # minors of columns 1..n of B, by the cofactor lemma; compute_Q expands
+    # each det(M_r) on its own, and Bareiss eliminates it
+    a = [[ctx.convert(c) for c in row] for row in coeffs]
+    n1 = len(a)
+    for rows in (a, [list(col) for col in zip(*a)]):  # the flats, then the dual flats
+        flats = [Flat(j, tuple(row)) for j, row in enumerate(rows)]
+        b = maps.build_matrix_B(flats, ctx)
+        qs, components = maps.compute_all_Q(flats, ctx, b)
+        for r, (q, v) in enumerate(zip(qs, components)):
+            assert q == maps.compute_Q(flats, r, ctx, b)
+            assert v == Poly.var(r, n1, ctx.one) * q
+            if n1 <= 6:
+                assert q == la.det_bareiss(maps.matrix_M(flats, r, b))
+
+
+@pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
+def test_a_minor_term_without_its_variable_crashes_the_record(monkeypatch, field):
+    # a term of x_r·Q_r without x_r contradicts the cofactor lemma, so Q_r
+    # is never read off it; the record keeps the crash as any failed proof
+    inst = random_general_flats(3, 11, field)
+    vmap, inv = checks.build_all(inst)
+    minors = la.maximal_minors
+
+    def off_by_one(m):
+        return {mask: v + Poly.const(field.one, v.nvars) for mask, v in minors(m).items()}
+
+    monkeypatch.setattr(la, "maximal_minors", off_by_one)
+    with pytest.raises(ArithmeticError, match="a term of x_0 Q_0 lacks x_0"):
+        maps.compute_all_Q(inst.flats, field)
+    res = by_name(checks.run_suite(inst, vmap, inv))
+    crash = {"error": "ArithmeticError: a term of x_0 Q_0 lacks x_0"}
+    assert res["determinantal"].witness == crash
+    assert res["composition"].witness == crash
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +88,41 @@ def test_det_size_cap():
     for strategy in ("minor_dp", "bareiss"):
         with pytest.raises(ValueError, match="exceeds determinant cap 8"):
             la.det_poly_matrix(m9, strategy)
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP])
+def test_maximal_minors_are_the_determinants_of_every_column_subset(ctx):
+    rng = random.Random(11)
+    for k, c in ((1, 3), (2, 4), (3, 4), (3, 6), (4, 5)):
+        m = [row[:c] for row in rand_poly_mat(ctx, rng, c)[:k]]
+        m[0][1] = Poly.zero(3)  # a zero entry, skipped by the expansion
+        minors = la.maximal_minors(m)
+        for cols in combinations(range(c), k):
+            want = la.det_bareiss([[row[j] for j in cols] for row in m])
+            assert minors.get(sum(1 << j for j in cols), Poly.zero(3)) == want
+    assert la.maximal_minors([]) == {0: 1}
+    with pytest.raises(ValueError, match="not k x c with k <= c"):
+        la.maximal_minors([[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(ValueError, match="matrix size 9 exceeds determinant cap 8"):
+        la.maximal_minors([[1] * 10 for _ in range(9)])
+
+
+@pytest.mark.parametrize("k, d", [(3, 5), (2, 200)], ids=["byte-fields", "bit-fields"])
+def test_packed_exponents_of_high_degree_entries_do_not_carry(k, d):
+    # entries of degree d in a k x k matrix give minors with exponents up
+    # to k·d: 15 needs more bits than one entry's 5, and 400 more than a byte
+    rng = random.Random(5)
+    mons = [(d, 0), (d - 1, 1), (0, d), (d - 2, 2)]
+    for ctx in (QQ, FP):
+        for _ in range(5):
+            m = [
+                [Poly(2, {e: random_scalar(ctx, rng, 4) for e in rng.sample(mons, 2)}) for _ in range(k)]
+                for _ in range(k)
+            ]
+            assert la.det_laplace(m) == la.det_bareiss(m)
+    x = Poly.var(0, 2, 1)
+    diagonal = [[x**d if i == j else Poly.zero(2) for j in range(k)] for i in range(k)]
+    assert la.det_laplace(diagonal) == x ** (k * d)
 
 
 MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
