@@ -322,7 +322,7 @@ def check_determinantal(inst, vmap, proofs):
     """
     b = proofs.matrix()
     term_counts = []
-    for i, q in enumerate(proofs.determinants()):
+    for i, q in enumerate(proofs.determinants()[0]):
         if q != la.det_poly_matrix(maps.matrix_M(inst.flats, i, b), "bareiss"):
             return _failed("determinantal", {"i": i, "reason": "strategies disagree"})
         if q != vmap.Q[i]:
@@ -527,7 +527,7 @@ def _hypotheses_failure(proofs):
 
 def _stored_q_failure(proofs):
     """(H1): the first stored Q_k other than the record's det(M_k), or None."""
-    for k, det in enumerate(proofs.determinants()):
+    for k, det in enumerate(proofs.determinants()[0]):
         if det != proofs.vmap.Q[k]:
             return {"k": k, "reason": "stored Q differs"}
     return None
@@ -858,19 +858,22 @@ class ProofRecord:
         return self._fact("matrix", lambda: maps.build_matrix_B(self.inst.flats, self.inst.ctx))
 
     def determinants(self):
-        """Every det(M_i), read off one expansion of the maximal minors of
-        the record's B: `maps.compute_all_Q`.  det(B_i) = x_i·det(M_i) is the
-        theorem of `maps.compute_Q`, and the cofactor lemma of
-        `compute_all_Q` gives det(B_i) as a maximal minor."""
-        inst, b = self.inst, self.matrix()
-        return self._fact("determinants", lambda: maps.compute_all_Q(inst.flats, inst.ctx, b)[0])
+        """(Q, components): every det(M_i) and x_i·det(M_i), read off one
+        expansion of the maximal minors of the record's B:
+        `maps.compute_all_Q`.  det(B_i) = x_i·det(M_i) is the theorem of
+        `maps.compute_Q`, and the cofactor lemma of `compute_all_Q` gives
+        det(B_i) as a maximal minor."""
+        inst = self.inst
+        return self._fact(
+            "determinants", lambda: maps.compute_all_Q(inst.flats, inst.ctx, self.matrix())
+        )
 
     def ties(self):
-        """v_i − x_i·Q_i for every i: zero when the stored component is x_i·Q_i."""
+        """v_i − x_i·det(M_i) for every i, the record's component of
+        `determinants`: zero, once the stored Q_i is the record's, when the
+        stored component is x_i·Q_i."""
         def prove():
-            vmap = self.vmap
-            xs = [Poly.var(i, vmap.n + 1, vmap.ctx.one) for i in range(vmap.n + 1)]
-            return [v - x * q for v, x, q in zip(vmap.components, xs, vmap.Q)]
+            return [v - c for v, c in zip(self.vmap.components, self.determinants()[1])]
 
         return self._fact("ties", prove)
 
@@ -878,17 +881,20 @@ class ProofRecord:
         """The record of the dual instance, or None when a row of b is off
         the canonical pattern.  Its flats (y_i, g_i) are the rows of b, its
         components the stored inverse components, and its Q'_i from one
-        `maps.compute_all_Q` of the rows.  It has no inverse data."""
+        `maps.compute_all_Q` of the rows, kept as its `determinants`.  It
+        has no inverse data."""
         def prove():
             flats = [Flat(i, tuple(row)) for i, row in enumerate(self.inv.b)]
             if not all(f.is_canonical() for f in flats):
                 return None
             ctx = self.inst.ctx
-            qs = maps.compute_all_Q(flats, ctx)[0]
+            determinants = maps.compute_all_Q(flats, ctx)
             dual = maps.VeneroniMap(
-                self.inst.n, ctx, flats, qs, self.inv.inverse_components
+                self.inst.n, ctx, flats, determinants[0], self.inv.inverse_components
             )
-            return ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed)
+            record = ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed)
+            record._facts["determinants"] = determinants
+            return record
 
         return self._fact("dual", prove)
 

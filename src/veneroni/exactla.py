@@ -111,21 +111,17 @@ def _minor_dp(rows, p):
     Zero entries and zero minors are skipped.  Inside the expansion each
     exponent tuple is one int with a field per variable, so a product of
     monomials is one int addition.  An exponent of a minor is at most k
-    times the largest entry degree, which takes w bits; a field is a byte
-    when w <= 8, else w bits, so no field carries into the next.  Each
-    result term is unpacked once.
+    times the largest entry degree, which takes w bits, so fields of w bits
+    (one at least, for a matrix of constants) never carry into the next.
+    Each result term is unpacked once.
     """
     k = len(rows)
     exps = [e for row in rows for t in row for e, _ in t]
     nvars = len(exps[0]) if exps else 0
-    w = (k * max(map(sum, exps), default=0)).bit_length()
-    if w <= 8:  # a byte per variable: bytes() packs and to_bytes unpacks
-        pack = lambda e: int.from_bytes(bytes(e), "little")
-        unpack = lambda e: tuple(e.to_bytes(nvars, "little"))
-    else:
-        shifts, field = range(0, w * nvars, w), (1 << w) - 1
-        pack = lambda e: sum(x << s for x, s in zip(e, shifts))
-        unpack = lambda e: tuple([e >> s & field for s in shifts])
+    w = max((k * max(map(sum, exps), default=0)).bit_length(), 1)
+    shifts, field = range(0, w * nvars, w), (1 << w) - 1
+    pack = lambda e: sum(x << s for x, s in zip(e, shifts))
+    unpack = lambda e: tuple([e >> s & field for s in shifts])
     prev = {0: [(0, 1)]}  # the empty minor
     for r, row in enumerate(rows):
         row = [[(pack(e), v) for e, v in t] for t in row]

@@ -107,7 +107,7 @@ def test_maximal_minors_are_the_determinants_of_every_column_subset(ctx):
         la.maximal_minors([[1] * 10 for _ in range(9)])
 
 
-@pytest.mark.parametrize("k, d", [(3, 5), (2, 200)], ids=["byte-fields", "bit-fields"])
+@pytest.mark.parametrize("k, d", [(3, 5), (2, 200)], ids=["4-bit-fields", "9-bit-fields"])
 def test_packed_exponents_of_high_degree_entries_do_not_carry(k, d):
     # entries of degree d in a k x k matrix give minors with exponents up
     # to k·d: 15 needs more bits than one entry's 5, and 400 more than a byte
