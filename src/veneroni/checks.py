@@ -13,11 +13,12 @@ expansion f_i·Q_i = sum_j b_{i,j}·v_j once b = A^T in `b-matrix` and
 algebra of the n = 3 family, the multiplicity of each det(M_k) along the
 other flats' pairwise intersections), it cites the proof instead of
 testing it: det(B_i) is never expanded (the record reads x_i·det(M_i)
-off the maximal minors of columns 1..n of B, and Bareiss expands the
-smaller det(M_i)), no leave-one-out system is eliminated (the lemma of
-`check_dimension`), no degree-n system is eliminated once its
-restriction bound is n+1 (`ProofRecord.dimension`), and no Q_k is
-evaluated at a pair point (the lemma of `check_multiplicity`).
+off the maximal minors of columns 1..n of B, and the values of each
+det(M_i) on a lattice prove it again), no leave-one-out system is
+eliminated (the lemma of `check_dimension`), no degree-n system is
+eliminated once its restriction bound is n+1 (`ProofRecord.dimension`),
+and no Q_k is evaluated at a pair point (the lemma of
+`check_multiplicity`).
 A transversal lies inside Q_k, of degree n-1, when it meets Q_k at n
 points counted with multiplicity, which the flats it meets provide
 (`_pair_failure`, `_family_failure`); no Q_k is restricted to a line.
@@ -34,6 +35,7 @@ from itertools import combinations, islice
 
 from . import exactla as la
 from . import maps
+from .lattice import det_m_failure
 from .mpoly import Evaluator, Poly
 from .projgeo import (
     Flat,
@@ -41,10 +43,10 @@ from .projgeo import (
     ProjPoint,
     cone_hyperplane,
     flat_meet,
+    flats_bound,
     genericity_check,
     meeting_param,
     parametrize_flat,
-    restriction_bound,
     transversal_through,
 )
 from .scalar import seeded_rng
@@ -296,8 +298,11 @@ def _family_lines(ctx, m, p, w):
 # ---- the 13 suite checks ------------------------------------------------
 
 
-def check_genericity(inst):
-    rep = genericity_check(inst.flats, inst.ctx, seed=inst.seed, attempt=inst.retries)
+def check_genericity(inst, proofs):
+    """`projgeo.genericity_check`, with (e) read off the record's bounds."""
+    rep = genericity_check(
+        inst.flats, inst.ctx, seed=inst.seed, attempt=inst.retries, bound=proofs.bound
+    )
     if rep.ok:
         conditions = ["canonical", "intersections", "transversals", "dimension"]
         return _passed("genericity", {"conditions": conditions})
@@ -305,34 +310,41 @@ def check_genericity(inst):
 
 
 def check_determinantal(inst, vmap, proofs):
-    """Expand every Q_i by two expansions of two different matrices and tie
-    it to the stored Q_i.
+    """Prove every stored Q_i equal to det(M_i) by two strategies and tie
+    it to the stored component.
 
-    The record's Q_i, read off one `minor_dp` expansion of the maximal
-    minors of columns 1..n of B by the cofactor lemma (`maps.compute_all_Q`,
-    which checks that x_i divides each minor term by term), must equal the
-    `bareiss` expansion of det(M_i), `maps.matrix_M` on the record's B, then
-    the stored Q_i, and the record's tie of the stored component to x_i·Q_i
-    must be zero.  That det(B_i) = x_i·det(M_i) is the theorem of
-    `maps.compute_Q`, which holds for every canonical instance, so det(B_i)
-    is cited, not expanded.  The degree n-1 of det(M_i), its
-    vanishing on the flats j != i and its nonzero vertex values are
-    theorems too (`maps.compute_Q`, `maps.build_forward_map`), so they are
-    not replayed either.
+    Each stored Q_i must be a form of degree n-1 equal to det(M_i) by its
+    values on a lattice (`lattice.det_m_failure`), and equal to the
+    record's Q_i, read off one `minor_dp` expansion of the maximal minors
+    of columns 1..n of B by the cofactor lemma (`maps.compute_all_Q`, which
+    checks that x_i divides each minor term by term); the record's tie of
+    the stored component to x_i·Q_i must be zero.  det(B_i) = x_i·det(M_i),
+    the vanishing of det(M_i) on the flats j != i and its nonzero vertex
+    values are theorems (`maps.compute_Q`, `maps.build_forward_map`), so
+    they are cited, not replayed.
     """
-    b = proofs.matrix()
-    term_counts = []
+    n = inst.n
+    for i, q in enumerate(vmap.Q):
+        degree = next((sum(e) for e in q.terms if sum(e) != n - 1), None)
+        if degree is not None:
+            reason = f"a term of degree {degree}, not {n - 1}"
+            return _failed("determinantal", {"i": i, "reason": reason})
+    failure = det_m_failure(inst.flats, vmap.Q, inst.ctx.p)
+    if failure is not None:
+        return _failed("determinantal", failure)
     for i, q in enumerate(proofs.determinants()[0]):
-        if q != la.det_poly_matrix(maps.matrix_M(inst.flats, i, b), "bareiss"):
-            return _failed("determinantal", {"i": i, "reason": "strategies disagree"})
         if q != vmap.Q[i]:
-            return _failed("determinantal", {"i": i, "reason": "stored Q differs"})
+            return _failed("determinantal", {"i": i, "reason": "strategies disagree"})
         if proofs.ties()[i]:
             return _failed("determinantal", {"i": i, "reason": "stored component differs"})
-        term_counts.append(len(q.terms))
     return _passed(
         "determinantal",
-        {"degree": inst.n - 1, "terms": term_counts, "strategies": ["minor_dp", "bareiss"]},
+        {
+            "degree": n - 1,
+            "terms": [len(q.terms) for q in vmap.Q],
+            "points": math.comb(2 * n - 1, n),
+            "strategies": ["minor_dp", "lattice-values"],
+        },
     )
 
 
@@ -827,12 +839,14 @@ class ProofRecord:
     of the same instance, proves everything again.  A proof that raises
     keeps nothing: the crash recurs in every check that reads the fact.  In
     a report the map carries the instance's flats.  The record of the dual
-    instance is itself a fact (`dual`), with facts of its own.  README
-    lists which checks prove and read each fact.
+    instance is itself a fact (`dual`), with facts of its own, and `parent`
+    is the record it belongs to.  README lists which checks prove and read
+    each fact.
     """
 
-    def __init__(self, inst, vmap, inv, seed):
+    def __init__(self, inst, vmap, inv, seed, parent=None):
         self.inst, self.vmap, self.inv, self.seed = inst, vmap, inv, seed
+        self.parent = parent
         self._facts = {}
 
     def _fact(self, key, prove):
@@ -840,33 +854,40 @@ class ProofRecord:
             self._facts[key] = prove()
         return self._facts[key]
 
+    def bound(self, name):
+        """`projgeo.flats_bound` on the flats' matrix A ("A") or on Aᵀ
+        ("Aᵀ"), read by genericity (e) and `dimension`.  The dual record's A
+        is b, and it reads its parent's Aᵀ bound when b equals Aᵀ entry by
+        entry."""
+        def prove():
+            parent, a = self.parent, [f.a for f in self.inst.flats]
+            if parent and name == "A" and list(zip(*(f.a for f in parent.inst.flats))) == a:
+                return parent.bound("Aᵀ")
+            return flats_bound(self.inst.flats, name)
+
+        return self._fact(("bound", name), prove)
+
     def dimension(self):
-        """The degree-n dimension: n+1 when `projgeo.restriction_bound` on
-        the flats' matrix A is n+1, since the lemma of `check_dimension`
-        gives n+1 from below, and otherwise the eliminated dimension of
+        """The degree-n dimension: n+1 when the restriction bound on A is
+        n+1 (`bound`), since the lemma of `check_dimension` gives n+1 from
+        below, and otherwise the eliminated dimension of
         `maps.linear_system_dimension`, so a failing check names it."""
         def prove():
             inst = self.inst
-            if restriction_bound([f.a for f in inst.flats]) == inst.n + 1:
+            if self.bound("A") == inst.n + 1:
                 return inst.n + 1
             return maps.linear_system_dimension(inst.flats, inst.n, inst.ctx)
 
         return self._fact("dimension", prove)
 
-    def matrix(self):
-        """The defining matrix B of the flats."""
-        return self._fact("matrix", lambda: maps.build_matrix_B(self.inst.flats, self.inst.ctx))
-
     def determinants(self):
         """(Q, components): every det(M_i) and x_i·det(M_i), read off one
-        expansion of the maximal minors of the record's B:
+        expansion of the maximal minors of the flats' matrix B:
         `maps.compute_all_Q`.  det(B_i) = x_i·det(M_i) is the theorem of
         `maps.compute_Q`, and the cofactor lemma of `compute_all_Q` gives
         det(B_i) as a maximal minor."""
         inst = self.inst
-        return self._fact(
-            "determinants", lambda: maps.compute_all_Q(inst.flats, inst.ctx, self.matrix())
-        )
+        return self._fact("determinants", lambda: maps.compute_all_Q(inst.flats, inst.ctx))
 
     def ties(self):
         """v_i − x_i·det(M_i) for every i, the record's component of
@@ -892,7 +913,7 @@ class ProofRecord:
             dual = maps.VeneroniMap(
                 self.inst.n, ctx, flats, determinants[0], self.inv.inverse_components
             )
-            record = ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed)
+            record = ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed, self)
             record._facts["determinants"] = determinants
             return record
 
@@ -962,7 +983,10 @@ def run_suite(
             res.ms = round((time.perf_counter() - t0) * 1000.0, 3)
         report.checks.append(res)
 
-    runner("genericity", lambda: check_genericity(inst))
+    # shared facts live for this report only: the same instance verified
+    # again proves them again
+    proofs = ProofRecord(inst, vmap, inv, seed)
+    runner("genericity", lambda: check_genericity(inst, proofs))
     if construction_error is not None:
         report.checks.append(
             _failed("determinantal", {"construction": construction_error})
@@ -970,9 +994,6 @@ def run_suite(
         for name in CHECK_ORDER[2:]:
             report.checks.append(_skipped(name, "construction failed"))
         return report.finalize()
-    # shared facts live for this report only: the same instance verified
-    # again proves them again
-    proofs = ProofRecord(inst, vmap, inv, seed)
     runner("determinantal", lambda: check_determinantal(inst, vmap, proofs))
     runner("linear-system-dimension", lambda: check_dimension(inst, proofs))
     runner("basis-property", lambda: check_basis(inst, vmap, proofs))

@@ -21,7 +21,7 @@ from .projgeo import (
 )
 from .scalar import FieldCtx
 
-GENERATE_RANGE = (2, 6)
+GENERATE_RANGE = (2, 7)
 
 
 def parse_field(text):

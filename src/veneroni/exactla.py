@@ -7,13 +7,13 @@ the nonzero entries: rationals over Q and plain-int residues mod p over F_p;
 take list rows or dict rows; rref, nullspace and solve take and return
 lists of lists and convert at their boundary.
 Determinants accept matrices whose entries are polynomials as
-well as scalars, and come in two independent implementations so results can
-be cross-checked:
+well as scalars, and come in two independent implementations:
 
 * `det_laplace` - cofactor expansion memoized over column subsets, the
-  default route (no division at all, so it never needs exact quotients);
+  route of every build and verify (no division at all, so it never needs
+  exact quotients);
 * `det_bareiss` - fraction-free elimination whose interior divisions are
-  exact by Sylvester's identity.
+  exact by Sylvester's identity, run only by the tests, as an oracle.
 
 The subset expansion, `_minor_dp`, runs on k x c matrices, k <= c, and
 gives every maximal minor from one pass (`maximal_minors`); `det_laplace`

@@ -36,6 +36,7 @@ __all__ = [
     "random_general_flats",
     "genericity_check",
     "restriction_bound",
+    "flats_bound",
 ]
 
 
@@ -341,7 +342,7 @@ class GenericityReport:
     failures: list
 
 
-def genericity_check(flats, ctx, seed=0, attempt=0):
+def genericity_check(flats, ctx, seed=0, attempt=0, bound=None):
     """Certify that a flat list is general enough for the whole pipeline.
 
     Checks (a) canonical nonzero pattern, (b) pairwise intersections of the
@@ -355,8 +356,9 @@ def genericity_check(flats, ctx, seed=0, attempt=0):
     to zero, so det(B_i) = x_i det(M_i) identically (`maps.compute_Q`).
     (e) the degree-n system through the flats and the one through the dual
     flats, the rows of A^T, both have dimension n+1, by a
-    `restriction_bound` of n+1 on A and on A^T.  Failures are named; the
-    report carries all of them.
+    `restriction_bound` of n+1 on A and on A^T: `bound(name)`, name "A" or
+    "Aᵀ", where the caller keeps them (`checks.ProofRecord.bound`), else
+    `flats_bound`.  Failures are named; the report carries all of them.
     """
     failures = []
     n1 = len(flats)
@@ -384,12 +386,17 @@ def genericity_check(flats, ctx, seed=0, attempt=0):
         else:
             failures.append(f"c: point {p.format()} with flats {pending[0]} gave family")
     if not failures:
-        a = [f.a for f in flats]
-        for name, rows in (("A", a), ("Aᵀ", list(zip(*a)))):
-            bound = restriction_bound(rows)
-            if bound != n1:
-                failures.append(f"e: restriction bound on {name} is {bound}, expected {n1}")
+        for name in ("A", "Aᵀ"):
+            got = bound(name) if bound else flats_bound(flats, name)
+            if got != n1:
+                failures.append(f"e: restriction bound on {name} is {got}, expected {n1}")
     return GenericityReport(ok=not failures, failures=failures)
+
+
+def flats_bound(flats, name):
+    """`restriction_bound` on the flats' matrix A, name "A", or on Aᵀ, "Aᵀ"."""
+    a = [f.a for f in flats]
+    return restriction_bound(a if name == "A" else list(zip(*a)))
 
 
 def _independent(rows, ctx):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from veneroni import checks
 from veneroni import exactla as la
-from veneroni import maps, projgeo
+from veneroni import lattice, maps, projgeo
 from veneroni.checks import CHECK_ORDER
 from veneroni.mpoly import Evaluator, Poly
 from veneroni.projgeo import (
@@ -512,8 +512,8 @@ def test_verify_recertifies_the_attempt_that_generate_accepted(monkeypatch):
     calls = []
     certify = projgeo.genericity_check
 
-    def recorded(flats, ctx, seed=0, attempt=0):
-        report = certify(flats, ctx, seed=seed, attempt=attempt)
+    def recorded(flats, ctx, seed=0, attempt=0, bound=None):
+        report = certify(flats, ctx, seed=seed, attempt=attempt, bound=bound)
         calls.append((seed, attempt, report))
         return report
 
@@ -681,14 +681,15 @@ FP31 = FieldCtx.prime(2147483647)
         # its vanishing is cited.  B and the dual flats' B' are built once
         # each, and one expansion of maximal minors gives the record's Q_i
         # and one the dual Q'_i.  The n = 3 family's count reads the
-        # record's meet of each of the six pairs
+        # record's meet of each of the six pairs.  A and Aᵀ are bounded
+        # once each, for genericity (e) and both dimensions
         (
             3, QQ, "full",
             {
                 "vanishes_on_flat": 0, "_n3_family": 1, "maximal_minors": 2,
-                "build_matrix_B": 2, "flat_meet": 6, "partial": 0,
+                "build_matrix_B": 2, "flat_meet": 6, "partial": 0, "flats_bound": 2,
             },
-            {"ties": 1, "dimension": 1},
+            {"ties": 1, "dimension": 1, ("bound", "A"): 1},
         ),
         # the same over F_p: each of the 10 pairs of flats met once, by the
         # record, for every check, and no partial but Q_0's five, for the
@@ -697,9 +698,9 @@ FP31 = FieldCtx.prime(2147483647)
             4, FP31, "fast",
             {
                 "vanishes_on_flat": 0, "_n3_family": 0, "maximal_minors": 2,
-                "build_matrix_B": 2, "flat_meet": 10, "partial": 5,
+                "build_matrix_B": 2, "flat_meet": 10, "partial": 5, "flats_bound": 2,
             },
-            {"ties": 1, "dimension": 1},
+            {"ties": 1, "dimension": 1, ("bound", "A"): 1},
         ),
     ],
     ids=["n3-qq-full", "n4-fp-fast"],
@@ -734,14 +735,17 @@ def test_each_shared_fact_is_proved_once_per_report(
         (checks, "_n3_family"),
         (checks, "flat_meet"),
         (Poly, "partial"),
+        (checks, "flats_bound"),
     ):
         counted(owner, name)
     monkeypatch.setattr(checks.ProofRecord, "_fact", proving)
-    # B, the det(M_i), the ties, the hypotheses of the zero counts, (at
-    # n = 3) the family's count, the meet of each pair of flats and the
-    # dual record; then the dual record's own facts
+    # the bounds on A and Aᵀ, the det(M_i), the ties, the hypotheses of
+    # the zero counts, (at n = 3) the family's count, the meet of each pair
+    # of flats and the dual record; then the dual record's own facts, whose
+    # bound on b = Aᵀ is the record's on Aᵀ
     once = {
-        ("map", "matrix"): 1,
+        ("map", ("bound", "A")): 1,
+        ("map", ("bound", "Aᵀ")): 1,
         ("map", "determinants"): 1,
         ("map", "ties"): 1,
         ("map", "hypotheses"): 1,
@@ -753,8 +757,8 @@ def test_each_shared_fact_is_proved_once_per_report(
     assert checks.run_suite(inst, vmap, inv, level=level).ok
     assert {name: calls[name] for name in expected} == expected
     assert {key: built[key] for key in once} == once
-    assert sorted(key for role, key in built if role == "dual") == sorted(
-        key for key, count in dual_facts.items() if count
+    assert sorted((key for role, key in built if role == "dual"), key=str) == sorted(
+        (key for key, count in dual_facts.items() if count), key=str
     )
     # a second report of the same instance proves everything again
     assert checks.run_suite(inst, vmap, inv, level=level).ok
@@ -765,26 +769,33 @@ def test_each_shared_fact_is_proved_once_per_report(
 def test_a_build_and_a_verify_each_expand_the_minors_twice(monkeypatch):
     # a build expands the maximal minors of the flats and of the dual
     # flats; a passing verify those of its record and of the dual record,
-    # and eliminates each det(M_i) by Bareiss.  No det(M_i) runs minor_dp
+    # and proves each det(M_i) by values on a lattice.  No polynomial
+    # determinant runs Bareiss, and no det(M_i) runs minor_dp
     inst = random_general_flats(4, 11, FP31)
     calls = Counter()
     minors, det = la.maximal_minors, la.det_poly_matrix
+    minor_dp, bareiss = la._minor_dp, la._bareiss
 
-    def counted_minors(m):
-        calls["maximal_minors"] += 1
-        return minors(m)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
 
     def counted_det(m, strategy="minor_dp"):
         calls[strategy] += 1
         return det(m, strategy)
 
-    monkeypatch.setattr(la, "maximal_minors", counted_minors)
+    monkeypatch.setattr(la, "maximal_minors", counted("maximal_minors", minors))
+    monkeypatch.setattr(la, "_minor_dp", counted("_minor_dp", minor_dp))
+    monkeypatch.setattr(la, "_bareiss", counted("_bareiss", bareiss))
     monkeypatch.setattr(la, "det_poly_matrix", counted_det)
     vmap, inv = checks.build_all(inst)
-    assert calls == {"maximal_minors": 2}
+    assert calls == {"maximal_minors": 2, "_minor_dp": 2}
     calls.clear()
     assert checks.run_suite(inst, vmap, inv, level="fast").ok
-    assert calls == {"maximal_minors": 2, "bareiss": 5}
+    assert calls == {"maximal_minors": 2, "_minor_dp": 2}
 
 
 @pytest.mark.parametrize("n", [3, 4], ids=["n3", "n4"])
@@ -920,12 +931,13 @@ def test_a_crashed_proof_crashes_every_check_that_reads_it(monkeypatch, field):
     def crash(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(checks, "restriction_bound", crash)
+    monkeypatch.setattr(checks, "flats_bound", crash)
     report = checks.run_suite(inst, vmap, inv)
     failed = [c for c in report.checks if c.status == "fail"]
-    # the checks that read the degree-n dimension, the map's or the dual's
+    # the checks that read a restriction bound: genericity (e) and the
+    # degree-n dimension, the map's or the dual's
     assert [c.name for c in failed] == [
-        "linear-system-dimension", "basis-property", "dual-dimension"
+        "genericity", "linear-system-dimension", "basis-property", "dual-dimension"
     ]
     assert all(c.witness == {"error": "RuntimeError: boom"} for c in failed)
 
@@ -1160,11 +1172,90 @@ def test_a_passing_verify_eliminates_no_linear_system(monkeypatch, field, n):
 def test_determinantal_fails_by_name_when_the_strategies_disagree(monkeypatch):
     inst = random_general_flats(3, 11, QQ)
     vmap, inv = checks.build_all(inst)
-    bareiss = la.det_bareiss
-    monkeypatch.setattr(la, "det_bareiss", lambda m: bareiss(m) + Poly.const(QQ.one, 4))
-    res = {c.name: c for c in checks.run_suite(inst, vmap, inv, level="fast").checks}
-    assert res["determinantal"].status == "fail"
-    assert res["determinantal"].witness == {"i": 0, "reason": "strategies disagree"}
+    # a tampered lattice value of Q_2, at the sixth point
+    values = lattice.form_values
+    seen = []
+
+    def tampered(terms, grid):
+        v = values(terms, grid)
+        seen.append(v)
+        if len(seen) == 3:
+            v[5] += 1
+        return v
+
+    monkeypatch.setattr(lattice, "form_values", tampered)
+    res = by_name(checks.run_suite(inst, vmap, inv, level="fast"))
+    point = [1, *lattice.grid(3)[0][5]]
+    want = {"i": 2, "point": point, "reason": "Q_i differs from det(M_i)"}
+    assert (res["determinantal"].status, res["determinantal"].witness) == ("fail", want)
+    # the record's expansion of the maximal minors, off by one in Q_1
+    monkeypatch.setattr(lattice, "form_values", values)
+    compute_all_q = maps.compute_all_Q
+
+    def off(flats, ctx, b=None):
+        qs, components = compute_all_q(flats, ctx, b)
+        return [q + Poly.const(QQ.one, 4) if r == 1 else q for r, q in enumerate(qs)], components
+
+    monkeypatch.setattr(maps, "compute_all_Q", off)
+    res = by_name(checks.run_suite(inst, vmap, inv, level="fast"))
+    assert res["determinantal"].witness == {"i": 1, "reason": "strategies disagree"}
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
+@settings(max_examples=15, deadline=None)
+@given(coeffs=canonical_coefficients())
+@example(coeffs=[a for _, a in NON_GENERAL_N4])
+@example(coeffs=SMALL_N4)
+def test_the_lattice_proves_every_q_of_the_flats_and_the_dual_flats(ctx, coeffs):
+    # general instance or not: the record's Q_i pass the lattice proof of
+    # `determinantal`, and Bareiss's elimination of each det(M_i) agrees
+    a = [[ctx.convert(c) for c in row] for row in coeffs]
+    for rows in (a, [list(col) for col in zip(*a)]):  # the flats, then the dual flats
+        flats = [Flat(j, tuple(row)) for j, row in enumerate(rows)]
+        qs = maps.compute_all_Q(flats, ctx)[0]
+        assert lattice.det_m_failure(flats, qs, ctx.p) is None
+        b = maps.build_matrix_B(flats, ctx)
+        for r, q in enumerate(qs):
+            assert q == la.det_bareiss(maps.matrix_M(flats, r, b))
+
+
+@st.composite
+def changed_coefficient(draw):
+    """A built map of seed 5, n = 2..5, with one coefficient of one Q_k,
+    of any monomial of degree n-1, changed by a nonzero delta."""
+    field = draw(st.sampled_from(FIELDS), label="field")
+    n = draw(st.integers(2, 5), label="n")
+    inst, vmap, inv = _built(n, field)
+    k = draw(st.integers(0, n), label="k")
+    e = draw(st.sampled_from(maps.monomials_of_degree(n + 1, n - 1)), label="e")
+    delta = field.from_int(draw(st.integers(1, 9), label="delta"))
+    qs = list(vmap.Q)
+    qs[k] = qs[k] + Poly(n + 1, {e: delta})
+    return inst, dataclasses.replace(vmap, Q=qs), inv, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=changed_coefficient())
+def test_any_changed_coefficient_fails_determinantal_at_a_named_lattice_point(case):
+    inst, vmap, inv, k = case
+    res = checks.check_determinantal(inst, vmap, record(inst, vmap, inv))
+    assert res.status == "fail"
+    point = res.witness.pop("point")
+    assert res.witness == {"i": k, "reason": "Q_i differs from det(M_i)"}
+    assert point[0] == 1 and tuple(point[1:]) in lattice.grid(inst.n)[0]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["qq", "fp"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_q_term_of_the_wrong_degree_fails_determinantal_by_name(field, n):
+    inst, vmap, inv = _built(n, field)
+    for extra in ((0,) * (n + 1), (1,) * (n + 1)):
+        qs = list(vmap.Q)
+        qs[1] = qs[1] + Poly(n + 1, {extra: field.one})
+        bad = dataclasses.replace(vmap, Q=qs)
+        res = checks.check_determinantal(inst, bad, record(inst, bad, inv))
+        reason = f"a term of degree {sum(extra)}, not {n - 1}"
+        assert (res.status, res.witness) == ("fail", {"i": 1, "reason": reason})
 
 
 @pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])

@@ -144,10 +144,22 @@ def test_generate_is_byte_identical(tmp_path):
 
 
 def test_generate_range_enforced(capsys):
-    rc, _, err = run(capsys, ["generate", "-n", "7"])
+    rc, _, err = run(capsys, ["generate", "-n", "8"])
     assert rc == 2
-    assert "must be in 2..6" in err
+    assert "must be in 2..7" in err
     assert run(capsys, ["generate", "-n", "1"])[0] == 2
+
+
+def test_n7_generates_builds_and_verifies_fast(tmp_path, capsys):
+    # the top of the generate range: every check passes but the demos,
+    # which level fast skips
+    flats, built, report = (tmp_path / name for name in ("flats.json", "map.json", "r.json"))
+    field = ["--field", "fp:2147483647"]
+    assert run(capsys, ["generate", "-n", "7", "--seed", "5", *field, "-o", str(flats)])[0] == 0
+    assert run(capsys, ["build", "-i", str(flats), "-o", str(built)])[0] == 0
+    assert run(capsys, ["verify", "-i", str(built), "--level", "fast", "-o", str(report)])[0] == 0
+    statuses = {c["name"]: c["status"] for c in json.loads(report.read_text())["checks"]}
+    assert statuses == {name: "skip" if name == "demos" else "pass" for name in CHECK_ORDER}
 
 
 def test_generate_fp_field(capsys):

@@ -84,7 +84,7 @@ def test_export_scan_sees_a_stale_name():
 
 # each module may import only the modules before it, and the package
 # `__init__` (for `__version__`), which itself imports only `scalar`
-LAYERS = ("scalar", "mpoly", "exactla", "projgeo", "maps", "checks", "cli")
+LAYERS = ("scalar", "mpoly", "exactla", "projgeo", "maps", "lattice", "checks", "cli")
 
 
 def package_imports(tree):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veneroni import exactla as la
-from veneroni import maps
-from veneroni.mpoly import Evaluator, Poly
+from veneroni import lattice, maps
+from veneroni.mpoly import Evaluator, Poly, _lower
 from veneroni.projgeo import (
     Flat,
     ProjPoint,
@@ -14,7 +14,7 @@ from veneroni.projgeo import (
     random_general_flats,
     transversal_through,
 )
-from veneroni.scalar import FieldCtx, Fp, seeded_rng
+from veneroni.scalar import FieldCtx, Fp, Rational, seeded_rng
 
 from oracles import (
     div_var,
@@ -588,3 +588,12 @@ def test_reduction_mod_p_commutes_with_the_construction(n, seed, j, den):
     assert [reduce_poly(c, FP) for c in vmap.components] == vmap_p.components
     assert [reduce_mod_p(row, FP) for row in inv.b] == inv_p.b
     assert [reduce_poly(c, FP) for c in inv.inverse_components] == inv_p.inverse_components
+    # the values of each Q_i on the lattice of `determinantal`, over Q
+    # numerators over its denominator, reduce to those over F_p
+    points = lattice.grid(n)
+    for q, q_p in zip(vmap.Q, vmap_p.Q):
+        terms, dq = _lower(q.terms, None)
+        values = [Rational(v, dq) for v in lattice.form_values(terms, points)]
+        values_p = lattice.form_values(_lower(q_p.terms, FP.p)[0], points)
+        assert reduce_mod_p(values, FP) == [Fp(v, FP.p) for v in values_p]
+    assert lattice.det_m_failure(reduced, vmap_p.Q, FP.p) is None
