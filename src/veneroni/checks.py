@@ -12,9 +12,9 @@ expansion f_i·Q_i = sum_j b_{i,j}·v_j once b = A^T in `b-matrix` and
 `composition`, the meeting of a computed transversal with its flats, the
 algebra of the n = 3 family, the multiplicity of each det(M_k) along the
 other flats' pairwise intersections), it cites the proof instead of
-testing it: det(B_i) is never expanded (the record reads x_i·det(M_i)
-off the maximal minors of columns 1..n of B, and the values of each
-det(M_i) on a lattice prove it again), no leave-one-out system is
+testing it: det(B_i) is never expanded (the values of each det(M_i) on
+a lattice prove the stored Q_i equal to it, and x_i·Q_i is Q_i with its
+exponents shifted), no leave-one-out system is
 eliminated (the lemma of `check_dimension`), no degree-n system is
 eliminated once its restriction bound is n+1 (`ProofRecord.dimension`),
 and no Q_k is evaluated at a pair point (the lemma of
@@ -310,40 +310,30 @@ def check_genericity(inst, proofs):
 
 
 def check_determinantal(inst, vmap, proofs):
-    """Prove every stored Q_i equal to det(M_i) by two strategies and tie
-    it to the stored component.
+    """Prove every stored Q_i equal to det(M_i) by its values on a lattice
+    and tie it to the stored component.
 
-    Each stored Q_i must be a form of degree n-1 equal to det(M_i) by its
-    values on a lattice (`lattice.det_m_failure`), and equal to the
-    record's Q_i, read off one `minor_dp` expansion of the maximal minors
-    of columns 1..n of B by the cofactor lemma (`maps.compute_all_Q`, which
-    checks that x_i divides each minor term by term); the record's tie of
-    the stored component to x_i·Q_i must be zero.  det(B_i) = x_i·det(M_i),
-    the vanishing of det(M_i) on the flats j != i and its nonzero vertex
-    values are theorems (`maps.compute_Q`, `maps.build_forward_map`), so
-    they are cited, not replayed.
+    Each stored Q_i must be a form of degree n-1 equal to det(M_i) at every
+    point of a lattice, which proves it (`ProofRecord.lattice`), and the
+    record's tie of the stored component to x_i·Q_i must be zero.
+    det(B_i) = x_i·det(M_i), the vanishing of det(M_i) on the flats j != i
+    and its nonzero vertex values are theorems (`maps.compute_Q`,
+    `maps.build_forward_map`), so they are cited, not replayed.
     """
-    n = inst.n
-    for i, q in enumerate(vmap.Q):
-        degree = next((sum(e) for e in q.terms if sum(e) != n - 1), None)
-        if degree is not None:
-            reason = f"a term of degree {degree}, not {n - 1}"
-            return _failed("determinantal", {"i": i, "reason": reason})
-    failure = det_m_failure(inst.flats, vmap.Q, inst.ctx.p)
+    failure = proofs.lattice()
     if failure is not None:
         return _failed("determinantal", failure)
-    for i, q in enumerate(proofs.determinants()[0]):
-        if q != vmap.Q[i]:
-            return _failed("determinantal", {"i": i, "reason": "strategies disagree"})
-        if proofs.ties()[i]:
+    for i, tie in enumerate(proofs.ties()):
+        if tie:
             return _failed("determinantal", {"i": i, "reason": "stored component differs"})
+    n = inst.n
     return _passed(
         "determinantal",
         {
             "degree": n - 1,
             "terms": [len(q.terms) for q in vmap.Q],
             "points": math.comb(2 * n - 1, n),
-            "strategies": ["minor_dp", "lattice-values"],
+            "proof": "lattice-values",
         },
     )
 
@@ -520,11 +510,12 @@ def _hypotheses_failure(proofs):
     """Why the zero counts of `_pair_failure` and `_family_failure` and the
     lemma of `check_multiplicity` cannot be cited: a witness, or None.
 
-    (H1) Each stored Q_k is the record's det(M_k), so it lies in the ideal
-    I_m = (x_m, f_m) of every flat m != k (`maps.build_forward_map`) and
-    vanishes on flat m.  (H2) At n >= 4 each pair meet has dimension n-4,
-    so I_a ∩ I_b = I_a·I_b and every Q_k, k not in {a, b}, is double along
-    flat_a ∩ flat_b (`check_multiplicity`).
+    (H1) Each stored Q_k is det(M_k), proved by the record's `lattice`
+    fact, so it lies in the ideal I_m = (x_m, f_m) of every flat m != k
+    (`maps.build_forward_map`) and vanishes on flat m.  (H2) At n >= 4
+    each pair meet has dimension n-4, so I_a ∩ I_b = I_a·I_b and every
+    Q_k, k not in {a, b}, is double along flat_a ∩ flat_b
+    (`check_multiplicity`).
     """
     failure = _stored_q_failure(proofs)
     vmap = proofs.vmap
@@ -538,16 +529,15 @@ def _hypotheses_failure(proofs):
 
 
 def _stored_q_failure(proofs):
-    """(H1): the first stored Q_k other than the record's det(M_k), or None."""
-    for k, det in enumerate(proofs.determinants()[0]):
-        if det != proofs.vmap.Q[k]:
-            return {"k": k, "reason": "stored Q differs"}
-    return None
+    """(H1): the first stored Q_k other than det(M_k), by the record's
+    `lattice` fact, or None."""
+    failure = proofs.lattice()
+    return None if failure is None else {"k": failure["i"], "reason": "stored Q differs"}
 
 
 def _construction_failure(proofs):
     """Why the stored components are not the construction's x_i·det(M_i):
-    (H1), each stored Q_k the record's det(M_k), then the record's ties
+    (H1), each stored Q_k det(M_k), then the record's ties
     v_i − x_i·Q_i, all zero; the first witness, or None."""
     failure = _stored_q_failure(proofs)
     if failure is not None:
@@ -694,7 +684,7 @@ def check_multiplicity(vmap, proofs):
     coordinates makes them y_1..y_4, and I_i ∩ I_j = (y_1, y_2) ∩ (y_3, y_4)
     = I_i·I_j, inside (I_i + I_j)^2.  So Q_k and each of its partials lie in
     I_i + I_j and vanish on all of flat_i ∩ flat_j, over any field.  The
-    stored Q_k must be the record's det(M_k), and every pair meet must have
+    stored Q_k must be det(M_k), and every pair meet must have
     dimension n-4: (H1) and (H2) of `_hypotheses_failure`.  No Q_k is
     evaluated at a pair point.
     """
@@ -880,42 +870,41 @@ class ProofRecord:
 
         return self._fact("dimension", prove)
 
-    def determinants(self):
-        """(Q, components): every det(M_i) and x_i·det(M_i), read off one
-        expansion of the maximal minors of the flats' matrix B:
-        `maps.compute_all_Q`.  det(B_i) = x_i·det(M_i) is the theorem of
-        `maps.compute_Q`, and the cofactor lemma of `compute_all_Q` gives
-        det(B_i) as a maximal minor."""
-        inst = self.inst
-        return self._fact("determinants", lambda: maps.compute_all_Q(inst.flats, inst.ctx))
+    def lattice(self):
+        """(H1): `lattice.det_m_failure` of the stored Q_i, the witness of
+        the smallest i at which Q_i is not det(M_i), or None when the
+        lattice proves every Q_i = det(M_i)."""
+        inst, vmap = self.inst, self.vmap
+        return self._fact("lattice", lambda: det_m_failure(inst.flats, vmap.Q, inst.ctx.p))
 
     def ties(self):
-        """v_i − x_i·det(M_i) for every i, the record's component of
-        `determinants`: zero, once the stored Q_i is the record's, when the
-        stored component is x_i·Q_i."""
+        """v_i − x_i·Q_i for every i, with Q_i the record map's own: zero,
+        once the stored Q_i is det(M_i), when the stored component is the
+        construction's x_i·det(M_i).  x_i·Q_i shifts the exponents of Q_i:
+        no product is formed and nothing is expanded."""
         def prove():
-            return [v - c for v, c in zip(self.vmap.components, self.determinants()[1])]
+            vmap = self.vmap
+            return [
+                v - Poly(q.nvars, {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in q.terms.items()})
+                for i, (v, q) in enumerate(zip(vmap.components, vmap.Q))
+            ]
 
         return self._fact("ties", prove)
 
     def dual(self):
         """The record of the dual instance, or None when a row of b is off
         the canonical pattern.  Its flats (y_i, g_i) are the rows of b, its
-        components the stored inverse components, and its Q'_i from one
-        `maps.compute_all_Q` of the rows, kept as its `determinants`.  It
-        has no inverse data."""
+        components the stored inverse components, and its map's Q'_i come
+        from one `maps.compute_all_Q` of the rows, so its ties compare each
+        w_i with y_i·Q'_i.  It has no inverse data."""
         def prove():
             flats = [Flat(i, tuple(row)) for i, row in enumerate(self.inv.b)]
             if not all(f.is_canonical() for f in flats):
                 return None
             ctx = self.inst.ctx
-            determinants = maps.compute_all_Q(flats, ctx)
-            dual = maps.VeneroniMap(
-                self.inst.n, ctx, flats, determinants[0], self.inv.inverse_components
-            )
-            record = ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed, self)
-            record._facts["determinants"] = determinants
-            return record
+            qs = maps.compute_all_Q(flats, ctx)[0]
+            dual = maps.VeneroniMap(self.inst.n, ctx, flats, qs, self.inv.inverse_components)
+            return ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed, self)
 
         return self._fact("dual", prove)
 

@@ -152,6 +152,9 @@ def map_from_dict(d):
         Flat(rec["j"], tuple(ctx.parse(s) for s in rec["f2"]))
         for rec in d["dual_flats"]
     ]
+    # an int j off its index is data, failed by `dual-dimension`
+    if any(type(f.j) is not int or len(f.a) != n1 for f in duals):
+        raise ValueError(f"dual_flats: expected an integer j and {n1} coefficients each")
     inv = maps.InverseData(b=b, g=g, inverse_components=icomps, dual_flats=duals)
     return inst, vmap, inv
 

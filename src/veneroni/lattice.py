@@ -1,4 +1,4 @@
-"""The second proof of Q_i = det(M_i): values on the lattice of P^n.
+"""The proof of each stored Q_i = det(M_i): values on the lattice of P^n.
 
 `det_m_failure` holds the lemma that makes it a proof; `form_values` and
 `det_int` give its two sides in integers, with no polynomial multiplied.
@@ -78,9 +78,10 @@ def det_int(a):
 
 
 def det_m_failure(flats, qs, p):
-    """The first Q_i, with its lattice point, at which Q_i, a form of degree
-    n-1, and det(M_i) of the flats differ: a witness, or None when
-    Q_i = det(M_i) for every i.  p is the field's prime, None over Q.
+    """The smallest i at which Q_i is not det(M_i) of the flats, with its
+    first term of degree other than n-1 or else the first lattice point
+    where they differ: a witness, or None when Q_i = det(M_i) for every i.
+    p is the field's prime, None over Q.
 
     Lemma.  Let d = n-1.  A form of degree d in x_0..x_n is fixed by its
     values at the points (1, β) of the `grid`, once 0..d are distinct in
@@ -91,9 +92,9 @@ def det_m_failure(flats, qs, p):
     unit.  So the values on the lattice, ordered by |β|, are a triangular
     image of the coefficients with a unit diagonal, and a form of degree d
     that vanishes there is zero.  det(M_i) is a form of degree d: M_i has
-    one column of constants and n-1 of linear forms.  So Q_i = det(M_i)
-    exactly when they agree at every lattice point, and every point is
-    tested.
+    one column of constants and n-1 of linear forms.  So a Q_i with every
+    term of degree d is det(M_i) exactly when they agree at every lattice
+    point, and every point is tested.
 
     The two sides, in integers.  B(1, β) holds, per row j, its entries
     times the common denominator D_j of row j of A (1 over F_p), and each
@@ -112,13 +113,19 @@ def det_m_failure(flats, qs, p):
         row = dict(terms)
         rows.append([row.get(k, 0) for k in range(n1)])
         scales.append(d)
-    sides = []
+    sides, witness = [], None
     for i, q in enumerate(qs):
+        degree = next((sum(e) for e in q.terms if sum(e) != n1 - 2), None)
+        if degree is not None:  # the lattice tests only the smaller i
+            witness = {"i": i, "reason": f"a term of degree {degree}, not {n1 - 2}"}
+            break
         terms, dq = _lower(q.terms, p)
         others = [j for j in range(n1) if j != i]
         unit = math.prod(scales[j] for j in others)
         sides.append((form_values(terms, lattice), unit, dq, others, [-row[i] for row in rows]))
     for at, b in enumerate(lattice[0]):
+        if not sides:
+            break
         x = (1, *b)
         bx = [[c * xk for c, xk in zip(row, x)] for row in rows]
         for j, row in enumerate(bx):
@@ -129,5 +136,8 @@ def det_m_failure(flats, qs, p):
             det = math.prod(bx[k][k] for k in rest if not x[k]) * det_int(m)
             diff = values[at] * unit - det * dq
             if diff % p if p else diff:
-                return {"i": i, "point": list(x), "reason": "Q_i differs from det(M_i)"}
-    return None
+                # later points need only test the smaller i
+                witness = {"i": i, "point": list(x), "reason": "Q_i differs from det(M_i)"}
+                del sides[i:]
+                break
+    return witness

@@ -88,12 +88,11 @@ def matrix_M(flats, i, b):
     return m
 
 
-def compute_Q(flats, i, ctx, b=None):
+def compute_Q(flats, i, ctx):
     """Q_i = det(B_i) / x_i in closed form, as det(M_i) (`matrix_M`) by
-    `minor_dp`; `b` is the flats' matrix B when the caller has built it.
-    The constructors and the proof record take every Q_i at once from
-    `compute_all_Q`; this expansion of one M_i at a time is its oracle in
-    the tests, and `demo` prints Q_0 and Q_1 by it.
+    `minor_dp`.  The constructors and the dual proof record take every Q_i
+    at once from `compute_all_Q`; this expansion of one M_i at a time is
+    its oracle in the tests, and `demo` prints Q_0 and Q_1 by it.
 
     For canonical flats (a_{j,j} = 0) each row of B sums to zero, so row j
     of B_i sums to -a_{j,i} x_i.  Adding every other column of B_i to its
@@ -108,14 +107,12 @@ def compute_Q(flats, i, ctx, b=None):
     B_i vanishes, so M_i(e_i) is lower triangular with diagonal -a_{j,i}
     and Q_i(e_i) = prod_{j != i} (-a_{j,i}) != 0.
     """
-    b = build_matrix_B(flats, ctx) if b is None else b
-    return la.det_poly_matrix(matrix_M(flats, i, b))
+    return la.det_poly_matrix(matrix_M(flats, i, build_matrix_B(flats, ctx)))
 
 
-def compute_all_Q(flats, ctx, b=None):
+def compute_all_Q(flats, ctx):
     """(Q, components): every Q_r and x_r Q_r from one expansion, the n+1
-    maximal minors of the n x (n+1) transpose N of columns 1..n of B;
-    `b` is the flats' matrix B when the caller has built it.
+    maximal minors of the n x (n+1) transpose N of columns 1..n of B.
 
     The rows of B sum to zero, so the n+1 cofactors along each row of B are
     equal (`solve_b_matrix`).  Along row r the cofactor of column 0 is
@@ -126,7 +123,7 @@ def compute_all_Q(flats, ctx, b=None):
     component with one unit of x_r taken off each term; a term without
     x_r would contradict the lemma, so it raises ArithmeticError.
     """
-    b = build_matrix_B(flats, ctx) if b is None else b
+    b = build_matrix_B(flats, ctx)
     n1 = len(b)
     minors = la.maximal_minors([[row[k] for row in b] for k in range(1, n1)])
     qs, components = [], []

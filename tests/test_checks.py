@@ -678,16 +678,16 @@ FP31 = FieldCtx.prime(2147483647)
     "n, field, level, expected, dual_facts",
     [
         # no component is restricted to a flat: once tied to x_i·det(M_i)
-        # its vanishing is cited.  B and the dual flats' B' are built once
-        # each, and one expansion of maximal minors gives the record's Q_i
-        # and one the dual Q'_i.  The n = 3 family's count reads the
-        # record's meet of each of the six pairs.  A and Aᵀ are bounded
-        # once each, for genericity (e) and both dimensions
+        # its vanishing is cited.  The stored Q_i are proved on a lattice,
+        # so only the dual flats' B' is built, and one expansion of its
+        # maximal minors gives the dual Q'_i.  The n = 3 family's count
+        # reads the record's meet of each of the six pairs.  A and Aᵀ are
+        # bounded once each, for genericity (e) and both dimensions
         (
             3, QQ, "full",
             {
-                "vanishes_on_flat": 0, "_n3_family": 1, "maximal_minors": 2,
-                "build_matrix_B": 2, "flat_meet": 6, "partial": 0, "flats_bound": 2,
+                "vanishes_on_flat": 0, "_n3_family": 1, "maximal_minors": 1,
+                "build_matrix_B": 1, "flat_meet": 6, "partial": 0, "flats_bound": 2,
             },
             {"ties": 1, "dimension": 1, ("bound", "A"): 1},
         ),
@@ -697,8 +697,8 @@ FP31 = FieldCtx.prime(2147483647)
         (
             4, FP31, "fast",
             {
-                "vanishes_on_flat": 0, "_n3_family": 0, "maximal_minors": 2,
-                "build_matrix_B": 2, "flat_meet": 10, "partial": 5, "flats_bound": 2,
+                "vanishes_on_flat": 0, "_n3_family": 0, "maximal_minors": 1,
+                "build_matrix_B": 1, "flat_meet": 10, "partial": 5, "flats_bound": 2,
             },
             {"ties": 1, "dimension": 1, ("bound", "A"): 1},
         ),
@@ -739,14 +739,14 @@ def test_each_shared_fact_is_proved_once_per_report(
     ):
         counted(owner, name)
     monkeypatch.setattr(checks.ProofRecord, "_fact", proving)
-    # the bounds on A and Aᵀ, the det(M_i), the ties, the hypotheses of
+    # the bounds on A and Aᵀ, the lattice proof, the ties, the hypotheses of
     # the zero counts, (at n = 3) the family's count, the meet of each pair
     # of flats and the dual record; then the dual record's own facts, whose
     # bound on b = Aᵀ is the record's on Aᵀ
     once = {
         ("map", ("bound", "A")): 1,
         ("map", ("bound", "Aᵀ")): 1,
-        ("map", "determinants"): 1,
+        ("map", "lattice"): 1,
         ("map", "ties"): 1,
         ("map", "hypotheses"): 1,
         ("map", "family-count"): int(n == 3),
@@ -766,10 +766,10 @@ def test_each_shared_fact_is_proved_once_per_report(
     assert {key: built[key] for key in once} == {k: 2 * v for k, v in once.items()}
 
 
-def test_a_build_and_a_verify_each_expand_the_minors_twice(monkeypatch):
+def test_a_build_expands_the_minors_twice_and_a_verify_once(monkeypatch):
     # a build expands the maximal minors of the flats and of the dual
-    # flats; a passing verify those of its record and of the dual record,
-    # and proves each det(M_i) by values on a lattice.  No polynomial
+    # flats; a passing verify only those of the dual record, and proves
+    # each stored Q_i = det(M_i) by values on a lattice.  No polynomial
     # determinant runs Bareiss, and no det(M_i) runs minor_dp
     inst = random_general_flats(4, 11, FP31)
     calls = Counter()
@@ -795,7 +795,7 @@ def test_a_build_and_a_verify_each_expand_the_minors_twice(monkeypatch):
     assert calls == {"maximal_minors": 2, "_minor_dp": 2}
     calls.clear()
     assert checks.run_suite(inst, vmap, inv, level="fast").ok
-    assert calls == {"maximal_minors": 2, "_minor_dp": 2}
+    assert calls == {"maximal_minors": 1, "_minor_dp": 1}
 
 
 @pytest.mark.parametrize("n", [3, 4], ids=["n3", "n4"])
@@ -1041,7 +1041,7 @@ def test_det_m_is_det_b_over_x_by_both_strategies(ctx, coeffs):
         m = maps.matrix_M(flats, i, b)
         assert la.det_poly_matrix(m, "minor_dp") == want
         assert la.det_poly_matrix(m, "bareiss") == want
-        assert maps.compute_Q(flats, i, ctx, b) == want
+        assert maps.compute_Q(flats, i, ctx) == want
 
 
 # canonical flats of P^4 with coefficients in ±1..±2
@@ -1068,9 +1068,9 @@ def test_one_dp_gives_every_q_of_the_flats_and_the_dual_flats(ctx, coeffs):
     for rows in (a, [list(col) for col in zip(*a)]):  # the flats, then the dual flats
         flats = [Flat(j, tuple(row)) for j, row in enumerate(rows)]
         b = maps.build_matrix_B(flats, ctx)
-        qs, components = maps.compute_all_Q(flats, ctx, b)
+        qs, components = maps.compute_all_Q(flats, ctx)
         for r, (q, v) in enumerate(zip(qs, components)):
-            assert q == maps.compute_Q(flats, r, ctx, b)
+            assert q == maps.compute_Q(flats, r, ctx)
             assert v == Poly.var(r, n1, ctx.one) * q
             if n1 <= 6:
                 assert q == la.det_bareiss(maps.matrix_M(flats, r, b))
@@ -1079,7 +1079,8 @@ def test_one_dp_gives_every_q_of_the_flats_and_the_dual_flats(ctx, coeffs):
 @pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
 def test_a_minor_term_without_its_variable_crashes_the_record(monkeypatch, field):
     # a term of x_r·Q_r without x_r contradicts the cofactor lemma, so Q_r
-    # is never read off it; the record keeps the crash as any failed proof
+    # is never read off it; the dual record keeps the crash as any failed
+    # proof, while the lattice proves the stored Q_i without an expansion
     inst = random_general_flats(3, 11, field)
     vmap, inv = checks.build_all(inst)
     minors = la.maximal_minors
@@ -1092,8 +1093,9 @@ def test_a_minor_term_without_its_variable_crashes_the_record(monkeypatch, field
         maps.compute_all_Q(inst.flats, field)
     res = by_name(checks.run_suite(inst, vmap, inv))
     crash = {"error": "ArithmeticError: a term of x_0 Q_0 lacks x_0"}
-    assert res["determinantal"].witness == crash
+    assert res["determinantal"].status == "pass"
     assert res["composition"].witness == crash
+    assert res["dual-dimension"].witness == crash
 
 
 @st.composite
@@ -1169,7 +1171,7 @@ def test_a_passing_verify_eliminates_no_linear_system(monkeypatch, field, n):
     assert degrees == []  # both dimensions are read off the restriction bound
 
 
-def test_determinantal_fails_by_name_when_the_strategies_disagree(monkeypatch):
+def test_determinantal_fails_by_name_at_a_tampered_lattice_value(monkeypatch):
     inst = random_general_flats(3, 11, QQ)
     vmap, inv = checks.build_all(inst)
     # a tampered lattice value of Q_2, at the sixth point
@@ -1188,17 +1190,62 @@ def test_determinantal_fails_by_name_when_the_strategies_disagree(monkeypatch):
     point = [1, *lattice.grid(3)[0][5]]
     want = {"i": 2, "point": point, "reason": "Q_i differs from det(M_i)"}
     assert (res["determinantal"].status, res["determinantal"].witness) == ("fail", want)
-    # the record's expansion of the maximal minors, off by one in Q_1
-    monkeypatch.setattr(lattice, "form_values", values)
-    compute_all_q = maps.compute_all_Q
 
-    def off(flats, ctx, b=None):
-        qs, components = compute_all_q(flats, ctx, b)
-        return [q + Poly.const(QQ.one, 4) if r == 1 else q for r, q in enumerate(qs)], components
 
-    monkeypatch.setattr(maps, "compute_all_Q", off)
-    res = by_name(checks.run_suite(inst, vmap, inv, level="fast"))
-    assert res["determinantal"].witness == {"i": 1, "reason": "strategies disagree"}
+@pytest.mark.parametrize("field", FIELDS, ids=["qq", "fp"])
+def test_two_stored_qs_off_det_m_fail_by_the_smaller_index(field):
+    # Q_2 differs from det(M_2) at the first lattice point, (1, 0, ..., 0),
+    # where Q_1 still agrees: every check that reads the lattice fact names
+    # Q_1 all the same
+    n = 4
+    inst, vmap, inv = _built(n, field)
+    qs = list(vmap.Q)
+    qs[1] = qs[1] + Poly(n + 1, {(0, n - 1) + (0,) * (n - 1): field.one})
+    qs[2] = qs[2] + Poly(n + 1, {(n - 1,) + (0,) * n: field.one})
+    res = by_name(checks.run_suite(inst, dataclasses.replace(vmap, Q=qs), inv, level="fast"))
+    assert res["determinantal"].status == "fail"
+    assert res["determinantal"].witness["i"] == 1
+    stored = {"k": 1, "reason": "stored Q differs"}
+    for name in ("basis-property", "base-locus", "multiplicity"):
+        assert (res[name].status, res[name].witness) == ("fail", stored)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["qq", "fp"])
+def test_a_wrong_degree_and_a_changed_value_fail_by_the_smaller_index(field):
+    n = 3
+    inst, vmap, inv = _built(n, field)
+    wrong_degree = Poly(n + 1, {(1,) * (n + 1): field.one})
+    changed = Poly(n + 1, {(n - 1,) + (0,) * n: field.one})
+    for first, second in ((wrong_degree, changed), (changed, wrong_degree)):
+        qs = list(vmap.Q)
+        qs[1], qs[2] = qs[1] + first, qs[2] + second
+        bad = dataclasses.replace(vmap, Q=qs)
+        res = checks.check_determinantal(inst, bad, record(inst, bad, inv))
+        if first is wrong_degree:
+            want = {"i": 1, "reason": f"a term of degree {n + 1}, not {n - 1}"}
+        else:
+            want = {"i": 1, "point": [1] + [0] * n, "reason": "Q_i differs from det(M_i)"}
+        assert (res.status, res.witness) == ("fail", want)
+
+
+def test_a_passing_verify_proves_the_lattice_once_and_expands_the_dual_once(monkeypatch):
+    inst = random_general_flats(4, 11, FP31)
+    vmap, inv = checks.build_all(inst)
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(checks, "det_m_failure")
+    counted(maps, "compute_all_Q")
+    assert checks.run_suite(inst, vmap, inv, level="full").ok
+    assert calls == {"det_m_failure": 1, "compute_all_Q": 1}
 
 
 @pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])

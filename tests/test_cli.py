@@ -290,6 +290,42 @@ def test_verify_dual_flat_off_the_b_matrix(tmp_path, map3, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda f: f.update(j="1"),
+        lambda f: f["f2"].append("1"),
+        lambda f: f["f2"].pop(),
+    ],
+    ids=["j-string", "coefficient-extra", "coefficient-missing"],
+)
+def test_verify_refuses_a_malformed_dual_flat(tmp_path, map3, capsys, corrupt):
+    # as a malformed flat or b row is: bad input, not a failed check
+    d = json.loads(map3.read_text())
+    corrupt(d["dual_flats"][1])
+    bad = tmp_path / "badd.json"
+    bad.write_text(json.dumps(d))
+    rc, out, err = run(capsys, ["verify", "-i", str(bad)])
+    assert rc == 2 and out == ""
+    assert "error: dual_flats: expected an integer j and 4 coefficients each" in err
+
+
+def test_verify_fails_a_dual_flat_off_its_index_by_name(tmp_path, map3, capsys):
+    d = json.loads(map3.read_text())
+    d["dual_flats"][1]["j"] = 2
+    bad = tmp_path / "badj.json"
+    bad.write_text(json.dumps(d))
+    rc, out, _ = run(capsys, ["verify", "-i", str(bad), "--json"])
+    assert rc == 1
+    res = {c["name"]: c for c in json.loads(out)["checks"]}
+    failed = [name for name, c in res.items() if c["status"] == "fail"]
+    assert failed == ["dual-dimension"]
+    assert res["dual-dimension"]["witness"] == {
+        "j": 1,
+        "reason": "dual flat differs from row i of b",
+    }
+
+
 def test_verify_rejects_a_duplicated_term(map3, tmp_path, capsys):
     # to_dict never writes an exponent twice; a copy of a Q term would add
     # up on load (here to 2c) instead of failing by name

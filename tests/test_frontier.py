@@ -1,0 +1,26 @@
+"""tools/frontier.py times a row against the package under test."""
+
+import importlib.util
+from pathlib import Path
+
+from veneroni import checks, projgeo, scalar
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "frontier.py"
+
+
+def load_frontier():
+    spec = importlib.util.spec_from_file_location("frontier", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_frontier_row_is_the_median_of_its_runs():
+    frontier = load_frontier()
+    row = frontier.frontier_row(5, "fp", (checks, projgeo, scalar))
+    assert (row["n"], row["field"], row["ok"]) == (5, "fp", True)
+    assert list(row["checks"]) == list(checks.CHECK_ORDER)
+    assert row["summary"] == "12 passed, 0 failed, 1 skipped"
+    for key in ("build_s", "verify_s"):
+        low, high = row[f"{key}_range"]
+        assert low <= row[key] <= high

@@ -44,7 +44,7 @@ EXPECTED = {
     ("inverse_components", "coefficient"): (1, ["composition", "round-trip"]),
     ("inverse_components", "degree"): (1, ["composition", "round-trip"]),
     ("dual_flats", "coefficient"): (1, ["dual-dimension"]),
-    ("dual_flats", "degree"): (1, ["dual-dimension"]),
+    ("dual_flats", "degree"): (2, []),
     ("flats", "coefficient"): (1, Q_FAILS),
     ("flats", "degree"): (2, []),
 }

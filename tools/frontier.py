@@ -6,10 +6,13 @@
 PATH is the `src` directory of a checkout, so one copy of this script
 times any tree.  For each n in 5, 6, 7 and each field, `qq` and `fp`
 (F_p with p = 2^31 - 1), one row at seed 5:
-`projgeo.random_general_flats(n, 5, ctx)`, then `checks.build_all` (its
-wall time is `build_s`), then `checks.run_suite(level="fast",
-timings=True)` (its wall time is `verify_s`, and `checks` holds each
-check's ms from the report).  Each row runs once, in-process.
+`projgeo.random_general_flats(n, 5, ctx)`, then RUNS times
+`checks.build_all` (its wall time is `build_s`) and
+`checks.run_suite(level="fast", timings=True)` (its wall time is
+`verify_s`), in-process.  A row holds the median of the runs, with their
+[min, max] in `build_s_range` and `verify_s_range`, and `checks` holds
+each check's median ms from the reports: one-shot verifies at n = 4..6
+over F_p moved by up to 30% between runs on a 2-CPU host.
 
 Writes BENCH_<L>.json in the current directory, with the interpreter
 version, whether gmpy2 is importable (it alone moves the rational timings
@@ -25,10 +28,12 @@ import os
 import platform
 import sys
 import time
+from statistics import median
 
 SEED = 5
 SIZES = (5, 6, 7)
 FIELDS = {"qq": None, "fp": (1 << 31) - 1}
+RUNS = 3  # timed runs per row
 
 
 def frontier_row(n, field, veneroni):
@@ -36,19 +41,28 @@ def frontier_row(n, field, veneroni):
     p = FIELDS[field]
     ctx = scalar.FieldCtx.rationals() if p is None else scalar.FieldCtx.prime(p)
     inst = projgeo.random_general_flats(n, SEED, ctx)
-    t0 = time.perf_counter()
-    vmap, inv = checks.build_all(inst)
-    t1 = time.perf_counter()
-    report = checks.run_suite(inst, vmap, inv, level="fast", timings=True)
-    t2 = time.perf_counter()
+    builds, verifies, reports = [], [], []
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        vmap, inv = checks.build_all(inst)
+        t1 = time.perf_counter()
+        reports.append(checks.run_suite(inst, vmap, inv, level="fast", timings=True))
+        t2 = time.perf_counter()
+        builds.append(t1 - t0)
+        verifies.append(t2 - t1)
     return {
         "n": n,
         "field": field,
-        "build_s": round(t1 - t0, 4),
-        "verify_s": round(t2 - t1, 4),
-        "ok": report.ok,
-        "summary": report.summary,
-        "checks": {c.name: c.ms for c in report.checks},
+        "build_s": round(median(builds), 4),
+        "build_s_range": [round(min(builds), 4), round(max(builds), 4)],
+        "verify_s": round(median(verifies), 4),
+        "verify_s_range": [round(min(verifies), 4), round(max(verifies), 4)],
+        "ok": all(report.ok for report in reports),
+        "summary": reports[0].summary,
+        "checks": {
+            c.name: round(median(r.checks[k].ms for r in reports), 3)
+            for k, c in enumerate(reports[0].checks)
+        },
     }
 
 
