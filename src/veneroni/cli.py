@@ -39,9 +39,11 @@ def parse_field(text):
 def dump_json(obj, path):
     """Write the JSON tree obj to path (None: stdout) as
     `json.dump(obj, fh, indent=2)` plus a newline would, byte for byte,
-    streaming it in pieces, never as one joined text.  Dict keys must be
-    strings, as in every artifact; `json.dump` would also convert numbers,
-    bools and None, where this raises TypeError."""
+    streaming it in pieces, never as one joined text.  A `Poly` leaf is
+    written as its JSON form `{"degree", "terms"}`, one string from
+    `Poly.json_text`.  Dict keys must be strings, as in every artifact;
+    `json.dump` would also convert numbers, bools and None, where this
+    raises TypeError."""
     if path is None:
         _write_json(obj, "\n", sys.stdout.write)
         sys.stdout.write("\n")
@@ -56,15 +58,17 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _write_json(obj, nl, write):
     # `json.dump` always runs the stdlib's generator encoder when indenting:
-    # one yield and one write per token.  Here a list of only ints or only
-    # strings (exponents, coefficients) is one join and one write, and so
-    # is a dict entry whose value is a str or an int.  `nl` is the newline
-    # and indent of the line that closes obj.
+    # one yield and one write per token.  Here a polynomial, a list of only
+    # ints or only strings (coefficients), and a dict entry whose value is a
+    # str or an int are each one write.  `nl` is the newline and indent of
+    # the line that closes obj.
     kind = type(obj)
     if kind is str:
         write(_encode_str(obj))
     elif kind is int:
         write(int.__repr__(obj))
+    elif kind is Poly:
+        write(obj.json_text(nl))
     elif isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -114,11 +118,11 @@ def load_json(path):
 
 def map_to_dict(inst, vmap, inv):
     d = inst.to_dict(__version__)
-    d["Q"] = [q.to_dict() for q in vmap.Q]
-    d["components"] = [c.to_dict() for c in vmap.components]
+    d["Q"] = list(vmap.Q)
+    d["components"] = list(vmap.components)
     d["b"] = [[str(c) for c in row] for row in inv.b]
-    d["g"] = [g.to_dict() for g in inv.g]
-    d["inverse_components"] = [c.to_dict() for c in inv.inverse_components]
+    d["g"] = list(inv.g)
+    d["inverse_components"] = list(inv.inverse_components)
     d["dual_flats"] = [
         {"j": f.j, "f2": [str(c) for c in f.a]} for f in inv.dual_flats
     ]

@@ -22,7 +22,10 @@ general solver behind the closed form of `projgeo.parametrize_flat`: the
 nullspace of a flat's two forms; `flat_intersection`, the nullspace of
 two flats' four forms, is the one behind `projgeo.flat_meet`.  `lead`
 and `random_scalar` serve only the tests, so they live here and not on
-`Poly` and `FieldCtx`.  `double_at_pair_points` evaluates each Q_k and all
+`Poly` and `FieldCtx`.  `poly_to_dict` is a polynomial's JSON form as a
+tree, the reference that `Poly.json_text` writes as one string, and
+`with_poly_dicts` puts it in place of each `Poly` of an artifact tree.
+`double_at_pair_points` evaluates each Q_k and all
 its partials at a point of each pairwise flat intersection, the sample
 that `checks.check_multiplicity` replaces by its ideal-product lemma.
 `sample_off_q_locus` draws the round-trip's points off the Q_i from the
@@ -179,6 +182,26 @@ def lead(p):
     if not p.terms:
         raise ValueError("zero polynomial has no leading term")
     return p.sorted_terms()[0]
+
+
+def poly_to_dict(p):
+    """JSON form: degree plus terms in canonical (grevlex-descending) order."""
+    return {
+        "degree": p.degree(),
+        "terms": [{"c": str(c), "e": list(e)} for e, c in p.sorted_terms()],
+    }
+
+
+def with_poly_dicts(tree):
+    """tree with each `Poly` replaced by `poly_to_dict`, inside dicts,
+    lists and tuples (both as lists, which `json.dump` writes alike)."""
+    if isinstance(tree, Poly):
+        return poly_to_dict(tree)
+    if isinstance(tree, dict):
+        return {key: with_poly_dicts(value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [with_poly_dicts(value) for value in tree]
+    return tree
 
 
 def random_scalar(ctx, rng, bound=9):

@@ -17,6 +17,11 @@ from hypothesis import strategies as st
 import veneroni
 from veneroni import checks, cli, projgeo
 from veneroni.checks import CHECK_ORDER
+from veneroni.mpoly import Poly
+from veneroni.projgeo import FlatsInstance
+from veneroni.scalar import Fp, Rational
+
+from oracles import with_poly_dicts
 
 M61 = 2305843009213693951
 
@@ -121,6 +126,77 @@ def test_dump_json_refuses_what_json_dump_refuses(json_path, obj):
 def test_dump_json_takes_only_string_keys(json_path, key):
     with pytest.raises(TypeError):
         cli.dump_json({key: 0}, json_path)
+
+
+@st.composite
+def polys(draw):
+    # 0-7 variables; rationals with signs and denominators, or residues of
+    # a small or a large prime; the zero polynomial and constants included
+    nvars = draw(st.integers(0, 7))
+    p = draw(st.sampled_from([None, 7, M61]))
+    if p is None:
+        nums = st.integers(-(10**12), 10**12).filter(bool)
+        coeffs = st.builds(Rational, nums, st.integers(1, 10**9))
+    else:
+        coeffs = st.integers(1, p - 1).map(lambda r: Fp(r, p))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = draw(st.dictionaries(exps | st.just((0,) * nvars), coeffs, max_size=6))
+    return Poly(nvars, terms)
+
+
+def poly_trees(depth):
+    """A Poly leaf, or dicts and lists nesting Poly leaves (and some other
+    JSON values) up to `depth` deep."""
+    if depth == 0:
+        return polys()
+    kids = poly_trees(depth - 1) | INTS | TEXT
+    return (
+        polys()
+        | st.lists(kids, max_size=3)
+        | st.lists(polys(), min_size=1, max_size=3).map(tuple)
+        | st.dictionaries(KEYS, kids, max_size=3)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=poly_trees(3))
+@example(tree=Poly(3))
+@example(tree=Poly(1, {(0,): Rational(-7, 3)}))
+@example(tree={
+    "Q": [Poly(2, {(2, 0): Rational(1, 2), (0, 1): Rational(-3)}), Poly(2)],
+    "g": {"p": Poly(1, {(1,): Fp(5, 7)})},
+    "n": 2,
+})
+def test_dump_json_writes_each_poly_as_its_reference_dict(json_path, tree):
+    assert written_texts(tree, json_path) == (reference_text(with_poly_dicts(tree)),) * 2
+
+
+@pytest.mark.parametrize("field", ["qq", f"fp:{M61}"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_built_map_is_the_reference_dump_of_its_tree(tmp_path, n, field):
+    path = tmp_path / "map.json"
+    assert cli.main(["build", "-n", str(n), "--seed", "5", "--field", field, "-o", str(path)]) == 0
+    inst = projgeo.random_general_flats(n, 5, cli.parse_field(field))
+    tree = with_poly_dicts(cli.map_to_dict(inst, *checks.build_all(inst)))
+    assert path.read_bytes() == reference_text(tree).encode("ascii")
+
+
+def test_a_map_of_fractional_flats_is_the_reference_dump_of_its_tree(tmp_path):
+    coeffs = [
+        ("0", "1/2", "-3", "2/3"),
+        ("5/7", "0", "1", "-1/4"),
+        ("2", "-3/5", "0", "1"),
+        ("1/3", "4", "-2", "0"),
+    ]
+    flats = [{"j": j, "f2": list(a)} for j, a in enumerate(coeffs)]
+    d = {"n": 3, "seed": 0, "field": {"kind": "qq"}, "flats": flats}
+    source, path = tmp_path / "flats.json", tmp_path / "map.json"
+    source.write_text(json.dumps(d))
+    assert cli.main(["build", "-i", str(source), "-o", str(path)]) == 0
+    inst = FlatsInstance.from_dict(d)
+    tree = with_poly_dicts(cli.map_to_dict(inst, *checks.build_all(inst)))
+    assert any("/" in t["c"] for q in tree["Q"] for t in q["terms"])
+    assert path.read_bytes() == reference_text(tree).encode("ascii")
 
 
 # ---- generate -------------------------------------------------------------
@@ -327,7 +403,7 @@ def test_verify_fails_a_dual_flat_off_its_index_by_name(tmp_path, map3, capsys):
 
 
 def test_verify_rejects_a_duplicated_term(map3, tmp_path, capsys):
-    # to_dict never writes an exponent twice; a copy of a Q term would add
+    # a map file never holds an exponent twice; a copy of a Q term would add
     # up on load (here to 2c) instead of failing by name
     d = json.loads(map3.read_text())
     terms = d["Q"][0]["terms"]

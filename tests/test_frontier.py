@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from veneroni import checks, projgeo, scalar
+from veneroni import checks, cli, projgeo, scalar
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "frontier.py"
 
@@ -17,10 +17,11 @@ def load_frontier():
 
 def test_a_frontier_row_is_the_median_of_its_runs():
     frontier = load_frontier()
-    row = frontier.frontier_row(5, "fp", (checks, projgeo, scalar))
+    row = frontier.frontier_row(5, "fp", (checks, cli, projgeo, scalar))
     assert (row["n"], row["field"], row["ok"]) == (5, "fp", True)
     assert list(row["checks"]) == list(checks.CHECK_ORDER)
     assert row["summary"] == "12 passed, 0 failed, 1 skipped"
-    for key in ("build_s", "verify_s"):
-        low, high = row[f"{key}_range"]
-        assert low <= row[key] <= high
+    for step in ("build", "verify", "write"):
+        for key in (f"{step}_s", f"{step}_cpu_s"):
+            low, high = row[f"{key}_range"]
+            assert 0 <= low <= row[key] <= high

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The frontier record: build and fast-verify times at n = 5, 6, 7.
+"""The frontier record: build, fast-verify and map-write times at n = 5, 6, 7.
 
     python3 tools/frontier.py --src PATH --label L
 
@@ -7,12 +7,15 @@ PATH is the `src` directory of a checkout, so one copy of this script
 times any tree.  For each n in 5, 6, 7 and each field, `qq` and `fp`
 (F_p with p = 2^31 - 1), one row at seed 5:
 `projgeo.random_general_flats(n, 5, ctx)`, then RUNS times
-`checks.build_all` (its wall time is `build_s`) and
-`checks.run_suite(level="fast", timings=True)` (its wall time is
-`verify_s`), in-process.  A row holds the median of the runs, with their
-[min, max] in `build_s_range` and `verify_s_range`, and `checks` holds
-each check's median ms from the reports: one-shot verifies at n = 4..6
-over F_p moved by up to 30% between runs on a 2-CPU host.
+`checks.build_all` (its wall time is `build_s`),
+`checks.run_suite(level="fast", timings=True)` (`verify_s`) and
+`cli.dump_json(cli.map_to_dict(...))` of the built map into a temporary
+file (`write_s`), in-process.  A row holds the median of each step's
+runs, with their [min, max] in `<step>_s_range`, and the same for the
+process CPU seconds of the step in `<step>_cpu_s` and
+`<step>_cpu_s_range`: wall times of one row moved by up to 40% between
+runs on a 2-CPU host.  `checks` holds each check's median ms from the
+reports.
 
 Writes BENCH_<L>.json in the current directory, with the interpreter
 version, whether gmpy2 is importable (it alone moves the rational timings
@@ -27,6 +30,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from statistics import median
 
@@ -36,34 +40,43 @@ FIELDS = {"qq": None, "fp": (1 << 31) - 1}
 RUNS = 3  # timed runs per row
 
 
+def timed(step):
+    """(result, wall seconds, process CPU seconds) of one call of step."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    out = step()
+    return out, time.perf_counter() - wall, time.process_time() - cpu
+
+
 def frontier_row(n, field, veneroni):
-    checks, projgeo, scalar = veneroni
+    checks, cli, projgeo, scalar = veneroni
     p = FIELDS[field]
     ctx = scalar.FieldCtx.rationals() if p is None else scalar.FieldCtx.prime(p)
     inst = projgeo.random_general_flats(n, SEED, ctx)
-    builds, verifies, reports = [], [], []
-    for _ in range(RUNS):
-        t0 = time.perf_counter()
-        vmap, inv = checks.build_all(inst)
-        t1 = time.perf_counter()
-        reports.append(checks.run_suite(inst, vmap, inv, level="fast", timings=True))
-        t2 = time.perf_counter()
-        builds.append(t1 - t0)
-        verifies.append(t2 - t1)
-    return {
-        "n": n,
-        "field": field,
-        "build_s": round(median(builds), 4),
-        "build_s_range": [round(min(builds), 4), round(max(builds), 4)],
-        "verify_s": round(median(verifies), 4),
-        "verify_s_range": [round(min(verifies), 4), round(max(verifies), 4)],
-        "ok": all(report.ok for report in reports),
-        "summary": reports[0].summary,
-        "checks": {
-            c.name: round(median(r.checks[k].ms for r in reports), 3)
-            for k, c in enumerate(reports[0].checks)
-        },
+    times = {"build": [], "verify": [], "write": []}  # (wall, cpu) per run
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.json")
+        for _ in range(RUNS):
+            (vmap, inv), *build = timed(lambda: checks.build_all(inst))
+            report, *verify = timed(
+                lambda: checks.run_suite(inst, vmap, inv, level="fast", timings=True)
+            )
+            _, *write = timed(lambda: cli.dump_json(cli.map_to_dict(inst, vmap, inv), path))
+            for step, t in zip(times, (build, verify, write)):
+                times[step].append(t)
+            reports.append(report)
+    row = {"n": n, "field": field}
+    for step, runs in times.items():
+        for key, values in (("s", [w for w, _ in runs]), ("cpu_s", [c for _, c in runs])):
+            row[f"{step}_{key}"] = round(median(values), 4)
+            row[f"{step}_{key}_range"] = [round(min(values), 4), round(max(values), 4)]
+    row["ok"] = all(report.ok for report in reports)
+    row["summary"] = reports[0].summary
+    row["checks"] = {
+        c.name: round(median(r.checks[k].ms for r in reports), 3)
+        for k, c in enumerate(reports[0].checks)
     }
+    return row
 
 
 def main(argv=None):
@@ -76,9 +89,10 @@ def main(argv=None):
         print(f"error: no veneroni package under {src}", file=sys.stderr)
         return 2
     sys.path.insert(0, src)
-    from veneroni import checks, projgeo, scalar
+    from veneroni import checks, cli, projgeo, scalar
 
-    rows = [frontier_row(n, field, (checks, projgeo, scalar)) for n in SIZES for field in FIELDS]
+    veneroni = (checks, cli, projgeo, scalar)
+    rows = [frontier_row(n, field, veneroni) for n in SIZES for field in FIELDS]
     record = {
         "label": args.label,
         "seed": SEED,
@@ -91,7 +105,10 @@ def main(argv=None):
         json.dump(record, fh, indent=2)
         fh.write("\n")
     for row in rows:
-        print(f"n={row['n']} {row['field']}: build {row['build_s']} s, verify {row['verify_s']} s")
+        print(
+            f"n={row['n']} {row['field']}: build {row['build_s']} s,"
+            f" verify {row['verify_s']} s, write {row['write_s']} s"
+        )
     return 0 if all(row["ok"] for row in rows) else 1
 
 
