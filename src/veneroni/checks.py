@@ -323,9 +323,9 @@ def check_determinantal(inst, vmap, proofs):
     failure = proofs.lattice()
     if failure is not None:
         return _failed("determinantal", failure)
-    for i, tie in enumerate(proofs.ties()):
-        if tie:
-            return _failed("determinantal", {"i": i, "reason": "stored component differs"})
+    i = proofs.ties()
+    if i is not None:
+        return _failed("determinantal", {"i": i, "reason": "stored component differs"})
     n = inst.n
     return _passed(
         "determinantal",
@@ -424,11 +424,12 @@ def verify_composition(vmap, proofs):
     dual = proofs.dual()
     if dual is None:
         return _failed("composition", {"reason": _NO_DUAL})
-    for i, residual in enumerate(dual.ties()):
-        if residual:
-            reason = "stored inverse component differs from det(C_i)"
-            wit = {"i": i, "reason": reason, "residual_terms": len(residual.terms)}
-            return _failed("composition", wit)
+    i = dual.ties()
+    if i is not None:
+        residual = dual.vmap.components[i] - _times_x(dual.vmap.Q[i], i)
+        reason = "stored inverse component differs from det(C_i)"
+        wit = {"i": i, "reason": reason, "residual_terms": len(residual.terms)}
+        return _failed("composition", wit)
     failure = _expansion_failure(proofs)
     if failure is not None:
         return _failed("composition", failure)
@@ -537,15 +538,18 @@ def _stored_q_failure(proofs):
 
 def _construction_failure(proofs):
     """Why the stored components are not the construction's x_i·det(M_i):
-    (H1), each stored Q_k det(M_k), then the record's ties
-    v_i − x_i·Q_i, all zero; the first witness, or None."""
+    (H1), each stored Q_k det(M_k), then the record's ties, each v_i equal
+    to x_i·Q_i; the first witness, or None."""
     failure = _stored_q_failure(proofs)
     if failure is not None:
         return failure
-    for i, tie in enumerate(proofs.ties()):
-        if tie:
-            return {"i": i, "reason": "stored component differs"}
-    return None
+    i = proofs.ties()
+    return None if i is None else {"i": i, "reason": "stored component differs"}
+
+
+def _times_x(q, i):
+    """x_i·q: the terms of q with the exponent of x_i raised by one."""
+    return Poly(q.nvars, {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in q.terms.items()})
 
 
 def _expansion_failure(proofs):
@@ -568,14 +572,17 @@ def _pair_failure(proofs, i, j):
     """Why the line through a point q of flat_i ∩ flat_j that meets every
     flat does not lie inside every Q_k: a witness, or None when it does.
 
-    The line meets flats i and j at q, and every other flat by the cone
-    hyperplane proof of `transversal_through`; a flat it misses all the
-    same fails closed.  Q_k on the line is a binary form of degree n-1,
-    zero or with at most n-1 zeros counted with multiplicity.  Under
-    (H1) and (H2) of `_hypotheses_failure` it vanishes where the line
-    meets a flat m != k, doubly where it meets two of them, and everywhere
-    when such a flat holds the line.  So n zeros put the line inside Q_k,
-    and no Q_k is restricted to the line.
+    The line is the transversal through q to the other flats, or, when
+    they leave a family, the line through q and the first basis point of
+    the family other than q.  Any line through q inside the cone rows'
+    nullspace does: it meets flats i and j at q, and every other flat by
+    the cone hyperplane proof of `transversal_through`; a flat it misses
+    all the same fails closed.  Q_k on the line is a binary form of
+    degree n-1, zero or with at most n-1 zeros counted with multiplicity.
+    Under (H1) and (H2) of `_hypotheses_failure` it vanishes where the
+    line meets a flat m != k, doubly where it meets two of them, and
+    everywhere when such a flat holds the line.  So n zeros put the line
+    inside Q_k, and no Q_k is restricted to the line.
     """
     failure = proofs.hypotheses()
     if failure is not None:
@@ -585,11 +592,12 @@ def _pair_failure(proofs, i, j):
     q = _pair_point(proofs, i, j)
     rest = [f for m, f in enumerate(vmap.flats) if m not in (i, j)]
     res = transversal_through(q, rest, ctx)
-    if res.kind != "unique":
-        return {"pair": [i, j], "reason": f"expected a unique line, got {res.kind}"}
+    if res.kind == "none":
+        return {"pair": [i, j], "reason": "no line through the pair point meets every flat"}
+    line = res.line or LineParam(q, next(pt for pt in res.basis if pt != q))
     through, holding = {}, set()  # P^1 point -> flats through it; flats holding the line
     for m, f in enumerate(vmap.flats):
-        param = meeting_param(res.line, f)
+        param = meeting_param(line, f)
         if param is None:
             return {"pair": [i, j], "reason": f"line misses flat {m}"}
         if param == "contained":
@@ -878,16 +886,14 @@ class ProofRecord:
         return self._fact("lattice", lambda: det_m_failure(inst.flats, vmap.Q, inst.ctx.p))
 
     def ties(self):
-        """v_i − x_i·Q_i for every i, with Q_i the record map's own: zero,
-        once the stored Q_i is det(M_i), when the stored component is the
-        construction's x_i·det(M_i).  x_i·Q_i shifts the exponents of Q_i:
-        no product is formed and nothing is expanded."""
+        """The first i whose stored component v_i is not x_i·Q_i
+        (`_times_x`), with Q_i the record map's own, or None: once the
+        stored Q_i is det(M_i), None when every component is the
+        construction's.  Terms are compared: no difference is formed."""
         def prove():
             vmap = self.vmap
-            return [
-                v - Poly(q.nvars, {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in q.terms.items()})
-                for i, (v, q) in enumerate(zip(vmap.components, vmap.Q))
-            ]
+            pairs = enumerate(zip(vmap.components, vmap.Q))
+            return next((i for i, (v, q) in pairs if v != _times_x(q, i)), None)
 
         return self._fact("ties", prove)
 
@@ -958,7 +964,7 @@ def run_suite(
     if vmap is None:
         try:
             vmap, inv = build_all(inst)
-        except (maps.ConstructionError, maps.BaseLocusError) as exc:
+        except maps.ConstructionError as exc:
             construction_error = str(exc)
 
     def runner(name, fn):

@@ -182,7 +182,7 @@ def load_instance(args):
     if args.n is None:
         raise ValueError("need -i FILE or -n N")
     ctx = parse_field(args.field)
-    inst = random_general_flats(args.n, args.seed, ctx, bound=args.bound)
+    inst = random_general_flats(args.n, args.seed or 0, ctx, bound=args.bound)
     return inst, None, None
 
 
@@ -199,7 +199,7 @@ def cmd_generate(args):
         return 2
     ctx = parse_field(args.field)
     try:
-        inst = random_general_flats(n, args.seed, ctx, bound=args.bound)
+        inst = random_general_flats(n, args.seed or 0, ctx, bound=args.bound)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -228,7 +228,7 @@ def cmd_verify(args):
         inv,
         level=args.level,
         k=args.samples,
-        seed=args.seed if args.input is None or args.seed_given else None,
+        seed=args.seed,
         timings=args.timings,
         version=__version__,
     )
@@ -305,15 +305,16 @@ def cmd_transversal(args):
 def cmd_demo(args):
     ns = [3, 4] if args.n is None else [args.n]
     ctx = parse_field(args.field)
+    seed = args.seed or 0
     failed = False
     for n in ns:
         if n not in (3, 4):
             print(f"error: demos exist for n=3 and n=4 only, not n={n}", file=sys.stderr)
             return 2
-        inst = random_general_flats(n, args.seed, ctx, bound=args.bound)
+        inst = random_general_flats(n, seed, ctx, bound=args.bound)
         if n == 3:
             m, disc_ok, lines = checks.transversal_lines_n3(inst.flats, ctx)
-            print(f"n=3 seed={args.seed}: meeting form {m.text(['s', 't'])}")
+            print(f"n=3 seed={seed}: meeting form {m.text(['s', 't'])}")
             print(
                 "  2 transversals to the four lines"
                 f" (discriminant nonzero: {disc_ok})"
@@ -328,9 +329,9 @@ def cmd_demo(args):
                 print("  the two lines are conjugate over this field")
             failed |= not disc_ok
         else:
-            qs = [maps.compute_Q(inst.flats, i, ctx) for i in (0, 1)]
-            res = checks.residual_component_example(inst.flats, qs, ctx, args.seed)
-            print(f"n=4 seed={args.seed}: residual plane point")
+            qs = maps.build_forward_map(inst.flats, ctx).Q[:2]
+            res = checks.residual_component_example(inst.flats, qs, ctx, seed)
+            print(f"n=4 seed={seed}: residual plane point")
             if res.status == "pass":
                 w = res.witness
                 print(f"  q = {w['q']} lies on Q_0 and Q_1")
@@ -358,7 +359,8 @@ def build_parser():
 
     def common(p, io=True):
         p.add_argument("-n", type=int, default=None, help="ambient dimension")
-        p.add_argument("--seed", type=int, default=0, help="instance seed")
+        # None when not given: a map file then keeps its own seed
+        p.add_argument("--seed", type=int, default=None, help="instance seed (default 0)")
         p.add_argument("--bound", type=int, default=9, help="coefficient bound")
         p.add_argument(
             "--field", default="qq", help="ground field: qq or fp:<prime>"
@@ -410,12 +412,7 @@ def build_parser():
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "seed"):
-        args.seed_given = any(a == "--seed" or a.startswith("--seed=") for a in argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

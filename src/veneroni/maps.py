@@ -91,8 +91,9 @@ def matrix_M(flats, i, b):
 def compute_Q(flats, i, ctx):
     """Q_i = det(B_i) / x_i in closed form, as det(M_i) (`matrix_M`) by
     `minor_dp`.  The constructors and the dual proof record take every Q_i
-    at once from `compute_all_Q`; this expansion of one M_i at a time is
-    its oracle in the tests, and `demo` prints Q_0 and Q_1 by it.
+    at once from `compute_all_Q`, and so does `cli demo`; this expansion of
+    one M_i at a time is its oracle in the tests, and
+    `demos/residual_plane.py` takes Q_0 and Q_1 from it.
 
     For canonical flats (a_{j,j} = 0) each row of B sums to zero, so row j
     of B_i sums to -a_{j,i} x_i.  Adding every other column of B_i to its
@@ -179,40 +180,20 @@ def _restriction_rows(flat, d, ctx, mons):
 
 
 def linear_system_dimension(flats, d, ctx):
-    """Dimension of the degree-d forms vanishing on every given flat.
+    """Dimension of the degree-d forms vanishing on every given flat: the
+    nullity of the stacked restriction conditions, by one exact
+    elimination.
 
-    Computed as the nullity of the stacked restriction conditions.  A
-    verify reads the degree-n dimension off `projgeo.restriction_bound`
+    A verify reads the degree-n dimension off `projgeo.restriction_bound`
     and calls this only as the fallback, when that bound is not n+1, so a
     failing report names the real dimension; the tests use it as the
-    bound's oracle.  For n+1 canonical flats of P^n in index order and
-    d = n the dimension is at least n+1 (the lemma of
-    `checks.check_dimension`), so over Q a nullity of n+1 mod a large
-    prime, which can only overcount, is exact and the costly rational
-    elimination is skipped.  Otherwise it runs.
+    bound's oracle.
     """
-    n1 = len(flats)
     mons = monomials_of_degree(flats[0].nvars, d)
     rows = []
     for f in flats:
         rows.extend(_restriction_rows(f, d, ctx, mons))
-    canonical = all(f.nvars == n1 and f.j == i and f.is_canonical() for i, f in enumerate(flats))
-    if ctx.kind == "qq" and d == n1 - 1 and canonical and _pinch_nullity(rows, len(mons)) == n1:
-        return n1
     return len(mons) - la.rank(rows, ctx)
-
-
-_PINCH_PRIME = (1 << 31) - 1
-
-
-def _pinch_nullity(rows, ncols):
-    """The nullity of the rational rows mod p, an upper bound on their
-    nullity over Q: reducing mod p can only lower the rank.  None when p
-    divides a denominator, which has no residue: the pinch fails closed
-    into the exact path.
-    """
-    rank = la.residue_rank(rows, _PINCH_PRIME)
-    return None if rank is None else ncols - rank
 
 
 @dataclass

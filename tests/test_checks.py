@@ -261,11 +261,43 @@ def test_tampering_fails_composition_by_name(field, target, index, reason):
     _tamper(vmap, inv, target, field.from_int(2))
     res = checks.verify_composition(vmap, record(inst, vmap, inv))
     assert res.status == "fail"
-    # a stale inverse component names the size of its tie; the map's own
+    # a stale inverse component names the size of its residual
+    # w_i − y_i·Q'_i, formed here by a product with y_i; the map's own
     # pieces fail with the construction's witness
     terms = res.witness.pop("residual_terms", None)
     assert res.witness == dict(index, reason=reason)
-    assert (terms is not None and terms > 0) == ("inverse component" in reason)
+    if "inverse component" in reason:
+        i = index["i"]
+        dual = [Flat(r, tuple(row)) for r, row in enumerate(inv.b)]
+        y_q = Poly.var(i, 4, field.one) * maps.build_forward_map(dual, field).Q[i]
+        assert terms == len((inv.inverse_components[i] - y_q).terms) > 0
+    else:
+        assert terms is None
+
+
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+def test_ties_are_none_on_a_valid_record_and_form_no_difference(monkeypatch, field):
+    inst = random_general_flats(4, 5, field)
+    vmap, inv = checks.build_all(inst)
+    proofs = record(inst, vmap, inv)
+
+    def no_difference(self, other):
+        raise AssertionError("ties formed a Poly difference")
+
+    monkeypatch.setattr(Poly, "__sub__", no_difference)
+    assert proofs.ties() is None
+    assert proofs.dual().ties() is None
+
+
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+def test_ties_name_the_smaller_of_two_tampered_components(field):
+    inst = random_general_flats(4, 5, field)
+    vmap, inv = checks.build_all(inst)
+    two = field.from_int(2)
+    vmap.components = _scaled(_scaled(vmap.components, 3, two), 1, two)
+    assert record(inst, vmap, inv).ties() == 1
+    inv.inverse_components = _scaled(_scaled(inv.inverse_components, 4, two), 2, two)
+    assert record(inst, vmap, inv).dual().ties() == 2
 
 
 @pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
@@ -921,6 +953,38 @@ def test_the_count_fails_closed_by_name(monkeypatch, field, stub, reason):
     for name in ("base-locus", "transversal-sample"):
         assert res[name].status == "fail"
         assert res[name].witness == {"pair": [0, 1], "reason": reason}
+
+
+def test_a_family_through_a_pair_point_counts_the_zeros_of_one_of_its_lines():
+    # certified flats whose pair point of flats 1 and 2 has a family of
+    # lines through it that meet every flat, not one
+    a = [[0, -2, 1, -2, -1], [2, 0, 1, 1, 2], [-1, -1, 0, -1, -1], [-2, -1, 1, 0, 1],
+         [1, 2, -1, -1, 0]]
+    flats = [Flat(j, tuple(QQ.from_int(v) for v in row)) for j, row in enumerate(a)]
+    assert projgeo.genericity_check(flats, QQ, seed=89).ok
+    inst = FlatsInstance(4, 89, 9, QQ, flats)
+    vmap, inv = checks.build_all(inst)
+    proofs = record(inst, vmap, inv)
+    q = checks._pair_point(proofs, 1, 2)
+    res = transversal_through(q, [f for m, f in enumerate(inst.flats) if m not in (1, 2)], QQ)
+    assert res.kind == "family"
+    line = LineParam(q, next(pt for pt in res.basis if pt != q))
+    assert vanishing_on_line(vmap.Q)(line) == [True] * 5
+    assert checks._pair_failure(proofs, 1, 2) is None
+    report = checks.run_suite(inst, vmap, inv, level="fast")
+    assert report.summary == "12 passed, 0 failed, 1 skipped"
+
+
+@pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
+def test_a_pair_point_with_no_transversal_fails_the_count_by_name(monkeypatch, field):
+    inst = random_general_flats(4, 11, field)
+    monkeypatch.setattr(
+        checks, "transversal_through", lambda q, flats, ctx: projgeo.TransversalResult("none")
+    )
+    res = by_name(checks.run_suite(inst, level="fast"))
+    reason = "no line through the pair point meets every flat"
+    for name in ("base-locus", "transversal-sample"):
+        assert (res[name].status, res[name].witness) == ("fail", {"pair": [0, 1], "reason": reason})
 
 
 @pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])

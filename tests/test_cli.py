@@ -297,6 +297,19 @@ def test_verify_json_report(capsys, map3):
     assert all(c["ms"] is None for c in report["checks"])
 
 
+def test_an_abbreviated_seed_reseeds_the_verify_of_a_map_file(tmp_path, capsys):
+    # argparse reads --se 7 and --see=7 as --seed 7; with no seed the map
+    # file's own seed 1 draws the n=4 demo's point
+    path = tmp_path / "map4.json"
+    assert cli.main(["build", "-n", "4", "--seed", "1", "-o", str(path)]) == 0
+    outs = []
+    for flags in (["--seed", "7"], ["--se", "7"], ["--see=7"], []):
+        rc, out, _ = run(capsys, ["verify", "-i", str(path), "--json", *flags])
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2] != outs[3]
+
+
 def test_verify_report_file_byte_identical(tmp_path, map3):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert cli.main(["verify", "-i", str(map3), "-o", str(r1)]) == 0

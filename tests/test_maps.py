@@ -285,28 +285,6 @@ def test_linear_system_dimensions_n3(m3):
         assert maps.linear_system_dimension(rest, 2, QQ) == 1
 
 
-def restriction_rows(flats, d):
-    mons = maps.monomials_of_degree(flats[0].nvars, d)
-    return [r for f in flats for r in maps._restriction_rows(f, d, QQ, mons)], len(mons)
-
-
-def test_pinch_agrees_with_exact_path(m3):
-    vmap, _ = m3
-    rows, ncols = restriction_rows(vmap.flats, 3)
-    assert maps._pinch_nullity(rows, ncols) == 4
-    assert maps.linear_system_dimension(vmap.flats, 3, QQ) == ncols - la.rank(rows, QQ) == 4
-
-
-def test_pinch_falls_back_to_the_exact_path_when_the_bounds_do_not_meet(monkeypatch):
-    # mod 5 the conditions of these flats lose rank: the nullity 6 bounds
-    # the rational one from above only, so the exact elimination decides
-    monkeypatch.setattr(maps, "_PINCH_PRIME", 5)
-    flats = random_general_flats(4, 1, QQ).flats
-    rows, ncols = restriction_rows(flats, 4)
-    assert maps._pinch_nullity(rows, ncols) == 6
-    assert maps.linear_system_dimension(flats, 4, QQ) == 5
-
-
 def dense(rows, ncols, ctx):
     """The {column: entry} rows of `_restriction_rows` as full lists."""
     out = []
@@ -316,18 +294,6 @@ def dense(rows, ncols, ctx):
             full[c] = v
         out.append(full)
     return out
-
-
-def test_pinch_fails_closed_when_p_divides_a_denominator():
-    p = maps._PINCH_PRIME
-    # flat 0 is the point (0 : 1 : -p); on it x_1 = -x_2/p, so its conditions
-    # have denominators p^k
-    a = [(0, p, 1), (1, 0, 1), (1, 2, 0)]
-    flats = [Flat(j, tuple(QQ.from_int(v) for v in row)) for j, row in enumerate(a)]
-    rows, ncols = restriction_rows(flats, 2)
-    assert any(c.denominator % p == 0 for r in dense(rows, ncols, QQ) for c in r)
-    assert maps._pinch_nullity(rows, ncols) is None
-    assert maps.linear_system_dimension(flats, 2, QQ) == 3
 
 
 def test_degree_n_system_is_spanned_by_components(m3):
