@@ -384,23 +384,19 @@ def check_basis(inst, vmap, proofs):
     return _passed("basis-property", {"rank": n1, "dim": dim})
 
 
-def check_b_matrix(inv, proofs):
-    """Row i of b expands f_i·Q_i in the stored components, and g_i is
-    row i of b.
+def check_b_matrix(proofs):
+    """Row i of b expands f_i·Q_i in the stored components.
 
     Once the components are the construction's and b = A^T
     (`_expansion_failure`), f_i·Q_i = sum_j b_{i,j} v_j is the theorem of
     `maps.solve_b_matrix`, and the zero pattern of b, b[i][j] = 0 iff
-    i = j, is that of canonical flats transposed.  With g_i = sum_j b_{i,j}
-    y_j exactly, g_i(v) = f_i·Q_i as polynomials: nothing is expanded and
-    no point is sampled.
+    i = j, is that of canonical flats transposed.  The form g_i is
+    sum_j b_{i,j} y_j by definition, so g_i(v) = f_i·Q_i as polynomials:
+    nothing is expanded and no point is sampled.
     """
     failure = _expansion_failure(proofs)
     if failure is not None:
         return _failed("b-matrix", failure)
-    for i, row in enumerate(inv.b):
-        if inv.g[i] != Poly.from_linear(row):
-            return _failed("b-matrix", {"i": i, "reason": "g row disagrees with b"})
     return _passed("b-matrix", {"pattern": "zero diagonal", "residual": "0"})
 
 
@@ -716,34 +712,21 @@ def check_multiplicity(vmap, proofs):
 
 def check_class_matrix(n):
     """The pullback matrix on (hyperplane, flat classes) is an involution."""
-    try:
-        m = maps.class_matrix(n)
-    except AssertionError as exc:
-        return _failed("class-matrix", {"reason": str(exc)})
+    m = maps.class_matrix(n)
     size = n + 2
-    if n == 2 and m != [
-        [2, 1, 1, 1],
-        [-1, 0, -1, -1],
-        [-1, -1, 0, -1],
-        [-1, -1, -1, 0],
-    ]:
-        return _failed("class-matrix", {"reason": "unexpected matrix for n=2"})
+    if la.mat_mul(m, m) != la.identity(size):
+        return _failed("class-matrix", {"reason": "class matrix is not an involution"})
     return _passed("class-matrix", {"size": size, "square": "identity"})
 
 
 _NO_DUAL = "a row of b is off the canonical pattern: no dual flats"
 
 
-def check_dual_dimension(vmap, inv, proofs):
-    """The stored dual flats are (y_i, g_i) with g_i row i of b, and the
-    degree-n system through them has dimension exactly n+1: the dual
-    record's dimension, from the restriction bound on the rows of b."""
+def check_dual_dimension(vmap, proofs):
+    """The degree-n system through the dual flats (y_i, g_i), the rows of
+    b, has dimension exactly n+1: the dual record's dimension, from the
+    restriction bound on the rows of b."""
     n1 = vmap.n + 1
-    for i, (row, f) in enumerate(zip(inv.b, inv.dual_flats)):
-        if (f.j, tuple(f.a)) != (i, tuple(row)):
-            return _failed(
-                "dual-dimension", {"j": i, "reason": "dual flat differs from row i of b"}
-            )
     dual = proofs.dual()
     if dual is None:
         return _failed("dual-dimension", {"reason": _NO_DUAL})
@@ -992,13 +975,13 @@ def run_suite(
     runner("determinantal", lambda: check_determinantal(inst, vmap, proofs))
     runner("linear-system-dimension", lambda: check_dimension(inst, proofs))
     runner("basis-property", lambda: check_basis(inst, vmap, proofs))
-    runner("b-matrix", lambda: check_b_matrix(inv, proofs))
+    runner("b-matrix", lambda: check_b_matrix(proofs))
     runner("composition", lambda: verify_composition(vmap, proofs))
     runner("round-trip", lambda: verify_roundtrip_sample(vmap, inv, k, seed))
     runner("base-locus", lambda: verify_base_locus(vmap, proofs))
     runner("transversal-sample", lambda: check_transversal_sample(vmap, proofs))
     runner("multiplicity", lambda: check_multiplicity(vmap, proofs))
     runner("class-matrix", lambda: check_class_matrix(n))
-    runner("dual-dimension", lambda: check_dual_dimension(vmap, inv, proofs))
+    runner("dual-dimension", lambda: check_dual_dimension(vmap, proofs))
     runner("demos", lambda: check_demos(vmap, level, proofs))
     return report.finalize()

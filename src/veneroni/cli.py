@@ -12,7 +12,6 @@ import sys
 from . import __version__, checks, maps
 from .mpoly import Poly
 from .projgeo import (
-    Flat,
     FlatsInstance,
     ProjPoint,
     meeting_param,
@@ -121,16 +120,14 @@ def map_to_dict(inst, vmap, inv):
     d["Q"] = list(vmap.Q)
     d["components"] = list(vmap.components)
     d["b"] = [[str(c) for c in row] for row in inv.b]
-    d["g"] = list(inv.g)
     d["inverse_components"] = list(inv.inverse_components)
-    d["dual_flats"] = [
-        {"j": f.j, "f2": [str(c) for c in f.a]} for f in inv.dual_flats
-    ]
     return d
 
 
 def map_from_dict(d):
     """Rebuild instance, map, and inverse data verbatim from a map file.
+    Keys it does not read, such as the `g` and `dual_flats` of older maps
+    (copies of b's rows), are ignored.
 
     Nothing is trusted here: the verification suite re-derives every
     claimed property, so a tampered file fails the corresponding check
@@ -139,7 +136,7 @@ def map_from_dict(d):
     inst = FlatsInstance.from_dict(d)
     ctx = inst.ctx
     n1 = inst.n + 1
-    for key in ("Q", "components", "b", "g", "inverse_components", "dual_flats"):
+    for key in ("Q", "components", "b", "inverse_components"):
         if len(d[key]) != n1:
             raise ValueError(f"{key}: expected {n1} entries, got {len(d[key])}")
     qs = [Poly.from_dict(q, n1, ctx) for q in d["Q"]]
@@ -150,17 +147,8 @@ def map_from_dict(d):
     b = [[ctx.parse(s) for s in row] for row in d["b"]]
     if any(len(row) != n1 for row in b):
         raise ValueError(f"b: expected rows of {n1} entries")
-    g = [Poly.from_dict(p, n1, ctx) for p in d["g"]]
     icomps = [Poly.from_dict(c, n1, ctx) for c in d["inverse_components"]]
-    duals = [
-        Flat(rec["j"], tuple(ctx.parse(s) for s in rec["f2"]))
-        for rec in d["dual_flats"]
-    ]
-    # an int j off its index is data, failed by `dual-dimension`
-    if any(type(f.j) is not int or len(f.a) != n1 for f in duals):
-        raise ValueError(f"dual_flats: expected an integer j and {n1} coefficients each")
-    inv = maps.InverseData(b=b, g=g, inverse_components=icomps, dual_flats=duals)
-    return inst, vmap, inv
+    return inst, vmap, maps.InverseData(b=b, inverse_components=icomps)
 
 
 def load_instance(args):

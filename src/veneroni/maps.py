@@ -263,12 +263,11 @@ def build_forward_map(flats, ctx):
 
 @dataclass
 class InverseData:
-    """The inverse map u_n: b-matrix, forms g_i, its components, dual flats."""
+    """The inverse map u_n: the b-matrix and the components.  The forms g_i
+    and the dual flats (y_i, g_i) are the rows of b, so neither is stored."""
 
     b: list  # (n+1) x (n+1) scalars, b[i][j] = 0 iff i = j
-    g: list  # linear forms in the y-variables, row i of b
     inverse_components: list | None = None  # y_i Q'_i, degree n
-    dual_flats: list | None = None  # ideals (y_i, g_i)
 
 
 def solve_b_matrix(vmap):
@@ -281,11 +280,11 @@ def solve_b_matrix(vmap):
     reads in column k, after division by x_k, f_k Q_k = sum_j a_{j,k} x_j Q_j.
     That is the expansion of f_k Q_k in the components with row k of b.
     Its zero pattern, b[i][j] = 0 iff i = j, is the canonical one
-    transposed.
+    transposed.  Row k of b is the linear form g_k = sum_j b_{k,j} y_j.
     """
     n1 = vmap.n + 1
     b = [[vmap.flats[j].a[i] for j in range(n1)] for i in range(n1)]
-    return InverseData(b=b, g=[Poly.from_linear(row) for row in b])
+    return InverseData(b=b)
 
 
 def build_inverse_map(vmap, inv):
@@ -299,9 +298,11 @@ def build_inverse_map(vmap, inv):
     diagonal, entry (i,k) = a_{i,k} y_k.  With Y = diag(y) and B' the dual
     flats' matrix, entry (r,c) = b_{r,c} y_c, b = A^T gives C^T = Y·B'·Y^-1,
     and a diagonal similarity keeps principal minors: det(C_i) = y_i Q'_i.
+    The dual flats are built here and not kept: `checks.ProofRecord.dual`
+    builds them from b the same way.
     """
-    inv.dual_flats = [Flat(i, tuple(row)) for i, row in enumerate(inv.b)]
-    inv.inverse_components = build_forward_map(inv.dual_flats, vmap.ctx).components
+    duals = [Flat(i, tuple(row)) for i, row in enumerate(inv.b)]
+    inv.inverse_components = build_forward_map(duals, vmap.ctx).components
     return inv
 
 
@@ -319,8 +320,7 @@ def class_matrix(n):
 
     First row (n, n-1, ..., n-1), first column (n, -1, ..., -1), and below
     the corner the block with zero diagonal and -1 elsewhere.  The matrix
-    acts on the n+2 listed classes and squares to the identity, which is
-    asserted here.
+    acts on the n+2 listed classes; `checks.check_class_matrix` squares it.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -333,6 +333,4 @@ def class_matrix(n):
         for l in range(1, size):
             if l != k:
                 m[k][l] = -1
-    if la.mat_mul(m, m) != la.identity(size):
-        raise AssertionError("class matrix is not an involution")
     return m

@@ -524,11 +524,23 @@ def test_b_off_the_canonical_pattern_fails_by_name(field):
     failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
     assert failed["b-matrix"] == {"i": 1, "j": 1, "reason": "b differs from Aᵀ"}
     assert failed["composition"] == {"reason": checks._NO_DUAL}
+    assert failed["dual-dimension"] == {"reason": checks._NO_DUAL}
     assert not [name for name, wit in failed.items() if "error" in wit]
-    # with the stored dual flats on b's rows, dual-dimension meets it too
-    inv.dual_flats = [Flat(i, tuple(row)) for i, row in enumerate(inv.b)]
-    res = by_name(checks.run_suite(inst, vmap, inv))["dual-dimension"]
-    assert (res.status, res.witness) == ("fail", {"reason": checks._NO_DUAL})
+
+
+def test_class_matrix_check_squares_the_matrix(monkeypatch):
+    assert checks.check_class_matrix(3).witness == {"size": 5, "square": "identity"}
+    # the matrix with its corner doubled squares to no identity
+    build = maps.class_matrix
+
+    def bent(n):
+        m = build(n)
+        m[0][0] *= 2
+        return m
+
+    monkeypatch.setattr(maps, "class_matrix", bent)
+    res = checks.check_class_matrix(3)
+    assert (res.status, res.witness) == ("fail", {"reason": "class matrix is not an involution"})
 
 
 def test_seed_defaults_to_instance_seed():
@@ -1082,11 +1094,12 @@ def test_det_b_is_x_times_the_column_sum_determinant(ctx, coeffs):
         for j in range(n1):
             residual = residual - vmap.components[j].scale(inv.b[k][j])
         assert residual.is_zero()
+    duals = [Flat(i, tuple(row)) for i, row in enumerate(inv.b)]
     for i, d in enumerate(inv.inverse_components):
-        assert inv.dual_flats[i].is_canonical()
+        assert duals[i].is_canonical()
         assert d.degree() == n and is_homogeneous(d)
         for j in range(n1):
-            assert j == i or maps.vanishes_on_flat(d, inv.dual_flats[j], ctx)
+            assert j == i or maps.vanishes_on_flat(d, duals[j], ctx)
         closed = _prod((-a[i][j] for j in range(n1) if j != i), ctx)
         assert d.evaluate(_vertex(i, n1, ctx)) == closed
 
@@ -1383,7 +1396,7 @@ def test_the_inverse_is_the_map_of_the_dual_flats(ctx, coeffs):
     for i, w in enumerate(inv.inverse_components):
         assert w == la.det_poly_matrix(maps.minor_matrix(c, i), "bareiss")
     # an involution: the dual flats' b-matrix is A again
-    dual = maps.build_forward_map(inv.dual_flats, ctx)
+    dual = maps.build_forward_map([Flat(i, tuple(row)) for i, row in enumerate(inv.b)], ctx)
     assert maps.solve_b_matrix(dual).b == [list(f.a) for f in flats]
 
 

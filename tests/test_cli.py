@@ -255,10 +255,11 @@ def test_generate_bad_field(capsys):
 
 def test_build_map_file_contents(map3):
     d = json.loads(map3.read_text())
-    for key in ("Q", "components", "b", "g", "inverse_components", "dual_flats"):
-        assert key in d
+    assert list(d) == [
+        "n", "seed", "field", "bound", "version", "retries", "flats",
+        "Q", "components", "b", "inverse_components",
+    ]
     assert len(d["b"]) == 4 and d["b"][0][0] == "0"
-    assert [f["j"] for f in d["dual_flats"]] == [0, 1, 2, 3]
 
 
 def test_build_deterministic(tmp_path, map3):
@@ -362,57 +363,33 @@ def test_verify_mutated_component(tmp_path, map3, capsys):
     assert "determinantal: fail" in out
 
 
-def test_verify_dual_flat_off_the_b_matrix(tmp_path, map3, capsys):
-    # neither row 1 of b nor canonical; the dual system's dimension alone
-    # would not notice, since it is n+1 for general flats
-    d = json.loads(map3.read_text())
-    d["dual_flats"][1]["f2"] = ["5", "3", "1", "-2"]
-    bad = tmp_path / "badd.json"
-    bad.write_text(json.dumps(d))
-    rc, out, _ = run(capsys, ["verify", "-i", str(bad), "--json"])
-    assert rc == 1
-    res = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert res["dual-dimension"]["status"] == "fail"
-    assert res["dual-dimension"]["witness"] == {
-        "j": 1,
-        "reason": "dual flat differs from row i of b",
-    }
-
-
 @pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda f: f.update(j="1"),
-        lambda f: f["f2"].append("1"),
-        lambda f: f["f2"].pop(),
-    ],
-    ids=["j-string", "coefficient-extra", "coefficient-missing"],
+    "n, seed, field, level", [(3, 5, "qq", "full"), (4, 11, "fp:2147483647", "fast")]
 )
-def test_verify_refuses_a_malformed_dual_flat(tmp_path, map3, capsys, corrupt):
-    # as a malformed flat or b row is: bad input, not a failed check
-    d = json.loads(map3.read_text())
-    corrupt(d["dual_flats"][1])
-    bad = tmp_path / "badd.json"
-    bad.write_text(json.dumps(d))
-    rc, out, err = run(capsys, ["verify", "-i", str(bad)])
-    assert rc == 2 and out == ""
-    assert "error: dual_flats: expected an integer j and 4 coefficients each" in err
-
-
-def test_verify_fails_a_dual_flat_off_its_index_by_name(tmp_path, map3, capsys):
-    d = json.loads(map3.read_text())
-    d["dual_flats"][1]["j"] = 2
-    bad = tmp_path / "badj.json"
-    bad.write_text(json.dumps(d))
-    rc, out, _ = run(capsys, ["verify", "-i", str(bad), "--json"])
-    assert rc == 1
-    res = {c["name"]: c for c in json.loads(out)["checks"]}
-    failed = [name for name, c in res.items() if c["status"] == "fail"]
-    assert failed == ["dual-dimension"]
-    assert res["dual-dimension"]["witness"] == {
-        "j": 1,
-        "reason": "dual flat differs from row i of b",
-    }
+def test_a_map_carrying_g_and_dual_flats_verifies_as_without_them(
+    tmp_path, n, seed, field, level
+):
+    # maps once stored the rows of b twice more, as the forms g and the
+    # dual flats; the loader reads neither, as it ignores any unknown key
+    plain = tmp_path / "plain.json"
+    argv = ["build", "-n", str(n), "--seed", str(seed), "--field", field]
+    assert cli.main([*argv, "-o", str(plain)]) == 0
+    d = json.loads(plain.read_text())
+    _, _, inv = cli.map_from_dict(d)
+    legacy = {}
+    for key, value in d.items():
+        legacy[key] = value
+        if key == "b":
+            legacy["g"] = [Poly.from_linear(row) for row in inv.b]
+    legacy["dual_flats"] = [{"j": i, "f2": row} for i, row in enumerate(d["b"])]
+    old = tmp_path / "legacy.json"
+    cli.dump_json(legacy, str(old))
+    reports = []
+    for path in (plain, old):
+        out = tmp_path / f"{path.stem}-report.json"
+        assert cli.main(["verify", "-i", str(path), "--level", level, "-o", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_rejects_a_duplicated_term(map3, tmp_path, capsys):

@@ -15,10 +15,14 @@ def load_frontier():
     return module
 
 
-def test_a_frontier_row_is_the_median_of_its_runs():
+def test_a_frontier_row_is_the_median_of_its_runs(tmp_path):
     frontier = load_frontier()
     row = frontier.frontier_row(5, "fp", (checks, cli, projgeo, scalar))
     assert (row["n"], row["field"], row["ok"]) == (5, "fp", True)
+    built = tmp_path / "map.json"
+    argv = ["build", "-n", "5", "--seed", "5", "--field", "fp:2147483647"]
+    assert cli.main([*argv, "-o", str(built)]) == 0
+    assert row["map_bytes"] == built.stat().st_size
     assert list(row["checks"]) == list(checks.CHECK_ORDER)
     assert row["summary"] == "12 passed, 0 failed, 1 skipped"
     for step in ("build", "verify", "write"):

@@ -209,7 +209,7 @@ def test_b_matrix_laws_and_point_oracle(m3):
         p = ProjPoint([QQ.random_nonzero(rng) for _ in range(n1)], QQ)
         img = [c.evaluate(p.coords) for c in vmap.components]
         for i in range(n1):
-            lhs = inv.g[i].evaluate(img)
+            lhs = Poly.from_linear(inv.b[i]).evaluate(img)
             rhs = vmap.flats[i].form2_poly().evaluate(p.coords) * vmap.Q[i].evaluate(
                 p.coords
             )
@@ -219,15 +219,14 @@ def test_b_matrix_laws_and_point_oracle(m3):
 def test_inverse_components_and_duals(m2, m3):
     for vmap, inv in (m2, m3):
         n1 = vmap.n + 1
+        duals = [Flat(i, tuple(row)) for i, row in enumerate(inv.b)]
         assert len(inv.inverse_components) == n1
         for i, d in enumerate(inv.inverse_components):
             assert d.degree() == vmap.n and is_homogeneous(d)
             for j in range(n1):
                 if j != i:
-                    assert maps.vanishes_on_flat(d, inv.dual_flats[j], vmap.ctx)
-        for f in inv.dual_flats:
-            assert f.is_canonical()
-            assert f.a == tuple(inv.b[f.j])
+                    assert maps.vanishes_on_flat(d, duals[j], vmap.ctx)
+        assert all(f.is_canonical() for f in duals)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -370,7 +369,7 @@ def test_image_of_q_locus_hits_dual_flat(m3):
     pt = point_at(res.line, QQ.one, QQ.from_int(2), QQ)
     img = maps.apply_map(Evaluator(vmap.components), pt, QQ)
     assert not img[1]
-    assert flat_contains(inv.dual_flats[1], img)
+    assert flat_contains(Flat(1, tuple(inv.b[1])), img)
 
 
 def test_mutated_instance_builds_a_different_map():

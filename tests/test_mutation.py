@@ -4,7 +4,7 @@ Every corruption must either be refused on load (exit 2) or fail `verify`
 by name (exit 1): the failing checks are pinned per field, and no failing
 witness may be a crash (an `error` key).  Two kinds of corruption are
 applied to each field: a changed coefficient, and a term of the wrong
-degree (for the scalar rows b, dual_flats and flats, one coefficient too
+degree (for the scalar rows b and flats, one coefficient too
 many, i.e. a term in a variable the ring does not have).  A field with its
 last entry dropped, or with a JSON number where a coefficient string
 belongs, must be refused on load.
@@ -18,8 +18,8 @@ import pytest
 from veneroni import cli
 
 MAPS = {3: (5, "qq", "full"), 4: (11, "fp:2147483647", "fast")}
-FIELDS = ("Q", "components", "g", "b", "inverse_components", "dual_flats", "flats")
-POLY_FIELDS = ("Q", "components", "g", "inverse_components")
+FIELDS = ("Q", "components", "b", "inverse_components", "flats")
+POLY_FIELDS = ("Q", "components", "inverse_components")
 
 FORWARD = ["determinantal", "basis-property", "b-matrix", "composition", "round-trip"]
 # a stored Q_k other than det(M_k), or a component other than x_i·Q_i,
@@ -37,14 +37,12 @@ EXPECTED = {
     ("Q", "degree"): (1, Q_FAILS),
     ("components", "coefficient"): (1, [*FORWARD, "base-locus"]),
     ("components", "degree"): (1, [*FORWARD, "base-locus"]),
-    ("g", "coefficient"): (1, ["b-matrix"]),
-    ("g", "degree"): (1, ["b-matrix"]),
-    ("b", "coefficient"): (1, ["b-matrix", "composition", "dual-dimension"]),
+    # the changed b[1][0] keeps row 1 canonical, and `dual-dimension` reads
+    # only the system through b's rows, which keeps dimension n+1
+    ("b", "coefficient"): (1, ["b-matrix", "composition"]),
     ("b", "degree"): (2, []),
     ("inverse_components", "coefficient"): (1, ["composition", "round-trip"]),
     ("inverse_components", "degree"): (1, ["composition", "round-trip"]),
-    ("dual_flats", "coefficient"): (1, ["dual-dimension"]),
-    ("dual_flats", "degree"): (2, []),
     ("flats", "coefficient"): (1, Q_FAILS),
     ("flats", "degree"): (2, []),
 }

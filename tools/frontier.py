@@ -10,12 +10,12 @@ times any tree.  For each n in 5, 6, 7 and each field, `qq` and `fp`
 `checks.build_all` (its wall time is `build_s`),
 `checks.run_suite(level="fast", timings=True)` (`verify_s`) and
 `cli.dump_json(cli.map_to_dict(...))` of the built map into a temporary
-file (`write_s`), in-process.  A row holds the median of each step's
-runs, with their [min, max] in `<step>_s_range`, and the same for the
-process CPU seconds of the step in `<step>_cpu_s` and
-`<step>_cpu_s_range`: wall times of one row moved by up to 40% between
-runs on a 2-CPU host.  `checks` holds each check's median ms from the
-reports.
+file (`write_s`), in-process; `map_bytes` is the size of that file.  A
+row holds the median of each step's runs, with their [min, max] in
+`<step>_s_range`, and the same for the process CPU seconds of the step
+in `<step>_cpu_s` and `<step>_cpu_s_range`: wall times of one row moved
+by up to 40% between runs on a 2-CPU host.  `checks` holds each check's
+median ms from the reports.
 
 Writes BENCH_<L>.json in the current directory, with the interpreter
 version, whether gmpy2 is importable (it alone moves the rational timings
@@ -65,7 +65,8 @@ def frontier_row(n, field, veneroni):
             for step, t in zip(times, (build, verify, write)):
                 times[step].append(t)
             reports.append(report)
-    row = {"n": n, "field": field}
+        map_bytes = os.path.getsize(path)
+    row = {"n": n, "field": field, "map_bytes": map_bytes}
     for step, runs in times.items():
         for key, values in (("s", [w for w, _ in runs]), ("cpu_s", [c for _, c in runs])):
             row[f"{step}_{key}"] = round(median(values), 4)
@@ -107,7 +108,8 @@ def main(argv=None):
     for row in rows:
         print(
             f"n={row['n']} {row['field']}: build {row['build_s']} s,"
-            f" verify {row['verify_s']} s, write {row['write_s']} s"
+            f" verify {row['verify_s']} s, write {row['write_s']} s,"
+            f" map {row['map_bytes']} bytes"
         )
     return 0 if all(row["ok"] for row in rows) else 1
 
