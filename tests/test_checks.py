@@ -528,6 +528,24 @@ def test_b_off_the_canonical_pattern_fails_by_name(field):
     assert not [name for name, wit in failed.items() if "error" in wit]
 
 
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+def test_dual_dimension_reads_the_dual_flats_from_b(field):
+    # canonical rows whose first two forms are dependent: the dual flats
+    # are not general, and the system through them is too large
+    coeffs = [
+        [0, 1, 1, 2, 3],
+        [1, 0, 2, 4, 6],
+        [2, 3, 0, 5, 7],
+        [7, 2, 3, 0, 1],
+        [3, 5, 2, 1, 0],
+    ]
+    inst = random_general_flats(4, 3, field)
+    vmap, inv = checks.build_all(inst)
+    inv.b = [[field.from_int(c) for c in row] for row in coeffs]
+    res = by_name(checks.run_suite(inst, vmap, inv))["dual-dimension"]
+    assert (res.status, res.witness) == ("fail", {"dim": 9, "expected": 5})
+
+
 def test_class_matrix_check_squares_the_matrix(monkeypatch):
     assert checks.check_class_matrix(3).witness == {"size": 5, "square": "identity"}
     # the matrix with its corner doubled squares to no identity

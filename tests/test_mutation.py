@@ -8,6 +8,10 @@ degree (for the scalar rows b and flats, one coefficient too
 many, i.e. a term in a variable the ring does not have).  A field with its
 last entry dropped, or with a JSON number where a coefficient string
 belongs, must be refused on load.
+
+Older map files also stored the rows of b as the forms `g` and the dual
+flats `dual_flats`.  The loader reads neither, so the same corruptions of
+those keys must leave the report bytes as they are.
 """
 
 import json
@@ -16,10 +20,13 @@ from fractions import Fraction
 import pytest
 
 from veneroni import cli
+from veneroni.mpoly import Poly
 
 MAPS = {3: (5, "qq", "full"), 4: (11, "fp:2147483647", "fast")}
 FIELDS = ("Q", "components", "b", "inverse_components", "flats")
 POLY_FIELDS = ("Q", "components", "inverse_components")
+LEGACY = ("g", "dual_flats")
+KINDS = ("coefficient", "degree", "missing", "type")
 
 FORWARD = ["determinantal", "basis-property", "b-matrix", "composition", "round-trip"]
 # a stored Q_k other than det(M_k), or a component other than x_i·Q_i,
@@ -62,6 +69,29 @@ def maps(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def legacy(maps, tmp_path_factory):
+    """Each map as an older file stores it, with g and dual_flats, and the
+    report bytes of the map without them."""
+    out = {}
+    for n, d in maps.items():
+        tmp = tmp_path_factory.mktemp("legacy")
+        _, _, inv = cli.map_from_dict(d)
+        old = {
+            **d,
+            "g": [Poly.from_linear(row) for row in inv.b],
+            "dual_flats": [{"j": i, "f2": row} for i, row in enumerate(d["b"])],
+        }
+        cli.dump_json(old, str(tmp / "old.json"))
+        plain = tmp / "plain.json"
+        plain.write_text(json.dumps(d))
+        report = tmp / "report.json"
+        argv = ["verify", "-i", str(plain), "--level", MAPS[n][2], "-o", str(report)]
+        assert cli.main(argv) == 0
+        out[n] = (json.loads((tmp / "old.json").read_text()), report.read_bytes())
+    return out
+
+
 def _bump(text):
     value = Fraction(text) + 1
     return str(value if value else value + 1)
@@ -71,7 +101,7 @@ def corrupt(d, field, kind, n):
     """Corrupt `field` of the map dict d in place: entry 1, or the last."""
     if kind == "missing":
         del d[field][-1]
-    elif field in POLY_FIELDS:
+    elif field in (*POLY_FIELDS, "g"):
         poly = d[field][1]
         if kind == "coefficient":
             poly["terms"][0]["c"] = _bump(poly["terms"][0]["c"])
@@ -90,7 +120,7 @@ def corrupt(d, field, kind, n):
             row.append("1")
 
 
-@pytest.mark.parametrize("kind", ["coefficient", "degree", "missing", "type"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("n", sorted(MAPS))
 def test_corrupted_map_fails_by_name(maps, tmp_path, capsys, n, field, kind):
@@ -110,3 +140,21 @@ def test_corrupted_map_fails_by_name(maps, tmp_path, capsys, n, field, kind):
     failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == failing
     assert not [c["name"] for c in failed if "error" in c["witness"]]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field", LEGACY)
+@pytest.mark.parametrize("n", sorted(MAPS))
+def test_corrupted_legacy_key_is_ignored(legacy, tmp_path, n, field, kind):
+    # g and dual_flats were copies of b's rows; no check reads them now,
+    # so even a malformed copy is neither refused nor failed
+    old, expected = legacy[n]
+    d = json.loads(json.dumps(old))
+    corrupt(d, field, kind, n)
+    assert d[field] != old[field]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    report = tmp_path / "report.json"
+    argv = ["verify", "-i", str(bad), "--level", MAPS[n][2], "-o", str(report)]
+    assert cli.main(argv) == 0
+    assert report.read_bytes() == expected
