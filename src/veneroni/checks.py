@@ -164,8 +164,7 @@ def _field_sqrt(ctx, a):
     if not a:
         return ctx.zero
     if ctx.kind == "fp":
-        r = a.sqrt()
-        return r
+        return a.sqrt()
     if a < ctx.zero:
         return None
     num, den = a.numerator, a.denominator
@@ -189,10 +188,13 @@ def _binary_disc(m, ctx):
     return b * b - ctx.from_int(4) * a * c
 
 
-def _meeting_degree_failure(m):
-    """The witness of an n = 3 meeting form m of degree other than 2, or None."""
+def _meeting_form_failure(m, ctx):
+    """Why the n = 3 meeting form m counts no two distinct transversals, a
+    degree other than 2 or a double root: the witness, or None."""
     if m.is_zero() or m.degree() != 2:
         return {"reason": f"meeting form degree {m.degree()}"}
+    if not _binary_disc(m, ctx):
+        return {"reason": "meeting form has a double root"}
     return None
 
 
@@ -237,21 +239,6 @@ def _n3_family(flats, ctx):
     return m, p, w
 
 
-def transversals_distinct_n3(m, ctx):
-    """Whether the two lines meeting four general flats in P^3 are
-    distinct, from their meeting form m (see `transversal_lines_n3`).
-
-    The count is the degree of m, which is 2 for a general instance: a
-    degree other than 2 signals a non-general instance and raises.  Returns
-    whether the discriminant of m is nonzero, i.e. the two roots differ.
-    """
-    if _meeting_degree_failure(m) is not None:
-        raise maps.ConstructionError(
-            f"meeting form has degree {m.degree()}, not 2: non-general instance"
-        )
-    return bool(_binary_disc(m, ctx))
-
-
 def _binary_roots(m, ctx):
     """Rational/field roots (s:t) of a degree-2 binary form, if they split."""
     a, b, c = _binary_abc(m, ctx)
@@ -266,14 +253,15 @@ def _binary_roots(m, ctx):
 
 
 def transversal_lines_n3(flats, ctx):
-    """The meeting form m of four flats in P^3, its disc_ok flag by
-    `transversals_distinct_n3`, which raises on a degree other than 2, and the
+    """The meeting form m of four flats in P^3, whether it counts two
+    distinct transversals (no `_meeting_form_failure`), and then the
     explicit transversal lines, when m splits over the field.  The lines
     are those of `_family_lines`, which needs flats 0, 1, 2 pairwise
     disjoint, as the genericity check certifies."""
     m, p, w = _n3_family(flats, ctx)
-    disc_ok = transversals_distinct_n3(m, ctx)
-    return m, disc_ok, _family_lines(ctx, m, p, w)
+    if _meeting_form_failure(m, ctx) is not None:
+        return m, False, []
+    return m, True, _family_lines(ctx, m, p, w)
 
 
 def _family_lines(ctx, m, p, w):
@@ -299,9 +287,9 @@ def _family_lines(ctx, m, p, w):
 
 
 def check_genericity(inst, proofs):
-    """`projgeo.genericity_check`, with (e) read off the record's bounds."""
+    """`projgeo.genericity_check`, reading the record's meets and bounds."""
     rep = genericity_check(
-        inst.flats, inst.ctx, seed=inst.seed, attempt=inst.retries, bound=proofs.bound
+        inst.flats, inst.ctx, seed=inst.seed, attempt=inst.retries, record=proofs
     )
     if rep.ok:
         conditions = ["canonical", "intersections", "transversals", "dimension"]
@@ -437,14 +425,13 @@ def verify_composition(vmap, proofs):
 def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
     """Map k >= 1 distinct random points where no component vanishes
     (`_sample_off_locus`, whose values are the images) back; demand exact
-    return and pairwise-distinct images."""
+    return, which makes the images pairwise distinct."""
     if k < 1:
         raise ValueError(f"round-trip needs at least 1 sample, got {k}")
     ctx = vmap.ctx
     rng = seeded_rng(seed, "roundtrip")
     forward = Evaluator(vmap.components)
     inverse = Evaluator(inv.inverse_components)
-    images = []
     seen = set()
     for s in range(k):
         p, values = _sample_off_locus(vmap, forward, rng)
@@ -457,9 +444,7 @@ def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
             return _failed(
                 "round-trip", {"sample": s, "point": p.format(), "returned": back.format()}
             )
-        images.append(img)
-    if len({im.coords for im in images}) != len(images):
-        return _failed("round-trip", {"reason": "images collide"})
+    # distinct points, each returned from its image, have distinct images
     return _passed("round-trip", {"samples": k, "distinct_images": True})
 
 
@@ -509,17 +494,18 @@ def _hypotheses_failure(proofs):
 
     (H1) Each stored Q_k is det(M_k), proved by the record's `lattice`
     fact, so it lies in the ideal I_m = (x_m, f_m) of every flat m != k
-    (`maps.build_forward_map`) and vanishes on flat m.  (H2) At n >= 4
-    each pair meet has dimension n-4, so I_a ∩ I_b = I_a·I_b and every
-    Q_k, k not in {a, b}, is double along flat_a ∩ flat_b
-    (`check_multiplicity`).
+    (`maps.build_forward_map`) and vanishes on flat m.  (H2) Each pair
+    meet has n-3 basis points, dimension n-4: x_a, f_a, x_b, f_b are
+    independent, so at n = 3 the four lines are pairwise disjoint, and at
+    n >= 4 I_a ∩ I_b = I_a·I_b and every Q_k, k not in {a, b}, is double
+    along flat_a ∩ flat_b (`check_multiplicity`).
     """
     failure = _stored_q_failure(proofs)
     vmap = proofs.vmap
-    if failure is None and vmap.n >= 4:
+    if failure is None:
         for i, j in combinations(range(vmap.n + 1), 2):
             dim = len(proofs.meet(i, j)) - 1
-            if dim != vmap.n - 4:
+            if dim != vmap.n - 4:  # at n = 3: two of the four lines meet
                 reason = "the forms of the two flats are dependent"
                 return {"pair": [i, j], "dim": dim, "reason": reason}
     return failure
@@ -611,33 +597,26 @@ def _family_failure(proofs):
     """Why both transversals of four flats in P^3 do not lie inside every
     Q_k: the first witness, or None.
 
-    The meeting form m of the family (`_n3_family`) must have degree 2
-    and distinct roots, and the four flats must be pairwise disjoint (the
-    record's meets).  Then the family spans the transversals: p, a point
-    of flat 0, is off flat 2, so its cone row h through flat 2 is nonzero;
-    w = 0 would put flat 1 inside the plane h = 0 with flat 2, and no
-    plane holds two skew lines; and w != p, as w lies on flat 1.  The cone
-    planes H1(p), H2(p) of flats 1 and 2 are distinct by the same skew
-    lines, so H1(p) ∩ H2(p) is the line pw.  At a root of m the two cone
-    rows and the forms of flat 3 share a null vector, a point of flat 3 on
-    that line; the line meets flat 0 at p, flat 1 at w, and flat 2 by the
-    cone proof of `transversal_through`.  A transversal meets the four
-    flats at four distinct points, as no two flats meet, and no flat holds
-    it, as that flat would meet the other three.  Q_k vanishes on the three
-    flats other than k ((H1) of `_hypotheses_failure`), so it has three
-    zeros on each transversal and degree 2, and it holds both lines, over
-    the algebraic closure, with neither constructed.
+    The meeting form m of the family (`_n3_family`) must have degree 2 and
+    distinct roots (`_meeting_form_failure`), and by (H2) of
+    `_hypotheses_failure` the four flats are pairwise disjoint.  Then the
+    family spans the transversals: p, a point of flat 0, is off flat 2, so
+    its cone row h through flat 2 is nonzero; w = 0 would put flat 1
+    inside the plane h = 0 with flat 2, and no plane holds two skew lines;
+    and w != p, as w lies on flat 1.  The cone planes H1(p), H2(p) of flats
+    1 and 2 are distinct by the same skew lines, so H1(p) ∩ H2(p) is the
+    line pw.  At a root of m the two cone rows and the forms of flat 3
+    share a null vector, a point of flat 3 on that line; the line meets
+    flat 0 at p, flat 1 at w, and flat 2 by the cone proof of
+    `transversal_through`.  A transversal meets the four flats at four
+    distinct points, as no two flats meet, and no flat holds it, as that
+    flat would meet the other three.  Q_k vanishes on the three flats other
+    than k (H1), so it has three zeros on each transversal and degree 2,
+    and it holds both lines, over the algebraic closure, with neither
+    constructed.
     """
-    m = proofs.family()[0]
-    failure = _meeting_degree_failure(m)
-    if failure is not None:
-        return failure
-    if not _binary_disc(m, proofs.vmap.ctx):
-        return {"reason": "meeting form has a double root"}
-    for a, b in combinations(range(4), 2):
-        if proofs.meet(a, b):
-            return {"pair": [a, b], "reason": "flats meet"}
-    return proofs.hypotheses()
+    failure = _meeting_form_failure(proofs.family()[0], proofs.vmap.ctx)
+    return failure if failure is not None else proofs.hypotheses()
 
 
 def check_transversal_sample(vmap, proofs):
@@ -787,12 +766,9 @@ def check_demos(vmap, level, proofs):
     if level == "fast":
         return _skipped("demos", "level fast skips the n-specific demos")
     if vmap.n == 3:
-        m = proofs.family()[0]
-        failure = _meeting_degree_failure(m)
+        failure = _meeting_form_failure(proofs.family()[0], vmap.ctx)
         if failure is not None:
             return _failed("demos", failure)
-        if not _binary_disc(m, vmap.ctx):
-            return _failed("demos", {"count": 2, "disc_nonzero": False})
         return _passed(
             "demos", {"example": "transversal count", "count": 2, "disc_nonzero": True}
         )

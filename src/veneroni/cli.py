@@ -2,7 +2,7 @@
 transversal queries, with JSON artifacts and stable exit codes.
 
 Exit codes: 0 all checks pass, 1 a verification failed (the report is
-still written), 2 input or usage error.
+still written) or no generic instance was found, 2 input or usage error.
 """
 
 import argparse
@@ -13,6 +13,7 @@ from . import __version__, checks, maps
 from .mpoly import Poly
 from .projgeo import (
     FlatsInstance,
+    NoGenericInstance,
     ProjPoint,
     meeting_param,
     random_general_flats,
@@ -186,11 +187,7 @@ def cmd_generate(args):
         )
         return 2
     ctx = parse_field(args.field)
-    try:
-        inst = random_general_flats(n, args.seed or 0, ctx, bound=args.bound)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst = random_general_flats(n, args.seed or 0, ctx, bound=args.bound)
     dump_json(inst.to_dict(__version__), args.output)
     print(f"retries: {inst.retries}", file=sys.stderr)
     return 0
@@ -303,26 +300,21 @@ def cmd_demo(args):
         if n == 3:
             m, disc_ok, lines = checks.transversal_lines_n3(inst.flats, ctx)
             print(f"n=3 seed={seed}: meeting form {m.text(['s', 't'])}")
-            print(
-                "  2 transversals to the four lines"
-                f" (discriminant nonzero: {disc_ok})"
-            )
-            if lines:
-                for line in lines:
-                    print(
-                        f"  explicit line through {line.base.format()}"
-                        f" and {line.dir.format()}"
-                    )
-            else:
+            if not disc_ok:
+                print(f"  FAILED: {checks._meeting_form_failure(m, ctx)['reason']}")
+                failed = True
+                continue
+            print("  2 transversals to the four lines (discriminant nonzero: True)")
+            for line in lines:
+                print(f"  explicit line through {line.base.format()} and {line.dir.format()}")
+            if not lines:
                 print("  the two lines are conjugate over this field")
-            failed |= not disc_ok
         else:
             qs = maps.build_forward_map(inst.flats, ctx).Q[:2]
             res = checks.residual_component_example(inst.flats, qs, ctx, seed)
             print(f"n=4 seed={seed}: residual plane point")
             if res.status == "pass":
-                w = res.witness
-                print(f"  q = {w['q']} lies on Q_0 and Q_1")
+                print(f"  q = {res.witness['q']} lies on Q_0 and Q_1")
                 print("  two lines through q meet four of the five flats each")
                 print("  no line through q meets all five flats")
             else:
@@ -409,6 +401,9 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 2
+    except NoGenericInstance as exc:  # no draw was general: not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -481,6 +481,8 @@ class Poly:
             if c:
                 p.terms[e] = c
         deg = p.degree()
+        if type(d.get("degree", deg)) is not int:  # a bool is not an int here
+            raise ValueError(f"degree {d['degree']!r} is not an integer")
         if d.get("degree", deg) != deg:
             raise ValueError(f"declared degree {d['degree']} but terms have degree {deg}")
         return p

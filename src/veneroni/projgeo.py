@@ -28,6 +28,7 @@ __all__ = [
     "LineParam",
     "TransversalResult",
     "FlatsInstance",
+    "NoGenericInstance",
     "cone_hyperplane",
     "transversal_through",
     "flat_meet",
@@ -309,6 +310,10 @@ _SAMPLE_POINTS = 3  # points of genericity_check's condition (c)
 _RESIDUE_PRIME = (1 << 31) - 1  # condition (c) over Q ranks mod this first
 
 
+class NoGenericInstance(RuntimeError):
+    """No attempt of `random_general_flats` passed `genericity_check`."""
+
+
 def random_general_flats(n, seed, ctx=None, bound=9):
     """n+1 random canonical flats in P^n certified by genericity_check.
 
@@ -331,7 +336,7 @@ def random_general_flats(n, seed, ctx=None, bound=9):
         report = genericity_check(flats, ctx, seed=seed, attempt=attempt)
         if report.ok:
             return FlatsInstance(n, seed, bound, ctx, flats, retries=attempt)
-    raise RuntimeError(
+    raise NoGenericInstance(
         f"no generic instance after {_MAX_RETRIES} attempts (n={n}, seed={seed})"
     )
 
@@ -342,11 +347,11 @@ class GenericityReport:
     failures: list
 
 
-def genericity_check(flats, ctx, seed=0, attempt=0, bound=None):
+def genericity_check(flats, ctx, seed=0, attempt=0, record=None):
     """Certify that a flat list is general enough for the whole pipeline.
 
     Checks (a) canonical nonzero pattern, (b) pairwise intersections of the
-    expected dimension, read off `flat_meet`, (c) a unique transversal
+    expected dimension, read off the pair meets, (c) a unique transversal
     through a sampled point for every (n-1)-subset: by the cone proof of
     `transversal_through`, cone rows of rank n-1 at p.  The rows are linear
     in p, so a nonzero (n-1)-minor at one point is nonzero on a dense open
@@ -356,8 +361,9 @@ def genericity_check(flats, ctx, seed=0, attempt=0, bound=None):
     to zero, so det(B_i) = x_i det(M_i) identically (`maps.compute_Q`).
     (e) the degree-n system through the flats and the one through the dual
     flats, the rows of A^T, both have dimension n+1, by a
-    `restriction_bound` of n+1 on A and on A^T: `bound(name)`, name "A" or
-    "Aᵀ", where the caller keeps them (`checks.ProofRecord.bound`), else
+    `restriction_bound` of n+1 on A and on A^T, name "A" or "Aᵀ".  The
+    meets and bounds are `record.meet(i, j)` and `record.bound(name)` when
+    the caller keeps them (`checks.ProofRecord`), else `flat_meet` and
     `flats_bound`.  Failures are named; the report carries all of them.
     """
     failures = []
@@ -369,7 +375,7 @@ def genericity_check(flats, ctx, seed=0, attempt=0, bound=None):
     if not failures:
         expected = max(n - 4, -1)  # projective dimension, -1 meaning empty
         for i, j in combinations(range(n1), 2):
-            got = len(flat_meet(flats[i], flats[j], ctx)) - 1
+            got = len(record.meet(i, j) if record else flat_meet(flats[i], flats[j], ctx)) - 1
             if got != expected:
                 failures.append(
                     f"b: intersection {i},{j} has dimension {got}, expected {expected}"
@@ -387,7 +393,7 @@ def genericity_check(flats, ctx, seed=0, attempt=0, bound=None):
             failures.append(f"c: point {p.format()} with flats {pending[0]} gave family")
     if not failures:
         for name in ("A", "Aᵀ"):
-            got = bound(name) if bound else flats_bound(flats, name)
+            got = record.bound(name) if record else flats_bound(flats, name)
             if got != n1:
                 failures.append(f"e: restriction bound on {name} is {got}, expected {n1}")
     return GenericityReport(ok=not failures, failures=failures)

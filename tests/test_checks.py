@@ -438,7 +438,24 @@ def test_n3_family_fails_by_the_pair_of_flats_that_meet(field):
     assert res["genericity"].status == "fail"
     for name in ("base-locus", "transversal-sample"):
         assert res[name].status == "fail"
-        assert res[name].witness == {"pair": [0, 1], "reason": "flats meet"}
+        assert res[name].witness == {
+            "pair": [0, 1], "dim": 0, "reason": "the forms of the two flats are dependent"
+        }
+
+
+def test_a_double_root_fails_every_reader_of_the_meeting_form(monkeypatch):
+    # one test decides the meeting form: the family's count, read by
+    # base-locus and transversal-sample, and the demo fail with one witness
+    inst = random_general_flats(3, 4, QQ)
+    family = checks._n3_family
+    square = Poly.var(0, 2, QQ.one) ** 2
+    monkeypatch.setattr(checks, "_n3_family", lambda flats, ctx: (square, *family(flats, ctx)[1:]))
+    res = by_name(checks.run_suite(inst))
+    for name in ("base-locus", "transversal-sample", "demos"):
+        assert (res[name].status, res[name].witness) == (
+            "fail", {"reason": "meeting form has a double root"}
+        )
+    assert checks.transversal_lines_n3(inst.flats, QQ)[1:] == (False, [])
 
 
 def test_residual_example_across_seeds():
@@ -574,8 +591,8 @@ def test_verify_recertifies_the_attempt_that_generate_accepted(monkeypatch):
     calls = []
     certify = projgeo.genericity_check
 
-    def recorded(flats, ctx, seed=0, attempt=0, bound=None):
-        report = certify(flats, ctx, seed=seed, attempt=attempt, bound=bound)
+    def recorded(flats, ctx, seed=0, attempt=0, record=None):
+        report = certify(flats, ctx, seed=seed, attempt=attempt, record=record)
         calls.append((seed, attempt, report))
         return report
 
@@ -826,6 +843,25 @@ def test_each_shared_fact_is_proved_once_per_report(
     assert checks.run_suite(inst, vmap, inv, level=level).ok
     assert {name: calls[name] for name in expected} == {k: 2 * v for k, v in expected.items()}
     assert {key: built[key] for key in once} == {k: 2 * v for k, v in once.items()}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_report_meets_each_pair_of_flats_once(monkeypatch, n):
+    # genericity (b) reads the record's meets, and (H2) reads them again at
+    # every n >= 3: no module meets a pair of flats a second time
+    inst = random_general_flats(n, 11, FP31)
+    vmap, inv = checks.build_all(inst)
+    pairs = Counter()
+    meet = projgeo.flat_meet
+
+    def counted(a, b, ctx):
+        pairs[a.j, b.j] += 1
+        return meet(a, b, ctx)
+
+    monkeypatch.setattr(projgeo, "flat_meet", counted)
+    monkeypatch.setattr(checks, "flat_meet", counted)
+    assert checks.run_suite(inst, vmap, inv, level="fast").ok
+    assert pairs == Counter(combinations(range(n + 1), 2))
 
 
 def test_a_build_expands_the_minors_twice_and_a_verify_once(monkeypatch):

@@ -244,6 +244,18 @@ def test_generate_fp_field(capsys):
     assert json.loads(out)["field"] == {"kind": "fp", "p": M61}
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["generate"], ["build"], ["verify"], ["transversal", "--point", "1,2,3,4,5"], ["demo"]],
+    ids=lambda command: command[0],
+)
+def test_a_failed_instance_search_ends_every_command_alike(capsys, command):
+    # no draw of n = 4 flats with coefficients ±1 at seed 0 is general
+    rc, out, err = run(capsys, [*command, "-n", "4", "--bound", "1"])
+    assert (rc, out) == (1, "")
+    assert err == "error: no generic instance after 32 attempts (n=4, seed=0)\n"
+
+
 def test_generate_bad_field(capsys):
     rc, _, err = run(capsys, ["generate", "-n", "2", "--field", "gf:9"])
     assert rc == 2
@@ -446,6 +458,20 @@ def test_malformed_flats_file_is_refused(tmp_path, capsys, command, kind):
     assert f"error: {PROVENANCE_ERRORS.get(kind, f'malformed input file {bad}:')}" in err
 
 
+@pytest.mark.parametrize("n, degree", [(3, "2"), (3, 2.0), (2, True)])
+def test_a_degree_that_is_no_json_integer_is_refused(tmp_path, capsys, n, degree):
+    # "2" was refused as though the terms' degree 2 differed from it, and
+    # true passed as the degree 1 of Q_0 at n = 2
+    path = tmp_path / "map.json"
+    assert cli.main(["build", "-n", str(n), "--seed", "5", "-o", str(path)]) == 0
+    d = json.loads(path.read_text())
+    d["Q"][0]["degree"] = degree
+    path.write_text(json.dumps(d))
+    rc, out, err = run(capsys, ["verify", "-i", str(path)])
+    assert rc == 2 and out == ""
+    assert f"error: degree {degree!r} is not an integer" in err
+
+
 def test_flats_file_below_p2_is_refused(tmp_path, capsys):
     # codimension-2 flats of P^1 are empty: the constructions need n >= 2
     path = tmp_path / "flats1.json"
@@ -628,6 +654,22 @@ def test_demo_n3(capsys):
     assert rc == 0
     assert "2 transversals to the four lines" in out
     assert "meeting form" in out
+
+
+@pytest.mark.parametrize(
+    "form, reason",
+    [(Poly.zero(2), "meeting form degree -1"),
+     (Poly.var(0, 2, 1) ** 2, "meeting form has a double root")],
+    ids=["zero", "square"],
+)
+def test_demo_n3_prints_why_the_meeting_form_fails(capsys, monkeypatch, form, reason):
+    # a meeting form that counts no two distinct lines fails the demo by
+    # its reason, with no crash
+    family = checks._n3_family
+    monkeypatch.setattr(checks, "_n3_family", lambda flats, ctx: (form, *family(flats, ctx)[1:]))
+    rc, out, _ = run(capsys, ["demo", "-n", "3", "--seed", "5"])
+    assert rc == 1
+    assert out.endswith(f"  FAILED: {reason}\n")
 
 
 def test_demo_n3_fp_split(capsys):

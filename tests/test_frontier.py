@@ -1,6 +1,7 @@
 """tools/frontier.py times a row against the package under test."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from veneroni import checks, cli, projgeo, scalar
@@ -29,3 +30,16 @@ def test_a_frontier_row_is_the_median_of_its_runs(tmp_path):
         for key in (f"{step}_s", f"{step}_cpu_s"):
             low, high = row[f"{key}_range"]
             assert 0 <= low <= row[key] <= high
+
+
+def test_a_frontier_record_carries_the_host_probe(tmp_path, monkeypatch):
+    frontier = load_frontier()
+    monkeypatch.setattr(frontier, "SIZES", (3,))
+    monkeypatch.setattr(frontier, "FIELDS", {"fp": (1 << 31) - 1})
+    monkeypatch.chdir(tmp_path)
+    src = Path(checks.__file__).resolve().parents[1]
+    assert frontier.main(["--src", str(src), "--label", "probe"]) == 0
+    record = json.loads((tmp_path / "BENCH_probe.json").read_text())
+    assert list(record)[-2:] == ["probe_s", "rows"]
+    assert set(record["probe_s"]) == {"before", "after"}
+    assert all(s > 0 for s in record["probe_s"].values())

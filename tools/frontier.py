@@ -19,7 +19,11 @@ median ms from the reports.
 
 Writes BENCH_<L>.json in the current directory, with the interpreter
 version, whether gmpy2 is importable (it alone moves the rational timings
-several times) and the number of CPUs this process may run on.  It is a
+several times) and the number of CPUs this process may run on.
+`probe_s` holds the host's speed before and after the rows: each the
+median of `PROBE_REPS` runs of `host_probe`, the fixed task of
+`perfbench/run.py` in this script's checkout, loaded by path, so that
+records taken on two hosts can be scaled to one another.  It is a
 trajectory record for citing speed-ups, not a gate: nothing reads it.
 Exits 1 when a report fails, 2 when PATH holds no `veneroni` package.
 """
@@ -32,12 +36,14 @@ import platform
 import sys
 import tempfile
 import time
+from pathlib import Path
 from statistics import median
 
 SEED = 5
 SIZES = (5, 6, 7)
 FIELDS = {"qq": None, "fp": (1 << 31) - 1}
 RUNS = 3  # timed runs per row
+PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 def timed(step):
@@ -45,6 +51,15 @@ def timed(step):
     wall, cpu = time.perf_counter(), time.process_time()
     out = step()
     return out, time.perf_counter() - wall, time.process_time() - cpu
+
+
+def host_prober():
+    """A function giving the median of `PROBE_REPS` `host_probe` seconds,
+    both taken from `PERFBENCH_RUN`."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return lambda: round(median(run.host_probe() for _ in range(run.PROBE_REPS)), 6)
 
 
 def frontier_row(n, field, veneroni):
@@ -93,6 +108,8 @@ def main(argv=None):
     from veneroni import checks, cli, projgeo, scalar
 
     veneroni = (checks, cli, projgeo, scalar)
+    probe = host_prober()
+    before = probe()
     rows = [frontier_row(n, field, veneroni) for n in SIZES for field in FIELDS]
     record = {
         "label": args.label,
@@ -100,6 +117,7 @@ def main(argv=None):
         "python": platform.python_version(),
         "gmpy2": importlib.util.find_spec("gmpy2") is not None,
         "nproc": len(os.sched_getaffinity(0)),
+        "probe_s": {"before": before, "after": probe()},
         "rows": rows,
     }
     with open(f"BENCH_{args.label}.json", "w", encoding="utf-8") as fh:
