@@ -23,7 +23,13 @@ QQ = FieldCtx.rationals()
 
 inst = random_general_flats(4, seed, QQ)
 q0, q1 = (maps.compute_Q(inst.flats, i, QQ) for i in (0, 1))
-res = checks.residual_component_example(inst.flats, [q0, q1], QQ, seed)
+
+
+def meet(i, j):
+    return flat_meet(inst.flats[i], inst.flats[j], QQ)
+
+
+res = checks.residual_component_example(inst.flats, [q0, q1], meet, QQ, seed)
 assert res.status == "pass", res.witness
 w = res.witness
 
@@ -37,7 +43,7 @@ print("    meets flats 1, 2, 3, 4 (four of five);")
 print("  but no line through q meets all five flats.")
 
 print("\nmultiplicity at a pairwise intersection point:")
-q23 = flat_meet(inst.flats[2], inst.flats[3], QQ)[0]
+q23 = meet(2, 3)[0]
 value, *partials = Evaluator([q0, *(q0.partial(v) for v in range(5))])(q23.coords)
 print(f"  at the point {q23.format()} of flat_2 ∩ flat_3:")
 print(f"  Q_0 = {value} and all five partials of Q_0 are"

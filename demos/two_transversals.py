@@ -23,10 +23,10 @@ p = 2305843009213693951
 
 for ctx, label in ((FieldCtx.rationals(), "QQ"), (FieldCtx.prime(p), f"F_{p}")):
     inst = random_general_flats(3, seed, ctx)
-    m, disc_ok, lines = checks.transversal_lines_n3(inst.flats, ctx)
+    m, failure, lines = checks.transversal_lines_n3(inst.flats, ctx)
     print(f"over {label}:")
     print(f"  meeting form  m(s,t) = {m.text(['s', 't'])}")
-    print(f"  degree {m.degree()}, discriminant nonzero: {disc_ok}"
+    print(f"  degree {m.degree()}, discriminant nonzero: {failure is None}"
           " -> 2 transversals")
     if lines:
         for k, line in enumerate(lines):

@@ -30,7 +30,7 @@ assembles the fixed 13-check report used by the CLI.
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
 
 from . import exactla as la
@@ -82,7 +82,7 @@ class CheckResult:
         return self.status != "fail"
 
     def to_dict(self):
-        return asdict(self)
+        return {"name": self.name, "status": self.status, "witness": self.witness, "ms": self.ms}
 
 
 @dataclass
@@ -105,7 +105,8 @@ class Report:
         return self
 
     def to_dict(self):
-        return asdict(self)
+        checks = [c.to_dict() for c in self.checks]
+        return {"instance": self.instance, "checks": checks, "summary": self.summary}
 
 
 def _passed(name, witness=None):
@@ -137,26 +138,6 @@ def _span_point(combo, pts, ctx):
 def _point_on_flat(flat, ctx, rng):
     span = parametrize_flat(flat, ctx)
     return _span_point([ctx.random_nonzero(rng) for _ in span], span, ctx)
-
-
-_OFF_LOCUS_TRIES = 200  # attempts before _sample_off_locus gives up
-
-
-def _sample_off_locus(vmap, forward, rng):
-    """(p, values): a random point where no stored component vanishes, and
-    the components' values there, its image; `forward` evaluates them.
-
-    The coordinates are drawn nonzero and `ProjPoint` scales them by a
-    nonzero factor, so where v_i = x_i·Q_i, v_i(p) = p_i·Q_i(p) vanishes
-    exactly where Q_i does: for a valid map these are the points off the
-    Q_i, drawn without evaluating any Q_i.
-    """
-    for _ in range(_OFF_LOCUS_TRIES):
-        p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)
-        values = forward(p.coords)
-        if all(values):
-            return p, values
-    raise RuntimeError("could not sample a point where no component vanishes")
 
 
 def _field_sqrt(ctx, a):
@@ -253,15 +234,14 @@ def _binary_roots(m, ctx):
 
 
 def transversal_lines_n3(flats, ctx):
-    """The meeting form m of four flats in P^3, whether it counts two
-    distinct transversals (no `_meeting_form_failure`), and then the
-    explicit transversal lines, when m splits over the field.  The lines
-    are those of `_family_lines`, which needs flats 0, 1, 2 pairwise
-    disjoint, as the genericity check certifies."""
+    """The meeting form m of four flats in P^3, its `_meeting_form_failure`
+    (None when it counts two distinct transversals), and then the explicit
+    transversal lines, when m splits over the field.  The lines are those
+    of `_family_lines`, which needs flats 0, 1, 2 pairwise disjoint, as the
+    genericity check certifies."""
     m, p, w = _n3_family(flats, ctx)
-    if _meeting_form_failure(m, ctx) is not None:
-        return m, False, []
-    return m, True, _family_lines(ctx, m, p, w)
+    failure = _meeting_form_failure(m, ctx)
+    return m, failure, [] if failure is not None else _family_lines(ctx, m, p, w)
 
 
 def _family_lines(ctx, m, p, w):
@@ -423,29 +403,57 @@ def verify_composition(vmap, proofs):
 
 
 def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
-    """Map k >= 1 distinct random points where no component vanishes
-    (`_sample_off_locus`, whose values are the images) back; demand exact
-    return, which makes the images pairwise distinct."""
+    """Map k >= 1 distinct random points where no component vanishes back;
+    demand exact return, which makes the images pairwise distinct.
+
+    Coordinates are drawn nonzero, so v_i(p) = p_i·Q_i(p) vanishes where Q_i
+    does: for a valid map, points off the Q_i, found without evaluating one.
+    Points and images are ints (`_lowered`); a `ProjPoint` names a failure."""
     if k < 1:
         raise ValueError(f"round-trip needs at least 1 sample, got {k}")
-    ctx = vmap.ctx
+    ctx, p = vmap.ctx, vmap.ctx.p
     rng = seeded_rng(seed, "roundtrip")
     forward = Evaluator(vmap.components)
     inverse = Evaluator(inv.inverse_components)
+
+    def draw():
+        # a point off the locus, lowered, and its image, in at most 200 draws
+        for _ in range(200):
+            coords = [ctx.random_nonzero(rng) for _ in range(vmap.n + 1)]
+            x = _lowered([c.r if p else int(c.numerator) for c in coords], p)
+            y = forward.totals(x, p)[0]
+            if all(y):
+                return coords, x, y
+        raise RuntimeError("could not sample a point where no component vanishes")
+
     seen = set()
     for s in range(k):
-        p, values = _sample_off_locus(vmap, forward, rng)
-        while p.coords in seen:  # small fields invite birthday collisions
-            p, values = _sample_off_locus(vmap, forward, rng)
-        seen.add(p.coords)
-        img = ProjPoint(values, ctx)
-        back = maps.apply_map(inverse, img, ctx)
-        if back != p:
-            return _failed(
-                "round-trip", {"sample": s, "point": p.format(), "returned": back.format()}
-            )
+        coords, x, y = draw()
+        while x in seen:  # small fields invite birthday collisions
+            coords, x, y = draw()
+        seen.add(x)
+        back = inverse.totals(_lowered(y, p), p)[0]
+        if not back[0] or _lowered(back, p) != x:  # x[0] != 0, so back[0] = 0 fails
+            point = ProjPoint(coords, ctx)
+            img = ProjPoint(forward(point.coords), ctx)
+            values = inverse(img.coords)
+            if not any(values):
+                raise maps.BaseLocusError(f"point {img.format()} is in the base locus")
+            back = ProjPoint(values, ctx).format()
+            return _failed("round-trip", {"sample": s, "point": point.format(), "returned": back})
     # distinct points, each returned from its image, have distinct images
     return _passed("round-trip", {"samples": k, "distinct_images": True})
+
+
+def _lowered(ints, p):
+    """Ints of a projective point, the first nonzero, as `Evaluator` lowers its
+    `ProjPoint`, then h: over F_p the residues scaled to first entry 1 and
+    h = 1, over Q the primitive vector with a positive first entry and it."""
+    if p is not None:
+        inv = pow(ints[0], -1, p)
+        return (*(v * inv % p for v in ints), 1)
+    g = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
+    return (*(v // g for v in ints), ints[0] // g)
 
 
 def verify_base_locus(vmap, proofs):
@@ -715,11 +723,11 @@ def check_dual_dimension(vmap, proofs):
     return _passed("dual-dimension", {"dim": dim, "expected": n1})
 
 
-def residual_component_example(flats, qs, ctx, seed=0):
+def residual_component_example(flats, qs, meet, ctx, seed=0):
     """The plane through the three pairwise intersection points of flats
-    2, 3, 4 in P^4: its general point q lies on Q_0 and Q_1 (given as
-    qs), carries two lines transversal to four flats each, yet admits no
-    transversal to all five.
+    2, 3, 4 in P^4, read off `meet(i, j)`, a basis of flat_i ∩ flat_j: its
+    general point q lies on Q_0 and Q_1 (given as qs), carries two lines
+    transversal to four flats each, yet admits no transversal to all five.
 
     The anchor lines are not tested against their flats.  The line from q
     to the point p_i of the plane on flat i (i = 0, 1) meets flat i at p_i.
@@ -727,10 +735,7 @@ def residual_component_example(flats, qs, ctx, seed=0):
     intersection points on flat k (k = 2, 3, 4); two lines of a plane meet.
     """
     name = "demos"
-    pts = [
-        flat_meet(flats[i], flats[j], ctx)[0]
-        for i, j in ((2, 3), (2, 4), (3, 4))
-    ]
+    pts = [meet(i, j)[0] for i, j in ((2, 3), (2, 4), (3, 4))]
     if la.rank([list(p) for p in pts], ctx) != 3:
         return _failed(name, {"reason": "intersection points do not span a plane"})
     rng = seeded_rng(seed, "residual-plane")
@@ -773,7 +778,9 @@ def check_demos(vmap, level, proofs):
             "demos", {"example": "transversal count", "count": 2, "disc_nonzero": True}
         )
     if vmap.n == 4:
-        return residual_component_example(vmap.flats, vmap.Q[:2], vmap.ctx, proofs.seed)
+        return residual_component_example(
+            vmap.flats, vmap.Q[:2], proofs.meet, vmap.ctx, proofs.seed
+        )
     return _skipped("demos", f"no n-specific demo for n={vmap.n}")
 
 

@@ -15,6 +15,7 @@ from .projgeo import (
     FlatsInstance,
     NoGenericInstance,
     ProjPoint,
+    flat_meet,
     meeting_param,
     random_general_flats,
     transversal_through,
@@ -298,10 +299,10 @@ def cmd_demo(args):
             return 2
         inst = random_general_flats(n, seed, ctx, bound=args.bound)
         if n == 3:
-            m, disc_ok, lines = checks.transversal_lines_n3(inst.flats, ctx)
+            m, failure, lines = checks.transversal_lines_n3(inst.flats, ctx)
             print(f"n=3 seed={seed}: meeting form {m.text(['s', 't'])}")
-            if not disc_ok:
-                print(f"  FAILED: {checks._meeting_form_failure(m, ctx)['reason']}")
+            if failure is not None:
+                print(f"  FAILED: {failure['reason']}")
                 failed = True
                 continue
             print("  2 transversals to the four lines (discriminant nonzero: True)")
@@ -310,8 +311,11 @@ def cmd_demo(args):
             if not lines:
                 print("  the two lines are conjugate over this field")
         else:
-            qs = maps.build_forward_map(inst.flats, ctx).Q[:2]
-            res = checks.residual_component_example(inst.flats, qs, ctx, seed)
+            flats = inst.flats
+            qs = maps.build_forward_map(flats, ctx).Q[:2]
+            res = checks.residual_component_example(
+                flats, qs, lambda i, j: flat_meet(flats[i], flats[j], ctx), ctx, seed
+            )
             print(f"n=4 seed={seed}: residual plane point")
             if res.status == "pass":
                 print(f"  q = {res.witness['q']} lies on Q_0 and Q_1")
@@ -326,73 +330,61 @@ def cmd_demo(args):
 # ---- entry point ---------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="veneroni",
-        description=(
-            "Construct and verify the birational transformations of P^n"
-            " defined by n+1 general codimension-2 flats."
-        ),
+def commands():
+    """Each subcommand's name, help and handler, in usage order, read at each
+    call: a handler replaced on this module (perfbench's tracer) then runs."""
+    return (
+        ("generate", "write a random general flats file", cmd_generate),
+        ("build", "construct the map and its inverse", cmd_build),
+        ("verify", "run the full verification suite", cmd_verify),
+        ("transversal", "query transversals through a point", cmd_transversal),
+        ("demo", "run the n=3 and n=4 narrative examples", cmd_demo),
     )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, io=True):
+
+def build_parser(command=None):
+    """The argument parser; given a `command`, with only its subparser, which
+    parses argv naming it as the whole parser does (usage lists every one)."""
+    about = "Construct and verify the birational transformations of P^n"
+    about += " defined by n+1 general codimension-2 flats."
+    parser = argparse.ArgumentParser(prog="veneroni", description=about)
+    parser.add_argument("--version", action="version", version=__version__)
+    table = commands()
+    # a metavar would rename the argument in the full parser's errors
+    names = "{" + ",".join(name for name, _, _ in table) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=command and names)
+
+    for name, text, func in table:
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=text)
         p.add_argument("-n", type=int, default=None, help="ambient dimension")
         # None when not given: a map file then keeps its own seed
         p.add_argument("--seed", type=int, default=None, help="instance seed (default 0)")
         p.add_argument("--bound", type=int, default=9, help="coefficient bound")
-        p.add_argument(
-            "--field", default="qq", help="ground field: qq or fp:<prime>"
-        )
-        if io:
+        p.add_argument("--field", default="qq", help="ground field: qq or fp:<prime>")
+        if name != "demo":
             p.add_argument("-i", "--input", default=None, help="input JSON file")
             p.add_argument("-o", "--output", default=None, help="output JSON file")
-
-    g = sub.add_parser("generate", help="write a random general flats file")
-    common(g)
-    g.set_defaults(func=cmd_generate)
-
-    b = sub.add_parser("build", help="construct the map and its inverse")
-    common(b)
-    b.set_defaults(func=cmd_build)
-
-    v = sub.add_parser("verify", help="run the full verification suite")
-    common(v)
-    v.add_argument("--level", choices=("fast", "full"), default="full")
-    v.add_argument(
-        "-k", "--samples", type=int, default=20, help="round-trip sample count"
-    )
-    v.add_argument("--json", action="store_true", help="print the JSON report")
-    v.add_argument(
-        "--timings",
-        action="store_true",
-        help="record per-check wall time (breaks byte-identical reruns)",
-    )
-    v.set_defaults(func=cmd_verify)
-
-    t = sub.add_parser("transversal", help="query transversals through a point")
-    common(t)
-    t.add_argument("--point", required=True, help='e.g. "1,2/3,0,5,1"')
-    t.add_argument(
-        "--omit",
-        type=int,
-        nargs="*",
-        default=None,
-        help="flat indices to leave out of the query",
-    )
-    t.add_argument("--json", action="store_true")
-    t.set_defaults(func=cmd_transversal)
-
-    d = sub.add_parser("demo", help="run the n=3 and n=4 narrative examples")
-    common(d, io=False)
-    d.set_defaults(func=cmd_demo)
-
+        p.set_defaults(func=func)
+        if name == "verify":
+            p.add_argument("--level", choices=("fast", "full"), default="full")
+            p.add_argument("-k", "--samples", type=int, default=20, help="round-trip sample count")
+            p.add_argument("--json", action="store_true", help="print the JSON report")
+            wall = "record per-check wall time (breaks byte-identical reruns)"
+            p.add_argument("--timings", action="store_true", help=wall)
+        elif name == "transversal":
+            p.add_argument("--point", required=True, help='e.g. "1,2/3,0,5,1"')
+            omit = "flat indices to leave out of the query"
+            p.add_argument("--omit", type=int, nargs="*", default=None, help=omit)
+            p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    named = argv[0] if argv and argv[0] in {name for name, _, _ in commands()} else None
+    args = build_parser(named).parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import exactla as la
 from .mpoly import Poly
-from .projgeo import Flat, ProjPoint
+from .projgeo import Flat
 
 __all__ = [
     "ConstructionError",
@@ -42,7 +42,6 @@ __all__ = [
     "build_forward_map",
     "solve_b_matrix",
     "build_inverse_map",
-    "apply_map",
     "class_matrix",
     "monomials_of_degree",
 ]
@@ -304,15 +303,6 @@ def build_inverse_map(vmap, inv):
     duals = [Flat(i, tuple(row)) for i, row in enumerate(inv.b)]
     inv.inverse_components = build_forward_map(duals, vmap.ctx).components
     return inv
-
-
-def apply_map(components, p, ctx):
-    """The image of a point, with `components` an `mpoly.Evaluator` of the
-    map's components; error on the base locus."""
-    vals = components(p.coords)
-    if not any(bool(v) for v in vals):
-        raise BaseLocusError(f"point {p.format()} is in the base locus")
-    return ProjPoint(vals, ctx)
 
 
 def class_matrix(n):

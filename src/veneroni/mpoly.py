@@ -553,26 +553,37 @@ class Evaluator:
             self._lowered[p] = rows
         return rows
 
-    def __call__(self, point):
-        """The values of the polynomials at the point, in list order."""
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match variable count")
-        p = self._prime if self._prime is not None else _prime(point)
+    def totals(self, xs, p):
+        """(values, den): the polynomials' values at a point lowered to ints,
+        `xs`, its nvars coordinates and then h.  Over F_p (p a prime) they
+        are residues with h = 1, the values are residues and den is 1.  Over
+        Q they are numerators over h, and the values are ints over den, the
+        lcm of the d_i·h^top_i."""
         rows = self._rows(p)
         vals = [1]
         push = vals.append
         if p is not None:
-            xs = [_residue(x, p) for x in point] + [1]
             for parent, v in self._steps:
                 push(vals[parent] * xs[v] % p)
         else:
-            dx = _denominator(point)
-            xs = [x.numerator * (dx // x.denominator) for x in point] + [dx]
             for parent, v in self._steps:
                 push(vals[parent] * xs[v])
         get = vals.__getitem__
         totals = [sum(map(mul, cs, map(get, ks))) for ks, cs, _ in rows]
         if p is not None:
+            return [t % p for t in totals], 1
+        dens = [d * xs[-1] ** top for (_, _, d), top in zip(rows, self._tops)]
+        den = lcm(*dens)
+        return [t * (den // d) for t, d in zip(totals, dens)], den
+
+    def __call__(self, point):
+        """The values of the polynomials at the point, in list order."""
+        if len(point) != self.nvars:
+            raise ValueError("point length does not match variable count")
+        p = self._prime if self._prime is not None else _prime(point)
+        if p is not None:
             new = Fp._from_residue
-            return [new(t % p, p) for t in totals]
-        return [Rational(t, d * dx**top) for t, (_, _, d), top in zip(totals, rows, self._tops)]
+            return [new(t, p) for t in self.totals([_residue(x, p) for x in point] + [1], p)[0]]
+        dx = _denominator(point)
+        totals, den = self.totals([x.numerator * (dx // x.denominator) for x in point] + [dx], None)
+        return [Rational(t, den) for t in totals]

@@ -28,17 +28,20 @@ tree, the reference that `Poly.json_text` writes as one string, and
 `double_at_pair_points` evaluates each Q_k and all
 its partials at a point of each pairwise flat intersection, the sample
 that `checks.check_multiplicity` replaces by its ideal-product lemma.
-`sample_off_q_locus` draws the round-trip's points off the Q_i from the
-Q_i's own values, where `checks._sample_off_locus` reads the components'.
+`sample_off_locus`, `apply_map` and `roundtrip_sample` are the round-trip
+check on `ProjPoint`s, field elements normalized at every step: the
+reference that `checks.verify_roundtrip_sample` computes on ints.
+`sample_off_q_locus` draws the same points off the Q_i from the Q_i's own
+values, where `sample_off_locus` reads the components'.
 """
 
 from itertools import combinations
 
+from veneroni import checks, maps
 from veneroni import exactla as la
-from veneroni import maps
 from veneroni.mpoly import Evaluator, Poly
 from veneroni.projgeo import ProjPoint
-from veneroni.scalar import Fp, Rational
+from veneroni.scalar import Fp, Rational, seeded_rng
 
 
 def restrict_to_span(p, pts):
@@ -236,10 +239,51 @@ def flat_intersection(a, b, ctx):
     return [ProjPoint(v, ctx) for v in la.nullspace(rows, a.nvars, ctx)]
 
 
+def apply_map(components, p, ctx):
+    """The image of a point, with `components` an `Evaluator` of the map's
+    components; error on the base locus."""
+    vals = components(p.coords)
+    if not any(vals):
+        raise maps.BaseLocusError(f"point {p.format()} is in the base locus")
+    return ProjPoint(vals, ctx)
+
+
+def sample_off_locus(vmap, forward, rng, tries=200):
+    """(p, values): a random point where no stored component vanishes, and
+    the components' values there, its image; `forward` evaluates them."""
+    for _ in range(tries):
+        p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)
+        values = forward(p.coords)
+        if all(values):
+            return p, values
+    raise RuntimeError("could not sample a point where no component vanishes")
+
+
+def roundtrip_sample(vmap, inv, k=20, seed=0):
+    """The round-trip check's `CheckResult` from k distinct points drawn by
+    `sample_off_locus` from its rng stream, mapped there and back by
+    `apply_map`; for k >= 1 it raises what the check raises."""
+    ctx = vmap.ctx
+    rng = seeded_rng(seed, "roundtrip")
+    forward = Evaluator(vmap.components)
+    inverse = Evaluator(inv.inverse_components)
+    seen = set()
+    for s in range(k):
+        p, values = sample_off_locus(vmap, forward, rng)
+        while p.coords in seen:
+            p, values = sample_off_locus(vmap, forward, rng)
+        seen.add(p.coords)
+        back = apply_map(inverse, ProjPoint(values, ctx), ctx)
+        if back != p:
+            wit = {"sample": s, "point": p.format(), "returned": back.format()}
+            return checks.CheckResult("round-trip", "fail", wit)
+    return checks.CheckResult("round-trip", "pass", {"samples": k, "distinct_images": True})
+
+
 def sample_off_q_locus(vmap, rng, tries=200):
     """A random point where no stored Q_i vanishes, drawn as
-    `checks._sample_off_locus` draws its points but tested on the Q_i
-    themselves, where that sampler tests the components."""
+    `sample_off_locus` draws its points but tested on the Q_i themselves,
+    where that sampler tests the components."""
     q_values = Evaluator(vmap.Q)
     for _ in range(tries):
         p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)

@@ -173,9 +173,9 @@ def test_criterion_07_transversal_geometry():
 def test_criterion_08_two_transversals_in_p3():
     for seed in SEEDS:
         inst, _ = fwd(3, seed)
-        m, disc_ok, _ = checks.transversal_lines_n3(inst.flats, QQ)
+        m, failure, _ = checks.transversal_lines_n3(inst.flats, QQ)
         assert m.degree() == 2
-        assert disc_ok
+        assert failure is None
 
 
 def test_criterion_09_multiplicity_two():
@@ -189,9 +189,10 @@ def test_criterion_09_multiplicity_two():
 
 def test_criterion_10_residual_plane_example():
     for seed in SEEDS:
-        inst, _ = fwd(4, seed)
+        inst, vmap = fwd(4, seed)
         qs = [maps.compute_Q(inst.flats, i, QQ) for i in (0, 1)]
-        res = checks.residual_component_example(inst.flats, qs, QQ, seed)
+        meet = record(inst, vmap).meet
+        res = checks.residual_component_example(inst.flats, qs, meet, QQ, seed)
         assert res.status == "pass", res.witness
         assert res.witness["on_Q0_Q1"]
         assert res.witness["anchor_lines"] == 2

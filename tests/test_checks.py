@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 from collections import Counter
 from itertools import combinations
@@ -25,6 +26,7 @@ from veneroni.projgeo import (
 from veneroni.scalar import FieldCtx
 
 from oracles import (
+    apply_map,
     coefficient_rows,
     det_by_poly_ops,
     div_var,
@@ -35,6 +37,7 @@ from oracles import (
     is_homogeneous,
     line_restrict,
     matrix_C,
+    sample_off_locus,
     sample_off_q_locus,
     vanishing_on_line,
 )
@@ -169,6 +172,20 @@ def test_report_is_deterministic():
     a = json.dumps(checks.run_suite(inst).to_dict(), sort_keys=True)
     b = json.dumps(checks.run_suite(inst).to_dict(), sort_keys=True)
     assert a == b
+
+
+def test_report_dict_is_the_dataclass_tree(suite3):
+    # `to_dict` builds the dicts by hand; the stdlib's deep copy of the
+    # dataclasses is the reference, for passing, failing and timed reports
+    _, report = suite3
+    coeffs = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 0, 5], [7, 2, 3, 0]]  # flats 0, 1 meet
+    flats = [Flat(j, tuple(map(QQ.from_int, a))) for j, a in enumerate(coeffs)]
+    n3 = FlatsInstance(3, 0, 9, QQ, flats)
+    for rep in (report, checks.run_suite(n3), checks.run_suite(n3, level="fast", timings=True)):
+        assert rep.to_dict() == dataclasses.asdict(rep)
+        assert list(rep.to_dict()) == list(dataclasses.asdict(rep))
+        for check in rep.checks:
+            assert list(check.to_dict()) == list(dataclasses.asdict(check))
 
 
 def test_report_shape(suite3):
@@ -392,9 +409,9 @@ def test_composition_fails_by_name_where_the_oracle_sees_a_nonzero_entry(case):
 def test_transversal_count_across_seeds():
     for seed in range(5):
         inst = random_general_flats(3, seed, QQ)
-        m, disc_ok, _ = checks.transversal_lines_n3(inst.flats, QQ)
+        m, failure, _ = checks.transversal_lines_n3(inst.flats, QQ)
         assert m.degree() == 2
-        assert disc_ok
+        assert failure is None
 
 
 def test_explicit_lines_when_form_splits():
@@ -455,14 +472,17 @@ def test_a_double_root_fails_every_reader_of_the_meeting_form(monkeypatch):
         assert (res[name].status, res[name].witness) == (
             "fail", {"reason": "meeting form has a double root"}
         )
-    assert checks.transversal_lines_n3(inst.flats, QQ)[1:] == (False, [])
+    assert checks.transversal_lines_n3(inst.flats, QQ)[1:] == (
+        {"reason": "meeting form has a double root"}, []
+    )
 
 
 def test_residual_example_across_seeds():
     for seed in (3, 5, 7):
         inst = random_general_flats(4, seed, QQ)
         qs = [maps.compute_Q(inst.flats, i, QQ) for i in (0, 1)]
-        res = checks.residual_component_example(inst.flats, qs, QQ, seed)
+        meet = checks.ProofRecord(inst, None, None, seed).meet
+        res = checks.residual_component_example(inst.flats, qs, meet, QQ, seed)
         assert res.status == "pass", res.witness
         assert res.witness["five_flat_transversal"] == "none"
         assert res.witness["anchor_lines"] == 2
@@ -728,8 +748,8 @@ def test_round_trip_returns_every_point_exactly(field, n, seed, k, coords):
     point = [field.from_int(c) for c in coords[: n + 1]]
     assume(all(Evaluator(vmap.Q)(point)))
     p = ProjPoint(point, field)
-    image = maps.apply_map(Evaluator(vmap.components), p, field)
-    assert maps.apply_map(Evaluator(inv.inverse_components), image, field) == p
+    image = apply_map(Evaluator(vmap.components), p, field)
+    assert apply_map(Evaluator(inv.inverse_components), image, field) == p
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["qq", "fp"])
@@ -743,10 +763,35 @@ def test_the_round_trip_draws_the_points_off_the_q_locus(field, n, seed):
     forward, q_values = Evaluator(vmap.components), Evaluator(vmap.Q)
     rng, q_rng = random.Random(seed), random.Random(seed)
     for _ in range(10):
-        p, values = checks._sample_off_locus(vmap, forward, rng)
+        p, values = sample_off_locus(vmap, forward, rng)
         assert p == sample_off_q_locus(vmap, q_rng)
         assert values == [x * q for x, q in zip(p.coords, q_values(p.coords))]
 
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["qq", "fp"])
+@settings(max_examples=25, deadline=None)
+@given(
+    scale=st.integers(-6, 6).filter(bool),
+    coords=st.lists(st.integers(-9, 9), min_size=3, max_size=3).filter(lambda c: c[0]),
+)
+def test_the_round_trip_lowers_a_point_as_projpoint_hands_it_to_evaluator(field, scale, coords):
+    # the polynomials are not homogeneous, so their values change with the
+    # representative: the ints must be the numerators and h that `Evaluator`
+    # reads off the normalized point, and the totals its values
+    p = field.p
+    x0, x1, x2 = (Poly.var(i, 3, field.one) for i in range(3))
+    half = field.one / field.from_int(2)
+    polys = [x0 * x0 + x1.scale(field.from_int(3)) + Poly.const(half, 3), x2**3 - x0, x1]
+    point = ProjPoint([field.from_int(c) for c in coords], field)
+    x = checks._lowered([scale * c for c in coords], p)
+    if p is None:
+        den = math.lcm(*(c.denominator for c in point.coords))
+        assert x == (*(c.numerator * (den // c.denominator) for c in point.coords), den)
+    else:
+        assert x == (*(c.r for c in point.coords), 1)
+    totals, den = Evaluator(polys).totals(x, p)
+    assert [t / field.from_int(den) for t in totals] == Evaluator(polys)(point.coords)
 
 # ---- each shared fact is proved once per report ---------------------------
 

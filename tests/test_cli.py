@@ -707,6 +707,53 @@ def test_subcommands_are_the_five_paths(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def _parsed(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends the program, or
+    (None, the parsed namespace, stderr) of one that does not."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+    return None, vars(args), capsys.readouterr().err
+
+
+COMMAND_ARGVS = [
+    [command, *tail]
+    for command, _, _ in cli.commands()
+    for tail in (["-h"], ["-n"], ["--frobnicate"], ["--level", "slow"], ["-n", "3"])
+] + [["transversal", "-n", "3"], ["--version"], ["-h"], [], ["bench"], ["-n", "3", "verify"]]
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=" ".join)
+def test_the_named_command_parses_as_the_whole_parser(capsys, argv):
+    # `main` builds only the subparser argv[0] names: help, usage and
+    # errors, and the parsed arguments, are those of the whole parser
+    whole = _parsed(capsys, cli.build_parser().parse_args, argv)
+    named = argv[0] if argv and argv[0] in {c for c, _, _ in cli.commands()} else None
+    assert _parsed(capsys, cli.build_parser(named).parse_args, argv) == whole
+    if whole[0] is not None:
+        assert _parsed(capsys, cli.main, argv) == whole
+
+
+def test_the_whole_parser_names_the_command_argument(capsys):
+    # only the one-command parser lists the commands as its metavar: on the
+    # whole parser a metavar would rename `command` in these errors
+    assert _parsed(capsys, cli.main, [])[2].endswith(
+        "error: the following arguments are required: command\n"
+    )
+    err = _parsed(capsys, cli.main, ["bench"])[2]
+    assert "error: argument command: invalid choice: 'bench'" in err
+
+
+def test_main_runs_the_handler_the_module_holds_now(capsys, monkeypatch):
+    # the benchmark's tracer wraps `cmd_build` and `cmd_verify` on the
+    # module after import; a handler table built at import would miss it
+    monkeypatch.setattr(cli, "cmd_demo", lambda args: 7)
+    assert cli.main(["demo", "-n", "3"]) == 7
+    assert _parsed(capsys, cli.build_parser().parse_args, ["demo"])[1]["func"] is cli.cmd_demo
+
+
 def test_build_refuses_a_determinant_above_the_cap(capsys, tmp_path):
     # n = 9 needs 9x9 minors of B, one above exactla.MAX_DET_SIZE
     n1 = 10

@@ -26,7 +26,8 @@ def test_a_frontier_row_is_the_median_of_its_runs(tmp_path):
     assert row["map_bytes"] == built.stat().st_size
     assert list(row["checks"]) == list(checks.CHECK_ORDER)
     assert row["summary"] == "12 passed, 0 failed, 1 skipped"
-    for step in ("build", "verify", "write"):
+    steps = ("build", "verify", "write", "cli_generate", "cli_build", "cli_load", "cli_verify")
+    for step in steps:
         for key in (f"{step}_s", f"{step}_cpu_s"):
             low, high = row[f"{key}_range"]
             assert 0 <= low <= row[key] <= high

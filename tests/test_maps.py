@@ -17,6 +17,7 @@ from veneroni.projgeo import (
 from veneroni.scalar import FieldCtx, Fp, Rational, seeded_rng
 
 from oracles import (
+    apply_map,
     div_var,
     flat_contains,
     flat_span,
@@ -24,6 +25,7 @@ from oracles import (
     lead,
     line_restrict,
     restrict_to_span,
+    sample_off_q_locus,
 )
 
 QQ = FieldCtx.rationals()
@@ -60,14 +62,6 @@ def proportional(p, q):
 def point_at(line, s, t, ctx):
     """The point s·base + t·dir of a line."""
     return ProjPoint([s * b + t * d for b, d in zip(line.base, line.dir)], ctx)
-
-
-def sample_off_locus(vmap, rng, tries=50):
-    for _ in range(tries):
-        p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)
-        if all(bool(q.evaluate(p.coords)) for q in vmap.Q):
-            return p
-    raise AssertionError("could not sample a point off the Q_i")
 
 
 def test_matrix_b_entries():
@@ -161,10 +155,10 @@ def test_forward_map_invariants(n):
 def test_apply_map_and_base_locus(m2):
     vmap, _ = m2
     vert = ProjPoint([QQ.one, QQ.zero, QQ.zero], QQ)
-    assert maps.apply_map(Evaluator(vmap.components), vert, QQ) == vert
+    assert apply_map(Evaluator(vmap.components), vert, QQ) == vert
     on_flat = parametrize_flat(vmap.flats[0], QQ)[0]
     with pytest.raises(maps.BaseLocusError):
-        maps.apply_map(Evaluator(vmap.components), on_flat, QQ)
+        apply_map(Evaluator(vmap.components), on_flat, QQ)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -249,9 +243,9 @@ def test_roundtrip_on_samples(m3):
     forward, inverse = Evaluator(vmap.components), Evaluator(inv.inverse_components)
     images = []
     for _ in range(8):
-        p = sample_off_locus(vmap, rng)
-        img = maps.apply_map(forward, p, QQ)
-        back = maps.apply_map(inverse, img, QQ)
+        p = sample_off_q_locus(vmap, rng)
+        img = apply_map(forward, p, QQ)
+        back = apply_map(inverse, img, QQ)
         assert back == p
         images.append(img)
     assert len({im.coords for im in images}) == len(images)
@@ -348,7 +342,7 @@ def test_contracted_transversal_has_constant_image(m3):
     for t in (1, 2, 3, 5):
         pt = point_at(res.line, QQ.one, QQ.from_int(t), QQ)
         try:
-            images.append(maps.apply_map(Evaluator(vmap.components), pt, QQ))
+            images.append(apply_map(Evaluator(vmap.components), pt, QQ))
         except maps.BaseLocusError:
             continue
     assert len(images) >= 3
@@ -367,7 +361,7 @@ def test_image_of_q_locus_hits_dual_flat(m3):
     )
     res = transversal_through(p, [vmap.flats[2], vmap.flats[3]], QQ)
     pt = point_at(res.line, QQ.one, QQ.from_int(2), QQ)
-    img = maps.apply_map(Evaluator(vmap.components), pt, QQ)
+    img = apply_map(Evaluator(vmap.components), pt, QQ)
     assert not img[1]
     assert flat_contains(Flat(1, tuple(inv.b[1])), img)
 

@@ -19,8 +19,12 @@ from fractions import Fraction
 
 import pytest
 
-from veneroni import cli
+from veneroni import checks, cli
 from veneroni.mpoly import Poly
+from veneroni.projgeo import random_general_flats
+from veneroni.scalar import FieldCtx
+
+from oracles import roundtrip_sample, with_poly_dicts
 
 MAPS = {3: (5, "qq", "full"), 4: (11, "fp:2147483647", "fast")}
 FIELDS = ("Q", "components", "b", "inverse_components", "flats")
@@ -158,3 +162,47 @@ def test_corrupted_legacy_key_is_ignored(legacy, tmp_path, n, field, kind):
     argv = ["verify", "-i", str(bad), "--level", MAPS[n][2], "-o", str(report)]
     assert cli.main(argv) == 0
     assert report.read_bytes() == expected
+
+
+def _roundtrip(check, vmap, inv, seed):
+    """A round-trip check's result, or the type and text of what it raised."""
+    try:
+        return check(vmap, inv, k=20, seed=seed).to_dict()
+    except Exception as exc:  # a raised check is a failed check in a report
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize(
+    "field", [FieldCtx.rationals(), FieldCtx.prime(2147483647)], ids=["qq", "fp"]
+)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_round_trip_on_ints_matches_its_projpoint_reference(n, field):
+    # the check runs on lowered ints; the oracle normalizes a `ProjPoint` at
+    # every step.  Their results agree on valid maps, on every corruption
+    # the loader accepts (non-homogeneous components among them), and on an
+    # inverse with no nonzero component, whose error names the image
+    inst = random_general_flats(n, 5, field)
+    d = with_poly_dicts(cli.map_to_dict(inst, *checks.build_all(inst)))
+    zero = {"degree": -1, "terms": []}
+    variants = [d, {**d, "inverse_components": [zero] * (n + 1)}]
+    for name in FIELDS:
+        for kind in ("coefficient", "degree"):
+            bad = json.loads(json.dumps(d))
+            corrupt(bad, name, kind, n)
+            variants.append(bad)
+    outcomes = []
+    for variant in variants:
+        try:
+            _, vmap, inv = cli.map_from_dict(variant)
+        except ValueError:
+            continue  # refused on load: no round-trip runs
+        for seed in (0, 7):
+            outcome = _roundtrip(checks.verify_roundtrip_sample, vmap, inv, seed)
+            assert outcome == _roundtrip(roundtrip_sample, vmap, inv, seed)
+            outcomes.append(outcome)
+    assert len(outcomes) == 2 * (2 + 8)  # b and flats of a wrong degree are refused
+    failing = [o for o in outcomes if isinstance(o, str) or o["status"] == "fail"]
+    assert len(failing) == 2 * 5
+    for text in failing[:2]:
+        assert text.startswith("BaseLocusError: point 1,")
+        assert text.endswith(" is in the base locus")
