@@ -87,7 +87,9 @@ class CheckResult:
 
 @dataclass
 class Report:
-    """Deterministic, diffable result bundle for one instance."""
+    """Deterministic result bundle for one instance: the same map and seed
+    give the same report, written as one line of JSON (`python -m
+    json.tool` lays it out to diff two)."""
 
     instance: dict
     checks: list

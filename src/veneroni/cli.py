@@ -1,6 +1,10 @@
 """Command-line front end: generation, construction, verification and
 transversal queries, with JSON artifacts and stable exit codes.
 
+Each artifact (a flats file, a map, a report, `--json` output) is one line,
+`json.dumps` of its tree: `python -m json.tool` pretty-prints it, and
+indented files load alike.
+
 Exit codes: 0 all checks pass, 1 a verification failed (the report is
 still written) or no generic instance was found, 2 input or usage error.
 """
@@ -38,78 +42,21 @@ def parse_field(text):
 
 
 def dump_json(obj, path):
-    """Write the JSON tree obj to path (None: stdout) as
-    `json.dump(obj, fh, indent=2)` plus a newline would, byte for byte,
-    streaming it in pieces, never as one joined text.  A `Poly` leaf is
-    written as its JSON form `{"degree", "terms"}`, one string from
-    `Poly.json_text`.  Dict keys must be strings, as in every artifact;
-    `json.dump` would also convert numbers, bools and None, where this
-    raises TypeError."""
+    """Write the JSON tree obj to path (None: stdout) as one line, the text
+    of `json.dumps(obj)`, and a newline.  A `Poly` leaf is written as its
+    `Poly.to_dict`."""
+    text = json.dumps(obj, default=_poly_dict) + "\n"
     if path is None:
-        _write_json(obj, "\n", sys.stdout.write)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(obj, "\n", fh.write)
-        fh.write("\n")
+        fh.write(text)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _write_json(obj, nl, write):
-    # `json.dump` always runs the stdlib's generator encoder when indenting:
-    # one yield and one write per token.  Here a polynomial, a list of only
-    # ints or only strings (coefficients), and a dict entry whose value is a
-    # str or an int are each one write.  `nl` is the newline and indent of
-    # the line that closes obj.
-    kind = type(obj)
-    if kind is str:
-        write(_encode_str(obj))
-    elif kind is int:
-        write(int.__repr__(obj))
-    elif kind is Poly:
-        write(obj.json_text(nl))
-    elif isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            head = sep + _encode_str(key) + ": "
-            kind = type(value)
-            if kind is str:
-                write(head + _encode_str(value))
-            elif kind is int:
-                write(head + int.__repr__(value))
-            else:
-                write(head)
-                _write_json(value, inner, write)
-            sep = "," + inner
-        write(nl + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
-        inner = nl + "  "
-        # a subclass is iterated once, as `json.dump` does
-        kinds = set(map(type, obj)) if kind is list or kind is tuple else None
-        if kinds == {int}:
-            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
-        elif kinds == {str}:
-            write("[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]")
-        else:
-            sep = "[" + inner
-            for value in obj:
-                write(sep)
-                _write_json(value, inner, write)
-                sep = "," + inner
-            write(nl + "]")
-    else:
-        # None, bools, floats and str or int subclasses; anything else
-        # raises the TypeError `json.dump` raises
-        write(json.dumps(obj))
+def _poly_dict(obj):
+    if isinstance(obj, Poly):
+        return obj.to_dict()
+    return json.JSONEncoder().default(obj)  # json's own TypeError
 
 
 def load_json(path):
@@ -157,10 +104,17 @@ def load_instance(args):
     """Instance from -i (flats or map file) or from -n/--seed flags.
 
     Returns (inst, vmap, inv) where the map parts are None unless the
-    input was a map file.  A file whose values have the wrong JSON type
-    raises ValueError, like any other bad input.
+    input was a map file.  The file fixes the instance, so a flag that
+    would name another one raises ValueError, as does a file whose values
+    have the wrong JSON type.  `verify --seed` seeds only the report.
     """
     if args.input is not None:
+        flags = {"-n": args.n, "--field": args.field, "--bound": args.bound}
+        if args.command != "verify":
+            flags["--seed"] = args.seed
+        ignored = [flag for flag, value in flags.items() if value is not None]
+        if ignored:
+            raise ValueError(f"-i FILE fixes the instance; {', '.join(ignored)} would be ignored")
         d = load_json(args.input)
         try:
             if "Q" in d:
@@ -171,9 +125,15 @@ def load_instance(args):
             raise ValueError(f"malformed input file {args.input}: {exc}") from exc
     if args.n is None:
         raise ValueError("need -i FILE or -n N")
-    ctx = parse_field(args.field)
-    inst = random_general_flats(args.n, args.seed or 0, ctx, bound=args.bound)
-    return inst, None, None
+    return seeded_instance(args.n, args), None, None
+
+
+def seeded_instance(n, args):
+    """The random instance in P^n of the flags --seed, --field and --bound,
+    each None when not given: then 0, qq and 9."""
+    ctx = parse_field("qq" if args.field is None else args.field)
+    bound = 9 if args.bound is None else args.bound
+    return random_general_flats(n, args.seed or 0, ctx, bound=bound)
 
 
 # ---- subcommands ---------------------------------------------------------
@@ -187,8 +147,7 @@ def cmd_generate(args):
             file=sys.stderr,
         )
         return 2
-    ctx = parse_field(args.field)
-    inst = random_general_flats(n, args.seed or 0, ctx, bound=args.bound)
+    inst = seeded_instance(n, args)
     dump_json(inst.to_dict(__version__), args.output)
     print(f"retries: {inst.retries}", file=sys.stderr)
     return 0
@@ -290,14 +249,14 @@ def cmd_transversal(args):
 
 def cmd_demo(args):
     ns = [3, 4] if args.n is None else [args.n]
-    ctx = parse_field(args.field)
     seed = args.seed or 0
     failed = False
     for n in ns:
         if n not in (3, 4):
             print(f"error: demos exist for n=3 and n=4 only, not n={n}", file=sys.stderr)
             return 2
-        inst = random_general_flats(n, seed, ctx, bound=args.bound)
+        inst = seeded_instance(n, args)
+        ctx = inst.ctx
         if n == 3:
             m, failure, lines = checks.transversal_lines_n3(inst.flats, ctx)
             print(f"n=3 seed={seed}: meeting form {m.text(['s', 't'])}")
@@ -359,12 +318,14 @@ def build_parser(command=None):
             continue
         p = sub.add_parser(name, help=text)
         p.add_argument("-n", type=int, default=None, help="ambient dimension")
-        # None when not given: a map file then keeps its own seed
+        # None when not given, so that -i can refuse each (verify --seed
+        # reseeds only the report)
         p.add_argument("--seed", type=int, default=None, help="instance seed (default 0)")
-        p.add_argument("--bound", type=int, default=9, help="coefficient bound")
-        p.add_argument("--field", default="qq", help="ground field: qq or fp:<prime>")
-        if name != "demo":
+        p.add_argument("--bound", type=int, default=None, help="coefficient bound (default 9)")
+        p.add_argument("--field", default=None, help="ground field: qq or fp:<prime> (default qq)")
+        if name in ("build", "verify", "transversal"):
             p.add_argument("-i", "--input", default=None, help="input JSON file")
+        if name in ("generate", "build", "verify"):
             p.add_argument("-o", "--output", default=None, help="output JSON file")
         p.set_defaults(func=func)
         if name == "verify":

@@ -17,12 +17,11 @@ in F_p, and elements of two different primes raise ValueError.  Terms are
 kept unordered in the dict and sorted into graded reverse-lexicographic
 order only at the edges (printing, serialization, lead-term extraction)
 and in the division heap.  Text is printed for people only; map files
-carry polynomials as JSON term lists, written by `json_text` and read by
+carry polynomials as JSON term lists, the dicts of `to_dict` and
 `from_dict`, so there is no text parser.
 """
 
 from heapq import heapify, heappop, heappush
-from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -446,23 +445,12 @@ class Poly:
             out += " - " + body[1:] if body.startswith("-") else " + " + body
         return out
 
-    def json_text(self, nl):
+    def to_dict(self):
         """JSON form, `{"degree", "terms"}` with the terms `{"c", "e"}` in
-        canonical (grevlex-descending) order, as one string: the text
-        `json.dump(..., indent=2)` writes for it where `nl` is the newline
-        and indent of the line that closes it."""
-        i1, i2, i3, i4 = (nl + "  " * k for k in range(1, 5))
+        descending grevlex order: what `from_dict` reads."""
         exps = sorted(self.terms, key=_heap_key)  # the first has the top degree
-        head = "{" + i1 + f'"degree": {sum(exps[0]) if exps else -1},' + i1 + '"terms": '
-        if not exps:
-            return head + "[]" + nl + "}"
-        e_open, e_close = ("[" + i4, i3 + "]") if self.nvars else ("[", "]")
-        c_key, e_key, e_end = "{" + i3 + '"c": ', "," + i3 + '"e": ' + e_open, e_close + i2 + "}"
-        terms, e_sep = self.terms, "," + i4
-        text = ("," + i2).join(
-            [c_key + _encode_str(str(terms[e])) + e_key + e_sep.join(map(str, e)) + e_end for e in exps]
-        )
-        return head + "[" + i2 + text + i1 + "]" + nl + "}"
+        terms = [{"c": str(self.terms[e]), "e": e} for e in exps]
+        return {"degree": sum(exps[0]) if exps else -1, "terms": terms}
 
     @classmethod
     def from_dict(cls, d, nvars, ctx):

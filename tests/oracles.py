@@ -22,9 +22,10 @@ general solver behind the closed form of `projgeo.parametrize_flat`: the
 nullspace of a flat's two forms; `flat_intersection`, the nullspace of
 two flats' four forms, is the one behind `projgeo.flat_meet`.  `lead`
 and `random_scalar` serve only the tests, so they live here and not on
-`Poly` and `FieldCtx`.  `poly_to_dict` is a polynomial's JSON form as a
-tree, the reference that `Poly.json_text` writes as one string, and
-`with_poly_dicts` puts it in place of each `Poly` of an artifact tree.
+`Poly` and `FieldCtx`.  `poly_to_dict` is a polynomial's JSON form built
+from `Poly.sorted_terms`, the reference for `Poly.to_dict`'s term order and
+degree, and `with_poly_dicts` puts it in place of each `Poly` of an
+artifact tree.
 `double_at_pair_points` evaluates each Q_k and all
 its partials at a point of each pairwise flat intersection, the sample
 that `checks.check_multiplicity` replaces by its ideal-product lemma.

@@ -385,8 +385,9 @@ def indented_json_calls(tree):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_artifacts_are_written_only_by_dump_json(path):
-    # `json.dump(indent=...)` runs the stdlib's slow generator encoder;
-    # `cli.dump_json` writes the same bytes faster
+    # `json.dump(indent=...)` runs the stdlib's slow generator encoder and
+    # writes mostly indentation; `cli.dump_json` writes each artifact as the
+    # one line of the C encoder
     assert indented_json_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -170,6 +171,7 @@ def test_json_roundtrip_and_canonical_order():
         keys = [tuple(t["e"]) for t in d["terms"]]
         assert keys == [e for e, _ in p.sorted_terms()]
         assert Poly.from_dict(d, 3, ctx) == p
+        assert json.loads(json.dumps(p.to_dict())) == d
     with pytest.raises(ValueError):
         Poly.from_dict({"degree": 5, "terms": [{"c": "1", "e": [1, 0, 0]}]}, 3, QQ)
 
