@@ -270,9 +270,7 @@ def _family_lines(ctx, m, p, w):
 
 def check_genericity(inst, proofs):
     """`projgeo.genericity_check`, reading the record's meets and bounds."""
-    rep = genericity_check(
-        inst.flats, inst.ctx, seed=inst.seed, attempt=inst.retries, record=proofs
-    )
+    rep = genericity_check(inst.flats, inst.ctx, record=proofs)
     if rep.ok:
         conditions = ["canonical", "intersections", "transversals", "dimension"]
         return _passed("genericity", {"conditions": conditions})

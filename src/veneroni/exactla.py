@@ -1,10 +1,10 @@
 """Exact linear algebra over a field, plus determinants of polynomial matrices.
 
-rref, rank, nullspace, solve, rank_mod_p and residue_rank share one sparse
-elimination kernel, `_eliminate`, on rows held as {column: entry} dicts of
-the nonzero entries: rationals over Q and plain-int residues mod p over F_p;
-`residues` is the one reduction mod p.  rank, rank_mod_p and residue_rank
-take list rows or dict rows; rref, nullspace and solve take and return
+rref, rank, nullspace, solve and rank_mod_p share one sparse elimination
+kernel, `_eliminate`, on rows held as {column: entry} dicts of the nonzero
+entries: rationals over Q and plain-int residues mod p over F_p;
+`residues` is the one reduction mod p.  rank and rank_mod_p take list
+rows or dict rows; rref, nullspace and solve take and return
 lists of lists and convert at their boundary.
 Determinants accept matrices whose entries are polynomials as
 well as scalars, and come in two independent implementations:
@@ -323,21 +323,8 @@ def rank(rows, ctx):
 
 
 def rank_mod_p(int_rows, p):
-    """Rank over F_p of an integer matrix of list or dict rows; for the
-    residues of a rational matrix, a certified lower bound on its rank (a
-    nonzero minor lifts)."""
+    """Rank over F_p of an integer matrix of list or dict rows."""
     return len(_eliminate(_sparse(int_rows, p), p, full=False))
-
-
-def residue_rank(rows, p):
-    """Rank mod p of rational list or dict rows, a lower bound on their
-    rank over Q (`rank_mod_p`); None when p divides a denominator, as that
-    entry has no residue."""
-    try:
-        int_rows = residues(rows, p)
-    except ValueError:
-        return None
-    return rank_mod_p(int_rows, p)
 
 
 def nullspace(rows, ncols, ctx):

@@ -9,7 +9,10 @@ through p meeting every flat of a query sweep out the common nullspace of
 the stacked cone forms.  Nullity 2 means a unique transversal, nullity
 d+1 >= 3 a d-dimensional family, and nullity 1 no transversal at all.
 `meeting_param` gives the point of a line on a flat, in the line's own
-parameters.
+parameters.  `genericity_check` certifies an instance; of its conditions,
+(c), a unique transversal through a general point for every n-1 flats,
+is a lemma of the canonical pattern, proved by the cone rows at a
+vertex, so no point is drawn and no matrix is ranked.
 """
 
 from dataclasses import dataclass, field
@@ -285,10 +288,13 @@ class FlatsInstance:
             raise ValueError("need n >= 2")
         flats = []
         for rec in d["flats"]:
+            j = rec["j"]
+            if type(j) is not int:  # true == 1, but no flat index
+                raise ValueError(f"flat index j must be an integer, got {j!r}")
             a = tuple(ctx.parse(s) for s in rec["f2"])
             if len(a) != n + 1:
-                raise ValueError(f"flat {rec['j']}: expected {n + 1} coefficients")
-            flats.append(Flat(rec["j"], a))
+                raise ValueError(f"flat {j}: expected {n + 1} coefficients")
+            flats.append(Flat(j, a))
         if [f.j for f in flats] != list(range(n + 1)):
             raise ValueError("flats must be indexed 0..n in order")
         for f in flats:
@@ -306,8 +312,6 @@ class FlatsInstance:
 
 
 _MAX_RETRIES = 32  # resamplings before random_general_flats gives up
-_SAMPLE_POINTS = 3  # points of genericity_check's condition (c)
-_RESIDUE_PRIME = (1 << 31) - 1  # condition (c) over Q ranks mod this first
 
 
 class NoGenericInstance(RuntimeError):
@@ -333,7 +337,7 @@ def random_general_flats(n, seed, ctx=None, bound=9):
                 for i in range(n + 1)
             ]
             flats.append(Flat(j, tuple(a)))
-        report = genericity_check(flats, ctx, seed=seed, attempt=attempt)
+        report = genericity_check(flats, ctx)
         if report.ok:
             return FlatsInstance(n, seed, bound, ctx, flats, retries=attempt)
     raise NoGenericInstance(
@@ -347,16 +351,20 @@ class GenericityReport:
     failures: list
 
 
-def genericity_check(flats, ctx, seed=0, attempt=0, record=None):
+def genericity_check(flats, ctx, record=None):
     """Certify that a flat list is general enough for the whole pipeline.
 
     Checks (a) canonical nonzero pattern, (b) pairwise intersections of the
-    expected dimension, read off the pair meets, (c) a unique transversal
-    through a sampled point for every (n-1)-subset: by the cone proof of
-    `transversal_through`, cone rows of rank n-1 at p.  The rows are linear
-    in p, so a nonzero (n-1)-minor at one point is nonzero on a dense open
-    set, and a subset passes at the first of `_SAMPLE_POINTS` points with
-    rank n-1 (`_independent`).  Condition (d), every det(B_i) exactly
+    expected dimension, read off the pair meets.  (c), a unique transversal
+    through a general point for every (n-1)-subset S, follows from (a), so
+    it is cited, not tested.  Lemma.  By the cone proof of
+    `transversal_through`, (c) asks for cone rows of rank n-1 at p.  At the
+    vertex e_k, k not in S, flat m of S has x_m(e_k) = 0 and
+    f_m(e_k) = a_{m,k} != 0, so its cone row is -a_{m,k}·e_m, and these
+    n-1 rows have rank n-1.  The rows are linear in p, so an (n-1)-minor
+    nonzero at e_k is a nonzero form in p, nonzero on a dense open set, over
+    Q and over F_p alike; the subsets are finitely many, so a general point
+    serves them all.  Condition (d), every det(B_i) exactly
     divisible by x_i, follows from (a): with a_{j,j} = 0 the rows of B sum
     to zero, so det(B_i) = x_i det(M_i) identically (`maps.compute_Q`).
     (e) the degree-n system through the flats and the one through the dual
@@ -381,17 +389,6 @@ def genericity_check(flats, ctx, seed=0, attempt=0, record=None):
                     f"b: intersection {i},{j} has dimension {got}, expected {expected}"
                 )
     if not failures:
-        rng = seeded_rng(seed, "genericity", attempt)
-        pending = list(combinations(range(n1), n - 1))
-        for _ in range(_SAMPLE_POINTS):
-            p = ProjPoint([ctx.random_nonzero(rng) for _ in range(n1)], ctx)
-            rows = [cone_hyperplane(p, f) for f in flats]  # None: p on the flat
-            pending = [s for s in pending if not _independent([rows[k] for k in s], ctx)]
-            if not pending:
-                break
-        else:
-            failures.append(f"c: point {p.format()} with flats {pending[0]} gave family")
-    if not failures:
         for name in ("A", "Aᵀ"):
             got = record.bound(name) if record else flats_bound(flats, name)
             if got != n1:
@@ -405,24 +402,13 @@ def flats_bound(flats, name):
     return restriction_bound(a if name == "A" else list(zip(*a)))
 
 
-def _independent(rows, ctx):
-    """Whether the cone rows are all there (a None row: p on that flat) and
-    linearly independent.  Over Q their rank mod `_RESIDUE_PRIME` comes
-    first: reduction mod p can only lower a rank, so a full rank there is
-    the rank over Q.  Rows whose residue rank is lower, or with a
-    denominator that p divides, are eliminated over Q."""
-    if not all(rows):
-        return False
-    if ctx.kind == "qq" and la.residue_rank(rows, _RESIDUE_PRIME) == len(rows):
-        return True
-    return la.rank(rows, ctx) == len(rows)
-
-
 def restriction_bound(rows):
     """An upper bound on the dimension of the degree-n forms through the
     n+1 flats (x_j, f_j) of P^n, f_j = sum_k a_{j,k} x_k with A = `rows`,
     by restriction to coordinate hyperplanes; None when this proof finds
-    none.  Only f_j modulo x_j matters, so a_{j,j} is never read.
+    none, and None for an A off the canonical pattern, with an
+    off-diagonal entry zero.  Only f_j modulo x_j matters, so a_{j,j} is
+    never read.
 
     Proof.  For a set C of coordinates write f_k|_C for f_k with the
     variables outside C dropped, and for a degree m and a set J ⊆ C of
@@ -456,12 +442,17 @@ def restriction_bound(rows):
     constant lies in an ideal of linear forms.  A node tries each j in J in
     increasing order and keeps the first whose two subtrees both succeed;
     nodes are memoized on (C, m, J).  Only ideal membership is used, so the
-    bound holds over Q and F_p alike.  For canonical flats the lemma of
+    bound holds over Q and F_p alike.  The system is that of the canonical
+    flats with a_{j,j} set to 0, for which the lemma of
     `checks.check_dimension` gives dimension >= n+1, so a bound of n+1
-    proves the dimension n+1.  (P) and (K) hold for every canonical A,
-    whose off-diagonal entries are nonzero.
+    proves the dimension n+1.  (P) and (K) are cited, not tested: at a
+    node J ⊆ C and |C| >= 3, and with every off-diagonal entry nonzero
+    each f_k|_{C∖k}, k in J, has all |C|-1 >= 2 of its columns, so it is
+    nonzero and not supported at column j alone.
     """
     n1 = len(rows)
+    if any(not rows[j][k] for j in range(n1) for k in range(n1) if j != k):
+        return None
 
     def proportional(j, k, cols):
         return not any(
@@ -483,13 +474,8 @@ def restriction_bound(rows):
         return memo[c, m, js]
 
     def node(c, m, js):
-        support = {k: {i for i in c if i != k and rows[k][i]} for k in js}
-        if not all(support.values()):  # (P)
-            return None
         for j in sorted(js):
             rest = js - {j}
-            if any(support[k] == {j} for k in rest):  # (K)
-                continue
             if len(c) >= 4 and any(proportional(j, k, c - {j, k}) for k in rest):
                 continue  # (I)
             kernel = bound(c, m - 1, rest)

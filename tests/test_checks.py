@@ -606,20 +606,21 @@ def test_seed_defaults_to_instance_seed():
 
 
 def test_verify_recertifies_the_attempt_that_generate_accepted(monkeypatch):
-    # n = 3 seed 1 re-rolls once: its flats are those of attempt 1, whose
-    # sample points the certificate must draw again in a verify
+    # n = 3 seed 1 re-rolls once: generate certifies the flats of attempt 1,
+    # and a verify of them certifies the same flats to the same report
     calls = []
     certify = projgeo.genericity_check
 
-    def recorded(flats, ctx, seed=0, attempt=0, record=None):
-        report = certify(flats, ctx, seed=seed, attempt=attempt, record=record)
-        calls.append((seed, attempt, report))
+    def recorded(flats, ctx, record=None):
+        report = certify(flats, ctx, record=record)
+        calls.append((flats, report))
         return report
 
     monkeypatch.setattr(projgeo, "genericity_check", recorded)
     monkeypatch.setattr(checks, "genericity_check", recorded)
     inst = random_general_flats(3, 1, QQ)
-    assert inst.retries == 1 and calls[-1][:2] == (1, 1) and calls[-1][2].ok
+    assert inst.retries == 1 and [rep.ok for _, rep in calls] == [False, True]
+    assert calls[1][0] == inst.flats
     generated = calls[-1]
     calls.clear()
     loaded = FlatsInstance.from_dict(inst.to_dict("0"))
@@ -668,7 +669,7 @@ def test_genericity_e_refuses_the_flats_whose_system_is_too_big(seed):
     dual = [Flat(j, tuple(col)) for j, col in enumerate(zip(*(f.a for f in flats)))]
     assert maps.linear_system_dimension(flats, 4, QQ) == 6
     assert maps.linear_system_dimension(dual, 4, QQ) == 9
-    assert projgeo.genericity_check(flats, QQ, seed=seed).failures == [
+    assert projgeo.genericity_check(flats, QQ).failures == [
         "e: restriction bound on A is None, expected 5",
         "e: restriction bound on Aᵀ is None, expected 5",
     ]
@@ -1072,7 +1073,7 @@ def test_a_family_through_a_pair_point_counts_the_zeros_of_one_of_its_lines():
     a = [[0, -2, 1, -2, -1], [2, 0, 1, 1, 2], [-1, -1, 0, -1, -1], [-2, -1, 1, 0, 1],
          [1, 2, -1, -1, 0]]
     flats = [Flat(j, tuple(QQ.from_int(v) for v in row)) for j, row in enumerate(a)]
-    assert projgeo.genericity_check(flats, QQ, seed=89).ok
+    assert projgeo.genericity_check(flats, QQ).ok
     inst = FlatsInstance(4, 89, 9, QQ, flats)
     vmap, inv = checks.build_all(inst)
     proofs = record(inst, vmap, inv)

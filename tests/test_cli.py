@@ -425,14 +425,19 @@ MALFORMED = {
     "seed-string": lambda d: {**d, "seed": "abc"},
     "seed-bool": lambda d: {**d, "seed": True},
     "retries-float": lambda d: {**d, "retries": 1.5},
+    "j-bool": lambda d: {
+        **d, "flats": [d["flats"][0], {**d["flats"][1], "j": True}, *d["flats"][2:]]
+    },
 }
-# provenance the report would copy is refused by name; every other value of
-# the wrong type is named as a malformed input file
+# provenance the report would copy, and a flat index, are refused by name
+# (true == 1, so an index of true would pass as flat 1); every other value
+# of the wrong type is named as a malformed input file
 PROVENANCE_ERRORS = {
     "bound-string": "bound must be an integer, got 'x'",
     "seed-string": "seed must be an integer, got 'abc'",
     "seed-bool": "seed must be an integer, got True",
     "retries-float": "retries must be an integer, got 1.5",
+    "j-bool": "flat index j must be an integer, got True",
 }
 
 
@@ -447,6 +452,19 @@ def test_malformed_flats_file_is_refused(tmp_path, capsys, command, kind):
     rc, out, err = run(capsys, [command, "-i", str(bad)])
     assert rc == 2 and out == ""
     assert f"error: {PROVENANCE_ERRORS.get(kind, f'malformed input file {bad}:')}" in err
+
+
+@pytest.mark.parametrize("j", [True, 1.0])
+def test_a_map_whose_flat_index_is_no_json_integer_is_refused(map3, tmp_path, capsys, j):
+    # the map's flats load as a flats file's do: an index equal to 1 that
+    # is no integer must not verify as flat 1
+    d = json.loads(map3.read_text())
+    d["flats"][1]["j"] = j
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps(d))
+    rc, out, err = run(capsys, ["verify", "-i", str(bad)])
+    assert rc == 2 and out == ""
+    assert f"error: flat index j must be an integer, got {j!r}" in err
 
 
 @pytest.mark.parametrize("n, degree", [(3, "2"), (3, 2.0), (2, True)])

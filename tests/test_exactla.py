@@ -266,15 +266,6 @@ def test_residues():
         la.residues([[Fp(1, 1_000_000_007)]], P)
 
 
-def test_residue_rank_bounds_the_rational_rank_from_below():
-    # rows independent over Q but dependent mod P, and a denominator P
-    # divides, which has no residue
-    rows = [[Rational(1), Rational(1)], [Rational(1), Rational(P + 1)]]
-    assert la.rank(rows, QQ) == 2 and la.residue_rank(rows, P) == 1
-    assert la.residue_rank([{0: Rational(1, 2)}, {1: Rational(3)}], P) == 2
-    assert la.residue_rank([[Rational(1, P)]], P) is None
-
-
 @st.composite
 def matrices(draw):
     """Rectangular matrices up to 7x8 of small rationals and large residues,

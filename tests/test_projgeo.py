@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veneroni import exactla as la
+from veneroni import projgeo
 from veneroni.mpoly import Poly
 from veneroni.projgeo import (
-    _SAMPLE_POINTS,
     Flat,
     FlatsInstance,
     LineParam,
@@ -19,6 +19,7 @@ from veneroni.projgeo import (
     meeting_param,
     parametrize_flat,
     random_general_flats,
+    restriction_bound,
     transversal_through,
 )
 from veneroni.scalar import FieldCtx, seeded_rng
@@ -63,6 +64,10 @@ def flats3():
 
 def rand_point(n, rng, ctx=QQ):
     return ProjPoint([ctx.random_nonzero(rng) for _ in range(n + 1)], ctx)
+
+
+def vertex(n, k, ctx):
+    return ProjPoint([ctx.one if i == k else ctx.zero for i in range(n + 1)], ctx)
 
 
 def test_point_normalization_and_parse():
@@ -378,68 +383,100 @@ def test_flat_meet_is_the_nullspace_basis(ctx, data):
                 assert (failure in report.failures) == (dim != expected)
 
 
-def sample_points(inst):
-    """The points genericity (c) draws for a certified instance."""
-    rng = seeded_rng(inst.seed, "genericity", inst.retries)
-    n1, ctx = inst.n + 1, inst.ctx
-    return [
-        ProjPoint([ctx.random_nonzero(rng) for _ in range(n1)], ctx)
-        for _ in range(_SAMPLE_POINTS)
-    ]
-
-
 @pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_cone_rank_decides_a_unique_transversal(ctx, n):
-    # (c) passes a subset where its cone rows, None left out, have rank
-    # n − 1: exactly where `transversal_through` finds a unique line
-    for seed in range(20):
-        inst = random_general_flats(n, seed, ctx)
-        for p in sample_points(inst):
-            rows = [cone_hyperplane(p, f) for f in inst.flats]
+    # a subset's cone rows, None left out, have rank n − 1 exactly where
+    # `transversal_through` finds a unique line: at random points, at the
+    # vertices, at a point of each flat (a None row) and, for n >= 4, in
+    # the plane through the pairwise meets of flats 2, 3, 4, where the
+    # cone rows of those three have rank 2
+    rng = seeded_rng(n, "cone-rank")
+    for seed in range(5):
+        flats = random_general_flats(n, seed, ctx).flats
+        points = [rand_point(n, rng, ctx) for _ in range(3)]
+        points += [vertex(n, k, ctx) for k in range(n + 1)]
+        points += [parametrize_flat(f, ctx)[0] for f in flats]
+        if n >= 4:
+            meets = [flat_meet(flats[i], flats[j], ctx)[0] for i, j in ((2, 3), (2, 4), (3, 4))]
+            points.append(ProjPoint([a + 2 * b + 3 * c for a, b, c in zip(*meets)], ctx))
+        for p in points:
+            rows = [cone_hyperplane(p, f) for f in flats]
             for sub in combinations(range(n + 1), n - 1):
                 rank = la.rank([rows[k] for k in sub if rows[k] is not None], ctx)
-                unique = transversal_through(p, [inst.flats[k] for k in sub], ctx).kind == "unique"
+                unique = transversal_through(p, [flats[k] for k in sub], ctx).kind == "unique"
                 assert (rank == n - 1) == unique
 
 
-class ScriptedPoints:
-    """A field whose random draws are the given coordinates, in order."""
-
-    def __init__(self, ctx, points):
-        self.ctx, self.coords = ctx, iter(c for p in points for c in p)
-
-    def random_nonzero(self, rng):
-        return next(self.coords)
-
-    def __getattr__(self, name):
-        return getattr(self.ctx, name)
+NONZERO_ENTRIES = st.sampled_from((1, -1, 2, -2, 3, -5))
 
 
-def test_a_sample_point_on_a_flat_fails_only_that_point(flats4):
-    on = parametrize_flat(flats4[0], QQ)[0]
-    general = rand_point(4, seeded_rng(2, "general"))
-    assert cone_hyperplane(on, flats4[0]) is None
-    assert transversal_through(on, flats4[:3], QQ).kind == "family"
-    # the subsets through flat 0 fail at `on` and pass at the next point
-    for points in ([on, general, general], [on, on, general]):
-        rep = genericity_check(flats4, ScriptedPoints(QQ, points))
-        assert rep.ok and rep.failures == []
-    # a subset that passes at none of the points fails (c), by its name
-    rep = genericity_check(flats4, ScriptedPoints(QQ, [on, on, on]))
-    assert rep.failures == [f"c: point {on.format()} with flats (0, 1, 2) gave family"]
+@st.composite
+def canonical_matrices(draw):
+    """A canonical A for n = 2..7: zero diagonal, entries off it from six
+    nonzero values, ±1 among them."""
+    n1 = draw(st.integers(3, 8), label="n + 1")
+    return [[0 if i == j else draw(NONZERO_ENTRIES) for i in range(n1)] for j in range(n1)]
 
 
 @pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
-def test_a_family_point_fails_c_by_the_rank_of_its_cone_rows(ctx):
-    # in the plane through the pairwise meets of flats 2, 3, 4 every line
-    # through q meets the three lines the flats cut out of it, so their cone
-    # rows at q have rank n − 2: over Q a rank mod p of n − 2 must send the
-    # subset to the exact elimination, which fails it too
-    flats = random_general_flats(4, 42, ctx).flats
-    meets = [flat_meet(flats[i], flats[j], ctx)[0] for i, j in ((2, 3), (2, 4), (3, 4))]
-    q = ProjPoint([a + 2 * b + 3 * c for a, b, c in zip(*meets)], ctx)
-    rows = [cone_hyperplane(q, f) for f in flats]
-    assert all(rows) and la.rank(rows[2:], ctx) == 2
-    rep = genericity_check(flats, ScriptedPoints(ctx, [q, q, q]))
-    assert rep.failures == [f"c: point {q.format()} with flats (2, 3, 4) gave family"]
+@settings(max_examples=25, deadline=None)
+@given(a=canonical_matrices())
+def test_the_vertex_lemma_of_genericity_c(ctx, a):
+    # for every n − 1 flats S and k not in S, the cone rows at e_k are
+    # −a_{m,k}·e_m, of rank n − 1, and the unique transversal through e_k
+    # is the line e_k e_l, l the one index outside S and k
+    n1 = len(a)
+    flats = [Flat(j, tuple(ctx.from_int(c) for c in row)) for j, row in enumerate(a)]
+    for sub in combinations(range(n1), n1 - 2):
+        for k in (i for i in range(n1) if i not in sub):
+            (l,) = set(range(n1)) - set(sub) - {k}
+            e_k = vertex(n1 - 1, k, ctx)
+            for m in sub:
+                want = [ctx.zero] * n1
+                want[m] = -flats[m].a[k]
+                assert cone_hyperplane(e_k, flats[m]) == want
+            res = transversal_through(e_k, [flats[m] for m in sub], ctx)
+            assert res.kind == "unique" and res.line.base == e_k
+            assert res.line.dir == vertex(n1 - 1, l, ctx)
+
+
+def test_genericity_draws_no_point_and_ranks_no_matrix(monkeypatch):
+    # (c) is the vertex lemma: certifying flats runs no random draw, no
+    # elimination and no transversal
+    def crash(*args, **kwargs):
+        raise AssertionError("genericity_check sampled or eliminated")
+
+    for ctx in (QQ, FP31):
+        flats = random_general_flats(4, 42, ctx).flats
+        with monkeypatch.context() as patch:
+            for owner, name in (
+                (la, "rank"), (la, "rank_mod_p"), (la, "nullspace"), (la, "rref"),
+                (FieldCtx, "random_nonzero"), (projgeo, "seeded_rng"),
+                (projgeo, "cone_hyperplane"), (projgeo, "transversal_through"),
+            ):
+                patch.setattr(owner, name, crash)
+            assert genericity_check(flats, ctx).ok
+
+
+@pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
+@settings(max_examples=25, deadline=None)
+@given(a=canonical_matrices(), data=st.data())
+def test_the_restriction_bound_declines_rows_off_the_canonical_pattern(ctx, a, data):
+    # (P) and (K) are cited from the canonical pattern, so one zero off the
+    # diagonal gives no bound
+    n1 = len(a)
+    j, k = data.draw(st.sampled_from([(j, k) for j in range(n1) for k in range(n1) if j != k]))
+    rows = [[ctx.from_int(c) for c in row] for row in a]
+    rows[j][k] = ctx.zero
+    assert restriction_bound(rows) is None
+
+
+def test_the_restriction_bound_declines_a_zero_its_steps_would_pass():
+    # a zero at a_{2,1}: flat 2 is (x_2, x_0), still codimension 2, and
+    # steps that tested (P) and (K) at each node would still reach a bound
+    # of 3 = n + 1; the lower bound n + 1 is a lemma of canonical flats only
+    rows = [[QQ.from_int(v) for v in row] for row in ([0, 1, 1], [1, 0, 1], [1, 0, 0])]
+    assert restriction_bound(rows) is None
+    rows[2][1] = QQ.one
+    assert restriction_bound(rows) == 3
