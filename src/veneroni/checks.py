@@ -14,11 +14,14 @@ algebra of the n = 3 family, the multiplicity of each det(M_k) along the
 other flats' pairwise intersections), it cites the proof instead of
 testing it: det(B_i) is never expanded (the values of each det(M_i) on
 a lattice prove the stored Q_i equal to it, and x_i·Q_i is Q_i with its
-exponents shifted), no leave-one-out system is
+exponents shifted), the inverse is proved the same way (the Q'_i read
+off the stored inverse components, on the dual flats' lattice), no
+leave-one-out system is
 eliminated (the lemma of `check_dimension`), no degree-n system is
 eliminated once its restriction bound is n+1 (`ProofRecord.dimension`),
-and no Q_k is evaluated at a pair point (the lemma of
-`check_multiplicity`).
+no Q_k is evaluated at a pair point (the lemma of
+`check_multiplicity`), and no point is mapped there and back: the
+round-trip follows from the composition identity (`verify_roundtrip_sample`).
 A transversal lies inside Q_k, of degree n-1, when it meets Q_k at n
 points counted with multiplicity, which the flats it meets provide
 (`_pair_failure`, `_family_failure`); no Q_k is restricted to a line.
@@ -31,7 +34,7 @@ assembles the fixed 13-check report used by the CLI.
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice
+from itertools import combinations
 
 from . import exactla as la
 from . import maps
@@ -372,29 +375,22 @@ def verify_composition(vmap, proofs):
     """Both composites are coordinatewise multiplication by a product,
     w∘v = x·∏Q_i and v∘w = y·∏Q'_i, proved from the determinantal structure.
 
-    The stored inverse components w_i must be y_i·Q'_i, the dual record's
-    ties, which is det(C_i) by the minor lemma of `maps.build_inverse_map`
-    once b = A^T; C is B in y with -g_i on its diagonal.  Once the
-    components are the construction's and b = A^T (`_expansion_failure`),
-    C(v) = B·diag(Q_0..Q_n): off the diagonal a_{m,k}·v_k = a_{m,k}·x_k·Q_k,
-    and on it g_m(v) = f_m·Q_m, the expansion of `maps.solve_b_matrix`.
+    Each stored w_i must be det(C_i), C the matrix B in y with -g_i on its
+    diagonal, which is y_i·det(M'_i) of the dual flats, the rows of b, by
+    the minor lemma of `maps.build_inverse_map` once b = A^T; the dual
+    record proves it as the record proves the forward Q_i
+    (`_composition_failure`).  Once the components are the construction's
+    and b = A^T (`_expansion_failure`), C(v) = B·diag(Q_0..Q_n): off the
+    diagonal a_{m,k}·v_k = a_{m,k}·x_k·Q_k, and on it g_m(v) = f_m·Q_m,
+    the expansion of `maps.solve_b_matrix`.
     det(B_i) = x_i·det(M_i) = x_i·Q_i by the theorem of `maps.compute_Q`.
     Substitution is a ring homomorphism and determinants are
     multiplicative, so det(C_i)(v) = det(B_i) prod_{k != i} Q_k =
     x_i prod Q.  v∘w is the same theorem for the dual instance, whose
     b-matrix is A; it is cited, not expanded.  All of it holds over any
-    commutative ring.  Nothing is sampled.
+    commutative ring.  Nothing is sampled and nothing is expanded.
     """
-    dual = proofs.dual()
-    if dual is None:
-        return _failed("composition", {"reason": _NO_DUAL})
-    i = dual.ties()
-    if i is not None:
-        residual = dual.vmap.components[i] - _times_x(dual.vmap.Q[i], i)
-        reason = "stored inverse component differs from det(C_i)"
-        wit = {"i": i, "reason": reason, "residual_terms": len(residual.terms)}
-        return _failed("composition", wit)
-    failure = _expansion_failure(proofs)
+    failure = _composition_failure(proofs)
     if failure is not None:
         return _failed("composition", failure)
     n1 = vmap.n + 1
@@ -402,58 +398,34 @@ def verify_composition(vmap, proofs):
     return _passed("composition", dict(wit, inverse="v∘w = y·∏Q'_i by the dual instance"))
 
 
-def verify_roundtrip_sample(vmap, inv, k=20, seed=0):
-    """Map k >= 1 distinct random points where no component vanishes back;
-    demand exact return, which makes the images pairwise distinct.
-
-    Coordinates are drawn nonzero, so v_i(p) = p_i·Q_i(p) vanishes where Q_i
-    does: for a valid map, points off the Q_i, found without evaluating one.
-    Points and images are ints (`_lowered`); a `ProjPoint` names a failure."""
-    if k < 1:
-        raise ValueError(f"round-trip needs at least 1 sample, got {k}")
-    ctx, p = vmap.ctx, vmap.ctx.p
-    rng = seeded_rng(seed, "roundtrip")
-    forward = Evaluator(vmap.components)
-    inverse = Evaluator(inv.inverse_components)
-
-    def draw():
-        # a point off the locus, lowered, and its image, in at most 200 draws
-        for _ in range(200):
-            coords = [ctx.random_nonzero(rng) for _ in range(vmap.n + 1)]
-            x = _lowered([c.r if p else int(c.numerator) for c in coords], p)
-            y = forward.totals(x, p)[0]
-            if all(y):
-                return coords, x, y
-        raise RuntimeError("could not sample a point where no component vanishes")
-
-    seen = set()
-    for s in range(k):
-        coords, x, y = draw()
-        while x in seen:  # small fields invite birthday collisions
-            coords, x, y = draw()
-        seen.add(x)
-        back = inverse.totals(_lowered(y, p), p)[0]
-        if not back[0] or _lowered(back, p) != x:  # x[0] != 0, so back[0] = 0 fails
-            point = ProjPoint(coords, ctx)
-            img = ProjPoint(forward(point.coords), ctx)
-            values = inverse(img.coords)
-            if not any(values):
-                raise maps.BaseLocusError(f"point {img.format()} is in the base locus")
-            back = ProjPoint(values, ctx).format()
-            return _failed("round-trip", {"sample": s, "point": point.format(), "returned": back})
-    # distinct points, each returned from its image, have distinct images
-    return _passed("round-trip", {"samples": k, "distinct_images": True})
+def verify_roundtrip_sample(proofs):
+    """Every point p off the Q_i returns from its image, cited from
+    `composition`: no point is drawn.  w∘v = x·∏Q_i as polynomials
+    (`verify_composition`), so w(v(p)) = ∏Q_i(p)·p, which is p in P^n.
+    The check reads the facts of that proof (`_composition_failure`), so
+    it fails exactly when `composition` does."""
+    failure = _composition_failure(proofs)
+    if failure is not None:
+        return _failed("round-trip", failure)
+    identity = "w(v(p)) = ∏Q_i(p)·p, so p returns off the Q_i"
+    return _passed("round-trip", {"identity": identity, "proof": "cited from composition"})
 
 
-def _lowered(ints, p):
-    """Ints of a projective point, the first nonzero, as `Evaluator` lowers its
-    `ProjPoint`, then h: over F_p the residues scaled to first entry 1 and
-    h = 1, over Q the primitive vector with a positive first entry and it."""
-    if p is not None:
-        inv = pow(ints[0], -1, p)
-        return (*(v * inv % p for v in ints), 1)
-    g = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
-    return (*(v // g for v in ints), ints[0] // g)
+def _composition_failure(proofs):
+    """Why the composition identity is not proved, the first witness, or
+    None: no dual record (a b off the canonical pattern), then the dual
+    record's `lattice` and `ties`, which make each stored w_i y_i·Q'_i with
+    Q'_i = det(M'_i), a failure naming its i and the direction "inverse",
+    then `_expansion_failure`."""
+    dual = proofs.dual()
+    if dual is None:
+        return {"reason": _NO_DUAL}
+    failure = dual.lattice()
+    i = dual.ties() if failure is None else failure["i"]
+    if i is not None:
+        reason = "stored inverse component differs from det(C_i)"
+        return {"i": i, "reason": reason, "direction": "inverse"}
+    return _expansion_failure(proofs)
 
 
 def verify_base_locus(vmap, proofs):
@@ -540,6 +512,18 @@ def _construction_failure(proofs):
 def _times_x(q, i):
     """x_i·q: the terms of q with the exponent of x_i raised by one."""
     return Poly(q.nvars, {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in q.terms.items()})
+
+
+def _over_x(v, i):
+    """(q, whole): the terms of v that hold x_i, each with one x_i taken
+    off, and whether every term of v holds x_i, so that v = x_i·q."""
+    terms, whole = {}, True
+    for e, c in v.terms.items():
+        if e[i]:
+            terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+        else:
+            whole = False
+    return Poly(v.nvars, terms), whole
 
 
 def _expansion_failure(proofs):
@@ -629,9 +613,9 @@ def _family_failure(proofs):
 
 def check_transversal_sample(vmap, proofs):
     """Certified transversal lines lie inside every Q_i, each by a count of
-    its zeros on the line: at n >= 4, the lines through points of the
-    first ten flat pairs (`_pair_failure`); at n = 3, both transversals at
-    once (`_family_failure`), so the explicit lines are not tested.
+    its zeros on the line: at n >= 4, the lines through points of every
+    pair of flats (`_pair_failure`); at n = 3, both transversals at once
+    (`_family_failure`), so the explicit lines are not tested.
     """
     n = vmap.n
     if n == 2:
@@ -653,7 +637,7 @@ def check_transversal_sample(vmap, proofs):
                 "note": "both transversals inside every Q_i by a zero count",
             },
         )
-    pairs = [list(pair) for pair in islice(combinations(range(n + 1), 2), 10)]
+    pairs = [list(pair) for pair in combinations(range(n + 1), 2)]
     for i, j in pairs:
         failure = proofs.pair_failure(i, j)
         if failure is not None:
@@ -855,7 +839,9 @@ class ProofRecord:
         """The first i whose stored component v_i is not x_i·Q_i
         (`_times_x`), with Q_i the record map's own, or None: once the
         stored Q_i is det(M_i), None when every component is the
-        construction's.  Terms are compared: no difference is formed."""
+        construction's.  Terms are compared: no difference is formed.  The
+        dual record's Q'_i are read off its components, so `dual` sets its
+        ties in that pass."""
         def prove():
             vmap = self.vmap
             pairs = enumerate(zip(vmap.components, vmap.Q))
@@ -865,18 +851,24 @@ class ProofRecord:
 
     def dual(self):
         """The record of the dual instance, or None when a row of b is off
-        the canonical pattern.  Its flats (y_i, g_i) are the rows of b, its
-        components the stored inverse components, and its map's Q'_i come
-        from one `maps.compute_all_Q` of the rows, so its ties compare each
-        w_i with y_i·Q'_i.  It has no inverse data."""
+        the canonical pattern.  Its flats (y_i, g_i) are the rows of b and
+        its components the stored inverse components w_i.  One pass over
+        the w_i (`_over_x`) gives its map's Q'_i, the terms of w_i that hold
+        y_i, each with one y_i taken off, and its `ties`, the first i whose
+        w_i has a term without y_i: w_i = y_i·Q'_i once that is None.  Its
+        `lattice` proves each Q'_i = det(M'_i) of the dual flats, so nothing
+        is expanded.  It has no inverse data."""
         def prove():
             flats = [Flat(i, tuple(row)) for i, row in enumerate(self.inv.b)]
             if not all(f.is_canonical() for f in flats):
                 return None
-            ctx = self.inst.ctx
-            qs = maps.compute_all_Q(flats, ctx)[0]
-            dual = maps.VeneroniMap(self.inst.n, ctx, flats, qs, self.inv.inverse_components)
-            return ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed, self)
+            ws = self.inv.inverse_components
+            qs, whole = zip(*(_over_x(w, i) for i, w in enumerate(ws)))
+            dual = maps.VeneroniMap(self.inst.n, self.inst.ctx, flats, list(qs), ws)
+            record = ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed, self)
+            tie = next((i for i, ok in enumerate(whole) if not ok), None)
+            record._fact("ties", lambda: tie)
+            return record
 
         return self._fact("dual", prove)
 
@@ -909,7 +901,6 @@ def run_suite(
     inv=None,
     *,
     level="full",
-    k=20,
     seed=None,
     timings=False,
     version="0",
@@ -960,7 +951,7 @@ def run_suite(
     runner("basis-property", lambda: check_basis(inst, vmap, proofs))
     runner("b-matrix", lambda: check_b_matrix(proofs))
     runner("composition", lambda: verify_composition(vmap, proofs))
-    runner("round-trip", lambda: verify_roundtrip_sample(vmap, inv, k, seed))
+    runner("round-trip", lambda: verify_roundtrip_sample(proofs))
     runner("base-locus", lambda: verify_base_locus(vmap, proofs))
     runner("transversal-sample", lambda: check_transversal_sample(vmap, proofs))
     runner("multiplicity", lambda: check_multiplicity(vmap, proofs))

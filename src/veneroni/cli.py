@@ -164,15 +164,12 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
-    if args.samples < 1:  # a round-trip of no samples would pass untested
-        raise ValueError(f"-k/--samples must be >= 1, got {args.samples}")
     inst, vmap, inv = load_instance(args)
     report = checks.run_suite(
         inst,
         vmap,
         inv,
         level=args.level,
-        k=args.samples,
         seed=args.seed,
         timings=args.timings,
         version=__version__,
@@ -330,7 +327,6 @@ def build_parser(command=None):
         p.set_defaults(func=func)
         if name == "verify":
             p.add_argument("--level", choices=("fast", "full"), default="full")
-            p.add_argument("-k", "--samples", type=int, default=20, help="round-trip sample count")
             p.add_argument("--json", action="store_true", help="print the JSON report")
             wall = "record per-check wall time (breaks byte-identical reruns)"
             p.add_argument("--timings", action="store_true", help=wall)

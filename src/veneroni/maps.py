@@ -30,7 +30,6 @@ from .projgeo import Flat
 
 __all__ = [
     "ConstructionError",
-    "BaseLocusError",
     "VeneroniMap",
     "InverseData",
     "build_matrix_B",
@@ -50,10 +49,6 @@ __all__ = [
 class ConstructionError(Exception):
     """Construction was refused, e.g. for a flat off the canonical pattern;
     the message names the reason."""
-
-
-class BaseLocusError(Exception):
-    """The map was applied at a point where every component vanishes."""
 
 
 def build_matrix_B(flats, ctx):
@@ -89,10 +84,11 @@ def matrix_M(flats, i, b):
 
 def compute_Q(flats, i, ctx):
     """Q_i = det(B_i) / x_i in closed form, as det(M_i) (`matrix_M`) by
-    `minor_dp`.  The constructors and the dual proof record take every Q_i
-    at once from `compute_all_Q`, and so does `cli demo`; this expansion of
-    one M_i at a time is its oracle in the tests, and
-    `demos/residual_plane.py` takes Q_0 and Q_1 from it.
+    `minor_dp`.  The constructors take every Q_i at once from
+    `compute_all_Q`, and so does `cli demo`; a verify expands neither,
+    proving each stored Q_i and Q'_i on a lattice (`lattice.det_m_failure`).
+    This expansion of one M_i at a time is `compute_all_Q`'s oracle in the
+    tests, and `demos/residual_plane.py` takes Q_0 and Q_1 from it.
 
     For canonical flats (a_{j,j} = 0) each row of B sums to zero, so row j
     of B_i sums to -a_{j,i} x_i.  Adding every other column of B_i to its

@@ -29,9 +29,11 @@ artifact tree.
 `double_at_pair_points` evaluates each Q_k and all
 its partials at a point of each pairwise flat intersection, the sample
 that `checks.check_multiplicity` replaces by its ideal-product lemma.
-`sample_off_locus`, `apply_map` and `roundtrip_sample` are the round-trip
-check on `ProjPoint`s, field elements normalized at every step: the
-reference that `checks.verify_roundtrip_sample` computes on ints.
+`sample_off_locus`, `apply_map` and `roundtrip_sample` map sampled
+`ProjPoint`s there and back, field elements normalized at every step: the
+identity that `checks.verify_roundtrip_sample` cites from the composition
+proof, sampled.  `apply_map` raises `BaseLocusError` at a point where
+every component vanishes.
 `sample_off_q_locus` draws the same points off the Q_i from the Q_i's own
 values, where `sample_off_locus` reads the components'.
 """
@@ -240,12 +242,16 @@ def flat_intersection(a, b, ctx):
     return [ProjPoint(v, ctx) for v in la.nullspace(rows, a.nvars, ctx)]
 
 
+class BaseLocusError(Exception):
+    """The map was applied at a point where every component vanishes."""
+
+
 def apply_map(components, p, ctx):
     """The image of a point, with `components` an `Evaluator` of the map's
     components; error on the base locus."""
     vals = components(p.coords)
     if not any(vals):
-        raise maps.BaseLocusError(f"point {p.format()} is in the base locus")
+        raise BaseLocusError(f"point {p.format()} is in the base locus")
     return ProjPoint(vals, ctx)
 
 
@@ -261,9 +267,9 @@ def sample_off_locus(vmap, forward, rng, tries=200):
 
 
 def roundtrip_sample(vmap, inv, k=20, seed=0):
-    """The round-trip check's `CheckResult` from k distinct points drawn by
+    """A round-trip `CheckResult` from k distinct points drawn by
     `sample_off_locus` from its rng stream, mapped there and back by
-    `apply_map`; for k >= 1 it raises what the check raises."""
+    `apply_map`: a failure names the first point that does not return."""
     ctx = vmap.ctx
     rng = seeded_rng(seed, "roundtrip")
     forward = Evaluator(vmap.components)

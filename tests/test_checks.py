@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import random
 from collections import Counter
 from itertools import combinations
@@ -278,18 +277,13 @@ def test_tampering_fails_composition_by_name(field, target, index, reason):
     _tamper(vmap, inv, target, field.from_int(2))
     res = checks.verify_composition(vmap, record(inst, vmap, inv))
     assert res.status == "fail"
-    # a stale inverse component names the size of its residual
-    # w_i − y_i·Q'_i, formed here by a product with y_i; the map's own
-    # pieces fail with the construction's witness
-    terms = res.witness.pop("residual_terms", None)
-    assert res.witness == dict(index, reason=reason)
+    # a changed b moves the dual flats, so the dual lattice fails first at
+    # Q'_1, whose M'_1 holds row 0 of b; the inverse side names its
+    # direction, and the map's own pieces fail with the construction's
+    # witness
     if "inverse component" in reason:
-        i = index["i"]
-        dual = [Flat(r, tuple(row)) for r, row in enumerate(inv.b)]
-        y_q = Poly.var(i, 4, field.one) * maps.build_forward_map(dual, field).Q[i]
-        assert terms == len((inv.inverse_components[i] - y_q).terms) > 0
-    else:
-        assert terms is None
+        index = dict(index, direction="inverse")
+    assert res.witness == dict(index, reason=reason)
 
 
 @pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
@@ -313,7 +307,13 @@ def test_ties_name_the_smaller_of_two_tampered_components(field):
     two = field.from_int(2)
     vmap.components = _scaled(_scaled(vmap.components, 3, two), 1, two)
     assert record(inst, vmap, inv).ties() == 1
-    inv.inverse_components = _scaled(_scaled(inv.inverse_components, 4, two), 2, two)
+    # the dual Q'_i are read off the w_i, so a scaled w_i still ties; a
+    # term without y_i does not
+    inv.inverse_components = _scaled(inv.inverse_components, 4, two)
+    assert record(inst, vmap, inv).dual().ties() is None
+    x0 = Poly.var(0, 5, field.one) ** 4
+    w = inv.inverse_components
+    inv.inverse_components = [c + x0 if t in (2, 4) else c for t, c in enumerate(w)]
     assert record(inst, vmap, inv).dual().ties() == 2
 
 
@@ -736,16 +736,19 @@ def test_reports_share_no_proof_across_runs():
 @given(
     n=st.integers(2, 4),
     seed=st.integers(0, 10**6),
-    k=st.integers(1, 4),
     coords=st.lists(st.integers(-9, 9), min_size=5, max_size=5),
 )
-def test_round_trip_returns_every_point_exactly(field, n, seed, k, coords):
+def test_round_trip_returns_every_point_exactly(field, n, seed, coords):
     inst = random_general_flats(n, seed, field)
     vmap, inv = checks.build_all(inst)
-    res = checks.verify_roundtrip_sample(vmap, inv, k=k, seed=seed)
+    res = checks.verify_roundtrip_sample(record(inst, vmap, inv))
     assert res.status == "pass"
-    assert res.witness == {"samples": k, "distinct_images": True}
-    # a drawn point off the Q_i, where w∘v = x·∏Q_i is nonzero, returns
+    assert res.witness == {
+        "identity": "w(v(p)) = ∏Q_i(p)·p, so p returns off the Q_i",
+        "proof": "cited from composition",
+    }
+    # the cited identity at a drawn point off the Q_i, where w∘v = x·∏Q_i
+    # is nonzero: it returns
     point = [field.from_int(c) for c in coords[: n + 1]]
     assume(all(Evaluator(vmap.Q)(point)))
     p = ProjPoint(point, field)
@@ -770,30 +773,6 @@ def test_the_round_trip_draws_the_points_off_the_q_locus(field, n, seed):
 
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["qq", "fp"])
-@settings(max_examples=25, deadline=None)
-@given(
-    scale=st.integers(-6, 6).filter(bool),
-    coords=st.lists(st.integers(-9, 9), min_size=3, max_size=3).filter(lambda c: c[0]),
-)
-def test_the_round_trip_lowers_a_point_as_projpoint_hands_it_to_evaluator(field, scale, coords):
-    # the polynomials are not homogeneous, so their values change with the
-    # representative: the ints must be the numerators and h that `Evaluator`
-    # reads off the normalized point, and the totals its values
-    p = field.p
-    x0, x1, x2 = (Poly.var(i, 3, field.one) for i in range(3))
-    half = field.one / field.from_int(2)
-    polys = [x0 * x0 + x1.scale(field.from_int(3)) + Poly.const(half, 3), x2**3 - x0, x1]
-    point = ProjPoint([field.from_int(c) for c in coords], field)
-    x = checks._lowered([scale * c for c in coords], p)
-    if p is None:
-        den = math.lcm(*(c.denominator for c in point.coords))
-        assert x == (*(c.numerator * (den // c.denominator) for c in point.coords), den)
-    else:
-        assert x == (*(c.r for c in point.coords), 1)
-    totals, den = Evaluator(polys).totals(x, p)
-    assert [t / field.from_int(den) for t in totals] == Evaluator(polys)(point.coords)
-
 # ---- each shared fact is proved once per report ---------------------------
 
 FP31 = FieldCtx.prime(2147483647)
@@ -803,18 +782,19 @@ FP31 = FieldCtx.prime(2147483647)
     "n, field, level, expected, dual_facts",
     [
         # no component is restricted to a flat: once tied to x_i·det(M_i)
-        # its vanishing is cited.  The stored Q_i are proved on a lattice,
-        # so only the dual flats' B' is built, and one expansion of its
-        # maximal minors gives the dual Q'_i.  The n = 3 family's count
-        # reads the record's meet of each of the six pairs.  A and Aᵀ are
-        # bounded once each, for genericity (e) and both dimensions
+        # its vanishing is cited.  The stored Q_i and the dual Q'_i, read
+        # off the stored inverse components with their ties, are proved on
+        # a lattice each, so no B is built and no minor is expanded.  The
+        # n = 3 family's count reads the record's meet of each of the six
+        # pairs.  A and Aᵀ are bounded once each, for genericity (e) and
+        # both dimensions
         (
             3, QQ, "full",
             {
-                "vanishes_on_flat": 0, "_n3_family": 1, "maximal_minors": 1,
-                "build_matrix_B": 1, "flat_meet": 6, "partial": 0, "flats_bound": 2,
+                "vanishes_on_flat": 0, "_n3_family": 1, "maximal_minors": 0,
+                "build_matrix_B": 0, "flat_meet": 6, "partial": 0, "flats_bound": 2,
             },
-            {"ties": 1, "dimension": 1, ("bound", "A"): 1},
+            {"lattice": 1, "ties": 1, "dimension": 1, ("bound", "A"): 1},
         ),
         # the same over F_p: each of the 10 pairs of flats met once, by the
         # record, for every check, and no partial but Q_0's five, for the
@@ -822,10 +802,10 @@ FP31 = FieldCtx.prime(2147483647)
         (
             4, FP31, "fast",
             {
-                "vanishes_on_flat": 0, "_n3_family": 0, "maximal_minors": 1,
-                "build_matrix_B": 1, "flat_meet": 10, "partial": 5, "flats_bound": 2,
+                "vanishes_on_flat": 0, "_n3_family": 0, "maximal_minors": 0,
+                "build_matrix_B": 0, "flat_meet": 10, "partial": 5, "flats_bound": 2,
             },
-            {"ties": 1, "dimension": 1, ("bound", "A"): 1},
+            {"lattice": 1, "ties": 1, "dimension": 1, ("bound", "A"): 1},
         ),
     ],
     ids=["n3-qq-full", "n4-fp-fast"],
@@ -910,11 +890,11 @@ def test_a_report_meets_each_pair_of_flats_once(monkeypatch, n):
     assert pairs == Counter(combinations(range(n + 1), 2))
 
 
-def test_a_build_expands_the_minors_twice_and_a_verify_once(monkeypatch):
+def test_a_build_expands_the_minors_twice_and_a_verify_never(monkeypatch):
     # a build expands the maximal minors of the flats and of the dual
-    # flats; a passing verify only those of the dual record, and proves
-    # each stored Q_i = det(M_i) by values on a lattice.  No polynomial
-    # determinant runs Bareiss, and no det(M_i) runs minor_dp
+    # flats; a passing verify expands none, and proves each stored Q_i and
+    # each Q'_i read off the inverse components by values on a lattice.
+    # No polynomial determinant runs Bareiss, and no det(M_i) runs minor_dp
     inst = random_general_flats(4, 11, FP31)
     calls = Counter()
     minors, det = la.maximal_minors, la.det_poly_matrix
@@ -939,7 +919,7 @@ def test_a_build_expands_the_minors_twice_and_a_verify_once(monkeypatch):
     assert calls == {"maximal_minors": 2, "_minor_dp": 2}
     calls.clear()
     assert checks.run_suite(inst, vmap, inv, level="fast").ok
-    assert calls == {"maximal_minors": 1, "_minor_dp": 1}
+    assert calls == {}
 
 
 @pytest.mark.parametrize("n", [3, 4], ids=["n3", "n4"])
@@ -1254,12 +1234,10 @@ def test_one_dp_gives_every_q_of_the_flats_and_the_dual_flats(ctx, coeffs):
 
 
 @pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
-def test_a_minor_term_without_its_variable_crashes_the_record(monkeypatch, field):
-    # a term of x_r·Q_r without x_r contradicts the cofactor lemma, so Q_r
-    # is never read off it; the dual record keeps the crash as any failed
-    # proof, while the lattice proves the stored Q_i without an expansion
+def test_a_minor_term_without_its_variable_crashes_the_build(monkeypatch, field):
+    # a term of x_r·Q_r without x_r contradicts the cofactor lemma, so the
+    # builder reads no Q_r off it
     inst = random_general_flats(3, 11, field)
-    vmap, inv = checks.build_all(inst)
     minors = la.maximal_minors
 
     def off_by_one(m):
@@ -1268,11 +1246,65 @@ def test_a_minor_term_without_its_variable_crashes_the_record(monkeypatch, field
     monkeypatch.setattr(la, "maximal_minors", off_by_one)
     with pytest.raises(ArithmeticError, match="a term of x_0 Q_0 lacks x_0"):
         maps.compute_all_Q(inst.flats, field)
+
+
+INVERSE_DIFFERS = "stored inverse component differs from det(C_i)"
+
+
+@pytest.mark.parametrize("field", [QQ, FP31], ids=["qq", "fp"])
+def test_an_inverse_term_without_its_variable_fails_composition_by_name(field):
+    # the dual record reads Q'_r off w_r and ties w_r = y_r·Q'_r in the same
+    # pass: a term of w_r without y_r fails the ties, not the record
+    inst = random_general_flats(3, 11, field)
+    vmap, inv = checks.build_all(inst)
+    inv.inverse_components = list(inv.inverse_components)
+    inv.inverse_components[0] = inv.inverse_components[0] + Poly.const(field.one, 4)
     res = by_name(checks.run_suite(inst, vmap, inv))
-    crash = {"error": "ArithmeticError: a term of x_0 Q_0 lacks x_0"}
+    want = {"i": 0, "reason": INVERSE_DIFFERS, "direction": "inverse"}
     assert res["determinantal"].status == "pass"
-    assert res["composition"].witness == crash
-    assert res["dual-dimension"].witness == crash
+    assert (res["composition"].status, res["composition"].witness) == ("fail", want)
+    assert (res["round-trip"].status, res["round-trip"].witness) == ("fail", want)
+    assert res["dual-dimension"].status == "pass"
+
+
+@pytest.mark.parametrize("n, field", [(3, QQ), (4, FP31)], ids=["n3-qq", "n4-fp"])
+def test_a_fault_of_the_inverse_expansion_fails_composition_by_name(monkeypatch, n, field):
+    # the builder's expansion goes wrong after the forward map is built, so
+    # only the inverse carries the fault; the dual record reads the Q'_i off
+    # the stored w_i and proves them on the dual flats' lattice, so a verify
+    # that runs the same faulty expansion still finds it
+    inst = random_general_flats(n, 5, field)
+    vmap = maps.build_forward_map(inst.flats, field)
+    compute_all_Q, two = maps.compute_all_Q, field.from_int(2)
+
+    def faulty(flats, ctx):
+        qs, components = compute_all_Q(flats, ctx)
+        return _scaled(qs, 1, two), _scaled(components, 1, two)
+
+    monkeypatch.setattr(maps, "compute_all_Q", faulty)
+    inv = maps.build_inverse_map(vmap, maps.solve_b_matrix(vmap))
+    report = checks.run_suite(inst, vmap, inv, level="fast")
+    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    want = {"i": 1, "reason": INVERSE_DIFFERS, "direction": "inverse"}
+    assert failed == {"composition": want, "round-trip": want}
+
+
+def test_transversal_sample_reads_every_pair_of_flats(monkeypatch):
+    # n = 5 has 15 pairs of flats; a zero count that fails only for the
+    # last pair, (4, 5), fails the check by name
+    inst = random_general_flats(5, 5, FP31)
+    vmap, inv = checks.build_all(inst)
+    res = checks.check_transversal_sample(vmap, record(inst, vmap, inv))
+    assert (res.status, res.witness["lines"]) == ("pass", 15)
+    pair_failure = checks._pair_failure
+    wit = {"pair": [4, 5], "reason": "too few zeros of Q_0"}
+
+    def failing(proofs, i, j):
+        return wit if (i, j) == (4, 5) else pair_failure(proofs, i, j)
+
+    monkeypatch.setattr(checks, "_pair_failure", failing)
+    res = checks.check_transversal_sample(vmap, record(inst, vmap, inv))
+    assert (res.status, res.witness) == ("fail", wit)
 
 
 @st.composite
@@ -1405,7 +1437,7 @@ def test_a_wrong_degree_and_a_changed_value_fail_by_the_smaller_index(field):
         assert (res.status, res.witness) == ("fail", want)
 
 
-def test_a_passing_verify_proves_the_lattice_once_and_expands_the_dual_once(monkeypatch):
+def test_a_passing_verify_proves_both_lattices_and_expands_no_minor(monkeypatch):
     inst = random_general_flats(4, 11, FP31)
     vmap, inv = checks.build_all(inst)
     calls = Counter()
@@ -1421,8 +1453,10 @@ def test_a_passing_verify_proves_the_lattice_once_and_expands_the_dual_once(monk
 
     counted(checks, "det_m_failure")
     counted(maps, "compute_all_Q")
+    counted(la, "maximal_minors")
     assert checks.run_suite(inst, vmap, inv, level="full").ok
-    assert calls == {"det_m_failure": 1, "compute_all_Q": 1}
+    # the stored Q_i on the flats' lattice, the Q'_i on the dual flats'
+    assert calls == {"det_m_failure": 2}
 
 
 @pytest.mark.parametrize("ctx", [QQ, FP31], ids=["qq", "fp"])
