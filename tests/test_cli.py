@@ -613,6 +613,18 @@ def test_verify_has_no_sample_count(capsys, map3):
     assert "unrecognized arguments: -k 20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_verify_refuses_a_sample_count_below_one(capsys, map3, k):
+    # a round-trip of no samples tests nothing; with no sample count left
+    # at all, verify refuses it before any check runs
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "-i", str(map3), "-k", k])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: -k {k}" in err
+
+
 def test_verify_needs_input_or_n(capsys):
     rc, _, err = run(capsys, ["verify"])
     assert rc == 2
