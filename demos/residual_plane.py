@@ -14,7 +14,6 @@ each is at least a double point of every other Q_k.
 import sys
 
 from veneroni import checks, maps
-from veneroni.mpoly import Evaluator
 from veneroni.projgeo import flat_meet, random_general_flats, transversal_through
 from veneroni.scalar import FieldCtx
 
@@ -44,7 +43,7 @@ print("  but no line through q meets all five flats.")
 
 print("\nmultiplicity at a pairwise intersection point:")
 q23 = meet(2, 3)[0]
-value, *partials = Evaluator([q0, *(q0.partial(v) for v in range(5))])(q23.coords)
+value, *partials = (f.evaluate(q23.coords) for f in (q0, *(q0.partial(v) for v in range(5))))
 print(f"  at the point {q23.format()} of flat_2 ∩ flat_3:")
 print(f"  Q_0 = {value} and all five partials of Q_0 are"
       f" {'zero' if not any(partials) else 'NOT all zero'}")

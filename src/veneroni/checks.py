@@ -38,10 +38,9 @@ from itertools import combinations
 
 from . import exactla as la
 from . import maps
-from .lattice import det_m_failure
-from .mpoly import Evaluator, Poly
+from .lattice import det_m_failure, grid
+from .mpoly import Poly
 from .projgeo import (
-    Flat,
     LineParam,
     ProjPoint,
     cone_hyperplane,
@@ -218,7 +217,7 @@ def _n3_family(flats, ctx):
     # meeting condition with flat 3: the four hyperplanes (two moving cone
     # rows, two fixed rows of flat 3) share a point iff this det vanishes
     rows3 = [[Poly.const(c, 2) for c in row] for row in flats[3].form_rows(ctx)]
-    m = la.det_laplace(cone_rows + rows3)
+    m = la.det_poly_matrix(cone_rows + rows3)
     q1, q2 = parametrize_flat(flats[1], ctx)
     hq1, hq2 = (sum(map(Poly.scale, cone_rows[1], q), Poly.zero(2)) for q in (q1, q2))
     w = [hq2.scale(a) - hq1.scale(b) for a, b in zip(q1, q2)]
@@ -259,11 +258,9 @@ def _family_lines(ctx, m, p, w):
     roots = _binary_roots(m, ctx)
     if roots is None:
         return []
-    values = Evaluator([*p, *w])
     lines = []
     for root in roots:
-        point = values(root)
-        base, direc = point[: len(p)], point[len(p):]
+        base, direc = ([c.evaluate(root) for c in forms] for forms in (p, w))
         lines.append(LineParam(ProjPoint(base, ctx), ProjPoint(direc, ctx)))
     return lines
 
@@ -509,23 +506,6 @@ def _construction_failure(proofs):
     return None if i is None else {"i": i, "reason": "stored component differs"}
 
 
-def _times_x(q, i):
-    """x_i·q: the terms of q with the exponent of x_i raised by one."""
-    return Poly(q.nvars, {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in q.terms.items()})
-
-
-def _over_x(v, i):
-    """(q, whole): the terms of v that hold x_i, each with one x_i taken
-    off, and whether every term of v holds x_i, so that v = x_i·q."""
-    terms, whole = {}, True
-    for e, c in v.terms.items():
-        if e[i]:
-            terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
-        else:
-            whole = False
-    return Poly(v.nvars, terms), whole
-
-
 def _expansion_failure(proofs):
     """Why row i of b is not the expansion of f_i·Q_i in the stored
     components that `maps.solve_b_matrix` proves: the witness of
@@ -673,7 +653,8 @@ def check_multiplicity(vmap, proofs):
     # vanish, so the double points are special to the pairwise intersections
     rng = seeded_rng(proofs.seed, "mult-control")
     p = _point_on_flat(vmap.flats[2], vmap.ctx, rng)
-    if not any(Evaluator([vmap.Q[0].partial(v) for v in range(n1)])(p.coords)):
+    gradient = [vmap.Q[0].partial(v) for v in range(n1)]
+    if not any(g.evaluate(p.coords) for g in gradient):
         return _failed("multiplicity", {"reason": "control gradient vanished"})
     return _passed(
         "multiplicity",
@@ -734,7 +715,7 @@ def residual_component_example(flats, qs, meet, ctx, seed=0):
     p0, p1 = anchors
     if la.rank([list(q), list(p0), list(p1)], ctx) != 3:
         return _failed(name, {"reason": "q, p0, p1 collinear"})
-    if any(Evaluator(qs)(q.coords)):
+    if any(f.evaluate(q.coords) for f in qs):
         return _failed(name, {"reason": "q not on Q_0 and Q_1"})
     res = transversal_through(q, list(flats), ctx)
     if res.kind != "none":
@@ -833,19 +814,28 @@ class ProofRecord:
         the smallest i at which Q_i is not det(M_i), or None when the
         lattice proves every Q_i = det(M_i)."""
         inst, vmap = self.inst, self.vmap
-        return self._fact("lattice", lambda: det_m_failure(inst.flats, vmap.Q, inst.ctx.p))
+        return self._fact(
+            "lattice", lambda: det_m_failure(inst.flats, vmap.Q, inst.ctx.p, self.grid())
+        )
+
+    def grid(self):
+        """`lattice.grid` of P^n, read by `lattice`: built once per report,
+        as the dual record reads its parent's."""
+        if self.parent is not None:
+            return self.parent.grid()
+        return self._fact("grid", lambda: grid(self.inst.n))
 
     def ties(self):
-        """The first i whose stored component v_i is not x_i·Q_i
-        (`_times_x`), with Q_i the record map's own, or None: once the
-        stored Q_i is det(M_i), None when every component is the
-        construction's.  Terms are compared: no difference is formed.  The
-        dual record's Q'_i are read off its components, so `dual` sets its
-        ties in that pass."""
+        """The first i whose stored component v_i is not x_i·Q_i, with Q_i
+        the record map's own, or None: once the stored Q_i is det(M_i),
+        None when every component is the construction's.  `maps.over_x`
+        takes x_i off v_i and the terms are compared: no difference is
+        formed.  The dual record's Q'_i are read off its components, so
+        `dual` sets its ties in that pass."""
         def prove():
             vmap = self.vmap
             pairs = enumerate(zip(vmap.components, vmap.Q))
-            return next((i for i, (v, q) in pairs if v != _times_x(q, i)), None)
+            return next((i for i, (v, q) in pairs if maps.over_x(v, i) != (q, True)), None)
 
         return self._fact("ties", prove)
 
@@ -853,17 +843,17 @@ class ProofRecord:
         """The record of the dual instance, or None when a row of b is off
         the canonical pattern.  Its flats (y_i, g_i) are the rows of b and
         its components the stored inverse components w_i.  One pass over
-        the w_i (`_over_x`) gives its map's Q'_i, the terms of w_i that hold
+        the w_i (`maps.over_x`) gives its map's Q'_i, the terms of w_i that hold
         y_i, each with one y_i taken off, and its `ties`, the first i whose
         w_i has a term without y_i: w_i = y_i·Q'_i once that is None.  Its
         `lattice` proves each Q'_i = det(M'_i) of the dual flats, so nothing
         is expanded.  It has no inverse data."""
         def prove():
-            flats = [Flat(i, tuple(row)) for i, row in enumerate(self.inv.b)]
+            flats = maps.dual_flats(self.inv.b)
             if not all(f.is_canonical() for f in flats):
                 return None
             ws = self.inv.inverse_components
-            qs, whole = zip(*(_over_x(w, i) for i, w in enumerate(ws)))
+            qs, whole = zip(*(maps.over_x(w, i) for i, w in enumerate(ws)))
             dual = maps.VeneroniMap(self.inst.n, self.inst.ctx, flats, list(qs), ws)
             record = ProofRecord(replace(self.inst, flats=flats), dual, None, self.seed, self)
             tie = next((i for i, ok in enumerate(whole) if not ok), None)

@@ -9,15 +9,17 @@ lists of lists and convert at their boundary.
 Determinants accept matrices whose entries are polynomials as
 well as scalars, and come in two independent implementations:
 
-* `det_laplace` - cofactor expansion memoized over column subsets, the
+* "minor_dp" - cofactor expansion memoized over column subsets, the
   route of every build and verify (no division at all, so it never needs
   exact quotients);
-* `det_bareiss` - fraction-free elimination whose interior divisions are
-  exact by Sylvester's identity, run only by the tests, as an oracle.
+* "bareiss" - fraction-free elimination whose interior divisions are
+  exact by Sylvester's identity, run only by the tests, as an oracle
+  (`det_bareiss`).
 
-The subset expansion, `_minor_dp`, runs on k x c matrices, k <= c, and
-gives every maximal minor from one pass (`maximal_minors`); `det_laplace`
-reads the one full column set of a square matrix.
+`det_poly_matrix` takes either by name.  The subset expansion,
+`_minor_dp`, runs on k x c matrices, k <= c, and gives every maximal
+minor from one pass (`maximal_minors`); a square determinant reads its
+one full column set.
 
 Both cross mpoly's integer boundary once per matrix: `_lower_matrix`
 turns every entry into (exponent, int) terms, over F_p one residue per
@@ -175,12 +177,6 @@ def _bareiss(a, p):
     return d if sign > 0 else _negated(d)
 
 
-def det_laplace(m):
-    """Determinant by column-subset dynamic programming: the one full mask
-    of `_minor_dp`."""
-    return _det(m, lambda rows, p: _minor_dp(rows, p).get((1 << len(rows)) - 1, []))
-
-
 def maximal_minors(m):
     """{mask: minor} for a k x c matrix, k <= c: the determinant of the
     columns in each k-subset `mask` (bit j for column j), all from one
@@ -196,9 +192,10 @@ def det_bareiss(m):
 
 
 def det_poly_matrix(m, strategy="minor_dp"):
-    """Strategy dispatch: "minor_dp" (column-subset DP) or "bareiss"."""
+    """Strategy dispatch: "minor_dp", the one full column set of
+    `_minor_dp`, or "bareiss" (`det_bareiss`)."""
     if strategy == "minor_dp":
-        return det_laplace(m)
+        return _det(m, lambda rows, p: _minor_dp(rows, p).get((1 << len(rows)) - 1, []))
     if strategy == "bareiss":
         return det_bareiss(m)
     raise ValueError(f"unknown determinant strategy {strategy!r}")

@@ -77,11 +77,12 @@ def det_int(a):
     return sign * a[-1][-1]
 
 
-def det_m_failure(flats, qs, p):
+def det_m_failure(flats, qs, p, lattice):
     """The smallest i at which Q_i is not det(M_i) of the flats, with its
     first term of degree other than n-1 or else the first lattice point
     where they differ: a witness, or None when Q_i = det(M_i) for every i.
-    p is the field's prime, None over Q.
+    p is the field's prime, None over Q, and `lattice` is `grid(n)`, whose
+    values are only read, so one grid serves the flats and the dual flats.
 
     Lemma.  Let d = n-1.  A form of degree d in x_0..x_n is fixed by its
     values at the points (1, β) of the `grid`, once 0..d are distinct in
@@ -106,7 +107,6 @@ def det_m_failure(flats, qs, p):
     valued by `form_values`.
     """
     n1 = len(flats)
-    lattice = grid(n1 - 1)
     rows, scales = [], []
     for f in flats:
         terms, d = _lower(dict(enumerate(f.a)), p)

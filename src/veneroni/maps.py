@@ -37,10 +37,12 @@ __all__ = [
     "matrix_M",
     "compute_Q",
     "compute_all_Q",
+    "over_x",
     "linear_system_dimension",
     "build_forward_map",
     "solve_b_matrix",
     "build_inverse_map",
+    "dual_flats",
     "class_matrix",
     "monomials_of_degree",
 ]
@@ -116,8 +118,8 @@ def compute_all_Q(flats, ctx):
     columns other than r, and that of column r is det(B_r) = x_r Q_r
     (`compute_Q`).  So x_r Q_r is (-1)^r times that minor, and one
     `exactla.maximal_minors` of N gives all n+1 components.  Q_r is the
-    component with one unit of x_r taken off each term; a term without
-    x_r would contradict the lemma, so it raises ArithmeticError.
+    component with one unit of x_r taken off each term (`over_x`); a term
+    without x_r would contradict the lemma, so it raises ArithmeticError.
     """
     b = build_matrix_B(flats, ctx)
     n1 = len(b)
@@ -126,14 +128,24 @@ def compute_all_Q(flats, ctx):
     for r in range(n1):
         v = minors.get(((1 << n1) - 1) ^ (1 << r), Poly(n1))
         v = -v if r % 2 else v
-        q = Poly(n1)
-        for e, c in v.terms.items():
-            if not e[r]:
-                raise ArithmeticError(f"a term of x_{r} Q_{r} lacks x_{r}")
-            q.terms[e[:r] + (e[r] - 1,) + e[r + 1:]] = c
+        q, whole = over_x(v, r)
+        if not whole:
+            raise ArithmeticError(f"a term of x_{r} Q_{r} lacks x_{r}")
         qs.append(q)
         components.append(v)
     return qs, components
+
+
+def over_x(v, i):
+    """(q, whole): the terms of v that hold x_i, each with one x_i taken
+    off, and whether every term of v holds x_i, so that v = x_i·q."""
+    terms, whole = {}, True
+    for e, c in v.terms.items():
+        if e[i]:
+            terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+        else:
+            whole = False
+    return Poly(v.nvars, terms), whole
 
 
 def monomials_of_degree(nvars, d):
@@ -293,12 +305,16 @@ def build_inverse_map(vmap, inv):
     diagonal, entry (i,k) = a_{i,k} y_k.  With Y = diag(y) and B' the dual
     flats' matrix, entry (r,c) = b_{r,c} y_c, b = A^T gives C^T = Y·B'·Y^-1,
     and a diagonal similarity keeps principal minors: det(C_i) = y_i Q'_i.
-    The dual flats are built here and not kept: `checks.ProofRecord.dual`
-    builds them from b the same way.
+    The dual flats are not kept: `checks.ProofRecord.dual` takes them from
+    b by `dual_flats` too.
     """
-    duals = [Flat(i, tuple(row)) for i, row in enumerate(inv.b)]
-    inv.inverse_components = build_forward_map(duals, vmap.ctx).components
+    inv.inverse_components = build_forward_map(dual_flats(inv.b), vmap.ctx).components
     return inv
+
+
+def dual_flats(b):
+    """The dual flats (y_i, g_i), one per row i of the b-matrix."""
+    return [Flat(i, tuple(row)) for i, row in enumerate(b)]
 
 
 def class_matrix(n):

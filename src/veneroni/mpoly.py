@@ -7,11 +7,11 @@ scaling and differentiation use the coefficients' own operators.  Products,
 evaluation, substitution and exact division cross one boundary instead:
 `_lower` turns the coefficients into Python ints (residues mod p, or
 numerators over one common denominator), one loop on ints does the work,
-and `_lift` turns each result term back into a field element exactly once.
-The integer loops, `_product` (with its accumulator, the int-level sum)
-and the heap quotient `_quotient`, are also the determinant kernels'
+and `_lift` turns each result term back into a field element exactly once;
+`evaluate` lowers the point as well and lifts its one value.  The integer
+loops, `_product` (with its accumulator, the int-level sum) and the heap
+quotient `_quotient`, are also the determinant kernels'
 arithmetic: `exactla` lowers a whole matrix once and expands it on ints.
-Point values of a fixed list of polynomials come from one `Evaluator`.
 The field is read from every operand, so ints met with F_p elements land
 in F_p, and elements of two different primes raise ValueError.  Terms are
 kept unordered in the dict and sorted into graded reverse-lexicographic
@@ -22,8 +22,8 @@ carry polynomials as JSON term lists, the dicts of `to_dict` and
 """
 
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-from operator import add, mul, sub
+from math import gcd, lcm, prod
+from operator import add, sub
 
 from .scalar import Fp, Rational
 
@@ -382,10 +382,33 @@ class Poly:
     # ---- evaluation and substitution -----------------------------------
 
     def evaluate(self, point):
-        """Value at a tuple of field elements (one per variable); see
-        `Evaluator`, which evaluates several polynomials at once.  Nothing in
-        the package calls it; the tests do, and perfbench/tracer.py wraps it."""
-        return Evaluator([self])(point)[0]
+        """Value at a tuple of field elements, one per variable.
+
+        The field is read from the coefficients, then from the point: ints
+        are in either field and alone give a rational, and elements of two
+        primes raise ValueError.  The terms and the point are lowered to
+        ints once and the value is lifted once.  Over F_p the sum of c·X^e
+        runs on residues.  Over Q the point is numerators X over one common
+        denominator dx, and a term of a polynomial of degree d is scaled by
+        dx^(d−|e|), so the sum is the value times d_c·dx^d, d_c the
+        coefficients' common denominator.
+        """
+        if len(point) != self.nvars:
+            raise ValueError("point length does not match variable count")
+        p = _prime(self.terms.values(), point)
+        if p is not None:
+            xs, dx = [_residue(x, p) for x in point], 1
+        else:
+            dx = _denominator(point)
+            xs = [x.numerator * (dx // x.denominator) for x in point]
+        terms, dc = _lower(self.terms, p)
+        top = max((sum(e) for e, _ in terms), default=0)
+        pows, dpow = [_powers(x, top) for x in xs], _powers(dx, top)
+        get = list.__getitem__
+        total = sum(c * dpow[top - sum(e)] * prod(map(get, pows, e)) for e, c in terms)
+        if p is not None:
+            return Fp._from_residue(total % p, p)
+        return Rational(total, dc * dpow[top])
 
     def substitute(self, images):
         """Ring map x_i -> images[i]; images are any polynomials in a common
@@ -477,101 +500,3 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.text()})"
-
-
-class Evaluator:
-    """Values of a fixed list of polynomials at points, all from one table.
-
-    The polynomials are lowered to ints once per field, on the first point
-    of that field.  Their monomials are numbered once, in a table where
-    each entry but the constant 1 names a parent entry that lacks one
-    variable; at a point every entry is then one integer product (reduced
-    mod p over F_p), and each polynomial is a dot product of its
-    coefficients with the entries, so monomials shared by the polynomials
-    are computed once.  A polynomial of degree d is homogenized to degree
-    d by one extra variable h.  Over Q a point becomes numerators X over
-    one common denominator dx and h = dx, so a term c·x^e becomes
-    c·X^e·dx^(d−|e|) over dx^d, which keeps non-homogeneous input exact;
-    over F_p h = 1.  The field is read from the coefficients and the point
-    as in `Poly` arithmetic: ints are in either field, and elements of two
-    primes raise ValueError.
-    """
-
-    __slots__ = ("nvars", "_polys", "_prime", "_steps", "_places", "_tops", "_lowered")
-
-    def __init__(self, polys):
-        self._polys = list(polys)
-        if not self._polys:
-            raise ValueError("need at least one polynomial")
-        self.nvars = self._polys[0].nvars
-        for q in self._polys:
-            q._check(self._polys[0])
-        self._prime = _prime(*(q.terms.values() for q in self._polys))
-        h = self.nvars  # the homogenizing variable
-        index = {(0,) * (h + 1): 0}
-        self._steps = []  # entry k + 1 is entry parent times variable v
-        self._tops, self._places = [], []  # per polynomial: degree, {e: entry}
-
-        def number(m):
-            # the entry of monomial m, after its parent: m less one unit of
-            # the first variable it holds
-            k = index.get(m)
-            if k is None:
-                v = next(i for i, x in enumerate(m) if x)
-                self._steps.append((number(m[:v] + (m[v] - 1,) + m[v + 1:]), v))
-                k = index[m] = len(self._steps)
-            return k
-
-        for q in self._polys:
-            degrees = {e: sum(e) for e in q.terms}
-            top = max(degrees.values(), default=0)
-            self._tops.append(top)
-            self._places.append({e: number(e + (top - d,)) for e, d in degrees.items()})
-        self._lowered = {}  # p (None for Q) -> per polynomial (entries, ints, d)
-
-    def _rows(self, p):
-        """Per polynomial: its table entries, int coefficients and common
-        denominator in the field of p, lowered on first use."""
-        rows = self._lowered.get(p)
-        if rows is None:
-            rows = []
-            for q, place in zip(self._polys, self._places):
-                terms, d = _lower(q.terms, p)
-                rows.append(([place[e] for e, _ in terms], [v for _, v in terms], d))
-            self._lowered[p] = rows
-        return rows
-
-    def totals(self, xs, p):
-        """(values, den): the polynomials' values at a point lowered to ints,
-        `xs`, its nvars coordinates and then h.  Over F_p (p a prime) they
-        are residues with h = 1, the values are residues and den is 1.  Over
-        Q they are numerators over h, and the values are ints over den, the
-        lcm of the d_i·h^top_i."""
-        rows = self._rows(p)
-        vals = [1]
-        push = vals.append
-        if p is not None:
-            for parent, v in self._steps:
-                push(vals[parent] * xs[v] % p)
-        else:
-            for parent, v in self._steps:
-                push(vals[parent] * xs[v])
-        get = vals.__getitem__
-        totals = [sum(map(mul, cs, map(get, ks))) for ks, cs, _ in rows]
-        if p is not None:
-            return [t % p for t in totals], 1
-        dens = [d * xs[-1] ** top for (_, _, d), top in zip(rows, self._tops)]
-        den = lcm(*dens)
-        return [t * (den // d) for t, d in zip(totals, dens)], den
-
-    def __call__(self, point):
-        """The values of the polynomials at the point, in list order."""
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match variable count")
-        p = self._prime if self._prime is not None else _prime(point)
-        if p is not None:
-            new = Fp._from_residue
-            return [new(t, p) for t in self.totals([_residue(x, p) for x in point] + [1], p)[0]]
-        dx = _denominator(point)
-        totals, den = self.totals([x.numerator * (dx // x.denominator) for x in point] + [dx], None)
-        return [Rational(t, den) for t in totals]

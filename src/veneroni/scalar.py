@@ -116,7 +116,7 @@ class Fp:
     def inv(self):
         if self.r == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
-        return Fp(pow(self.r, self.p - 2, self.p), self.p)
+        return Fp._from_residue(pow(self.r, -1, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, Fp):

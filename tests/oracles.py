@@ -42,7 +42,7 @@ from itertools import combinations
 
 from veneroni import checks, maps
 from veneroni import exactla as la
-from veneroni.mpoly import Evaluator, Poly
+from veneroni.mpoly import Poly
 from veneroni.projgeo import ProjPoint
 from veneroni.scalar import Fp, Rational, seeded_rng
 
@@ -69,7 +69,7 @@ def vanishing_on_line(polys):
     and (1 : m) for m = 0..d are d+1 distinct points of P^1 (the field has
     characteristic 0 or a prime above 2^30), so a part of degree d vanishes
     on the line exactly when it is zero at base + m·dir for m = 0..d.  The
-    parts and their `Evaluator` serve every line.
+    parts serve every line.
     """
     parts, owners = [], []  # the homogeneous parts, and (polynomial, degree)
     for k, q in enumerate(polys):
@@ -79,14 +79,13 @@ def vanishing_on_line(polys):
         for d, terms in by_degree.items():
             parts.append(Poly(q.nvars, terms))
             owners.append((k, d))
-    values = Evaluator(parts) if parts else None
 
     def inside(line):
         out = [True] * len(polys)
         for m in range(max((d for _, d in owners), default=-1) + 1):
             point = [b + m * v for b, v in zip(line.base, line.dir)]
-            for (k, d), value in zip(owners, values(point)):
-                if value and m <= d:
+            for (k, d), part in zip(owners, parts):
+                if m <= d and part.evaluate(point):
                     out[k] = False
         return out
 
@@ -247,20 +246,20 @@ class BaseLocusError(Exception):
 
 
 def apply_map(components, p, ctx):
-    """The image of a point, with `components` an `Evaluator` of the map's
-    components; error on the base locus."""
-    vals = components(p.coords)
+    """The image of a point under the map of the polynomials `components`;
+    error on the base locus."""
+    vals = [q.evaluate(p.coords) for q in components]
     if not any(vals):
         raise BaseLocusError(f"point {p.format()} is in the base locus")
     return ProjPoint(vals, ctx)
 
 
-def sample_off_locus(vmap, forward, rng, tries=200):
+def sample_off_locus(vmap, rng, tries=200):
     """(p, values): a random point where no stored component vanishes, and
-    the components' values there, its image; `forward` evaluates them."""
+    the components' values there, its image."""
     for _ in range(tries):
         p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)
-        values = forward(p.coords)
+        values = [q.evaluate(p.coords) for q in vmap.components]
         if all(values):
             return p, values
     raise RuntimeError("could not sample a point where no component vanishes")
@@ -272,15 +271,13 @@ def roundtrip_sample(vmap, inv, k=20, seed=0):
     `apply_map`: a failure names the first point that does not return."""
     ctx = vmap.ctx
     rng = seeded_rng(seed, "roundtrip")
-    forward = Evaluator(vmap.components)
-    inverse = Evaluator(inv.inverse_components)
     seen = set()
     for s in range(k):
-        p, values = sample_off_locus(vmap, forward, rng)
+        p, values = sample_off_locus(vmap, rng)
         while p.coords in seen:
-            p, values = sample_off_locus(vmap, forward, rng)
+            p, values = sample_off_locus(vmap, rng)
         seen.add(p.coords)
-        back = apply_map(inverse, ProjPoint(values, ctx), ctx)
+        back = apply_map(inv.inverse_components, ProjPoint(values, ctx), ctx)
         if back != p:
             wit = {"sample": s, "point": p.format(), "returned": back.format()}
             return checks.CheckResult("round-trip", "fail", wit)
@@ -291,9 +288,8 @@ def sample_off_q_locus(vmap, rng, tries=200):
     """A random point where no stored Q_i vanishes, drawn as
     `sample_off_locus` draws its points but tested on the Q_i themselves,
     where that sampler tests the components."""
-    q_values = Evaluator(vmap.Q)
     for _ in range(tries):
         p = ProjPoint([vmap.ctx.random_nonzero(rng) for _ in range(vmap.n + 1)], vmap.ctx)
-        if all(q_values(p.coords)):
+        if all(q.evaluate(p.coords) for q in vmap.Q):
             return p
     raise RuntimeError("could not sample a point off the Q_i locus")

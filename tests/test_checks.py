@@ -12,7 +12,7 @@ from veneroni import checks
 from veneroni import exactla as la
 from veneroni import lattice, maps, projgeo
 from veneroni.checks import CHECK_ORDER
-from veneroni.mpoly import Evaluator, Poly
+from veneroni.mpoly import Poly
 from veneroni.projgeo import (
     Flat,
     FlatsInstance,
@@ -488,6 +488,16 @@ def test_residual_example_across_seeds():
         assert res.witness["anchor_lines"] == 2
 
 
+def test_residual_example_fails_when_q_is_off_q0_or_q1():
+    # a Q_1 that is not det(M_1) misses the general point of the plane
+    inst = random_general_flats(4, 3, QQ)
+    q0, q1 = (maps.compute_Q(inst.flats, i, QQ) for i in (0, 1))
+    meet = checks.ProofRecord(inst, None, None, 3).meet
+    off = q1 + Poly.var(0, 5, QQ.one) ** 3
+    res = checks.residual_component_example(inst.flats, [q0, off], meet, QQ, 3)
+    assert (res.status, res.witness) == ("fail", {"reason": "q not on Q_0 and Q_1"})
+
+
 def test_pair_point_lies_on_both_flats_and_is_fixed_by_the_seed():
     # from n = 5 two flats meet in more than a point, so the point is drawn
     # from the span of the record's meet with the report's seed
@@ -516,6 +526,19 @@ def test_multiplicity_agrees_with_the_pair_point_oracle(field, n):
     assert double_at_pair_points(vmap, random.Random(n))
     res = checks.check_multiplicity(vmap, record(inst, vmap, inv))
     assert res.witness == {"k": 2, "reason": "stored Q differs"}
+
+
+@pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
+def test_multiplicity_fails_when_the_control_gradient_vanishes(monkeypatch, field):
+    # a control point of flat_2 ∩ flat_3, where Q_0 is double, has a zero
+    # gradient, so the control refuses it
+    inst = random_general_flats(4, 7, field)
+    vmap, inv = checks.build_all(inst)
+    proofs = record(inst, vmap, inv)
+    pair_point = proofs.meet(2, 3)[0]
+    monkeypatch.setattr(checks, "_point_on_flat", lambda flat, ctx, rng: pair_point)
+    res = checks.check_multiplicity(vmap, proofs)
+    assert (res.status, res.witness) == ("fail", {"reason": "control gradient vanished"})
 
 
 @pytest.mark.parametrize("field", [QQ, FieldCtx.prime(2147483647)], ids=["qq", "fp"])
@@ -750,10 +773,10 @@ def test_round_trip_returns_every_point_exactly(field, n, seed, coords):
     # the cited identity at a drawn point off the Q_i, where w∘v = x·∏Q_i
     # is nonzero: it returns
     point = [field.from_int(c) for c in coords[: n + 1]]
-    assume(all(Evaluator(vmap.Q)(point)))
+    assume(all(q.evaluate(point) for q in vmap.Q))
     p = ProjPoint(point, field)
-    image = apply_map(Evaluator(vmap.components), p, field)
-    assert apply_map(Evaluator(inv.inverse_components), image, field) == p
+    image = apply_map(vmap.components, p, field)
+    assert apply_map(inv.inverse_components, image, field) == p
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["qq", "fp"])
@@ -764,12 +787,11 @@ def test_the_round_trip_draws_the_points_off_the_q_locus(field, n, seed):
     # exactly where Q_i does: the components' values pick the points the
     # Q_i's own values pick, and are their images
     vmap, _ = checks.build_all(random_general_flats(n, seed, field))
-    forward, q_values = Evaluator(vmap.components), Evaluator(vmap.Q)
     rng, q_rng = random.Random(seed), random.Random(seed)
     for _ in range(10):
-        p, values = sample_off_locus(vmap, forward, rng)
+        p, values = sample_off_locus(vmap, rng)
         assert p == sample_off_q_locus(vmap, q_rng)
-        assert values == [x * q for x, q in zip(p.coords, q_values(p.coords))]
+        assert values == [x * q.evaluate(p.coords) for x, q in zip(p.coords, vmap.Q)]
 
 
 
@@ -844,13 +866,15 @@ def test_each_shared_fact_is_proved_once_per_report(
     ):
         counted(owner, name)
     monkeypatch.setattr(checks.ProofRecord, "_fact", proving)
-    # the bounds on A and Aᵀ, the lattice proof, the ties, the hypotheses of
-    # the zero counts, (at n = 3) the family's count, the meet of each pair
-    # of flats and the dual record; then the dual record's own facts, whose
-    # bound on b = Aᵀ is the record's on Aᵀ
+    # the bounds on A and Aᵀ, the lattice and its proof, the ties, the
+    # hypotheses of the zero counts, (at n = 3) the family's count, the meet
+    # of each pair of flats and the dual record; then the dual record's own
+    # facts, whose bound on b = Aᵀ is the record's on Aᵀ and whose lattice
+    # is the record's
     once = {
         ("map", ("bound", "A")): 1,
         ("map", ("bound", "Aᵀ")): 1,
+        ("map", "grid"): 1,
         ("map", "lattice"): 1,
         ("map", "ties"): 1,
         ("map", "hypotheses"): 1,
@@ -1471,7 +1495,7 @@ def test_the_lattice_proves_every_q_of_the_flats_and_the_dual_flats(ctx, coeffs)
     for rows in (a, [list(col) for col in zip(*a)]):  # the flats, then the dual flats
         flats = [Flat(j, tuple(row)) for j, row in enumerate(rows)]
         qs = maps.compute_all_Q(flats, ctx)[0]
-        assert lattice.det_m_failure(flats, qs, ctx.p) is None
+        assert lattice.det_m_failure(flats, qs, ctx.p, lattice.grid(len(flats) - 1)) is None
         b = maps.build_matrix_B(flats, ctx)
         for r, q in enumerate(qs):
             assert q == la.det_bareiss(maps.matrix_M(flats, r, b))

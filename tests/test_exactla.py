@@ -38,28 +38,28 @@ def test_det_routes_agree_on_scalars(ctx):
     for k in (1, 2, 3, 4, 5):
         for _ in range(10):
             m = rand_mat(ctx, rng, k)
-            assert la.det_laplace(m) == la.det_bareiss(m)
+            assert la.det_poly_matrix(m) == la.det_bareiss(m)
 
 
 def test_det_routes_agree_on_polynomials():
     rng = random.Random(7)
     for k in (2, 3, 4):
         m = rand_poly_mat(QQ, rng, k)
-        assert la.det_laplace(m) == la.det_bareiss(m)
+        assert la.det_poly_matrix(m) == la.det_bareiss(m)
 
 
 def test_det_known_values():
     m = [[QQ.from_int(v) for v in row] for row in [[2, 1, 0], [1, 3, 4], [0, 5, 6]]]
-    assert la.det_laplace(m) == -10
+    assert la.det_poly_matrix(m) == -10
     # Vandermonde on 1, 2, 4: prod of differences = 1*3*2 = 6
     v = [[QQ.from_int(a) ** i for i in range(3)] for a in (1, 2, 4)]
-    assert la.det_laplace(v) == 6
-    assert la.det_laplace([]) == 1 == la.det_bareiss([])
+    assert la.det_poly_matrix(v) == 6
+    assert la.det_poly_matrix([]) == 1 == la.det_bareiss([])
 
 
 def test_det_is_multiplicative_and_alternating():
     rng = random.Random(99)
-    det = la.det_laplace
+    det = la.det_poly_matrix
     for _ in range(10):
         a = rand_mat(QQ, rng, 4)
         b = rand_mat(QQ, rng, 4)
@@ -76,7 +76,7 @@ def test_det_bareiss_handles_zero_pivots():
     assert la.det_bareiss(m) == -1
     sing = [[z, o, z], [z, QQ.from_int(2), z], [z, z, o]]  # zero first column
     assert la.det_bareiss(sing) == 0
-    assert la.det_laplace(sing) == 0
+    assert la.det_poly_matrix(sing) == 0
 
 
 def test_det_size_cap():
@@ -119,10 +119,10 @@ def test_packed_exponents_of_high_degree_entries_do_not_carry(k, d):
                 [Poly(2, {e: random_scalar(ctx, rng, 4) for e in rng.sample(mons, 2)}) for _ in range(k)]
                 for _ in range(k)
             ]
-            assert la.det_laplace(m) == la.det_bareiss(m)
+            assert la.det_poly_matrix(m) == la.det_bareiss(m)
     x = Poly.var(0, 2, 1)
     diagonal = [[x**d if i == j else Poly.zero(2) for j in range(k)] for i in range(k)]
-    assert la.det_laplace(diagonal) == x ** (k * d)
+    assert la.det_poly_matrix(diagonal) == x ** (k * d)
 
 
 MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]

@@ -140,7 +140,6 @@ DEMOS = TESTS.parent / "demos"
 UNCALLED = {
     "exactla.solve",
     "maps.vanishes_on_flat",
-    "mpoly.Poly.evaluate",
     "mpoly.Poly.exact_div",
 }
 

@@ -221,7 +221,7 @@ def test_transversal_projective_invariance(flats3):
     n1 = 4
     while True:
         m = [[random_scalar(QQ, rng) for _ in range(n1)] for _ in range(n1)]
-        if la.det_laplace(m):
+        if la.det_poly_matrix(m):
             break
     p = rand_point(3, rng)
     res = transversal_through(p, flats3[:2], QQ)
