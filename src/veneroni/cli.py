@@ -130,7 +130,10 @@ def load_instance(args):
 
 def seeded_instance(n, args):
     """The random instance in P^n of the flags --seed, --field and --bound,
-    each None when not given: then 0, qq and 9."""
+    each None when not given: then 0, qq and 9.  An n outside
+    GENERATE_RANGE raises ValueError before any draw."""
+    if n is None or not GENERATE_RANGE[0] <= n <= GENERATE_RANGE[1]:
+        raise ValueError(f"-n must be in {GENERATE_RANGE[0]}..{GENERATE_RANGE[1]}")
     ctx = parse_field("qq" if args.field is None else args.field)
     bound = 9 if args.bound is None else args.bound
     return random_general_flats(n, args.seed or 0, ctx, bound=bound)
@@ -140,14 +143,7 @@ def seeded_instance(n, args):
 
 
 def cmd_generate(args):
-    n = args.n
-    if n is None or not GENERATE_RANGE[0] <= n <= GENERATE_RANGE[1]:
-        print(
-            f"error: -n must be in {GENERATE_RANGE[0]}..{GENERATE_RANGE[1]}",
-            file=sys.stderr,
-        )
-        return 2
-    inst = seeded_instance(n, args)
+    inst = seeded_instance(args.n, args)
     dump_json(inst.to_dict(__version__), args.output)
     print(f"retries: {inst.retries}", file=sys.stderr)
     return 0
@@ -215,7 +211,7 @@ def cmd_transversal(args):
     def fmt_param(m):
         if m is None or m == "contained":
             return m
-        return f"{ctx.format(m[0])}:{ctx.format(m[1])}"
+        return ":".join(map(str, m))
 
     if args.json:
         out = {"kind": res.kind, "queried": [f.j for f in queried]}
@@ -298,21 +294,15 @@ def commands():
     )
 
 
-def build_parser(command=None):
-    """The argument parser; given a `command`, with only its subparser, which
-    parses argv naming it as the whole parser does (usage lists every one)."""
+def build_parser():
+    """The argument parser of every command, built once at import as PARSER."""
     about = "Construct and verify the birational transformations of P^n"
     about += " defined by n+1 general codimension-2 flats."
     parser = argparse.ArgumentParser(prog="veneroni", description=about)
     parser.add_argument("--version", action="version", version=__version__)
-    table = commands()
-    # a metavar would rename the argument in the full parser's errors
-    names = "{" + ",".join(name for name, _, _ in table) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=command and names)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text, func in table:
-        if command not in (None, name):
-            continue
+    for name, text, _ in commands():
         p = sub.add_parser(name, help=text)
         p.add_argument("-n", type=int, default=None, help="ambient dimension")
         # None when not given, so that -i can refuse each (verify --seed
@@ -324,7 +314,6 @@ def build_parser(command=None):
             p.add_argument("-i", "--input", default=None, help="input JSON file")
         if name in ("generate", "build", "verify"):
             p.add_argument("-o", "--output", default=None, help="output JSON file")
-        p.set_defaults(func=func)
         if name == "verify":
             p.add_argument("--level", choices=("fast", "full"), default="full")
             p.add_argument("--json", action="store_true", help="print the JSON report")
@@ -338,12 +327,14 @@ def build_parser(command=None):
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    named = argv[0] if argv and argv[0] in {name for name, _, _ in commands()} else None
-    args = build_parser(named).parse_args(argv)
+    args = PARSER.parse_args(sys.argv[1:] if argv is None else argv)
+    handler = next(func for name, _, func in commands() if name == args.command)
     try:
-        return args.func(args)
+        return handler(args)
     except json.JSONDecodeError as exc:
         print(
             f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -353,10 +344,7 @@ def main(argv=None):
     except NoGenericInstance as exc:  # no draw was general: not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+    except (OSError, ValueError, ZeroDivisionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -278,9 +278,6 @@ class FieldCtx:
             return Rational(int(num), d)
         return Rational(int(text))
 
-    def format(self, a) -> str:
-        return str(a)
-
     def random_nonzero(self, rng: random.Random, bound: int = 9):
         """Uniform nonzero draw: an integer in [-bound, bound] without 0,
         or a nonzero residue.  Deterministic given the rng state."""
